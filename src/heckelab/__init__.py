@@ -13,6 +13,7 @@ from .errors import (
     IncompatiblePair,
     InsufficientCloseness,
     InvalidConfig,
+    InvariantViolated,
     MixedRings,
     NegativeValuation,
     NonUnitDet,
@@ -64,9 +65,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "HeckelabError", "IncompatiblePair", "InsufficientCloseness",
-    "InvalidConfig", "MixedRings", "NegativeValuation", "NonUnitDet", "NotDominant",
-    "NotInK", "ParseError", "PrecisionExceeded", "Singular", "SingularBasis",
-    "SLTraceNonzero",
+    "InvalidConfig", "InvariantViolated", "MixedRings", "NegativeValuation",
+    "NonUnitDet", "NotDominant", "NotInK", "ParseError", "PrecisionExceeded",
+    "Singular", "SingularBasis", "SLTraceNonzero",
     "DoubleCosetLabel", "HeckeAlgebra", "HeckeElement", "OrbitTable", "base_change",
     "classify", "dc_equal", "get_algebra", "left_cosets",
     "TransportContext", "VerificationReport", "WindowedModule",

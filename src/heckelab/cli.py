@@ -87,7 +87,10 @@ class RunConfig:
             raise InvalidConfig("window must be >= 0")
         if budget < 1:
             raise InvalidConfig("budget must be positive")
-        ring = parse_ring(str(raw.get("ring", "Z")))
+        try:
+            ring = parse_ring(str(raw.get("ring", "Z")))
+        except (ParseError, ValueError) as exc:
+            raise InvalidConfig(f"bad ring: {exc}")
         cfg = RunConfig(
             field=field, field2=field2, closeness=closeness,
             family=family, n=n, level=level, window=window,
@@ -137,8 +140,13 @@ class RunConfig:
 def load_config(args) -> RunConfig:
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InvalidConfig(f"cannot read config {args.config}: {exc}")
+        if not isinstance(raw, dict):
+            raise InvalidConfig("config must be a JSON object")
     for key in ("seed", "budget"):
         val = getattr(args, key, None)
         if val is not None:
@@ -151,26 +159,59 @@ def _parse_matrix(cfg: RunConfig, text: str):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"matrix is not valid JSON: {exc}")
+    return _matrix(cfg, rows)
+
+
+def _matrix(cfg: RunConfig, rows):
+    n = cfg.n
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError("matrix must be a JSON list of rows")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ParseError(f"matrix must be {n} x {n}")
     return cfg.spec().parse_matrix(rows)
 
 
 def _parse_tau(cfg: RunConfig, text: str) -> CartanDatum:
-    parts = json.loads(text) if text.strip().startswith("[") else text.split(",")
-    return CartanDatum(tuple(int(x) for x in parts))
+    try:
+        parts = json.loads(text) if text.strip().startswith("[") else text.split(",")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"cocharacter is not valid JSON: {exc}")
+    return _cocharacter(cfg, parts)
+
+
+def _cocharacter(cfg: RunConfig, parts) -> CartanDatum:
+    """A dominant cocharacter of the configured group (SL: summing to 0)."""
+    try:
+        coords = tuple(int(x) for x in parts)
+    except (TypeError, ValueError):
+        raise ParseError(f"cocharacter must be a list of integers, got {parts!r}")
+    if len(coords) != cfg.n:
+        raise ParseError(f"cocharacter {coords} needs {cfg.n} entries")
+    tau = CartanDatum(coords)
+    cfg.spec().n_of_tau(tau)  # raises SLTraceNonzero for an SL cocharacter off sum 0
+    return tau
 
 
 def _parse_hecke(cfg: RunConfig, algebra: HeckeAlgebra, text: str) -> HeckeElement:
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"Hecke element is not valid JSON: {exc}")
+    if not isinstance(raw, dict) or not isinstance(raw.get("terms", []), list):
+        raise ParseError('Hecke element must be a JSON object {"terms": [...]}')
     ring = cfg.ring
     terms = {}
     for item in raw.get("terms", []):
-        coeff = ring.from_int(int(item.get("coeff", 1)))
+        if not isinstance(item, dict):
+            raise ParseError(f"each term must be a JSON object, got {item!r}")
+        try:
+            coeff = ring.from_int(int(item.get("coeff", 1)))
+        except (TypeError, ValueError):
+            raise ParseError(f"coefficient must be an integer, got {item.get('coeff')!r}")
         if "tau" in item:
-            label = algebra.label_of_tau(CartanDatum(tuple(item["tau"])))
+            label = algebra.label_of_tau(_cocharacter(cfg, item["tau"]))
         elif "k" in item:
-            label = algebra.classify(cfg.spec().parse_matrix(item["k"]))
+            label = algebra.classify(_matrix(cfg, item["k"]))
         else:
             raise ParseError("each term needs 'tau' or 'k'")
         terms[label] = ring.add(terms.get(label, ring.zero), coeff)

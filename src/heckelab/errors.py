@@ -59,3 +59,7 @@ class InsufficientCloseness(HeckelabError):
 
 class SingularBasis(HeckelabError):
     """Proposed lattice basis is not invertible."""
+
+
+class InvariantViolated(HeckelabError):
+    """An identity that holds by construction failed: a defect, not bad input."""

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import MixedRings
+from .errors import InvariantViolated, MixedRings
 from .matgrp import (
     DEFAULT_BUDGET,
     CartanDatum,
@@ -29,7 +29,7 @@ from .matgrp import (
     dominant_window,
     enumerate_residue_matrices,
     iter_kernel,
-    kernel_count,
+    kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
     lift_group,
     reduce_group,
     zero_tau,
@@ -206,7 +206,6 @@ class HeckeAlgebra:
         self._ntau_cosets_cache = {}
         self._rep_cache = {}
         self._sc_cache = {}
-        self._label_transport_hint = None
         self._pipow_cache = {}
         self._warned_rings = set()
 
@@ -284,163 +283,62 @@ class HeckeAlgebra:
     def _ntau_cosets(self, tau: CartanDatum):
         """Left-coset system of K_m n_tau K_m: list of (alpha, alpha^-1).
 
-        Sweeps k n_tau over representatives of K_m/K_(m+c) with c equal to
-        the cocharacter spread a_1 - a_n; the valuation bound
-        v(n_tau^-1 (k~^-1 k) n_tau - 1) >= m + c - spread makes this sweep
-        both sound and complete.  Dedup keys on row-normalized digits, with
-        exact in-bucket certification.  Over the e = 1 mixed model the
-        sweep runs on plain integers mod p^(m+c), which is what makes the
-        large-spread cells affordable.
+        For m >= 1, by the Iwahori factorization of K_m, alpha = u n_tau
+        with u upper unitriangular, u_ij = pi^m x_ij for i < j and x_ij
+        running over the canonical lifts of o/pi^(a_i - a_j): q^<2rho,tau>
+        cosets.  For m = 0 the cosets are the lattices alpha o^n in Hermite
+        normal form: alpha = pi^(a_n) h with h upper triangular, h_ii =
+        pi^(c_i), 0 <= c_i <= a_1 - a_n, sum c_i = sum (a_i - a_n), and h_ij
+        (i < j) over the lifts of o/pi^(c_i), kept when alpha has Cartan
+        type tau.  Either way det alpha = det n_tau exactly, so SL needs no
+        determinant fix.  The budget is charged the number of candidates
+        before any of them is built.
         """
         if tau in self._ntau_cosets_cache:
             return self._ntau_cosets_cache[tau]
         spec, m = self.spec, self.m
-        if tau.is_zero():
-            ident = spec.identity()
-            out = [(ident, ident)]
-            self._ntau_cosets_cache[tau] = out
-            return out
-        model = spec.model
-        if model.kind == "MixedChar" and model.e == 1 and m >= 1:
-            reps = self._ntau_cosets_zp(tau)
+        q, n, a = spec.model.q, spec.n, tau.coords
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if m >= 1:
+            _check_budget(q ** sum(a[i] - a[j] for i, j in upper), self.budget)
+            shapes = [(a, [(i, j, m + a[j], a[i] - a[j]) for i, j in upper])]
         else:
-            reps = self._ntau_cosets_generic(tau)
-        self._ntau_cosets_cache[tau] = reps
-        return reps
-
-    def _ntau_cosets_generic(self, tau: CartanDatum):
-        spec, m = self.spec, self.m
-        c = tau.spread
-        n_tau = spec.n_of_tau(tau)
-        reps = []
-        buckets = {}
-        for k in iter_kernel(spec, m, c, self.budget):
-            key = self._coset_key(k, tau)
-            bucket = buckets.setdefault(key, [])
-            hit = False
-            for k_prev_inv in bucket:
-                if self._same_ntau_coset(k_prev_inv @ k, tau):
-                    hit = True
-                    break
-            if not hit:
-                bucket.append(k.inverse())
-                alpha = k @ n_tau
-                reps.append((alpha, n_tau.inverse() @ k.inverse()))
-        return reps
-
-    def _ntau_cosets_zp(self, tau: CartanDatum):
-        """Integer fast path of the sweep for o = Z_(p) (mixed, e = 1).
-
-        Kernel classes, dedup keys and in-bucket tests all run on integer
-        matrices mod p^(m+c); only the surviving representatives are lifted
-        back to exact group elements.
-        """
-        spec, m = self.spec, self.m
-        p = spec.model.p
-        n = spec.n
-        a = tau.coords
-        c = tau.spread
-        _check_budget(kernel_count(spec, m, c), self.budget)
-        mod = p ** (m + c)
-        pm = p**m
-        pc = p**c
-        sl = spec.family == "SL"
-        reps_int = []
-        buckets = {}
-        free = n * n - 1 if sl else n * n
-        for flat in itertools.product(range(pc), repeat=free):
-            k_rows = [[0] * n for _ in range(n)]
-            it = iter(flat)
-            for i in range(n):
-                for j in range(n):
-                    if sl and (i, j) == (n - 1, n - 1):
-                        continue
-                    k_rows[i][j] = ((1 if i == j else 0) + pm * next(it)) % mod
-            if sl:
-                k_rows[n - 1][n - 1] = self._zp_solve_last(k_rows, p, m, c)
-            key = _zp_coset_key(k_rows, a, p, m)
-            bucket = buckets.setdefault(key, [])
-            hit = False
-            for k_prev_inv in bucket:
-                z = _int_matmul(k_prev_inv, k_rows, mod)
-                if _zp_same_coset(z, a, p, m):
-                    hit = True
-                    break
-            if not hit:
-                bucket.append(_int_inverse(k_rows, mod))
-                reps_int.append([row[:] for row in k_rows])
-        # lift survivors exactly
-        n_tau = spec.n_of_tau(tau)
-        n_tau_inv = n_tau.inverse()
+            total = sum(x - a[-1] for x in a)
+            diags = [
+                c for c in itertools.product(range(tau.spread + 1), repeat=n)
+                if sum(c) == total
+            ]
+            _check_budget(sum(q ** sum(c[i] for i, _ in upper) for c in diags), self.budget)
+            shapes = [
+                ([a[-1] + ci for ci in c], [(i, j, a[-1], c[i]) for i, j in upper])
+                for c in diags
+            ]
+        det = spec.n_of_tau(tau).det()
         out = []
-        for k_rows in reps_int:
-            k = self._zp_lift(k_rows)
-            out.append((k @ n_tau, n_tau_inv @ k.inverse()))
+        for diag, entries in shapes:
+            for alpha in self._triangular(diag, entries, det):
+                if m == 0 and cartan(alpha).tau != tau:
+                    continue
+                out.append((alpha, alpha.inverse()))
+        self._ntau_cosets_cache[tau] = out
         return out
 
-    def _zp_solve_last(self, k_rows, p, m, c):
-        """Complete the last diagonal entry so det = 1 mod p^(m+c)."""
-        n = self.spec.n
-        mod = p ** (m + c)
-        pm = p**m
-        pc = p**c
-        rows0 = [row[:] for row in k_rows]
-        rows0[n - 1][n - 1] = 1  # entry with y_nn = 0
-        alpha = _int_det(rows0, mod)
-        cof = _int_det([row[: n - 1] for row in rows0[: n - 1]], mod) if n > 1 else 1
-        u = ((alpha - 1) // pm) % pc
-        y = (-u * pow(cof % pc, -1, pc)) % pc
-        return (1 + pm * y) % mod
-
-    def _zp_lift(self, k_rows) -> GroupElement:
-        """Exact element from integer residues; SL determinant-corrected."""
-        spec = self.spec
-        model = spec.model
-        rows = [[model.from_int(x) for x in row] for row in k_rows]
-        if spec.family != "SL":
-            return GroupElement(spec, tuple(tuple(r) for r in rows))
-        g = GroupElement(GroupSpec("GL", spec.n, model), tuple(tuple(r) for r in rows))
-        dt = g.det()
-        if dt == model.one():
-            return GroupElement(spec, g.rows, _det=model.one())
-        dt_inv = dt.inverse()
-        rows = [list(r) for r in g.rows]
-        for i in range(spec.n):
-            rows[i][0] = rows[i][0] * dt_inv
-        return GroupElement(spec, tuple(tuple(r) for r in rows))
-
-    def _coset_key(self, k: GroupElement, tau: CartanDatum):
-        """Invariant of the coset (k n_tau) K_m: rows truncated at pi^(rho_i + m).
-
-        Row valuation floors are coset-invariant and so are the m leading
-        digits of each entry above its row floor; collisions across distinct
-        cosets are possible and resolved exactly inside the bucket.
-        """
-        m = self.m
-        a = tau.coords
-        n = self.spec.n
-        key = []
-        for i in range(n):
-            vals = [k.rows[i][j].val() + a[j] for j in range(n)]
-            rho = min(vals)
-            row_key = [rho]
-            for j in range(n):
-                entry = k.rows[i][j] * self._pipow(a[j] - rho)
-                row_key.append(entry.residue(m).coords if m > 0 else ())
-            key.append(tuple(row_key))
-        return tuple(key)
-
-    def _same_ntau_coset(self, z: GroupElement, tau: CartanDatum) -> bool:
-        """For z in K_m: is n_tau^-1 z n_tau in K_m (conjugate entrywise test)."""
-        a = tau.coords
-        m = self.m
-        one = self.spec.model.one()
-        for i in range(self.spec.n):
-            for j in range(self.spec.n):
-                delta = z.rows[i][j] - one if i == j else z.rows[i][j]
-                if delta.val() < m + a[i] - a[j]:
-                    return False
-        return True
+    def _triangular(self, diag, entries, det):
+        """Upper triangular elements with diagonal pi^diag[i] and, for each
+        (i, j, s, N) in ``entries``, (i, j) entry pi^s x with x running over
+        the canonical lifts of o/pi^N; all other entries are zero."""
+        model, n = self.spec.model, self.spec.n
+        pools = [
+            [self._pipow(s) * w.lift() for w in model.residue_ring(N).elements()]
+            for _, _, s, N in entries
+        ]
+        zero = model.zero()
+        for combo in itertools.product(*pools):
+            rows = [[self._pipow(diag[i]) if i == j else zero for j in range(n)]
+                    for i in range(n)]
+            for (i, j, _, _), x in zip(entries, combo):
+                rows[i][j] = x
+            yield GroupElement(self.spec, rows, _det=det)
 
     # -- orbits, stabilizers, classification ----------------------------------------
 
@@ -471,7 +369,11 @@ class HeckeAlgebra:
                 nrow = mul[yi]
                 for s, t in gamma_idx:
                     canonical[(mrow[s], nrow[t])] = rep
-        assert len(labels) * len(gamma_idx) == size * size, "orbit-stabilizer mismatch"
+        if len(labels) * len(gamma_idx) != size * size:
+            raise InvariantViolated(
+                f"orbit-stabilizer mismatch at tau={tau}: "
+                f"{len(labels)} * {len(gamma_idx)} != {size}^2"
+            )
         table = OrbitTable(
             tau,
             tuple(labels),
@@ -615,7 +517,8 @@ class HeckeAlgebra:
                     if (beta_inv @ u).in_km(self.m):
                         count += 1
                         break
-            assert count > 0
+            if count == 0:
+                raise InvariantViolated(f"support label {lab} of {l1} * {l2} has count 0")
             out[lab] = count
         self._sc_cache[key] = out
         return out
@@ -707,91 +610,6 @@ class HeckeAlgebra:
             if lab not in seen:
                 seen[lab] = self.t_of_label(lab, ring)
         return [seen[l] for l in sorted(seen, key=lambda l: l.sort_key())]
-
-
-# -- integer matrix helpers for the Z_(p) fast path --------------------------------
-
-
-def _int_matmul(A, B, mod):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _int_det(rows, mod):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % mod
-    if n == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % mod
-    acc = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = rows[0][j] * _int_det(minor, mod)
-        acc = acc - term if j % 2 else acc + term
-    return acc % mod
-
-
-def _int_inverse(A, mod):
-    n = len(A)
-    det_inv = pow(_int_det(A, mod), -1, mod)
-    if n == 1:
-        return [[det_inv % mod]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[A[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = _int_det(minor, mod)
-            val = (cof * det_inv) % mod
-            out[j][i] = val if (i + j) % 2 == 0 else (-val) % mod
-    return out
-
-
-def _vp_int_capped(x, p, cap):
-    if x == 0:
-        return cap
-    v = 0
-    while x % p == 0 and v < cap:
-        x //= p
-        v += 1
-    return v
-
-
-def _zp_coset_key(k_rows, a, p, m):
-    """Rowwise coset-invariant key of (k n_tau) K_m in integer coordinates."""
-    n = len(k_rows)
-    cap = 10 * (m + (a[0] - a[-1]) + 1)  # larger than any relevant valuation
-    pm = p**m
-    key = []
-    for i in range(n):
-        vals = [_vp_int_capped(k_rows[i][j], p, cap) + a[j] for j in range(n)]
-        rho = min(vals)
-        row_key = [rho]
-        for j in range(n):
-            s = rho - a[j]
-            x = k_rows[i][j]
-            digit = (x * p ** (-s)) % pm if s <= 0 else (x // p**s) % pm
-            row_key.append(digit)
-        key.append(tuple(row_key))
-    return tuple(key)
-
-
-def _zp_same_coset(z, a, p, m):
-    """Is n_tau^-1 z n_tau = 1 mod pi^m, for z in K_m given mod p^(m+spread)."""
-    n = len(z)
-    for i in range(n):
-        for j in range(n):
-            t = m + a[i] - a[j]
-            if t <= 0:
-                continue
-            delta = z[i][j] - (1 if i == j else 0)
-            if delta % p**t != 0:
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     IncompatiblePair,
     InsufficientCloseness,
+    InvariantViolated,
     MixedRings,
     SingularBasis,
 )
@@ -140,7 +141,8 @@ class TransportContext:
         terms = {}
         for label, c in f.terms.items():
             target = self.transport_label(label)
-            assert target not in terms, "label transport collided"
+            if target in terms:
+                raise InvariantViolated(f"label transport collided at {target}")
             terms[target] = c
         return HeckeElement(f.ring, terms, f.flagged)
 

@@ -212,9 +212,6 @@ class GroupElement:
                     return False
         return True
 
-    def min_val(self):
-        return min(x.val() for row in self.rows for x in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)

@@ -164,6 +164,31 @@ def test_bad_matrix_diagnostic(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+SL2_Q2 = dict(GL2_Q2, group={"family": "SL", "n": 2})
+
+
+@pytest.mark.parametrize("config, argv, error", [
+    pytest.param(SL2_Q2, ["orbits", "a,b"], "ParseError", id="orbits-not-integers"),
+    pytest.param(SL2_Q2, ["orbits", "1,0"], "SLTraceNonzero", id="orbits-sl-trace"),
+    pytest.param(SL2_Q2, ["orbits", "1,0,-1"], "ParseError", id="orbits-wrong-length"),
+    pytest.param(SL2_Q2, ["convolve", "{bad}", "{}"], "ParseError", id="convolve-bad-json"),
+    pytest.param(dict(SL2_Q2, ring="F4"), ["orbits", "1,-1"], "InvalidConfig",
+                 id="ring-not-prime"),
+    pytest.param(GL2_Q2, ["cartan", "[[1]]"], "ParseError", id="matrix-wrong-shape"),
+])
+def test_bad_input_is_typed_error(tmp_path, capsys, config, argv, error):
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg] + argv) == 2
+    assert f"error [{error}]" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_typed_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{bad")
+    assert main(["--config", str(path), "orbits", "1,-1"]) == 2
+    assert "InvalidConfig" in capsys.readouterr().err
+
+
 def test_singular_matrix_diagnostic(tmp_path, capsys):
     cfg = write_config(tmp_path, GL2_Q2)
     assert main(["--config", cfg, "cartan", "[[1,1],[1,1]]"]) == 2

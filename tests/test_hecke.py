@@ -1,6 +1,6 @@
 import pytest
 
-from heckelab.errors import MixedRings
+from heckelab.errors import BudgetExceeded, InvariantViolated, MixedRings
 from heckelab.hecke import (
     HeckeAlgebra,
     HeckeElement,
@@ -10,7 +10,7 @@ from heckelab.hecke import (
     left_cosets_kernel_sweep,
 )
 from heckelab.localfield import FieldModel
-from heckelab.matgrp import CartanDatum, GroupSpec
+from heckelab.matgrp import CartanDatum, GroupElement, GroupSpec, dominant_window
 from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
 from heckelab.sampling import random_in_k, random_in_km, random_windowed
 
@@ -19,6 +19,7 @@ Q3 = FieldModel.mixed(3, 1)
 SL2_Q2 = GroupSpec("SL", 2, Q2)
 GL2_Q2 = GroupSpec("GL", 2, Q2)
 GL2_Q3 = GroupSpec("GL", 2, Q3)
+SL2_F2 = GroupSpec("SL", 2, FieldModel.equal(2))
 
 
 @pytest.fixture(scope="module")
@@ -118,25 +119,81 @@ def test_left_cosets_cover_double_coset(sl2_m1, rng):
         assert len(hits) == 1
 
 
-def test_left_cosets_match_kernel_sweep(sl2_m1):
-    tau = CartanDatum((1, -1))
-    n = SL2_Q2.n_of_tau(tau)
-    fast = sl2_m1.left_cosets(n)
-    slow = left_cosets_kernel_sweep(n, 1)
+def two_rho(tau):
+    a = tau.coords
+    return sum(a[i] - a[j] for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
+def spherical_degree(n, q, tau):
+    """|K n_tau K / K| = q^<2rho,tau> [n]_q! / (prod [m_i]_q! q^dim(G/P_tau)),
+    with m_i the multiplicities of the entries of tau."""
+    def q_factorial(k):
+        out = 1
+        for i in range(1, k + 1):
+            out *= sum(q**j for j in range(i))
+        return out
+
+    mults = [tau.coords.count(x) for x in sorted(set(tau.coords))]
+    den = q ** ((n * n - sum(k * k for k in mults)) // 2)
+    for k in mults:
+        den *= q_factorial(k)
+    num = q ** two_rho(tau) * q_factorial(n)
+    assert num % den == 0
+    return num // den
+
+
+TRANSVERSAL_CELLS = [
+    pytest.param(SL2_Q2, 1, (1, -1), id="SL2/Q_2 m=1 (1,-1)"),
+    pytest.param(SL2_Q2, 1, (2, -2), id="SL2/Q_2 m=1 (2,-2)"),
+    pytest.param(GL2_Q3, 1, (1, -1), id="GL2/Q_3 m=1 (1,-1)"),
+    pytest.param(GL2_Q2, 2, (1, -1), id="GL2/Q_2 m=2 (1,-1)"),
+    pytest.param(SL2_F2, 1, (1, -1), id="SL2/F_2((t)) m=1 (1,-1)"),
+    pytest.param(GL2_Q2, 0, (1, 0), id="GL2/Q_2 m=0 (1,0)"),
+    pytest.param(GL2_Q2, 0, (1, -1), id="GL2/Q_2 m=0 (1,-1)"),
+]
+
+
+@pytest.mark.parametrize("spec, m, coords", TRANSVERSAL_CELLS)
+def test_left_cosets_match_kernel_sweep(spec, m, coords):
+    # the closed-form transversal against the literal kernel sweep: same
+    # classes, pairwise distinct, and of the closed-form size
+    tau = CartanDatum(coords)
+    n = spec.n_of_tau(tau)
+    fast = HeckeAlgebra(spec, m).left_cosets(n)
+    slow = left_cosets_kernel_sweep(n, m)
     assert len(fast) == len(slow)
     for a in fast:
-        assert sum(1 for b in slow if (a.inverse() @ b).in_km(1)) == 1
+        assert sum(1 for b in slow if (a.inverse() @ b).in_km(m)) == 1
+    for i, a in enumerate(fast):
+        assert not any((a.inverse() @ b).in_km(m) for b in fast[i + 1:])
+    q = spec.model.q
+    assert len(fast) == (q ** two_rho(tau) if m >= 1 else spherical_degree(spec.n, q, tau))
 
 
-def test_fast_and_generic_sweeps_agree():
-    # the integer fast path and the generic exact sweep give the same cosets
-    alg = HeckeAlgebra(SL2_Q2, 1)
-    for tau in (CartanDatum((1, -1)), CartanDatum((2, -2))):
-        fast = alg._ntau_cosets_zp(tau)
-        gen = alg._ntau_cosets_generic(tau)
-        assert len(fast) == len(gen)
-        for _, a_inv in fast:
-            assert sum(1 for b, _ in gen if (a_inv @ b).in_km(1)) == 1
+@pytest.mark.parametrize("spec, m, bound", [
+    pytest.param(GroupSpec("SL", 3, Q2), 1, 1, id="SL3/Q_2 m=1 B=1"),
+    pytest.param(SL2_F2, 1, 2, id="SL2/F_2((t)) m=1 B=2"),
+    pytest.param(GL2_Q2, 2, 1, id="GL2/Q_2 m=2 B=1"),
+])
+def test_degree_is_q_to_two_rho(spec, m, bound):
+    alg = HeckeAlgebra(spec, m)
+    for tau in dominant_window(spec.family, spec.n, bound):
+        assert alg.degree(tau) == spec.model.q ** two_rho(tau)
+
+
+def test_spherical_degree_gl3():
+    spec = GroupSpec("GL", 3, Q2)
+    alg = HeckeAlgebra(spec, 0)
+    assert alg.degree(CartanDatum((1, 0, -1))) == 42
+    for tau in dominant_window("GL", 3, 1):
+        assert alg.degree(tau) == spherical_degree(3, 2, tau)
+
+
+def test_degree_budget_charges_transversal_size():
+    tau = CartanDatum((4, -4))
+    with pytest.raises(BudgetExceeded):
+        HeckeAlgebra(SL2_Q2, 1, budget=100).degree(tau)
+    assert HeckeAlgebra(SL2_Q2, 1).degree(tau) == 256
 
 
 def test_degree_is_congruence_index(sl2_m1):
@@ -252,7 +309,31 @@ def test_classify_gamma_orbit_equivalence(sl2_m1, rng):
         assert (sl2_m1.classify(g) == sl2_m1.classify(h)) == sl2_m1.dc_equal(g, h)
 
 
+def test_orbit_stabilizer_guard(monkeypatch):
+    # a stabilizer witness outside Gamma_tau breaks |X_tau| |Gamma_tau| = |K/K_m|^2
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    witnesses = alg._stabilizer_witnesses
+    x = next(alg.class_lift(i) for i, r in enumerate(alg.residue_classes) if not r.is_one())
+
+    def with_bad_pair(tau):
+        yield from witnesses(tau)
+        yield (x, SL2_Q2.identity())
+
+    monkeypatch.setattr(alg, "_stabilizer_witnesses", with_bad_pair)
+    with pytest.raises(InvariantViolated, match="orbit-stabilizer"):
+        alg.orbit_table(CartanDatum((1, -1)))
+
+
 # ---------------------------------------------------------------- convolution
+
+
+def test_structure_constant_count_guard(monkeypatch):
+    # every support label is some alpha_i beta_j, so its count is at least 1
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    lab = alg.label_of_tau(CartanDatum((1, -1)))
+    monkeypatch.setattr(GroupElement, "in_km", lambda self, m: False)
+    with pytest.raises(InvariantViolated, match="count 0"):
+        alg.structure_constants(lab, lab)
 
 
 def test_unit_element(sl2_m1, rng):

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from heckelab.errors import InsufficientCloseness, MixedRings, SingularBasis
+from heckelab.errors import (
+    InsufficientCloseness,
+    InvariantViolated,
+    MixedRings,
+    SingularBasis,
+)
 from heckelab.hecke import HeckeElement
 from heckelab.kazhdan import (
     TransportContext,
@@ -137,6 +142,16 @@ def test_transport_hecke_carries_coefficients(flagship_ctx):
     assert sorted(f2.terms.values()) == [2, 5]
     assert f2.coefficient(flagship_ctx.transport_label(lab_n)) == 2
     assert f2.coefficient(flagship_ctx.transport_label(lab_k)) == 5
+
+
+def test_transport_hecke_collision_guard(identity_ctx, monkeypatch):
+    # the label transport is a bijection; two labels landing on one is a defect
+    A = identity_ctx.algebra
+    labels = A.labels_in_window(1)
+    f = HeckeElement(ZZ, {labels[0]: 1, labels[1]: 1})
+    monkeypatch.setattr(identity_ctx, "transport_label", lambda label: labels[0])
+    with pytest.raises(InvariantViolated, match="collided"):
+        identity_ctx.transport_hecke(f)
 
 
 def test_transport_roundtrip_inverse_pair(flagship_ctx, rng):
