@@ -335,12 +335,20 @@ def cmd_verify(args) -> int:
     suites = {}
     failures = []
     which = args.suite
+    # One context serves the kazhdan suite, the hecke suite and the CSV, so
+    # each windowed structure constant is computed once per run.  It is
+    # built only when needed: the field and hecke suites alone run on
+    # configs that cannot build one (level 0, no closeness).
+    ctx = None
+    if which in ("kazhdan", "all") or (args.csv and cfg.field2 is not None):
+        ctx = cfg.transport_context()
+    algebra = ctx.algebra if ctx is not None else HeckeAlgebra(cfg.spec(), cfg.level, cfg.budget)
     if which in ("field", "all"):
         suites["field"] = _suite_field(cfg, rng, failures)
     if which in ("hecke", "all"):
-        suites["hecke"] = _suite_hecke(cfg, rng, failures)
+        suites["hecke"] = _suite_hecke(cfg, rng, failures, algebra)
     if which in ("kazhdan", "all"):
-        suites["kazhdan"] = _suite_kazhdan(cfg, failures)
+        suites["kazhdan"] = _suite_kazhdan(ctx, failures)
     payload = {
         "config": cfg.describe(),
         "seed": cfg.seed,
@@ -351,10 +359,9 @@ def cmd_verify(args) -> int:
     if args.csv:
         from .hecke import structure_constants_csv
 
-        if cfg.field2 is not None:
-            text = kazhdan.structure_constants_csv(cfg.transport_context())
+        if ctx is not None:
+            text = kazhdan.structure_constants_csv(ctx)
         else:
-            algebra = HeckeAlgebra(cfg.spec(), cfg.level, cfg.budget)
             text = structure_constants_csv(algebra, cfg.window)
         with open(args.csv, "w") as fh:
             fh.write(text)
@@ -419,10 +426,13 @@ def _random_residue_lift(model, rng, N):
     return random_integral(model, rng, depth=N)
 
 
-def _suite_hecke(cfg: RunConfig, rng, failures) -> dict:
+def _suite_hecke(cfg: RunConfig, rng, failures, algebra: HeckeAlgebra = None) -> dict:
+    # Without an algebra (as benchmark/config_seeds.py calls it) the suite
+    # builds its own from the config.
+    if algebra is None:
+        algebra = HeckeAlgebra(cfg.spec(), cfg.level, cfg.budget)
     checks = []
-    algebra = HeckeAlgebra(cfg.spec(), cfg.level, cfg.budget)
-    spec = cfg.spec()
+    spec = algebra.spec
     unit = algebra.unit(ZZ)
     f = algebra.t(random_windowed(spec, rng, cfg.window))
     _check(checks, failures, "unit law",
@@ -470,8 +480,7 @@ def _suite_hecke(cfg: RunConfig, rng, failures) -> dict:
     return {"checks": checks}
 
 
-def _suite_kazhdan(cfg: RunConfig, failures) -> dict:
-    ctx = cfg.transport_context()
+def _suite_kazhdan(ctx: kazhdan.TransportContext, failures) -> dict:
     report = kazhdan.verify_algebra_map(ctx)
     if not report.success:
         failures.append("kazhdan structure constants")

@@ -535,7 +535,8 @@ class HeckeAlgebra:
         out = {}
         for lab, cnt in tally.items():
             deg = self.degree(lab)
-            assert cnt % deg == 0, "tally not divisible by degree"
+            if cnt % deg:
+                raise InvariantViolated(f"tally {cnt} of {lab} not divisible by degree {deg}")
             out[lab] = cnt // deg
         return out
 

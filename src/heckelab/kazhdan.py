@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     IncompatiblePair,
     InsufficientCloseness,
+    InvalidConfig,
     InvariantViolated,
     MixedRings,
     SingularBasis,
@@ -70,7 +71,7 @@ class TransportContext:
         if N > pair.N:
             raise InsufficientCloseness(f"working precision {N} exceeds pair level {pair.N}")
         if m < 1:
-            raise ValueError("transport level m must be >= 1")
+            raise InvalidConfig(f"transport level m must be >= 1, got m={m}")
         if N < m:
             raise InsufficientCloseness(f"need N >= m, got N={N}, m={m}")
         self.pair = pair

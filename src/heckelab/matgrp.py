@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
+    InvariantViolated,
     NonUnitDet,
     NotDominant,
     NotInK,
+    ParseError,
     SLTraceNonzero,
     Singular,
 )
@@ -158,7 +160,8 @@ class GroupElement:
     def __init__(self, group: GroupSpec, rows, _det=None):
         self.group = group
         self.rows = tuple(tuple(row) for row in rows)
-        assert len(self.rows) == group.n and all(len(r) == group.n for r in self.rows)
+        if len(self.rows) != group.n or any(len(r) != group.n for r in self.rows):
+            raise ParseError(f"{group.family}_{group.n} needs a {group.n} x {group.n} matrix")
         self._det = _det
         d = self.det()
         if d.is_zero():
@@ -337,7 +340,8 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
             if M[i][k].is_zero():
                 continue
             f = M[i][k] * pivot_inv  # integral: pivot has minimal valuation
-            assert f.is_integral()
+            if not f.is_integral():
+                raise InvariantViolated(f"SNF row multiplier {f} is not integral")
             for c in range(k, n):
                 M[i][c] = M[i][c] - f * M[k][c]
             for r in range(n):
@@ -346,7 +350,8 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
             if M[k][j].is_zero():
                 continue
             f = M[k][j] * pivot_inv
-            assert f.is_integral()
+            if not f.is_integral():
+                raise InvariantViolated(f"SNF column multiplier {f} is not integral")
             for r in range(k, n):
                 M[r][j] = M[r][j] - f * M[r][k]
             for c in range(n):
@@ -356,7 +361,8 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     ds = []
     for k in range(n):
         d = M[k][k].val()
-        assert d != float("inf"), "singular input slipped through"
+        if d == float("inf"):
+            raise InvariantViolated("singular input slipped through to the SNF diagonal")
         ds.append(int(d))
         unit = M[k][k] * model.pi_pow(-ds[-1])
         M[k][k] = model.pi_pow(ds[-1])
@@ -417,7 +423,8 @@ def _pick_pivot(M, k, rng):
                 candidates = [(i, j)]
             elif v == best:
                 candidates.append((i, j))
-    assert best is not None and best != float("inf"), "zero submatrix in SNF"
+    if best is None or best == float("inf"):
+        raise InvariantViolated("zero submatrix in SNF")
     if rng is not None and len(candidates) > 1:
         return candidates[rng.randrange(len(candidates))]
     return candidates[0]

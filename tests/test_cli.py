@@ -1,8 +1,10 @@
 import json
+import random
 import time
 
 import pytest
 
+from heckelab import cli, hecke, kazhdan
 from heckelab.cli import RunConfig, main
 from heckelab.errors import IncompatiblePair, InvalidConfig
 
@@ -133,6 +135,64 @@ def test_verify_csv_emission(tmp_path):
     assert len(lines) > 1
 
 
+def count_algebras(monkeypatch):
+    built = []
+    init = hecke.HeckeAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hecke.HeckeAlgebra, "__init__", counting_init)
+    return built
+
+
+def test_verify_all_csv_builds_one_algebra_per_side(tmp_path, monkeypatch):
+    # the suites and the CSV share one transport context
+    cfg = write_config(tmp_path, SMALL_IDENTITY)
+    csv = tmp_path / "sc.csv"
+    built = count_algebras(monkeypatch)
+    assert main([
+        "--config", cfg, "--out", str(tmp_path / "r.json"), "--csv", str(csv),
+        "verify", "--suite", "all",
+    ]) == 0
+    assert len(built) == 2
+    fresh = RunConfig.from_dict(SMALL_IDENTITY).transport_context()
+    assert csv.read_text() == kazhdan.structure_constants_csv(fresh)
+
+
+def test_verify_csv_without_field2_builds_one_algebra(tmp_path, monkeypatch):
+    config = dict(GL2_Q2, window=0)
+    cfg = write_config(tmp_path, config)
+    csv = tmp_path / "sc.csv"
+    built = count_algebras(monkeypatch)
+    assert main([
+        "--config", cfg, "--out", str(tmp_path / "r.json"), "--csv", str(csv),
+        "verify", "--suite", "hecke",
+    ]) == 0
+    assert len(built) == 1
+    run = RunConfig.from_dict(config)
+    fresh = hecke.HeckeAlgebra(run.spec(), run.level, run.budget)
+    assert csv.read_text() == hecke.structure_constants_csv(fresh, run.window)
+
+
+def test_hecke_suite_builds_its_own_algebra_when_given_none(monkeypatch):
+    # benchmark/config_seeds.py calls the suite as _suite_hecke(cfg, rng, failures)
+    run = RunConfig.from_dict(SMALL_IDENTITY)
+    built = count_algebras(monkeypatch)
+    failures = []
+    report = cli._suite_hecke(run, random.Random(run.seed), failures)
+    assert len(built) == 1
+    assert report["checks"] and failures == []
+
+
+def test_verify_field_suite_needs_no_transport_context(tmp_path):
+    # level 0 admits no transport context; the field suite does not build one
+    cfg = write_config(tmp_path, dict(SMALL_IDENTITY, level=0))
+    assert main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                 "verify", "--suite", "field"]) == 0
+
+
 def test_undersized_closeness_diagnostic(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL_IDENTITY, closeness=2))
     code = main(["--config", cfg, "verify", "--suite", "kazhdan"])
@@ -175,6 +235,10 @@ SL2_Q2 = dict(GL2_Q2, group={"family": "SL", "n": 2})
     pytest.param(dict(SL2_Q2, ring="F4"), ["orbits", "1,-1"], "InvalidConfig",
                  id="ring-not-prime"),
     pytest.param(GL2_Q2, ["cartan", "[[1]]"], "ParseError", id="matrix-wrong-shape"),
+    pytest.param(dict(SMALL_IDENTITY, level=0), ["verify", "--suite", "kazhdan"],
+                 "InvalidConfig", id="verify-transport-level-0"),
+    pytest.param(dict(SMALL_IDENTITY, level=0), ["transport", "[[1,0],[0,1]]"],
+                 "InvalidConfig", id="transport-level-0"),
 ])
 def test_bad_input_is_typed_error(tmp_path, capsys, config, argv, error):
     cfg = write_config(tmp_path, config)

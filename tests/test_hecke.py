@@ -381,6 +381,15 @@ def test_structure_constants_tally_oracle(sl2_m1, rng):
             sl2_m1.structure_constants_by_tally(l1, l2)
 
 
+def test_structure_constants_tally_guard(monkeypatch):
+    # each label tally is its structure constant times its degree
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    lab = alg.label_of_tau(CartanDatum((1, -1)))
+    monkeypatch.setattr(alg, "degree", lambda label: 10**9)
+    with pytest.raises(InvariantViolated, match="not divisible"):
+        alg.structure_constants_by_tally(lab, lab)
+
+
 def test_residue_class_product_rule(sl2_m1, rng):
     # t_(k1) * t_(k2) = t_(k1 k2): the tau = 0 case of the product lemma
     for _ in range(10):

@@ -1,16 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import heckelab
 from heckelab.errors import (
     BudgetExceeded,
+    InvariantViolated,
     NonUnitDet,
     NotDominant,
     NotInK,
+    ParseError,
     Singular,
     SLTraceNonzero,
 )
-from heckelab.localfield import FieldModel
+from heckelab.localfield import FieldElement, FieldModel
 from heckelab.matgrp import (
     CartanDatum,
     GroupElement,
@@ -200,6 +206,40 @@ def test_singular_matrix_rejected():
     spec = GroupSpec("GL", 2, FieldModel.mixed(2, 1))
     with pytest.raises(Singular):
         spec.from_ints([[1, 1], [1, 1]])
+
+
+def test_wrong_shape_rejected():
+    spec = GroupSpec("GL", 2, FieldModel.mixed(2, 1))
+    with pytest.raises(ParseError, match="2 x 2"):
+        spec.from_ints([[1]])
+
+
+def test_wrong_shape_rejected_under_optimize():
+    # python -O strips asserts; the shape check must survive it
+    code = (
+        "from heckelab.errors import ParseError\n"
+        "from heckelab.localfield import FieldModel\n"
+        "from heckelab.matgrp import GroupSpec\n"
+        "try:\n"
+        "    GroupSpec('GL', 2, FieldModel.mixed(2, 1)).from_ints([[1]])\n"
+        "except ParseError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no ParseError for a 1 x 1 GL_2 matrix')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cartan_integrality_guard(monkeypatch):
+    # the elimination multiplier is integral because the pivot has minimal valuation
+    g = GroupSpec("GL", 2, FieldModel.mixed(2, 1)).from_ints([[1, 0], [2, 1]])
+    monkeypatch.setattr(FieldElement, "is_integral", lambda self: False)
+    with pytest.raises(InvariantViolated, match="not integral"):
+        cartan(g)
 
 
 # ---------------------------------------------------------------- enumeration
