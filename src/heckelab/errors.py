@@ -50,7 +50,7 @@ class BudgetExceeded(HeckelabError):
 
 
 class MixedRings(HeckelabError):
-    """Hecke elements over different coefficient rings were combined."""
+    """Objects over different rings or groups were combined."""
 
 
 class InsufficientCloseness(HeckelabError):

@@ -25,10 +25,10 @@ from .matgrp import (
     CartanDatum,
     GroupElement,
     GroupSpec,
+    ResidueMatrix,
     cartan,
     dominant_window,
     enumerate_residue_matrices,
-    iter_kernel,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
     lift_group,
     reduce_group,
@@ -231,13 +231,41 @@ class HeckeAlgebra:
         return self._q_lift[i]
 
     def _mul_index(self):
+        """Cayley table of Q = K/K_m: mul[a][b] is the index of q[a] @ q[b].
+
+        Filled by generator closure (Holt-Eick-O'Brien, Handbook of
+        Computational Group Theory, ch. 4).  A generator's row costs |Q|
+        residue products; every other row is composed from known rows,
+        row(a g) = [row(a)[x] for x in row(g)], because (a g) b = a (g b).
+        The rows known at any time form a subgroup, so each new generator
+        (the smallest index still missing) at least doubles it: at most
+        floor(log2 |Q|) generators and floor(log2 |Q|) * |Q| products.
+        """
         if self._q_mul is None:
             q = self.residue_classes
             idx = self._q_index
-            self._q_mul = [
-                [idx[a @ b] for b in q]
-                for a in q
-            ]
+            size = len(q)
+            _check_budget(size * size, self.budget)
+            e = idx[ResidueMatrix.identity(q[0].ring, self.spec.n)]
+            mul = [None] * size
+            mul[e] = list(range(size))
+            reached, gens, missing = [e], [], 0
+            while len(reached) < size:
+                while mul[missing] is not None:
+                    missing += 1
+                mul[missing] = [idx[q[missing] @ b] for b in q]
+                gens.append(missing)
+                reached.append(missing)
+                # right-multiply everything reached, including what this
+                # loop appends, until the subgroup is closed
+                for a in reached:
+                    row = mul[a]
+                    for g in gens:
+                        c = row[g]
+                        if mul[c] is None:
+                            mul[c] = [row[x] for x in mul[g]]
+                            reached.append(c)
+            self._q_mul = mul
         return self._q_mul
 
     def _pipow(self, k: int):
@@ -351,6 +379,8 @@ class HeckeAlgebra:
         q = self.residue_classes
         idx = self._q_index
         size = len(q)
+        # the canonical dict below has one entry per pair in (K/K_m)^2
+        _check_budget(size * size, self.budget)
         gamma_idx = set()
         for x, y in self._stabilizer_witnesses(tau):
             gamma_idx.add((idx[reduce_group(x, self.m)], idx[reduce_group(y, self.m)]))
@@ -523,23 +553,6 @@ class HeckeAlgebra:
         self._sc_cache[key] = out
         return out
 
-    def structure_constants_by_tally(self, l1: DoubleCosetLabel, l2: DoubleCosetLabel):
-        """Independent route: classify all alpha_i beta_j and divide each
-        label tally by its degree (counting-measure conservation).  Used as
-        a cross-check oracle against structure_constants."""
-        tally = {}
-        for alpha in self._label_cosets(l1):
-            for beta in self._label_cosets(l2):
-                lab = self.classify(alpha @ beta)
-                tally[lab] = tally.get(lab, 0) + 1
-        out = {}
-        for lab, cnt in tally.items():
-            deg = self.degree(lab)
-            if cnt % deg:
-                raise InvariantViolated(f"tally {cnt} of {lab} not divisible by degree {deg}")
-            out[lab] = cnt // deg
-        return out
-
     def _label_cosets(self, label: DoubleCosetLabel):
         xi = self.class_index[label.pair[0]]
         yi = self.class_index[label.pair[1]]
@@ -645,9 +658,6 @@ def generators(algebra: HeckeAlgebra, bound: int, ring=ZZ):
     return algebra.generators(bound, ring)
 
 
-# -- reference implementations (slow, used as oracles in the test suite) ----------
-
-
 def structure_constants_csv(algebra: HeckeAlgebra, bound: int) -> str:
     """All windowed structure constants as CSV (g-label, h-label, x-label, c)."""
     lines = ["g,h,x,c"]
@@ -658,49 +668,3 @@ def structure_constants_csv(algebra: HeckeAlgebra, bound: int) -> str:
             for lab, c in sorted(sc.items(), key=lambda kv: kv[0].sort_key()):
                 lines.append(f'"{l1}","{l2}","{lab}",{c}')
     return "\n".join(lines) + "\n"
-
-
-def dc_equal_kernel_sweep(g: GroupElement, h: GroupElement, m: int,
-                          budget: int = DEFAULT_BUDGET) -> bool:
-    """Literal bounded-kernel search: exists k in K_m/K_(m+2|tau|) with
-    h^-1 k g in K_m.  Reference oracle for dc_equal."""
-    fg = cartan(g)
-    fh = cartan(h)
-    if fg.tau != fh.tau:
-        return False
-    c = 2 * fg.tau.norm
-    h_inv = h.inverse()
-    for k in iter_kernel(g.group, m, c, budget):
-        if (h_inv @ k @ g).in_km(m):
-            return True
-    return False
-
-
-def left_cosets_kernel_sweep(g: GroupElement, m: int, budget: int = DEFAULT_BUDGET):
-    """Literal sweep of k g over K_m/K_(m+2|tau|) with pairwise dedup.
-    Reference oracle for left_cosets."""
-    fac = cartan(g)
-    c = 2 * fac.tau.norm
-    reps = []
-    for k in iter_kernel(g.group, m, c, budget):
-        cand = k @ g
-        if not any((r.inverse() @ cand).in_km(m) for r in reps):
-            reps.append(cand)
-    return reps
-
-
-def gamma_by_sweep(spec: GroupSpec, tau: CartanDatum, m: int,
-                   budget: int = DEFAULT_BUDGET):
-    """Gamma_tau computed directly from its definition via dc_equal.
-    Reference oracle for the stabilizer in orbit_table."""
-    algebra = get_algebra(spec, m, budget)
-    n_tau = spec.n_of_tau(tau)
-    out = []
-    q = algebra.residue_classes
-    for i, xm in enumerate(q):
-        x = algebra.class_lift(i)
-        for j in range(len(q)):
-            y = algebra.class_lift(j)
-            if algebra.dc_equal(x @ n_tau @ y.inverse(), n_tau):
-                out.append((xm, q[j]))
-    return out

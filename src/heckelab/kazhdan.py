@@ -21,6 +21,7 @@ from .errors import (
     InvalidConfig,
     InvariantViolated,
     MixedRings,
+    ParseError,
     SingularBasis,
 )
 from .hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement
@@ -177,7 +178,8 @@ class WindowedModule:
     def __post_init__(self):
         for label in self.generators:
             mat = self.matrices[label]
-            assert len(mat) == self.rank and all(len(row) == self.rank for row in mat)
+            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
+                raise ParseError(f"generator {label} needs a {self.rank} x {self.rank} matrix")
 
     def matrix(self, label):
         return self.matrices[label]

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from .errors import (
     IncompatiblePair,
+    InvariantViolated,
     NegativeValuation,
     ParseError,
     PrecisionExceeded,
@@ -49,7 +50,8 @@ def is_prime(n: int) -> bool:
 
 def _vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
-    assert n != 0
+    if n == 0:
+        raise InvariantViolated("p-adic valuation of the integer 0")
     v = 0
     while n % p == 0:
         n //= p
@@ -381,7 +383,8 @@ class FieldElement:
                 self.data = data
                 return
             items = tuple(data)
-            assert len(items) == model.e
+            if len(items) != model.e:
+                raise ParseError(f"{model} needs {model.e} coordinates, got {len(items)}")
             if all(isinstance(c, int) for c in items):
                 self.data = _mixed_normalize(items, 1)
             else:
@@ -701,7 +704,8 @@ def _q_poly_invmod(a, modulus):
         s0, s1 = s1, s_next
     # r0 is a nonzero constant c with s0*a = c mod modulus
     const = r0[0]
-    assert all(c == 0 for c in r0[1:]) and const != 0
+    if not (all(c == 0 for c in r0[1:]) and const != 0):
+        raise InvariantViolated("polynomial gcd with the irreducible modulus is not a unit")
     return [c / const for c in s0]
 
 
@@ -918,7 +922,9 @@ class ResidueElement:
     def __init__(self, ring: ResidueRing, coords):
         self.ring = ring
         self.coords = tuple(coords)
-        assert len(self.coords) == ring._width()
+        if len(self.coords) != ring._width():
+            raise ParseError(f"o/pi^{ring.N} of {ring.model} needs {ring._width()} coordinates, "
+                             f"got {len(self.coords)}")
 
     def _check(self, other):
         if not isinstance(other, ResidueElement) or other.ring is not self.ring:

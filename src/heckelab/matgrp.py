@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded,
     InvariantViolated,
+    MixedRings,
     NonUnitDet,
     NotDominant,
     NotInK,
@@ -175,7 +176,9 @@ class GroupElement:
         return self._det
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        assert other.group == self.group
+        if other.group != self.group:
+            raise MixedRings(f"{self.group.family}_{self.group.n}({self.group.model}) times "
+                             f"{other.group.family}_{other.group.n}({other.group.model})")
         n = self.group.n
         rows = tuple(
             tuple(
@@ -456,7 +459,9 @@ class ResidueMatrix:
         return len(self.rows)
 
     def __matmul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        assert other.ring is self.ring
+        if other.ring is not self.ring:
+            raise MixedRings(f"residue matrices mod pi^{self.ring.N} of {self.ring.model} times "
+                             f"mod pi^{other.ring.N} of {other.ring.model}")
         n = self.n
         rows = []
         for i in range(n):

@@ -1,0 +1,79 @@
+"""Slow reference implementations that the tests compare the library against.
+
+Each one computes its object straight from the definition, sharing no code
+path with the fast route it checks.
+"""
+
+from heckelab.errors import InvariantViolated
+from heckelab.hecke import get_algebra
+from heckelab.matgrp import DEFAULT_BUDGET, cartan, iter_kernel
+
+
+def mul_table_by_products(algebra):
+    """Cayley table of K/K_m with every entry a residue-matrix product.
+    Reference oracle for HeckeAlgebra._mul_index."""
+    q = algebra.residue_classes
+    idx = algebra.class_index
+    return [[idx[a @ b] for b in q] for a in q]
+
+
+def dc_equal_kernel_sweep(g, h, m, budget=DEFAULT_BUDGET):
+    """Literal bounded-kernel search: exists k in K_m/K_(m+2|tau|) with
+    h^-1 k g in K_m.  Reference oracle for dc_equal."""
+    fg = cartan(g)
+    fh = cartan(h)
+    if fg.tau != fh.tau:
+        return False
+    c = 2 * fg.tau.norm
+    h_inv = h.inverse()
+    for k in iter_kernel(g.group, m, c, budget):
+        if (h_inv @ k @ g).in_km(m):
+            return True
+    return False
+
+
+def left_cosets_kernel_sweep(g, m, budget=DEFAULT_BUDGET):
+    """Literal sweep of k g over K_m/K_(m+2|tau|) with pairwise dedup.
+    Reference oracle for left_cosets."""
+    fac = cartan(g)
+    c = 2 * fac.tau.norm
+    reps = []
+    for k in iter_kernel(g.group, m, c, budget):
+        cand = k @ g
+        if not any((r.inverse() @ cand).in_km(m) for r in reps):
+            reps.append(cand)
+    return reps
+
+
+def gamma_by_sweep(spec, tau, m, budget=DEFAULT_BUDGET):
+    """Gamma_tau computed directly from its definition via dc_equal.
+    Reference oracle for the stabilizer in orbit_table."""
+    algebra = get_algebra(spec, m, budget)
+    n_tau = spec.n_of_tau(tau)
+    out = []
+    q = algebra.residue_classes
+    for i, xm in enumerate(q):
+        x = algebra.class_lift(i)
+        for j in range(len(q)):
+            y = algebra.class_lift(j)
+            if algebra.dc_equal(x @ n_tau @ y.inverse(), n_tau):
+                out.append((xm, q[j]))
+    return out
+
+
+def structure_constants_by_tally(algebra, l1, l2):
+    """Classify all alpha_i beta_j and divide each label tally by its degree
+    (counting-measure conservation).  Reference oracle for
+    structure_constants."""
+    tally = {}
+    for alpha in algebra._label_cosets(l1):
+        for beta in algebra._label_cosets(l2):
+            lab = algebra.classify(alpha @ beta)
+            tally[lab] = tally.get(lab, 0) + 1
+    out = {}
+    for lab, cnt in tally.items():
+        deg = algebra.degree(lab)
+        if cnt % deg:
+            raise InvariantViolated(f"tally {cnt} of {lab} not divisible by degree {deg}")
+        out[lab] = cnt // deg
+    return out

@@ -193,6 +193,16 @@ def test_verify_field_suite_needs_no_transport_context(tmp_path):
                  "verify", "--suite", "field"]) == 0
 
 
+def test_verify_hecke_suite_at_level_0(tmp_path):
+    # in the spherical algebra t_(n_tau1) * t_(n_tau2) has lower terms
+    cfg = write_config(tmp_path, dict(SMALL_IDENTITY, level=0))
+    out = tmp_path / "r.json"
+    assert main(["--config", cfg, "--out", str(out), "verify", "--suite", "hecke"]) == 0
+    checks = json.loads(out.read_text())["suites"]["hecke"]["checks"]
+    assert {"name": "t_(n_tau1) * t_(n_tau2) = t_(n_tau1+tau2) + lower terms",
+            "ok": True} in checks
+
+
 def test_undersized_closeness_diagnostic(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SMALL_IDENTITY, closeness=2))
     code = main(["--config", cfg, "verify", "--suite", "kazhdan"])

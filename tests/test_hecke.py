@@ -1,18 +1,25 @@
 import pytest
 
 from heckelab.errors import BudgetExceeded, InvariantViolated, MixedRings
-from heckelab.hecke import (
-    HeckeAlgebra,
-    HeckeElement,
-    base_change,
+from heckelab.hecke import HeckeAlgebra, HeckeElement, base_change
+from heckelab.localfield import FieldModel
+from heckelab.matgrp import (
+    CartanDatum,
+    GroupElement,
+    GroupSpec,
+    ResidueMatrix,
+    dominant_window,
+    zero_tau,
+)
+from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
+from heckelab.sampling import random_in_k, random_in_km, random_windowed
+from oracles import (
     dc_equal_kernel_sweep,
     gamma_by_sweep,
     left_cosets_kernel_sweep,
+    mul_table_by_products,
+    structure_constants_by_tally,
 )
-from heckelab.localfield import FieldModel
-from heckelab.matgrp import CartanDatum, GroupElement, GroupSpec, dominant_window
-from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
-from heckelab.sampling import random_in_k, random_in_km, random_windowed
 
 Q2 = FieldModel.mixed(2, 1)
 Q3 = FieldModel.mixed(3, 1)
@@ -324,6 +331,47 @@ def test_orbit_stabilizer_guard(monkeypatch):
         alg.orbit_table(CartanDatum((1, -1)))
 
 
+MUL_TABLE_CELLS = [
+    pytest.param(GroupSpec("SL", 3, Q2), 1, id="SL3/Q_2 m=1"),
+    pytest.param(GL2_Q3, 1, id="GL2/Q_3 m=1"),
+    pytest.param(GL2_Q2, 2, id="GL2/Q_2 m=2"),
+    pytest.param(GroupSpec("GL", 2, FieldModel.equal(3)), 1, id="GL2/F_3((t)) m=1"),
+    pytest.param(SL2_F2, 1, id="SL2/F_2((t)) m=1"),
+    pytest.param(GL2_Q2, 0, id="GL2/Q_2 m=0"),
+]
+
+
+@pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
+def test_mul_index_matches_products(spec, m):
+    alg = HeckeAlgebra(spec, m)
+    assert alg._mul_index() == mul_table_by_products(alg)
+
+
+@pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
+def test_mul_index_matmul_count(spec, m, monkeypatch):
+    # generator closure: at most floor(log2 |Q|) generator rows of |Q| products
+    alg = HeckeAlgebra(spec, m)
+    size = len(alg.residue_classes)
+    calls = [0]
+    matmul = ResidueMatrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(ResidueMatrix, "__matmul__", counted)
+    alg._mul_index()
+    assert calls[0] <= (size.bit_length() - 1) * size
+
+
+def test_orbit_table_budget_charges_pair_tables():
+    # 81 residue points pass the budget, the 48^2 = 2304-entry tables do not
+    alg = HeckeAlgebra(GL2_Q3, 1, budget=2000)
+    assert len(alg.residue_classes) == 48
+    with pytest.raises(BudgetExceeded):
+        alg.orbit_table(zero_tau(2))
+
+
 # ---------------------------------------------------------------- convolution
 
 
@@ -378,7 +426,7 @@ def test_structure_constants_tally_oracle(sl2_m1, rng):
     for _ in range(5):
         l1, l2 = rng.choice(labels), rng.choice(labels)
         assert sl2_m1.structure_constants(l1, l2) == \
-            sl2_m1.structure_constants_by_tally(l1, l2)
+            structure_constants_by_tally(sl2_m1, l1, l2)
 
 
 def test_structure_constants_tally_guard(monkeypatch):
@@ -387,7 +435,7 @@ def test_structure_constants_tally_guard(monkeypatch):
     lab = alg.label_of_tau(CartanDatum((1, -1)))
     monkeypatch.setattr(alg, "degree", lambda label: 10**9)
     with pytest.raises(InvariantViolated, match="not divisible"):
-        alg.structure_constants_by_tally(lab, lab)
+        structure_constants_by_tally(alg, lab, lab)
 
 
 def test_residue_class_product_rule(sl2_m1, rng):

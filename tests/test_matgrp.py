@@ -234,6 +234,45 @@ def test_wrong_shape_rejected_under_optimize():
     assert result.returncode == 0, result.stderr
 
 
+def test_typed_guards_under_optimize():
+    # the same-group, same-ring, coordinate-count, shape and nonzero guards
+    # raise typed errors that python -O keeps
+    code = (
+        "from fractions import Fraction\n"
+        "from heckelab.errors import InvariantViolated, MixedRings, ParseError\n"
+        "from heckelab.kazhdan import WindowedModule\n"
+        "from heckelab.localfield import FieldElement, FieldModel, ResidueElement,"
+        " _q_poly_invmod, _vp_int\n"
+        "from heckelab.matgrp import GroupSpec, ResidueMatrix\n"
+        "from heckelab.rings import QQ\n"
+        "Q2 = FieldModel.mixed(2, 1)\n"
+        "cases = [\n"
+        "    (MixedRings, lambda: GroupSpec('GL', 2, Q2).identity()"
+        " @ GroupSpec('SL', 2, Q2).identity()),\n"
+        "    (MixedRings, lambda: ResidueMatrix.identity(Q2.residue_ring(1), 2)"
+        " @ ResidueMatrix.identity(Q2.residue_ring(2), 2)),\n"
+        "    (ParseError, lambda: FieldElement(FieldModel.mixed(2, 2), (1,))),\n"
+        "    (ParseError, lambda: ResidueElement(Q2.residue_ring(1), (1, 0))),\n"
+        "    (ParseError, lambda: WindowedModule(QQ, 2, ('a',), {'a': [[1]]})),\n"
+        "    (InvariantViolated, lambda: _vp_int(0, 2)),\n"
+        "    (InvariantViolated, lambda: _q_poly_invmod([Fraction(0), Fraction(1)],"
+        " [Fraction(0), Fraction(0), Fraction(1)])),\n"
+        "]\n"
+        "for i, (exc, make) in enumerate(cases):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except exc:\n"
+        "        continue\n"
+        "    raise SystemExit(f'case {i}: no {exc.__name__}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_cartan_integrality_guard(monkeypatch):
     # the elimination multiplier is integral because the pivot has minimal valuation
     g = GroupSpec("GL", 2, FieldModel.mixed(2, 1)).from_ints([[1, 0], [2, 1]])
