@@ -17,6 +17,7 @@ from .errors import (
     MixedRings,
     NegativeValuation,
     NonUnitDet,
+    NotAUnit,
     NotDominant,
     NotInK,
     ParseError,
@@ -66,7 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded", "HeckelabError", "IncompatiblePair", "InsufficientCloseness",
     "InvalidConfig", "InvariantViolated", "MixedRings", "NegativeValuation",
-    "NonUnitDet", "NotDominant", "NotInK", "ParseError", "PrecisionExceeded",
+    "NonUnitDet", "NotAUnit", "NotDominant", "NotInK", "ParseError", "PrecisionExceeded",
     "Singular", "SingularBasis", "SLTraceNonzero",
     "DoubleCosetLabel", "HeckeAlgebra", "HeckeElement", "OrbitTable", "base_change",
     "classify", "dc_equal", "get_algebra", "left_cosets",

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolated, MixedRings
+from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
     DEFAULT_BUDGET,
     CartanDatum,
@@ -187,13 +187,14 @@ class HeckeAlgebra:
     """All level-m Hecke operations for one group spec, with caching.
 
     The heavy objects (residue classes, orbit tables, left-coset systems of
-    the n_tau, structure constants of label pairs) are computed once and
-    reused; every public operation is otherwise pure.
+    the n_tau, structure constants of label pairs and the bracket products
+    they are translated from) are computed once and reused; every public
+    operation is otherwise pure.
     """
 
     def __init__(self, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
         if m < 0:
-            raise ValueError("level m must be >= 0")
+            raise InvalidConfig(f"level m must be >= 0, got {m}")
         self.spec = spec
         self.m = m
         self.budget = budget
@@ -201,11 +202,13 @@ class HeckeAlgebra:
         self._q_index = None
         self._q_lift = None
         self._q_mul = None
+        self._q_inv = None
         self._orbit_tables = {}
         self._canonical = {}
         self._ntau_cosets_cache = {}
         self._rep_cache = {}
         self._sc_cache = {}
+        self._bracket_cache = {}
         self._pipow_cache = {}
         self._warned_rings = set()
 
@@ -246,7 +249,7 @@ class HeckeAlgebra:
             idx = self._q_index
             size = len(q)
             _check_budget(size * size, self.budget)
-            e = idx[ResidueMatrix.identity(q[0].ring, self.spec.n)]
+            e = self._unit_index()
             mul = [None] * size
             mul[e] = list(range(size))
             reached, gens, missing = [e], [], 0
@@ -267,6 +270,17 @@ class HeckeAlgebra:
                             reached.append(c)
             self._q_mul = mul
         return self._q_mul
+
+    def _unit_index(self) -> int:
+        """Index of the identity class of K/K_m."""
+        return self.class_index[ResidueMatrix.identity(self.residue_classes[0].ring, self.spec.n)]
+
+    def _inv_index(self):
+        """inv[a] is the index of q[a]^-1, read off the Cayley table."""
+        if self._q_inv is None:
+            e = self._unit_index()
+            self._q_inv = [row.index(e) for row in self._mul_index()]
+        return self._q_inv
 
     def _pipow(self, k: int):
         if k not in self._pipow_cache:
@@ -520,14 +534,72 @@ class HeckeAlgebra:
     def structure_constants(self, l1: DoubleCosetLabel, l2: DoubleCosetLabel):
         """Integer constants c_x with t_(l1) * t_(l2) = sum c_x t_x.
 
+        Computed by K/K_m translation.  For k in K write t_k for the
+        characteristic function of K_m k = k K_m (K_m is normal in K).
+        With mu(K_m) = 1, (t_k * f)(g) = f(k^-1 g) and (f * t_k)(g) =
+        f(g k^-1), so t_k * 1_S * t_k' = 1_(k S k') for every union S of
+        K_m double cosets.  A label l = (tau, [x], [y]) is the double coset
+        K_m x n_tau y^-1 K_m = x (K_m n_tau K_m) y^-1, hence
+
+            t_l = t_x * t_(n_tau) * t_(y^-1).
+
+        Since t_a * t_b = t_(ab) for a, b in K, writing l_i = (tau_i,
+        [x_i], [y_i]) and k = y1^-1 x2 gives
+
+            t_(l1) * t_(l2) = t_(x1) * [t_(n_tau1) * t_(k n_tau2)] * t_(y2^-1),
+
+        where t_(k n_tau2) is the label (tau2, [k], [1]).  The bracket only
+        depends on (tau1, [k], tau2); it is computed once by the product
+        routine ``_product`` and cached.  Each of its terms c t_z, z =
+        (tau, [x], [y]), becomes c t_(x1 z y2^-1), and
+
+            x1 (x n_tau y^-1) y2^-1 = (x1 x) n_tau (y2 y)^-1,
+
+        so the translated label is (tau, [x1 x], [y2 y]), canonicalized in
+        the orbit table of tau.  Translation by (x1, y2) is a bijection on
+        labels, so the constants carry over unchanged: relabeling is index
+        arithmetic in the Cayley table of K/K_m, with no field operation.
+        """
+        key = (l1, l2)
+        if key in self._sc_cache:
+            return self._sc_cache[key]
+        idx = self.class_index
+        mul = self._mul_index()
+        x1, y1 = idx[l1.pair[0]], idx[l1.pair[1]]
+        x2, y2 = idx[l2.pair[0]], idx[l2.pair[1]]
+        k = mul[self._inv_index()[y1]][x2]
+        q = self.residue_classes
+        out = {}
+        for tau, xi, yi, c in self._bracket(l1.tau, k, l2.tau):
+            ci, cj = self._canonical[tau][(mul[x1][xi], mul[y2][yi])]
+            out[DoubleCosetLabel(tau, (q[ci], q[cj]))] = c
+        out = dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
+        self._sc_cache[key] = out
+        return out
+
+    def _bracket(self, tau1: CartanDatum, k: int, tau2: CartanDatum):
+        """t_(n_tau1) * t_(k n_tau2) as (tau, x index, y index, c) terms."""
+        key = (tau1, k, tau2)
+        if key not in self._bracket_cache:
+            q, idx = self.residue_classes, self._q_index
+            one = q[self._unit_index()]
+            product = self._product(
+                DoubleCosetLabel(tau1, (one, one)), DoubleCosetLabel(tau2, (q[k], one))
+            )
+            self._bracket_cache[key] = [
+                (lab.tau, idx[lab.pair[0]], idx[lab.pair[1]], c)
+                for lab, c in product.items()
+            ]
+        return self._bracket_cache[key]
+
+    def _product(self, l1: DoubleCosetLabel, l2: DoubleCosetLabel):
+        """The constants of t_(l1) * t_(l2) from the coset systems.
+
         The support is covered by the pairwise products alpha_i beta_j of
         the two left-coset systems (every point of the product set lies in
         some alpha_i beta_j K_m); each constant is then the membership
         count c_x = #{i : alpha_i^-1 x in K_m h K_m}.
         """
-        key = (l1, l2)
-        if key in self._sc_cache:
-            return self._sc_cache[key]
         g_cosets = self._label_cosets(l1)
         h_cosets = self._label_cosets(l2)
         h_inv = [beta.inverse() for beta in h_cosets]
@@ -539,7 +611,7 @@ class HeckeAlgebra:
                 support.setdefault(lab, cand)
         g_inv = [alpha.inverse() for alpha in g_cosets]
         out = {}
-        for lab, x in sorted(support.items(), key=lambda kv: kv[0].sort_key()):
+        for lab, x in support.items():
             count = 0
             for alpha_inv in g_inv:
                 u = alpha_inv @ x
@@ -550,7 +622,6 @@ class HeckeAlgebra:
             if count == 0:
                 raise InvariantViolated(f"support label {lab} of {l1} * {l2} has count 0")
             out[lab] = count
-        self._sc_cache[key] = out
         return out
 
     def _label_cosets(self, label: DoubleCosetLabel):
@@ -628,6 +699,14 @@ class HeckeAlgebra:
 
 @lru_cache(maxsize=None)
 def get_algebra(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> HeckeAlgebra:
+    """The shared algebra of (spec, m, budget), used by the free functions.
+
+    The cache is unbounded: every algebra built here stays alive for the
+    life of the process, with all of its caches (residue classes, Cayley
+    table, orbit tables, coset systems, representatives, structure
+    constants and the bracket products they are translated from).  Build a
+    ``HeckeAlgebra`` directly for state that should be freed with it.
+    """
     return HeckeAlgebra(spec, m, budget)
 
 

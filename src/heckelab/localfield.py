@@ -30,6 +30,7 @@ from .errors import (
     IncompatiblePair,
     InvariantViolated,
     NegativeValuation,
+    NotAUnit,
     ParseError,
     PrecisionExceeded,
 )
@@ -1004,7 +1005,7 @@ class ResidueElement:
         if self.ring.N == 0:
             return self
         if not self.is_unit():
-            raise ZeroDivisionError("not a unit in the residue ring")
+            raise NotAUnit(f"{self} is not a unit in the residue ring")
         # lift, invert exactly (the inverse of a unit is integral), reduce
         return self.ring.reduce(self.lift().inverse())
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from heckelab.errors import BudgetExceeded, InvariantViolated, MixedRings
+from heckelab.errors import BudgetExceeded, InvalidConfig, InvariantViolated, MixedRings
 from heckelab.hecke import HeckeAlgebra, HeckeElement, base_change
 from heckelab.localfield import FieldModel
 from heckelab.matgrp import (
@@ -421,12 +423,37 @@ def test_structure_constants_positive_and_conserving(sl2_m1, rng):
             sl2_m1.degree(l1) * sl2_m1.degree(l2)
 
 
-def test_structure_constants_tally_oracle(sl2_m1, rng):
-    labels = sl2_m1.labels_in_window(1)
-    for _ in range(5):
-        l1, l2 = rng.choice(labels), rng.choice(labels)
-        assert sl2_m1.structure_constants(l1, l2) == \
-            structure_constants_by_tally(sl2_m1, l1, l2)
+@pytest.mark.parametrize(
+    "spec, m",
+    [(SL2_Q2, 1), (SL2_F2, 1), (GL2_Q2, 0)],
+    ids=["SL2/Q_2 m=1", "SL2/F_2((t)) m=1", "GL2/Q_2 m=0"],
+)
+def test_structure_constants_match_tally_on_window(spec, m):
+    # every windowed pair, against the untranslated classify-and-count oracle
+    alg = HeckeAlgebra(spec, m)
+    labels = alg.labels_in_window(1)
+    for l1 in labels:
+        for l2 in labels:
+            assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)
+
+
+@pytest.mark.parametrize(
+    "spec, m", [(GL2_Q3, 1), (GL2_Q2, 2)], ids=["GL2/Q_3 m=1", "GL2/Q_2 m=2"]
+)
+def test_structure_constants_match_tally_sampled(spec, m):
+    alg = HeckeAlgebra(spec, m)
+    labels = alg.labels_in_window(1)
+    pairs = random.Random(20261018).sample([(a, b) for a in labels for b in labels], 30)
+    one = ResidueMatrix.identity(labels[0].pair[0].ring, spec.n)
+    # the middle class y1^-1 x2 is what the translation carries into the bracket
+    assert any(l1.pair[1].inverse() @ l2.pair[0] != one for l1, l2 in pairs)
+    for l1, l2 in pairs:
+        assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)
+
+
+def test_negative_level_is_invalid_config():
+    with pytest.raises(InvalidConfig):
+        HeckeAlgebra(SL2_Q2, -1)
 
 
 def test_structure_constants_tally_guard(monkeypatch):

@@ -8,7 +8,7 @@ from heckelab.errors import (
     MixedRings,
     SingularBasis,
 )
-from heckelab.hecke import HeckeElement
+from heckelab.hecke import HeckeAlgebra, HeckeElement
 from heckelab.kazhdan import (
     TransportContext,
     WindowedModule,
@@ -17,7 +17,7 @@ from heckelab.kazhdan import (
     verify_algebra_map,
 )
 from heckelab.localfield import ClosePair, FieldModel
-from heckelab.matgrp import CartanDatum, GroupSpec
+from heckelab.matgrp import CartanDatum, GroupSpec, dominant_window, zero_tau
 from heckelab.rings import ZZ, RationalField
 from heckelab.sampling import (
     random_hecke,
@@ -45,6 +45,13 @@ def identity_ctx():
 def flagship_ctx():
     pair = ClosePair(F_MIX, F_EQ, 5)
     return TransportContext(pair, SL2_F, SL2_F2, m=1, N=5, window=1)
+
+
+def _swapped_transport(ctx, monkeypatch, a, b):
+    """Replace the label bijection by itself composed with the swap a <-> b."""
+    transport = ctx.transport_label
+    swap = {a: b, b: a}
+    monkeypatch.setattr(ctx, "transport_label", lambda label: transport(swap.get(label, label)))
 
 
 # ---------------------------------------------------------------- safety bound
@@ -290,3 +297,43 @@ def test_integrality_transfer_sample(flagship_ctx, rng):
         before = check_lattice_stability(mod, ident)
         after = check_lattice_stability(flagship_ctx.transport_module(mod), ident)
         assert before == after == integral
+
+
+# ---------------------------------------------------------------- certificate
+
+
+def test_verify_rejects_unit_swapped_with_tau_0_label(flagship_ctx, monkeypatch):
+    alg = flagship_ctx.algebra
+    unit = alg.label_of_tau(zero_tau(2))
+    other = next(l for l in alg.orbit_table(zero_tau(2)).labels if l != unit)
+    _swapped_transport(flagship_ctx, monkeypatch, unit, other)
+    rep = verify_algebra_map(flagship_ctx)
+    assert rep.success is False
+    assert rep.counterexamples
+
+
+def test_verify_rejects_swapped_tau_1_labels(flagship_ctx, monkeypatch):
+    a, b = flagship_ctx.algebra.orbit_table(CartanDatum((1, -1))).labels[:2]
+    _swapped_transport(flagship_ctx, monkeypatch, a, b)
+    rep = verify_algebra_map(flagship_ctx)
+    assert rep.success is False
+    assert rep.counterexamples
+
+
+def test_verify_computes_one_product_per_bracket(monkeypatch):
+    # t_(l1) * t_(l2) is a translate of t_(n_tau1) * t_(k n_tau2), k in K/K_m
+    ctx = TransportContext(ClosePair(F_MIX, F_EQ, 5), SL2_F, SL2_F2, m=1, N=5, window=1)
+    calls = {id(ctx.algebra): 0, id(ctx.algebra2): 0}
+    product = HeckeAlgebra._product
+
+    def counted(self, l1, l2):
+        calls[id(self)] += 1
+        return product(self, l1, l2)
+
+    monkeypatch.setattr(HeckeAlgebra, "_product", counted)
+    assert verify_algebra_map(ctx).success
+    taus = dominant_window("SL", 2, 1)
+    for alg in (ctx.algebra, ctx.algebra2):
+        assert 0 < calls[id(alg)] <= len(taus) ** 2 * len(alg.residue_classes) == 24
+        # every requested pair is still cached, for the degree audit
+        assert len(alg._sc_cache) == len(alg.labels_in_window(1)) ** 2 == 225

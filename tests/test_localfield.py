@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from heckelab.errors import IncompatiblePair, NegativeValuation, PrecisionExceeded
+from heckelab.errors import (
+    HeckelabError,
+    IncompatiblePair,
+    NegativeValuation,
+    NotAUnit,
+    PrecisionExceeded,
+)
 from heckelab.localfield import INF, ClosePair, FieldModel, gf, poly_trim
 from heckelab.sampling import random_element, random_integral
 
@@ -138,6 +144,17 @@ def test_residue_ring_is_a_ring(rng):
             assert (a + b) * c == a * c + b * c
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
+
+
+def test_residue_inverse_of_non_unit_is_typed():
+    for model in (FieldModel.mixed(2, 2), FieldModel.equal(3)):
+        ring = model.residue_ring(3)
+        with pytest.raises(NotAUnit) as info:
+            ring.uniformizer().inverse()
+        # still a ZeroDivisionError, so existing handlers keep catching it
+        assert isinstance(info.value, HeckelabError)
+        assert isinstance(info.value, ZeroDivisionError)
+        assert ring.one().inverse() == ring.one()
 
 
 def test_reduction_is_ring_hom(rng):
