@@ -31,6 +31,19 @@ _KINDS = {
 }
 
 
+def _config_int(value, name: str) -> int:
+    """A config integer: a JSON integer (2.0 counts) or a string of one.
+    Null, booleans and fractional numbers are InvalidConfig, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidConfig(f"{name} must be an integer, got {json.dumps(value)}")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration; invalid inputs fail before any work."""
@@ -48,15 +61,18 @@ class RunConfig:
 
     @staticmethod
     def _model(raw: dict, where: str) -> FieldModel:
+        if not isinstance(raw, dict):
+            raise InvalidConfig(f"{where} must be a JSON object, got {json.dumps(raw)}")
         try:
             kind = _KINDS[str(raw.get("kind", "")).lower()]
         except KeyError:
             raise InvalidConfig(f"{where}.kind must be one of {sorted(set(_KINDS))}")
+        p = _config_int(raw.get("p"), f"{where}.p")
         try:
             if kind == MIXED:
-                return FieldModel.mixed(int(raw["p"]), int(raw.get("e", 1)))
-            return FieldModel.equal(int(raw["p"]), int(raw.get("f", 1)))
-        except (KeyError, ValueError) as exc:
+                return FieldModel.mixed(p, _config_int(raw.get("e", 1), f"{where}.e"))
+            return FieldModel.equal(p, _config_int(raw.get("f", 1), f"{where}.f"))
+        except ValueError as exc:
             raise InvalidConfig(f"bad {where}: {exc}")
 
     @staticmethod
@@ -66,18 +82,17 @@ class RunConfig:
         field = RunConfig._model(raw["field"], "field")
         field2 = RunConfig._model(raw["field2"], "field2") if "field2" in raw else None
         group = raw.get("group", {})
+        if not isinstance(group, dict):
+            raise InvalidConfig(f"group must be a JSON object, got {json.dumps(group)}")
         family = str(group.get("family", "GL")).upper()
         if family not in ("GL", "SL"):
             raise InvalidConfig("group.family must be GL or SL")
-        try:
-            n = int(group.get("n", 2))
-            level = int(raw.get("level", 1))
-            window = int(raw.get("window", 1))
-            budget = int(raw.get("budget", DEFAULT_BUDGET))
-            seed = int(raw.get("seed", 1))
-            closeness = int(raw["closeness"]) if "closeness" in raw else None
-        except ValueError as exc:
-            raise InvalidConfig(f"non-integer config entry: {exc}")
+        n = _config_int(group.get("n", 2), "group.n")
+        level = _config_int(raw.get("level", 1), "level")
+        window = _config_int(raw.get("window", 1), "window")
+        budget = _config_int(raw.get("budget", DEFAULT_BUDGET), "budget")
+        seed = _config_int(raw.get("seed", 1), "seed")
+        closeness = _config_int(raw["closeness"], "closeness") if "closeness" in raw else None
         if family == "SL" and n < 2:
             raise InvalidConfig("SL needs n >= 2")
         if n < 1:

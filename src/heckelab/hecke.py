@@ -34,7 +34,6 @@ from .matgrp import (
     reduce_group,
     zero_tau,
     _check_budget,
-    _det_rows,
 )
 from .rings import ZZ
 
@@ -391,14 +390,10 @@ class HeckeAlgebra:
 
     def _build_orbit_table(self, tau: CartanDatum):
         q = self.residue_classes
-        idx = self._q_index
         size = len(q)
         # the canonical dict below has one entry per pair in (K/K_m)^2
         _check_budget(size * size, self.budget)
-        gamma_idx = set()
-        for x, y in self._stabilizer_witnesses(tau):
-            gamma_idx.add((idx[reduce_group(x, self.m)], idx[reduce_group(y, self.m)]))
-        gamma_idx = sorted(gamma_idx)
+        gamma_idx = self._gamma(tau)
         mul = self._mul_index()
         canonical = {}
         labels = []
@@ -426,53 +421,59 @@ class HeckeAlgebra:
         self._orbit_tables[tau] = table
         self._canonical[tau] = canonical
 
-    def _stabilizer_witnesses(self, tau: CartanDatum):
-        """Exact pairs (x, y) in K x K with x n_tau y^-1 in K_m n_tau K_m.
+    def _gamma(self, tau: CartanDatum):
+        """Gamma_tau as the sorted index pairs of its classes ([x], [y]).
 
-        Every stabilizing pair arises as ([n_tau y n_tau^-1], [y]) for y in
-        H_tau = K meet n_tau^-1 K n_tau, so it suffices to enumerate y over
-        canonical representatives with entry (i,j) ranging over
-        pi^max(a_j - a_i, 0) * (lifts of o/pi^m).
+        (x, y) in K x K fixes K_m n_tau K_m iff x n_tau y^-1 lies in it.
+        Computed in o/pi^m alone, from three facts; write d = a_i - a_j.
+
+        1. Entrywise relation.  x n_tau y^-1 = k1 n_tau k2 with k1, k2 in
+           K_m iff x' = n_tau y' n_tau^-1 for x' = k1^-1 x, y' = k2 y, so
+           ([x], [y]) is in Gamma_tau iff some y' in K has n_tau y' n_tau^-1
+           in K and [n_tau y' n_tau^-1] = [x], [y'] = [y].  The (i, j) entry
+           of n_tau y' n_tau^-1 is pi^d y'_ij; it and y'_ij are integral iff
+           y'_ij = pi^max(-d,0) u_ij with u_ij in o, and then the entry is
+           pi^max(d,0) u_ij.
+        2. u mod pi^m suffices.  The residues of x', y' are those of the
+           u_ij times fixed integral powers of pi, so they depend only on
+           u mod pi^m; any lift of a residue matrix u gives integral x', y'
+           with det x' = det y', and for m >= 1 y' is in GL_n(o) iff det [y']
+           is a unit, i.e. iff [y'] is a class of K/K_m for GL.
+        3. The SL fix keeps residues.  For SL, [y'] is a class iff det y' =
+           1 mod pi^m.  Scaling column 0 of y' (and so of x') by the unit
+           s = (det y')^-1 gives det y' = 1 exactly, keeps the entry
+           conditions of 1., and changes no residue, as s = 1 mod pi^m.
+
+        So one pass over u in M_n(o/pi^m) keeps u iff its y is found in
+        ``class_index``.  Each u_ij equals x_ij or y_ij (one of max(d,0),
+        max(-d,0) is 0), so distinct u give distinct pairs, and the pass is
+        the q^(m n^2) points the budget admitted for K/K_m.  At m = 0,
+        K/K_0 is trivial.
         """
-        spec, m = self.spec, self.m
-        model = spec.model
-        n = spec.n
-        if m == 0:
-            ident = spec.identity()
-            yield (ident, ident)
-            return
-        a = tau.coords
-        ring_m = model.residue_ring(m)
-        pool = [w.lift() for w in ring_m.elements()]
-        shifts = {}
-        entry_values = []
+        idx = self.class_index
+        if self.m == 0:
+            e = self._unit_index()
+            return [(e, e)]
+        ring = self.residue_classes[0].ring
+        n, a = self.spec.n, tau.coords
+        pi, pi_pows = ring.uniformizer(), [ring.one()]
+        for _ in range(tau.spread):
+            pi_pows.append(pi_pows[-1] * pi)
+        residues = list(ring.elements())
+        pools = []
         for i in range(n):
             for j in range(n):
-                cshift = max(a[j] - a[i], 0)
-                if cshift not in shifts:
-                    pic = self._pipow(cshift)
-                    shifts[cshift] = [pic * w for w in pool]
-                entry_values.append(shifts[cshift])
-        one = model.one()
-        gl_spec = spec if spec.family == "GL" else GroupSpec("GL", n, model)
-        for combo in itertools.product(*entry_values):
-            rows = [list(combo[i * n : (i + 1) * n]) for i in range(n)]
-            det = _det_rows(rows, model)
-            if det.val() != 0:
-                continue
-            if spec.family == "SL":
-                if det.residue(m) != ring_m.one():
-                    continue
-                det_inv = det.inverse()
-                for i in range(n):
-                    rows[i][0] = rows[i][0] * det_inv
-            y = GroupElement(spec, tuple(tuple(r) for r in rows))
-            x_rows = tuple(
-                tuple(y.rows[i][j] * self._pipow(a[i] - a[j]) for j in range(n))
-                for i in range(n)
-            )
-            x = GroupElement(spec if spec.family == "SL" else gl_spec, x_rows)
-            yield (x, y)
+                d = a[i] - a[j]
+                sx, sy = pi_pows[max(d, 0)], pi_pows[max(-d, 0)]
+                pools.append([(sx * u, sy * u) for u in residues])
+        out = []
+        for entries in itertools.product(*pools):
+            xs, ys = zip(*entries)
+            yi = idx.get(ResidueMatrix(ring, (ys[i * n:(i + 1) * n] for i in range(n))))
+            if yi is not None:
+                xi = idx[ResidueMatrix(ring, (xs[i * n:(i + 1) * n] for i in range(n)))]
+                out.append((xi, yi))
+        return sorted(out)
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m; classify(g) == classify(h) iff

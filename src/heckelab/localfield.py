@@ -181,6 +181,9 @@ def _polymod_intcoeffs(a, m, p):
 
 @lru_cache(maxsize=None)
 def gf(p: int, f: int = 1) -> GF:
+    """The shared F_(p^f).  The cache is process-global and unbounded: each
+    (p, f) asked for keeps one GF, with its irreducible modulus and its
+    memo of inverses (at most q - 1 entries), for the life of the process."""
     return GF(p, f)
 
 
@@ -642,6 +645,9 @@ def _mixed_normalize(nums, den: int):
 
 @lru_cache(maxsize=None)
 def _pi_pow(model: "FieldModel", k: int) -> "FieldElement":
+    """pi^k.  The cache is process-global and unbounded: it keeps every
+    (model, k) asked for, with the model, for the life of the process, and
+    a call at k > 0 also caches pi^1 .. pi^(k-1) (k < 0: pi^1 .. pi^|k|)."""
     if k == 0:
         return model.one()
     if k < 0:
@@ -898,6 +904,10 @@ class ResidueRing:
 
 @lru_cache(maxsize=None)
 def residue_ring(model: FieldModel, N: int) -> ResidueRing:
+    """The shared o/pi^N of a model.  Residues compare their rings by
+    identity, so each (model, N) must have exactly one ring: the cache is
+    process-global and unbounded, and keeps every ring asked for, with its
+    model, for the life of the process."""
     return ResidueRing(model, N)
 
 

@@ -172,7 +172,7 @@ class GroupElement:
 
     def det(self) -> FieldElement:
         if self._det is None:
-            self._det = _det_rows(self.rows, self.group.model)
+            self._det = _cofactor_det(self.rows, self.group.model.zero())
         return self._det
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
@@ -190,8 +190,9 @@ class GroupElement:
         return GroupElement(self.group, rows, _det=self.det() * other.det())
 
     def inverse(self) -> "GroupElement":
-        inv_rows = _invert_rows(self.rows, self.group.model, self.det())
-        return GroupElement(self.group, inv_rows, _det=self.det().inverse())
+        det_inv = self.det().inverse()
+        inv_rows = _cofactor_inverse(self.rows, det_inv, self.group.model.zero())
+        return GroupElement(self.group, inv_rows, _det=det_inv)
 
     def entry(self, i: int, j: int) -> FieldElement:
         return self.rows[i][j]
@@ -252,29 +253,33 @@ def _dot(row, col):
     return acc
 
 
-def _det_rows(rows, model: FieldModel):
+def _cofactor_det(rows, zero):
+    """Determinant by cofactor expansion along the first row.
+
+    The one determinant of the package: ``rows`` hold field elements or
+    residues mod pi^N alike, and ``zero`` is the zero of their ring.
+    """
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = model.zero()
+    acc = zero
     for j in range(n):
         if rows[0][j].is_zero():
             continue
-        minor = [
-            [rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
-        ]
-        term = rows[0][j] * _det_rows(minor, model)
+        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        term = rows[0][j] * _cofactor_det(minor, zero)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
-def _invert_rows(rows, model: FieldModel, det):
+def _cofactor_inverse(rows, det_inv, zero):
+    """Inverse as the adjugate times ``det_inv``, the inverse determinant;
+    entries and ``zero`` as for ``_cofactor_det``."""
     n = len(rows)
     if n == 1:
-        return ((det.inverse(),),)
-    det_inv = det.inverse()
+        return ((det_inv,),)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -283,9 +288,24 @@ def _invert_rows(rows, model: FieldModel, det):
                 for r in range(n)
                 if r != i
             ]
-            cof = _det_rows(minor, model)
-            out[j][i] = cof * det_inv if (i + j) % 2 == 0 else -cof * det_inv
+            val = _cofactor_det(minor, zero) * det_inv
+            out[j][i] = val if (i + j) % 2 == 0 else -val
     return tuple(tuple(r) for r in out)
+
+
+def _k_element(spec: GroupSpec, rows, det) -> GroupElement:
+    """The matrix ``rows`` over o, of exact unit determinant ``det``, as an
+    element of ``spec``.
+
+    For SL column 0 is scaled by det^-1 (the package's one copy of this
+    fix): the result has determinant exactly one, which GroupElement checks
+    again, and when det = 1 mod pi^N its residue mod pi^N is that of
+    ``rows``, because det^-1 = 1 mod pi^N.
+    """
+    if spec.family == GL:
+        return GroupElement(spec, rows, _det=det)
+    s = det.inverse()
+    return GroupElement(spec, tuple((row[0] * s,) + tuple(row[1:]) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +335,7 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     (lexicographically smallest position on ties; ``rng`` randomizes the
     tie-break, used by the witness-independence harness).  All transforms
     are unimodular, so the witnesses land in K; for SL both witnesses are
-    repaired to determinant one by a diagonal unit that commutes with n_tau.
+    repaired to determinant one by diagonal units that cancel across n_tau.
     """
     spec = g.group
     model = spec.model
@@ -379,39 +399,13 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     B = [B[perm[r]] for r in range(n)]
 
     tau = CartanDatum(tuple(ds))
-    a = GroupElement(_witness_spec(spec), tuple(tuple(r) for r in A))
-    b = GroupElement(_witness_spec(spec), tuple(tuple(r) for r in B))
-
+    a_det = _cofactor_det(A, zero)
+    a = _k_element(spec, A, a_det)
     if spec.family == SL:
-        a, b = _repair_sl(spec, a, b)
-    else:
-        a = GroupElement(spec, a.rows)
-        b = GroupElement(spec, b.rows)
-    return CartanFactorization(a, tau, b)
-
-
-def _witness_spec(spec: GroupSpec) -> GroupSpec:
-    # SNF transforms live in GL(o) even for an SL input
-    return spec if spec.family == GL else GroupSpec(GL, spec.n, spec.model)
-
-
-def _repair_sl(spec: GroupSpec, a: GroupElement, b: GroupElement):
-    """Rescale so both witnesses have determinant exactly one.
-
-    det(a) * det(b) = 1 since det(n_tau) = 1 for SL; multiplying a by
-    diag(det(a)^-1, 1, ..) and b by diag(det(a), 1, ..) cancels against
-    the diagonal n_tau.
-    """
-    n = spec.n
-    da = a.det()
-    da_inv = da.inverse()
-    arows = [list(r) for r in a.rows]
-    brows = [list(r) for r in b.rows]
-    for r in range(n):
-        arows[r][0] = arows[r][0] * da_inv
-    for c in range(n):
-        brows[0][c] = da * brows[0][c]
-    return GroupElement(spec, arows), GroupElement(spec, brows)
+        # a had column 0 scaled by det(a)^-1; det(a) det(b) = 1, and scaling
+        # row 0 of b by det(a) cancels it across the diagonal n_tau
+        B[0] = [a_det * x for x in B[0]]
+    return CartanFactorization(a, tau, GroupElement(spec, B))
 
 
 def _pick_pivot(M, k, rng):
@@ -475,7 +469,7 @@ class ResidueMatrix:
         return ResidueMatrix(self.ring, tuple(rows))
 
     def det(self) -> ResidueElement:
-        return _res_det(self.rows, self.ring)
+        return _cofactor_det(self.rows, self.ring.zero())
 
     def is_invertible(self) -> bool:
         return self.det().is_unit()
@@ -484,22 +478,8 @@ class ResidueMatrix:
         d = self.det()
         if not d.is_unit():
             raise NonUnitDet("residue matrix determinant is not a unit")
-        d_inv = d.inverse()
-        n = self.n
-        if n == 1:
-            return ResidueMatrix(self.ring, ((d_inv * self.ring.one(),),))
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [self.rows[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = _res_det(minor, self.ring)
-                val = cof * d_inv
-                out[j][i] = val if (i + j) % 2 == 0 else -val
-        return ResidueMatrix(self.ring, tuple(tuple(r) for r in out))
+        inv_rows = _cofactor_inverse(self.rows, d.inverse(), self.ring.zero())
+        return ResidueMatrix(self.ring, inv_rows)
 
     def map_entries(self, func, target_ring: ResidueRing) -> "ResidueMatrix":
         return ResidueMatrix(target_ring, tuple(tuple(func(x) for x in row) for row in self.rows))
@@ -538,22 +518,6 @@ class ResidueMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
-def _res_det(rows, ring: ResidueRing) -> ResidueElement:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = ring.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = rows[0][j] * _res_det(minor, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def reduce_group(g: GroupElement, N: int) -> ResidueMatrix:
     """The reduction K -> G(o/pi^N), a group homomorphism."""
     if not g.in_k():
@@ -574,16 +538,10 @@ def lift_group(r: ResidueMatrix, spec: GroupSpec) -> GroupElement:
     d = r.det()
     if not d.is_unit():
         raise NonUnitDet("cannot lift: determinant is not a unit")
+    if spec.family == SL and d != r.ring.one():
+        raise NonUnitDet("cannot lift to SL: residue determinant is not 1")
     rows = [[x.lift() for x in row] for row in r.rows]
-    if spec.family == SL:
-        if d != r.ring.one():
-            raise NonUnitDet("cannot lift to SL: residue determinant is not 1")
-        g = GroupElement(GroupSpec(GL, spec.n, spec.model), rows)
-        dt = g.det()
-        dt_inv = dt.inverse()
-        for i in range(spec.n):
-            rows[i][0] = rows[i][0] * dt_inv
-    return GroupElement(spec, tuple(tuple(row) for row in rows))
+    return _k_element(spec, rows, _cofactor_det(rows, spec.model.zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +623,10 @@ def iter_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
                     if (i, j) != (n - 1, n - 1):
                         y[i][j] = next(it)
             y[n - 1][n - 1] = _solve_last_entry(spec, ring_big, pim_big, one_big, y, ring_c)
-            g = _kernel_element(spec, pim, y, sl_fix=True)
-            yield g
+            yield _kernel_element(spec, pim, y)
 
 
-def _kernel_element(spec: GroupSpec, pim: FieldElement, y_rows, sl_fix=False) -> GroupElement:
+def _kernel_element(spec: GroupSpec, pim: FieldElement, y_rows) -> GroupElement:
     model = spec.model
     n = spec.n
     one, zero = model.one(), model.zero()
@@ -680,17 +637,7 @@ def _kernel_element(spec: GroupSpec, pim: FieldElement, y_rows, sl_fix=False) ->
         ]
         for i in range(n)
     ]
-    if not sl_fix:
-        return GroupElement(spec, tuple(tuple(r) for r in rows))
-    g = GroupElement(GroupSpec(GL, n, model), tuple(tuple(r) for r in rows))
-    dt = g.det()
-    if dt == one:
-        return GroupElement(spec, g.rows, _det=one)
-    dt_inv = dt.inverse()
-    rows = [list(r) for r in g.rows]
-    for i in range(n):
-        rows[i][0] = rows[i][0] * dt_inv
-    return GroupElement(spec, tuple(tuple(r) for r in rows))
+    return _k_element(spec, rows, _cofactor_det(rows, zero))
 
 
 def _solve_last_entry(spec, ring_big, pim_big, one_big, y, ring_c):
@@ -711,9 +658,9 @@ def _solve_last_entry(spec, ring_big, pim_big, one_big, y, ring_c):
             base = one_big if i == j else ring_big.zero()
             row.append(base + pim_big * ring_big.reduce(yij.lift()))
         a_rows.append(tuple(row))
-    alpha = _res_det(a_rows, ring_big)
+    alpha = _cofactor_det(a_rows, ring_big.zero())
     minor = [[a_rows[i][j] for j in range(n - 1)] for i in range(n - 1)]
-    cof = _res_det(minor, ring_big) if n > 1 else one_big
+    cof = _cofactor_det(minor, ring_big.zero()) if n > 1 else one_big
     u = (alpha - one_big).shift_down(m)
     return -(u * cof.at_precision(ring_c.N).inverse())
 

@@ -7,11 +7,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Singular
 from .hecke import HeckeAlgebra, HeckeElement
 from .kazhdan import WindowedModule
 from .localfield import MIXED, FieldElement, FieldModel, poly_trim
-from .matgrp import CartanDatum, GroupElement, GroupSpec, dominant_window
+from .matgrp import (
+    CartanDatum,
+    GroupElement,
+    GroupSpec,
+    dominant_window,
+    _cofactor_det,
+    _k_element,
+)
 from .rings import ZZ
 
 
@@ -57,20 +63,9 @@ def random_in_k(spec: GroupSpec, rng, depth: int = 2) -> GroupElement:
     model = spec.model
     while True:
         rows = [[random_integral(model, rng, depth) for _ in range(n)] for _ in range(n)]
-        try:
-            g = GroupElement(GroupSpec("GL", n, model), tuple(tuple(r) for r in rows))
-        except Singular:
-            continue
-        d = g.det()
-        if d.val() != 0:
-            continue
-        if spec.family == "GL":
-            return GroupElement(spec, g.rows)
-        d_inv = d.inverse()
-        fixed = [list(r) for r in g.rows]
-        for i in range(n):
-            fixed[i][0] = fixed[i][0] * d_inv
-        return GroupElement(spec, tuple(tuple(r) for r in fixed), _det=model.one())
+        d = _cofactor_det(rows, model.zero())
+        if d.val() == 0:
+            return _k_element(spec, rows, d)
 
 
 def random_in_km(spec: GroupSpec, rng, m: int, depth: int = 2) -> GroupElement:
@@ -88,14 +83,7 @@ def random_in_km(spec: GroupSpec, rng, m: int, depth: int = 2) -> GroupElement:
         ]
         for i in range(n)
     ]
-    g = GroupElement(GroupSpec("GL", n, model), tuple(tuple(r) for r in rows))
-    if spec.family == "GL":
-        return GroupElement(spec, g.rows)
-    d_inv = g.det().inverse()
-    fixed = [list(r) for r in g.rows]
-    for i in range(n):
-        fixed[i][0] = fixed[i][0] * d_inv
-    return GroupElement(spec, tuple(tuple(r) for r in fixed), _det=model.one())
+    return _k_element(spec, rows, _cofactor_det(rows, zero))
 
 
 def random_tau(spec: GroupSpec, rng, bound: int) -> CartanDatum:

@@ -4,9 +4,18 @@ Each one computes its object straight from the definition, sharing no code
 path with the fast route it checks.
 """
 
-from heckelab.errors import InvariantViolated
+import itertools
+
+from heckelab.errors import InvariantViolated, Singular
 from heckelab.hecke import get_algebra
-from heckelab.matgrp import DEFAULT_BUDGET, cartan, iter_kernel
+from heckelab.matgrp import (
+    DEFAULT_BUDGET,
+    GroupElement,
+    GroupSpec,
+    cartan,
+    iter_kernel,
+    reduce_group,
+)
 
 
 def mul_table_by_products(algebra):
@@ -59,6 +68,54 @@ def gamma_by_sweep(spec, tau, m, budget=DEFAULT_BUDGET):
             if algebra.dc_equal(x @ n_tau @ y.inverse(), n_tau):
                 out.append((xm, q[j]))
     return out
+
+
+def gamma_by_exact_witnesses(algebra, tau):
+    """Gamma_tau from exact stabilizing pairs, as sorted class-index pairs.
+
+    Every stabilizing pair arises as ([n_tau y n_tau^-1], [y]) for y in
+    H_tau = K meet n_tau^-1 K n_tau, so y runs over the field matrices with
+    entry (i, j) in pi^max(a_j - a_i, 0) * (lifts of o/pi^m), kept when
+    det y is a unit (SL: = 1 mod pi^m, then fixed to exactly 1); both
+    witnesses are built as exact group elements and reduced mod pi^m.
+    Reference oracle for HeckeAlgebra._gamma.
+    """
+    spec, m = algebra.spec, algebra.m
+    model, n = spec.model, spec.n
+    idx = algebra.class_index
+    if m == 0:
+        e = idx[reduce_group(spec.identity(), 0)]
+        return [(e, e)]
+    a = tau.coords
+    ring_m = model.residue_ring(m)
+    pool = [w.lift() for w in ring_m.elements()]
+    entry_values = [
+        [model.pi_pow(max(a[j] - a[i], 0)) * w for w in pool]
+        for i in range(n)
+        for j in range(n)
+    ]
+    gl_spec = GroupSpec("GL", n, model)
+    out = set()
+    for combo in itertools.product(*entry_values):
+        rows = [list(combo[i * n:(i + 1) * n]) for i in range(n)]
+        try:
+            det = GroupElement(gl_spec, rows).det()
+        except Singular:
+            continue
+        if det.val() != 0:
+            continue
+        if spec.family == "SL":
+            if det.residue(m) != ring_m.one():
+                continue
+            det_inv = det.inverse()
+            for row in rows:
+                row[0] = row[0] * det_inv
+        y = GroupElement(spec, rows)
+        x = GroupElement(spec, [
+            [y.rows[i][j] * model.pi_pow(a[i] - a[j]) for j in range(n)] for i in range(n)
+        ])
+        out.add((idx[reduce_group(x, m)], idx[reduce_group(y, m)]))
+    return sorted(out)
 
 
 def structure_constants_by_tally(algebra, l1, l2):

@@ -249,6 +249,18 @@ SL2_Q2 = dict(GL2_Q2, group={"family": "SL", "n": 2})
                  "InvalidConfig", id="verify-transport-level-0"),
     pytest.param(dict(SMALL_IDENTITY, level=0), ["transport", "[[1,0],[0,1]]"],
                  "InvalidConfig", id="transport-level-0"),
+    pytest.param(dict(GL2_Q2, field="Q_2"), ["cartan", "[[1,0],[0,1]]"], "InvalidConfig",
+                 id="field-not-an-object"),
+    pytest.param(dict(GL2_Q2, group=[]), ["cartan", "[[1,0],[0,1]]"], "InvalidConfig",
+                 id="group-not-an-object"),
+    pytest.param(dict(GL2_Q2, group={"family": "GL", "n": None}), ["cartan", "[[1,0],[0,1]]"],
+                 "InvalidConfig", id="n-null"),
+    pytest.param(dict(GL2_Q2, level=None), ["cartan", "[[1,0],[0,1]]"], "InvalidConfig",
+                 id="level-null"),
+    pytest.param(dict(GL2_Q2, seed=None), ["cartan", "[[1,0],[0,1]]"], "InvalidConfig",
+                 id="seed-null"),
+    pytest.param(dict(GL2_Q2, group={"family": "GL", "n": 1.7}), ["cartan", "[[1,0],[0,1]]"],
+                 "InvalidConfig", id="n-fractional"),
 ])
 def test_bad_input_is_typed_error(tmp_path, capsys, config, argv, error):
     cfg = write_config(tmp_path, config)

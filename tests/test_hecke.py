@@ -17,6 +17,7 @@ from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
 from heckelab.sampling import random_in_k, random_in_km, random_windowed
 from oracles import (
     dc_equal_kernel_sweep,
+    gamma_by_exact_witnesses,
     gamma_by_sweep,
     left_cosets_kernel_sweep,
     mul_table_by_products,
@@ -306,6 +307,31 @@ def test_gamma_gl2_q3_matches_sweep(gl2_q3_m1):
     assert set(gl2_q3_m1.orbit_table(tau).gamma) == set(gamma_by_sweep(GL2_Q3, tau, 1))
 
 
+GAMMA_CELLS = [
+    pytest.param(GroupSpec("SL", 3, Q2), 1, 1, id="SL3/Q_2 m=1 B=1"),
+    pytest.param(GL2_Q2, 0, 2, id="GL2/Q_2 m=0 B=2"),
+    pytest.param(SL2_F2, 1, 2, id="SL2/F_2((t)) m=1 B=2"),
+    pytest.param(GL2_Q3, 1, 1, id="GL2/Q_3 m=1 B=1"),
+    pytest.param(SL2_Q2, 1, 2, id="SL2/Q_2 m=1 B=2"),
+    pytest.param(GL2_Q2, 2, 1, id="GL2/Q_2 m=2 B=1"),
+    pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 5)), 1, 1, id="SL2/Q_2(2^(1/5)) m=1 B=1"),
+    pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 2)), 2, 1, id="SL2/Q_2(2^(1/2)) m=2 B=1"),
+    pytest.param(GroupSpec("GL", 2, FieldModel.equal(3)), 1, 1, id="GL2/F_3((t)) m=1 B=1"),
+    pytest.param(GroupSpec("SL", 2, FieldModel.equal(3)), 1, 1, id="SL2/F_3((t)) m=1 B=1"),
+    pytest.param(GroupSpec("GL", 3, Q2), 1, 1, id="GL3/Q_2 m=1 B=1"),
+]
+
+
+@pytest.mark.parametrize("spec, m, bound", GAMMA_CELLS)
+def test_gamma_matches_exact_witnesses(spec, m, bound):
+    # the residue-only stabilizer against exact field witnesses reduced mod pi^m
+    alg = HeckeAlgebra(spec, m)
+    q = alg.residue_classes
+    for tau in dominant_window(spec.family, spec.n, bound):
+        expected = tuple((q[s], q[t]) for s, t in gamma_by_exact_witnesses(alg, tau))
+        assert alg.orbit_table(tau).gamma == expected, tau
+
+
 def test_classify_gamma_orbit_equivalence(sl2_m1, rng):
     # k1 n k2 and k1' n k2' classify equal iff their pairs sit in one
     # Gamma_tau orbit, which is exactly dc-equality of the elements
@@ -319,18 +345,14 @@ def test_classify_gamma_orbit_equivalence(sl2_m1, rng):
 
 
 def test_orbit_stabilizer_guard(monkeypatch):
-    # a stabilizer witness outside Gamma_tau breaks |X_tau| |Gamma_tau| = |K/K_m|^2
+    # a stabilizing pair outside Gamma_tau breaks |X_tau| |Gamma_tau| = |K/K_m|^2
     alg = HeckeAlgebra(SL2_Q2, 1)
-    witnesses = alg._stabilizer_witnesses
-    x = next(alg.class_lift(i) for i, r in enumerate(alg.residue_classes) if not r.is_one())
-
-    def with_bad_pair(tau):
-        yield from witnesses(tau)
-        yield (x, SL2_Q2.identity())
-
-    monkeypatch.setattr(alg, "_stabilizer_witnesses", with_bad_pair)
+    tau, e = CartanDatum((1, -1)), alg._unit_index()
+    gamma = alg._gamma(tau)
+    x = next(i for i in range(len(alg.residue_classes)) if (i, e) not in gamma)
+    monkeypatch.setattr(alg, "_gamma", lambda t: sorted(gamma + [(x, e)]))
     with pytest.raises(InvariantViolated, match="orbit-stabilizer"):
-        alg.orbit_table(CartanDatum((1, -1)))
+        alg.orbit_table(tau)
 
 
 MUL_TABLE_CELLS = [

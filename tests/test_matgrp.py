@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -32,7 +33,7 @@ from heckelab.matgrp import (
 from heckelab.sampling import random_in_k, random_in_km, random_windowed
 
 
-from heckelab.matgrp import _det_rows
+from heckelab.matgrp import _cofactor_det
 
 
 def minors_valuation_tau(g):
@@ -47,7 +48,7 @@ def minors_valuation_tau(g):
         for rsel in itertools.combinations(range(n), k):
             for csel in itertools.combinations(range(n), k):
                 minor = [[rows[i][j] for j in csel] for i in rsel]
-                v = _det_rows(minor, g.group.model).val()
+                v = _cofactor_det(minor, g.group.model.zero()).val()
                 if best is None or v < best:
                     best = v
         ds.append(best - prev)
@@ -200,6 +201,61 @@ def test_cartan_randomized_pivots_same_tau(rng):
         fac = cartan(g, rng=rng)
         assert fac.tau == base.tau
         assert fac.product() == g
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_cartan_matches_sympy_smith_normal_form(n, p):
+    # an outside library's Smith form over Z: the invariant factors d_1 | d_2
+    # | ... of an integer matrix give its Cartan type over Q_p as their
+    # p-adic valuations, in decreasing order
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(7000 + 10 * n + p)
+    spec = GroupSpec("GL", n, FieldModel.mixed(p, 1))
+    checked = 0
+    while checked < 8:
+        ints = [[rng.randrange(-3 * p**2, 3 * p**2 + 1) for _ in range(n)] for _ in range(n)]
+        mat = Matrix(ints)
+        if mat.det() == 0:
+            continue
+        snf = smith_normal_form(mat, domain=ZZ)
+        expected = sorted((_vp(int(snf[i, i]), p) for i in range(n)), reverse=True)
+        assert cartan(spec.from_ints(ints)).tau == CartanDatum(tuple(expected)), ints
+        checked += 1
+
+
+def _vp(x, p):
+    x, v = abs(x), 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+DET_INVERSE_MODELS = [
+    pytest.param(FieldModel.mixed(2, 1), id="Q_2"),
+    pytest.param(FieldModel.mixed(3, 1), id="Q_3"),
+    pytest.param(FieldModel.mixed(2, 2), id="Q_2(2^(1/2))"),
+    pytest.param(FieldModel.equal(2), id="F_2((t))"),
+]
+
+
+@pytest.mark.parametrize("model", DET_INVERSE_MODELS)
+def test_det_and_inverse_agree_on_field_and_residues(model):
+    # the one cofactor determinant and inverse run on field entries and on
+    # residues mod pi^N; each path checks the other through reduce_group
+    rng = random.Random(4242)
+    for family, n in (("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)):
+        spec = GroupSpec(family, n, model)
+        for N in (1, 2, 3):
+            for _ in range(2):
+                g = random_in_k(spec, rng)
+                g_inv = g.inverse()
+                r = reduce_group(g, N)
+                assert r.det() == g.det().residue(N)
+                assert r.inverse() == reduce_group(g_inv, N)
+                assert g @ g_inv == spec.identity()
 
 
 def test_singular_matrix_rejected():
