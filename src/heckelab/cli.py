@@ -159,8 +159,8 @@ def load_config(args) -> RunConfig:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidConfig(f"cannot read config {args.config}: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, bytes or path
+            raise InvalidConfig(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(raw, dict):
             raise InvalidConfig("config must be a JSON object")
     for key in ("seed", "budget"):
@@ -234,11 +234,18 @@ def _parse_hecke(cfg: RunConfig, algebra: HeckeAlgebra, text: str) -> HeckeEleme
     return HeckeElement(ring, terms)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise InvalidConfig(f"cannot write {path!r}: {exc}")
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -379,8 +386,7 @@ def cmd_verify(args) -> int:
             text = kazhdan.structure_constants_csv(ctx)
         else:
             text = structure_constants_csv(algebra, cfg.window)
-        with open(args.csv, "w") as fh:
-            fh.write(text)
+        _write(args.csv, text)
         print(f"structure constants written to {args.csv}")
     if failures:
         print(f"FAILED: {failures[0]}", file=sys.stderr)

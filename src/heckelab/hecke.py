@@ -151,9 +151,6 @@ class HeckeElement:
         """Largest cocharacter norm appearing in the support."""
         return max((l.tau.norm for l in self.terms), default=0)
 
-    def outside_window(self, bound: int):
-        return tuple(l for l in self.support() if l.tau.norm > bound)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -550,8 +547,8 @@ class HeckeAlgebra:
             t_(l1) * t_(l2) = t_(x1) * [t_(n_tau1) * t_(k n_tau2)] * t_(y2^-1),
 
         where t_(k n_tau2) is the label (tau2, [k], [1]).  The bracket only
-        depends on (tau1, [k], tau2); it is computed once by the product
-        routine ``_product`` and cached.  Each of its terms c t_z, z =
+        depends on (tau1, [k], tau2); ``_product`` computes it once, from
+        deg(tau2) classifications, and it is cached.  Each of its terms c t_z, z =
         (tau, [x], [y]), becomes c t_(x1 z y2^-1), and
 
             x1 (x n_tau y^-1) y2^-1 = (x1 x) n_tau (y2 y)^-1,
@@ -594,43 +591,43 @@ class HeckeAlgebra:
         return self._bracket_cache[key]
 
     def _product(self, l1: DoubleCosetLabel, l2: DoubleCosetLabel):
-        """The constants of t_(l1) * t_(l2) from the coset systems.
+        """The constants of t_(l1) * t_(l2) from one sweep of the cosets of l2.
 
-        The support is covered by the pairwise products alpha_i beta_j of
-        the two left-coset systems (every point of the product set lies in
-        some alpha_i beta_j K_m); each constant is then the membership
-        count c_x = #{i : alpha_i^-1 x in K_m h K_m}.
+        Let K_m g K_m = |_| alpha_i K_m be the double coset of l1, g =
+        ``representative(l1)``, and K_m h K_m = |_| beta_j K_m that of l2.
+
+        1. With mu(K_m) = 1, (t_g * t_h)(y) = #{i : alpha_i^-1 y in K_m h K_m}
+           = #{(i, j) : alpha_i beta_j K_m = y K_m}, as alpha_i K_m h K_m =
+           |_|_j alpha_i beta_j K_m.  Summing over the deg(x) left cosets
+           y K_m of K_m x K_m (counting-measure conservation):
+           c_x deg(x) = #{(i, j) : alpha_i beta_j in K_m x K_m}.
+        2. Write alpha_i = k g k' with k, k' in K_m.  Left multiplication by
+           k' permutes the beta_j K_m: k' beta_j = beta_s(j) kappa_j, kappa_j
+           in K_m.  So alpha_i beta_j = k (g beta_s(j)) kappa_j, and the
+           multiset {[alpha_i beta_j]}_j is {[g beta_j]}_j for every i.
+
+        Hence c_x deg(x) = deg(l1) #{j : g beta_j in K_m x K_m}, at every m
+        including m = 0 (K_0 = K): deg(l2) classifications.  A tally whose
+        product with deg(l1) the degree does not divide is a defect.
         """
-        g_cosets = self._label_cosets(l1)
-        h_cosets = self._label_cosets(l2)
-        h_inv = [beta.inverse() for beta in h_cosets]
-        support = {}
-        for alpha in g_cosets:
-            for beta in h_cosets:
-                cand = alpha @ beta
-                lab = self.classify(cand)
-                support.setdefault(lab, cand)
-        g_inv = [alpha.inverse() for alpha in g_cosets]
+        g = self.representative(l1)
+        # l2 = (tau, [x], [y]) has the left cosets beta_j = x~ u y~^-1, u over
+        # those of n_tau
+        x_lift = self.class_lift(self.class_index[l2.pair[0]])
+        y_inv = self.class_lift(self.class_index[l2.pair[1]]).inverse()
+        tally = {}
+        for u, _ in self._ntau_cosets(l2.tau):
+            lab = self.classify(g @ x_lift @ u @ y_inv)
+            tally[lab] = tally.get(lab, 0) + 1
+        deg1 = self.degree(l1)
         out = {}
-        for lab, x in support.items():
-            count = 0
-            for alpha_inv in g_inv:
-                u = alpha_inv @ x
-                for beta_inv in h_inv:
-                    if (beta_inv @ u).in_km(self.m):
-                        count += 1
-                        break
-            if count == 0:
-                raise InvariantViolated(f"support label {lab} of {l1} * {l2} has count 0")
-            out[lab] = count
+        for lab, cnt in tally.items():
+            c, rem = divmod(deg1 * cnt, self.degree(lab))
+            if rem:
+                raise InvariantViolated(f"{deg1} * tally {cnt} of {lab} in {l1} * {l2} "
+                                        f"not divisible by degree {self.degree(lab)}")
+            out[lab] = c
         return out
-
-    def _label_cosets(self, label: DoubleCosetLabel):
-        xi = self.class_index[label.pair[0]]
-        yi = self.class_index[label.pair[1]]
-        x_lift = self.class_lift(xi)
-        y_inv = self.class_lift(yi).inverse()
-        return [x_lift @ alpha @ y_inv for alpha, _ in self._ntau_cosets(label.tau)]
 
     def convolve(self, f1: HeckeElement, f2: HeckeElement, window=None) -> HeckeElement:
         """Convolution product; integral structure constants mapped into R.

@@ -92,10 +92,6 @@ class TransportContext:
             self.m, self.N, self.window, self.budget,
         )
 
-    @property
-    def max_transportable_norm(self) -> int:
-        return (self.N - self.m) // 2
-
     def _require_transportable(self, tau: CartanDatum):
         if self.N < self.m + 2 * tau.norm:
             raise InsufficientCloseness(

@@ -60,13 +60,6 @@ def _vp_int(n: int, p: int) -> int:
     return v
 
 
-def vp_fraction(x: Fraction, p: int):
-    """p-adic valuation of a rational, INF for zero."""
-    if x == 0:
-        return INF
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
-
-
 # ---------------------------------------------------------------------------
 # finite fields F_{p^f}, elements encoded as integers in [0, p^f)
 # ---------------------------------------------------------------------------

@@ -471,9 +471,6 @@ class ResidueMatrix:
     def det(self) -> ResidueElement:
         return _cofactor_det(self.rows, self.ring.zero())
 
-    def is_invertible(self) -> bool:
-        return self.det().is_unit()
-
     def inverse(self) -> "ResidueMatrix":
         d = self.det()
         if not d.is_unit():

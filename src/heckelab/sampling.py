@@ -50,13 +50,6 @@ def random_element(model: FieldModel, rng, depth: int = 3) -> FieldElement:
     return x * model.pi_pow(shift)
 
 
-def random_unit(model: FieldModel, rng, depth: int = 3) -> FieldElement:
-    while True:
-        x = random_integral(model, rng, depth)
-        if x.val() == 0:
-            return x
-
-
 def random_in_k(spec: GroupSpec, rng, depth: int = 2) -> GroupElement:
     """A random element of K = G(o), with entries mixed across depths."""
     n = spec.n

@@ -118,13 +118,19 @@ def gamma_by_exact_witnesses(algebra, tau):
     return sorted(out)
 
 
+def _cosets(algebra, label):
+    """Left cosets of a label's double coset, from the Cartan factorization
+    of its representative (``left_cosets``), not from its residue pair."""
+    return algebra.left_cosets(algebra.representative(label))
+
+
 def structure_constants_by_tally(algebra, l1, l2):
     """Classify all alpha_i beta_j and divide each label tally by its degree
     (counting-measure conservation).  Reference oracle for
     structure_constants."""
     tally = {}
-    for alpha in algebra._label_cosets(l1):
-        for beta in algebra._label_cosets(l2):
+    for alpha in _cosets(algebra, l1):
+        for beta in _cosets(algebra, l2):
             lab = algebra.classify(alpha @ beta)
             tally[lab] = tally.get(lab, 0) + 1
     out = {}
@@ -133,4 +139,32 @@ def structure_constants_by_tally(algebra, l1, l2):
         if cnt % deg:
             raise InvariantViolated(f"tally {cnt} of {lab} not divisible by degree {deg}")
         out[lab] = cnt // deg
+    return out
+
+
+def structure_constants_by_membership(algebra, l1, l2):
+    """Classify all alpha_i beta_j for the support, then count each constant
+    from its definition c_x = #{i : alpha_i^-1 x in K_m h K_m}, one in_km
+    test per (i, j).  Reference oracle for structure_constants."""
+    m = algebra.m
+    g_cosets = _cosets(algebra, l1)
+    h_cosets = _cosets(algebra, l2)
+    support = {}
+    for alpha in g_cosets:
+        for beta in h_cosets:
+            cand = alpha @ beta
+            support.setdefault(algebra.classify(cand), cand)
+    g_inv = [alpha.inverse() for alpha in g_cosets]
+    h_inv = [beta.inverse() for beta in h_cosets]
+    out = {}
+    for lab, x in support.items():
+        count = 0
+        for alpha_inv in g_inv:
+            u = alpha_inv @ x
+            if any((beta_inv @ u).in_km(m) for beta_inv in h_inv):
+                count += 1
+        # every support label is some alpha_i beta_j, so its count is at least 1
+        if count == 0:
+            raise InvariantViolated(f"support label {lab} of {l1} * {l2} has count 0")
+        out[lab] = count
     return out

@@ -275,6 +275,19 @@ def test_unreadable_config_is_typed_error(tmp_path, capsys):
     assert "InvalidConfig" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_is_typed_error(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, SMALL_IDENTITY)
+    target = str(tmp_path / "missing" / "file")
+    assert main(["--config", cfg, flag, target, "verify", "--suite", "field"]) == 2
+    assert "InvalidConfig" in capsys.readouterr().err
+
+
+def test_config_path_with_nul_is_typed_error(capsys):
+    assert main(["--config", "cfg\0.json", "orbits", "1,-1"]) == 2
+    assert "InvalidConfig" in capsys.readouterr().err
+
+
 def test_singular_matrix_diagnostic(tmp_path, capsys):
     cfg = write_config(tmp_path, GL2_Q2)
     assert main(["--config", cfg, "cartan", "[[1,1],[1,1]]"]) == 2

@@ -21,6 +21,7 @@ from oracles import (
     gamma_by_sweep,
     left_cosets_kernel_sweep,
     mul_table_by_products,
+    structure_constants_by_membership,
     structure_constants_by_tally,
 )
 
@@ -399,13 +400,53 @@ def test_orbit_table_budget_charges_pair_tables():
 # ---------------------------------------------------------------- convolution
 
 
+def test_structure_constant_divisibility_guard(monkeypatch):
+    # deg(l1) times each label tally is its constant times its degree; a
+    # degree P times too large off tau = (1,-1) leaves c_x / P, not an integer
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    tau = CartanDatum((1, -1))
+    lab = alg.label_of_tau(tau)
+    true_degree = alg.degree
+    monkeypatch.setattr(
+        alg, "degree", lambda label: true_degree(label) * (1 if label.tau == tau else 10**9 + 7)
+    )
+    with pytest.raises(InvariantViolated, match="not divisible"):
+        alg.structure_constants(lab, lab)
+
+
 def test_structure_constant_count_guard(monkeypatch):
     # every support label is some alpha_i beta_j, so its count is at least 1
     alg = HeckeAlgebra(SL2_Q2, 1)
     lab = alg.label_of_tau(CartanDatum((1, -1)))
     monkeypatch.setattr(GroupElement, "in_km", lambda self, m: False)
     with pytest.raises(InvariantViolated, match="count 0"):
-        alg.structure_constants(lab, lab)
+        structure_constants_by_membership(alg, lab, lab)
+
+
+def test_product_classifies_degree_of_right_factor(monkeypatch):
+    # one classification per left coset of the right factor, none per pair
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    labels = alg.labels_in_window(1)
+    classify, product = HeckeAlgebra.classify, HeckeAlgebra._product
+    calls, made = [0], []
+
+    def counted_classify(self, g):
+        calls[0] += 1
+        return classify(self, g)
+
+    def counted_product(self, l1, l2):
+        before = calls[0]
+        out = product(self, l1, l2)
+        made.append((calls[0] - before, self.degree(l2)))
+        return out
+
+    monkeypatch.setattr(HeckeAlgebra, "classify", counted_classify)
+    monkeypatch.setattr(HeckeAlgebra, "_product", counted_product)
+    for l1 in labels:
+        for l2 in labels:
+            alg.structure_constants(l1, l2)
+    assert made and all(n == deg for n, deg in made)
+    assert max(deg for _, deg in made) > 1
 
 
 def test_unit_element(sl2_m1, rng):
@@ -457,6 +498,21 @@ def test_structure_constants_match_tally_on_window(spec, m):
     for l1 in labels:
         for l2 in labels:
             assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(SL2_Q2, 1), (SL2_F2, 1), (GL2_Q2, 0)],
+    ids=["SL2/Q_2 m=1", "SL2/F_2((t)) m=1", "GL2/Q_2 m=0"],
+)
+def test_structure_constants_match_membership_on_window(spec, m):
+    # every windowed pair, against the definition c_x = #{i : alpha_i^-1 x
+    # in K_m h K_m} counted by in_km tests
+    alg = HeckeAlgebra(spec, m)
+    labels = alg.labels_in_window(1)
+    for l1 in labels:
+        for l2 in labels:
+            assert alg.structure_constants(l1, l2) == structure_constants_by_membership(alg, l1, l2)
 
 
 @pytest.mark.parametrize(
