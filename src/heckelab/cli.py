@@ -19,7 +19,15 @@ from . import kazhdan
 from .errors import HeckelabError, InvalidConfig, ParseError
 from .hecke import HeckeAlgebra, HeckeElement
 from .localfield import EQUAL, MIXED, ClosePair, FieldModel
-from .matgrp import DEFAULT_BUDGET, CartanDatum, GroupSpec, cartan, dominant_window
+from .matgrp import (
+    DEFAULT_BUDGET,
+    CartanDatum,
+    GroupSpec,
+    cartan,
+    dominant_window,
+    _check_budget,
+    _check_budget_power,
+)
 from .rings import ZZ, PrimeField, parse_ring
 from .sampling import random_in_k, random_windowed
 
@@ -129,7 +137,10 @@ class RunConfig:
             raise InvalidConfig("this command needs a 'field2' entry")
         if self.closeness is None:
             raise InvalidConfig("this command needs a 'closeness' level")
-        return ClosePair(self.field, self.field2, self.closeness)
+        pair = ClosePair(self.field, self.field2, self.closeness)
+        # the field suite and the transport build o/pi^N, a ring of q^N elements
+        _check_budget_power(self.field.q, self.closeness, self.budget)
+        return pair
 
     def transport_context(self) -> kazhdan.TransportContext:
         return kazhdan.TransportContext(
@@ -459,7 +470,8 @@ def _suite_hecke(cfg: RunConfig, rng, failures, algebra: HeckeAlgebra = None) ->
     f = algebra.t(random_windowed(spec, rng, cfg.window))
     _check(checks, failures, "unit law",
            algebra.convolve(unit, f) == f and algebra.convolve(f, unit) == f)
-    taus = [t for t in dominant_window(spec.family, spec.n, cfg.window)]
+    taus = dominant_window(spec.family, spec.n, cfg.window, algebra.budget)
+    _check_budget(len(taus) ** 2, algebra.budget)  # one product per pair below
     ok_single = True
     for t1 in taus:
         for t2 in taus:

@@ -34,6 +34,7 @@ from .matgrp import (
     reduce_group,
     zero_tau,
     _check_budget,
+    _check_budget_power,
 )
 from .rings import ZZ
 
@@ -191,6 +192,10 @@ class HeckeAlgebra:
     def __init__(self, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
         if m < 0:
             raise InvalidConfig(f"level m must be >= 0, got {m}")
+        if m >= 1:
+            # every label needs K/K_m, enumerated from the q^(m n^2) points
+            # of M_n(o/pi^m): refuse before any ring of precision m is built
+            _check_budget_power(spec.model.q, m * spec.n**2, budget)
         self.spec = spec
         self.m = m
         self.budget = budget
@@ -201,6 +206,8 @@ class HeckeAlgebra:
         self._q_inv = None
         self._orbit_tables = {}
         self._canonical = {}
+        self._gamma_idx = {}
+        self._double_coset_cache = {}
         self._ntau_cosets_cache = {}
         self._rep_cache = {}
         self._sc_cache = {}
@@ -338,7 +345,7 @@ class HeckeAlgebra:
         q, n, a = spec.model.q, spec.n, tau.coords
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         if m >= 1:
-            _check_budget(q ** sum(a[i] - a[j] for i, j in upper), self.budget)
+            _check_budget_power(q, sum(a[i] - a[j] for i, j in upper), self.budget)
             shapes = [(a, [(i, j, m + a[j], a[i] - a[j]) for i, j in upper])]
         else:
             total = sum(x - a[-1] for x in a)
@@ -417,6 +424,7 @@ class HeckeAlgebra:
         )
         self._orbit_tables[tau] = table
         self._canonical[tau] = canonical
+        self._gamma_idx[tau] = gamma_idx
 
     def _gamma(self, tau: CartanDatum):
         """Gamma_tau as the sorted index pairs of its classes ([x], [y]).
@@ -501,7 +509,7 @@ class HeckeAlgebra:
     def labels_in_window(self, bound: int):
         """All basis labels with cocharacter norm <= bound, sorted."""
         out = []
-        for tau in dominant_window(self.spec.family, self.spec.n, bound):
+        for tau in dominant_window(self.spec.family, self.spec.n, bound, self.budget):
             out.extend(self.orbit_table(tau).labels)
         return sorted(out, key=lambda l: l.sort_key())
 
@@ -544,19 +552,36 @@ class HeckeAlgebra:
         Since t_a * t_b = t_(ab) for a, b in K, writing l_i = (tau_i,
         [x_i], [y_i]) and k = y1^-1 x2 gives
 
-            t_(l1) * t_(l2) = t_(x1) * [t_(n_tau1) * t_(k n_tau2)] * t_(y2^-1),
+            t_(l1) * t_(l2) = t_(x1) * [t_(n_tau1) * t_k * t_(n_tau2)] * t_(y2^-1).
 
-        where t_(k n_tau2) is the label (tau2, [k], [1]).  The bracket only
-        depends on (tau1, [k], tau2); ``_product`` computes it once, from
-        deg(tau2) classifications, and it is cached.  Each of its terms c t_z, z =
-        (tau, [x], [y]), becomes c t_(x1 z y2^-1), and
+        The bracket only depends on (tau1, [k], tau2), and fewer brackets
+        suffice.  Lemma: if (s, t) is in Gamma_tau1 and (s', t') in
+        Gamma_tau2, then for k = t k0 s'
 
-            x1 (x n_tau y^-1) y2^-1 = (x1 x) n_tau (y2 y)^-1,
+            t_(n_tau1) * t_k * t_(n_tau2) = t_s * [t_(n_tau1) * t_(k0) * t_(n_tau2)] * t_(t').
 
-        so the translated label is (tau, [x1 x], [y2 y]), canonicalized in
-        the orbit table of tau.  Translation by (x1, y2) is a bijection on
-        labels, so the constants carry over unchanged: relabeling is index
-        arithmetic in the Cayley table of K/K_m, with no field operation.
+        Proof.  (s, t) in Gamma_tau means s n_tau t^-1 lies in K_m n_tau
+        K_m, so s (K_m n_tau K_m) t^-1 = K_m n_tau K_m and t_s * t_(n_tau)
+        * t_(t^-1) = t_(n_tau), that is, t_s * t_(n_tau) = t_(n_tau) * t_t.
+        Then t_(n_tau1) * t_t = t_s * t_(n_tau1) and t_(s') * t_(n_tau2) =
+        t_(n_tau2) * t_(t'), and t_k = t_t * t_(k0) * t_(s') gives the
+        claim.  So the bracket is needed only for one k0 in each double
+        coset P2 k P1 of K/K_m, P2 = {t : (s, t) in Gamma_tau1} and P1 =
+        {s' : (s', t') in Gamma_tau2} (both are subgroups, as Gamma_tau
+        is); ``_double_coset`` gives k0 and the partners s, t'^-1, and
+        ``_bracket`` computes the bracket of k0 once, from deg(tau2)
+        classifications, and caches it.
+
+        Every term c t_z of the k0 bracket, z = (tau, [x], [y]), becomes c
+        t_(x1 s z t' y2^-1), and
+
+            (x1 s) (x n_tau y^-1) (y2 t'^-1)^-1 = (x1 s x) n_tau (y2 t'^-1 y)^-1,
+
+        so the translated label is (tau, [x1 s x], [y2 t'^-1 y]),
+        canonicalized in the orbit table of tau.  Translation is a
+        bijection on labels, so the constants carry over unchanged:
+        relabeling is index arithmetic in the Cayley table of K/K_m, with
+        no field operation.
         """
         key = (l1, l2)
         if key in self._sc_cache:
@@ -565,24 +590,92 @@ class HeckeAlgebra:
         mul = self._mul_index()
         x1, y1 = idx[l1.pair[0]], idx[l1.pair[1]]
         x2, y2 = idx[l2.pair[0]], idx[l2.pair[1]]
-        k = mul[self._inv_index()[y1]][x2]
+        k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul[self._inv_index()[y1]][x2]]
+        left, right = mul[mul[x1][s]], mul[mul[y2][t2_inv]]
         q = self.residue_classes
         out = {}
-        for tau, xi, yi, c in self._bracket(l1.tau, k, l2.tau):
-            ci, cj = self._canonical[tau][(mul[x1][xi], mul[y2][yi])]
+        for tau, xi, yi, c in self._bracket(l1.tau, k0, l2.tau):
+            ci, cj = self._canonical[tau][(left[xi], right[yi])]
             out[DoubleCosetLabel(tau, (q[ci], q[cj]))] = c
         out = dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
         self._sc_cache[key] = out
         return out
 
-    def _bracket(self, tau1: CartanDatum, k: int, tau2: CartanDatum):
-        """t_(n_tau1) * t_(k n_tau2) as (tau, x index, y index, c) terms."""
-        key = (tau1, k, tau2)
+    def _double_coset(self, tau1: CartanDatum, tau2: CartanDatum):
+        """table[k] = (k0, s, t'^-1) with k = t k0 s', (s, t) in Gamma_tau1,
+        (s', t') in Gamma_tau2 and k0 the least index of P2 k P1 (see
+        ``structure_constants``).
+
+        One sweep over K/K_m: the least index not yet reached starts a new
+        double coset, which is closed under left steps by generators t_a
+        of P2 and right steps by generators s'_a of P1.  A left step t_a k
+        = (t_a t) k0 s' has the partner (s_a s, t_a t); a right step k s'_a
+        = t k0 (s' s'_a) has (s' s'_a, t' t'_a), so t'^-1 becomes t'_a^-1
+        t'^-1.  Each index is reached once, so double cosets partition
+        K/K_m, and every index below k0 was reached from a smaller start,
+        so k0 is least in its own.
+        """
+        key = (tau1, tau2)
+        if key not in self._double_coset_cache:
+            mul, inv = self._mul_index(), self._inv_index()
+            self.orbit_table(tau1)
+            self.orbit_table(tau2)
+            left = self._generating_pairs(self._gamma_idx[tau1], 1)
+            right = [(s, inv[t]) for s, t in self._generating_pairs(self._gamma_idx[tau2], 0)]
+            e = self._unit_index()
+            table = [None] * len(mul)
+            for k0 in range(len(mul)):
+                if table[k0] is not None:
+                    continue
+                table[k0] = (k0, e, e)
+                reached = [k0]
+                for k in reached:
+                    _, s, t_inv = table[k]
+                    for s_a, t_a in left:
+                        c = mul[t_a][k]
+                        if table[c] is None:
+                            table[c] = (k0, mul[s_a][s], t_inv)
+                            reached.append(c)
+                    row = mul[k]
+                    for s_a, t_a_inv in right:
+                        c = row[s_a]
+                        if table[c] is None:
+                            table[c] = (k0, s, mul[t_a_inv][t_inv])
+                            reached.append(c)
+            self._double_coset_cache[key] = table
+        return self._double_coset_cache[key]
+
+    def _generating_pairs(self, pairs, side: int):
+        """Pairs of ``pairs`` whose ``side`` components generate the
+        projection of the group ``pairs`` to that side.  A pair is kept
+        when its component is outside the subgroup the kept ones generate,
+        which then at least doubles, as in ``_mul_index``."""
+        mul = self._mul_index()
+        e = self._unit_index()
+        gens, reached, seen = [], [e], {e}
+        for pair in pairs:
+            if pair[side] in seen:
+                continue
+            gens.append(pair)
+            for a in reached:
+                row = mul[a]
+                for g in gens:
+                    c = row[g[side]]
+                    if c not in seen:
+                        seen.add(c)
+                        reached.append(c)
+        return gens
+
+    def _bracket(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
+        """t_(n_tau1) * t_(k0) * t_(n_tau2) as (tau, x index, y index, c)
+        terms, for k0 the least index of its double coset in
+        ``_double_coset(tau1, tau2)``: one coset product per double coset."""
+        key = (tau1, k0, tau2)
         if key not in self._bracket_cache:
             q, idx = self.residue_classes, self._q_index
             one = q[self._unit_index()]
             product = self._product(
-                DoubleCosetLabel(tau1, (one, one)), DoubleCosetLabel(tau2, (q[k], one))
+                DoubleCosetLabel(tau1, (one, one)), DoubleCosetLabel(tau2, (q[k0], one))
             )
             self._bracket_cache[key] = [
                 (lab.tau, idx[lab.pair[0]], idx[lab.pair[1]], c)
@@ -674,7 +767,7 @@ class HeckeAlgebra:
             gens = [CartanDatum((1,) * i + (0,) * (n - i)) for i in range(1, n + 1)]
             gens.append(CartanDatum((-1,) * n))
             return [zero_tau(n)] + [t for t in gens if t.norm <= bound]
-        nonzero = [t for t in dominant_window("SL", n, bound) if not t.is_zero()]
+        nonzero = [t for t in dominant_window("SL", n, bound, self.budget) if not t.is_zero()]
         sums = set()
         for t1 in nonzero:
             for t2 in nonzero:
@@ -702,7 +795,8 @@ def get_algebra(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> HeckeA
     The cache is unbounded: every algebra built here stays alive for the
     life of the process, with all of its caches (residue classes, Cayley
     table, orbit tables, coset systems, representatives, structure
-    constants and the bracket products they are translated from).  Build a
+    constants, the bracket products they are translated from and the
+    double-coset tables that fold them).  Build a
     ``HeckeAlgebra`` directly for state that should be freed with it.
     """
     return HeckeAlgebra(spec, m, budget)
@@ -739,6 +833,7 @@ def structure_constants_csv(algebra: HeckeAlgebra, bound: int) -> str:
     """All windowed structure constants as CSV (g-label, h-label, x-label, c)."""
     lines = ["g,h,x,c"]
     basis = algebra.labels_in_window(bound)
+    _check_budget(len(basis) ** 2, algebra.budget)  # one cached constant set per pair
     for l1 in basis:
         for l2 in basis:
             sc = algebra.structure_constants(l1, l2)

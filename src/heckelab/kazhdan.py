@@ -35,6 +35,8 @@ from .matgrp import (
     cartan,
     lift_group,
     reduce_group,
+    _check_budget,
+    _check_budget_power,
 )
 from .rings import RationalField
 
@@ -75,6 +77,8 @@ class TransportContext:
             raise InvalidConfig(f"transport level m must be >= 1, got m={m}")
         if N < m:
             raise InsufficientCloseness(f"need N >= m, got N={N}, m={m}")
+        # witnesses cross through o/pi^N, a ring of q^N elements
+        _check_budget_power(spec.model.q, N, budget)
         self.pair = pair
         self.spec = spec
         self.spec2 = spec2
@@ -325,6 +329,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
     A, A2 = ctx.algebra, ctx.algebra2
 
     basis = A.labels_in_window(B)
+    _check_budget(len(basis) ** 2, ctx.budget)  # one cached constant set per pair
     transported = {l: ctx.transport_label(l) for l in basis}
     labels_injective = len(set(transported.values())) == len(basis)
 
@@ -410,6 +415,7 @@ def structure_constants_csv(ctx: TransportContext) -> str:
     A = ctx.algebra
     lines = ["g,h,x,c,x_transported,c_transported"]
     basis = A.labels_in_window(ctx.window)
+    _check_budget(len(basis) ** 2, ctx.budget)
     for l1 in basis:
         for l2 in basis:
             sc = A.structure_constants(l1, l2)

@@ -138,8 +138,10 @@ def zero_tau(n: int) -> CartanDatum:
     return CartanDatum((0,) * n)
 
 
-def dominant_window(family: str, n: int, bound: int):
-    """All dominant cocharacters with norm <= bound (SL: summing to zero)."""
+def dominant_window(family: str, n: int, bound: int, budget: int = DEFAULT_BUDGET):
+    """All dominant cocharacters with norm <= bound (SL: summing to zero).
+    The budget is charged the (2 bound + 1)^n candidate tuples."""
+    _check_budget_power(2 * bound + 1, n, budget)
     out = []
     for coords in itertools.product(range(bound, -bound - 1, -1), repeat=n):
         if any(x < y for x, y in zip(coords, coords[1:])):
@@ -551,13 +553,26 @@ def _check_budget(count: int, budget: int):
         raise BudgetExceeded(f"enumeration of {count} elements exceeds budget {budget}")
 
 
+def _check_budget_power(base: int, exponent: int, budget: int):
+    """_check_budget(base**exponent, budget) without forming a power above
+    base * budget, so a huge exponent is refused at once."""
+    count = 1
+    for _ in range(exponent if base > 1 else 0):
+        count *= base
+        if count > budget:
+            raise BudgetExceeded(
+                f"enumeration of {base}^{exponent} elements exceeds budget {budget}"
+            )
+
+
 def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
     """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically."""
     if m == 0:
         ring = spec.model.residue_ring(0)
         return [ResidueMatrix.identity(ring, spec.n)]
+    # |M_n(o/pi^m)| = q^(m n^2), charged before the ring is built
+    _check_budget_power(spec.model.q, m * spec.n**2, budget)
     ring = spec.model.residue_ring(m)
-    _check_budget(ring.size ** (spec.n**2), budget)
     pool = list(ring.elements())
     n = spec.n
     out = []

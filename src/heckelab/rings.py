@@ -7,6 +7,7 @@ whose localization Z_(l) plays the integral subring in lattice checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,13 +243,14 @@ def parse_ring(text: str):
             l, k = body.split("^")
             return IntegersMod(int(l), int(k))
         n = int(body)
-        for l in range(2, n + 1):
-            if is_prime(l) and n % l == 0:
-                k = 0
-                while n % l == 0:
-                    n //= l
-                    k += 1
-                if n != 1:
-                    raise ParseError("modulus must be a prime power")
-                return IntegersMod(l, k)
+        if n >= 2:
+            # the least divisor > 1 is prime; trial division stops at sqrt(n)
+            l = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+            k = 0
+            while n % l == 0:
+                n //= l
+                k += 1
+            if n != 1:
+                raise ParseError("modulus must be a prime power")
+            return IntegersMod(l, k)
     raise ParseError(f"unknown coefficient ring {text!r}")

@@ -6,7 +6,8 @@ import pytest
 
 from heckelab import cli, hecke, kazhdan
 from heckelab.cli import RunConfig, main
-from heckelab.errors import IncompatiblePair, InvalidConfig
+from heckelab.errors import IncompatiblePair, InvalidConfig, ParseError
+from heckelab.rings import IntegersMod, parse_ring
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -226,6 +227,55 @@ def test_config_rejection_is_fast_and_precise():
             "closeness": 3,
         })
     assert time.time() - t0 < 0.1
+
+
+GL1_Q2 = dict(GL2_Q2, group={"family": "GL", "n": 1})
+Q2_IDENTITY = dict(GL2_Q2, field2=GL2_Q2["field"], closeness=5)
+
+
+@pytest.mark.parametrize("config, argv", [
+    pytest.param(dict(GL1_Q2, level=1e9, budget=100),
+                 ["convolve", '{"terms":[{"tau":[0]}]}', '{"terms":[]}'], id="level"),
+    pytest.param(dict(GL2_Q2, window=10**6), ["verify", "--suite", "hecke"], id="window"),
+    pytest.param(dict(GL2_Q2, window=10**6), ["--csv", "sc.csv", "verify", "--suite", "field"],
+                 id="window-csv"),
+    pytest.param(dict(Q2_IDENTITY, closeness=10**9), ["verify", "--suite", "field"],
+                 id="closeness"),
+])
+def test_huge_sizes_are_refused_at_once(tmp_path, monkeypatch, capsys, config, argv):
+    # refused by comparing exponents, before any ring or window is built
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, config)
+    t0 = time.process_time()
+    assert main(["--config", cfg] + argv) == 2
+    assert time.process_time() - t0 < 1
+    assert "error [BudgetExceeded]" in capsys.readouterr().err
+
+
+def test_windowed_pairs_are_charged(tmp_path, capsys):
+    # GL1 has one label per cocharacter: 201 fit the budget, their 201^2
+    # products do not
+    cfg = write_config(tmp_path, dict(GL1_Q2, level=0, window=100, budget=1000))
+    assert main(["--config", cfg, "verify", "--suite", "hecke"]) == 2
+    assert "error [BudgetExceeded]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, ring", [
+    ("Z/1000003", IntegersMod(1000003, 1)),
+    ("Z/10000019", IntegersMod(10000019, 1)),
+    ("Z/1024", IntegersMod(2, 10)),
+    ("Z/9", IntegersMod(3, 2)),
+])
+def test_parse_ring_prime_power_modulus(text, ring):
+    t0 = time.process_time()
+    assert parse_ring(text) == ring
+    assert time.process_time() - t0 < 0.1
+
+
+@pytest.mark.parametrize("text", ["Z/12", "Z/1", "Z/0"])
+def test_parse_ring_rejects_non_prime_power(text):
+    with pytest.raises(ParseError):
+        parse_ring(text)
 
 
 def test_bad_matrix_diagnostic(tmp_path, capsys):

@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 
 from heckelab.cli import main
 
-# numbers stay small: the config does not yet refuse a level of 1e9, which
-# then builds residue rings of that precision before any budget is charged
 JUNK = st.one_of(
     st.none(), st.booleans(), st.floats(-5, 5),
     st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2), st.just({}),
@@ -34,14 +32,18 @@ FIELDS = [
 # the flagship pair Q_2(2^(1/5)) ~ F_2((t)) is 5-close
 PARTNER = {1: {"kind": "equal", "p": 2}, 3: {"kind": "mixed", "p": 2, "e": 5}}
 GROUPS = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)]
+# level, window and closeness: mostly small, at times up to 10^9, which the
+# budget must refuse by exponent before anything of that size is built
+SIZE = st.one_of(st.integers(0, 2), st.integers(0, 10**9))
 CONFIG = st.fixed_dictionaries(
     {
-        "level": st.integers(0, 2),
-        "window": st.integers(0, 1),
+        "level": SIZE,
+        "window": SIZE,
         "budget": st.integers(1, 3000),
         "seed": st.integers(0, 99),
     },
-    optional={"ring": st.sampled_from(["Z", "Q", "F3", "F2", "Z/9", "Z/3^2", "Q@3"])},
+    optional={"ring": st.sampled_from(["Z", "Q", "F3", "F2", "Z/9", "Z/3^2", "Q@3",
+                                       "Z/1000003", "Z/10000019"])},
 )
 KEYS = ["field", "field2", "closeness", "group", "level", "window", "ring", "budget", "seed",
         "kind", "p", "e", "f", "family", "n"]
@@ -71,7 +73,7 @@ def invocations(draw):
     config["field"] = FIELDS[fi]
     if draw(st.booleans()):
         config["field2"] = draw(st.sampled_from([FIELDS[fi], PARTNER.get(fi, FIELDS[fi])]))
-        config["closeness"] = draw(st.integers(1, 5))
+        config["closeness"] = draw(SIZE)
     family, n = draw(st.sampled_from(GROUPS))
     config["group"] = {"family": family, "n": n}
     if bad(draw):

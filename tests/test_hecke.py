@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -389,6 +390,23 @@ def test_mul_index_matmul_count(spec, m, monkeypatch):
     assert calls[0] <= (size.bit_length() - 1) * size
 
 
+def test_budget_refuses_huge_level_and_window_at_once():
+    # sizes are compared by exponent: no ring of precision 10^9 and no
+    # (2 * 10^9 + 1)^2 window candidates are built before the refusal
+    t0 = time.process_time()
+    with pytest.raises(BudgetExceeded):
+        HeckeAlgebra(GroupSpec("GL", 1, Q2), 10**9, budget=100)
+    with pytest.raises(BudgetExceeded):
+        dominant_window("SL", 2, 10**9)
+    with pytest.raises(BudgetExceeded):
+        HeckeAlgebra(SL2_Q2, 1).labels_in_window(10**9)
+    assert time.process_time() - t0 < 0.1
+    # the largest level under a budget: |M_2(o/pi^2)| = 2^8
+    assert len(HeckeAlgebra(GL2_Q2, 2, budget=256).residue_classes) == 96
+    with pytest.raises(BudgetExceeded):
+        HeckeAlgebra(GL2_Q2, 2, budget=255)
+
+
 def test_orbit_table_budget_charges_pair_tables():
     # 81 residue points pass the budget, the 48^2 = 2304-entry tables do not
     alg = HeckeAlgebra(GL2_Q3, 1, budget=2000)
@@ -523,10 +541,60 @@ def test_structure_constants_match_tally_sampled(spec, m):
     labels = alg.labels_in_window(1)
     pairs = random.Random(20261018).sample([(a, b) for a in labels for b in labels], 30)
     one = ResidueMatrix.identity(labels[0].pair[0].ring, spec.n)
-    # the middle class y1^-1 x2 is what the translation carries into the bracket
-    assert any(l1.pair[1].inverse() @ l2.pair[0] != one for l1, l2 in pairs)
+    # the middle class k = y1^-1 x2 is what the translation carries into the
+    # bracket, and the fold replaces it by the least class k0 of its double coset
+    middles = [(l1, l2, l1.pair[1].inverse() @ l2.pair[0]) for l1, l2 in pairs]
+    assert any(k != one for _, _, k in middles)
+    idx = alg.class_index
+    assert any(alg._double_coset(l1.tau, l2.tau)[idx[k]][0] != idx[k] for l1, l2, k in middles)
     for l1, l2 in pairs:
         assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)
+
+
+SL3_Q2 = GroupSpec("SL", 3, Q2)
+
+
+@pytest.mark.parametrize(
+    "spec, m", [(SL2_Q2, 1), (GL2_Q3, 1), (SL3_Q2, 1)],
+    ids=["SL2/Q_2 m=1", "GL2/Q_3 m=1", "SL3/Q_2 m=1"],
+)
+def test_double_cosets_fold_the_bracket(spec, m):
+    # table[k] = (k0, s, t'^-1) must give k = t k0 s' with (s, t) in
+    # Gamma_tau1 and (s', t') in Gamma_tau2, k0 least in P2 k P1; checked
+    # against the Cayley table and the Gamma pairs of the orbit tables
+    alg = HeckeAlgebra(spec, m)
+    mul, idx = alg._mul_index(), alg.class_index
+    size = len(mul)
+    inv = [row.index(alg._unit_index()) for row in mul]
+
+    def gamma(tau):
+        return {(idx[x], idx[y]) for x, y in alg.orbit_table(tau).gamma}
+
+    taus = dominant_window(spec.family, spec.n, 1)
+    for tau1 in taus:
+        g1 = gamma(tau1)
+        p2 = sorted({t for _, t in g1})
+        for tau2 in taus:
+            g2 = gamma(tau2)
+            p1 = sorted({s for s, _ in g2})
+            table = alg._double_coset(tau1, tau2)
+            assert len(table) == size
+            for k, (k0, s, t2_inv) in enumerate(table):
+                t2 = inv[t2_inv]
+                assert any(
+                    mul[mul[t][k0]][s2] == k
+                    for s1, t in g1 if s1 == s
+                    for s2, u in g2 if u == t2
+                ), (tau1, tau2, k)
+            starts = sorted({k0 for k0, _, _ in table})
+            covered = []
+            for k0 in starts:
+                coset = {mul[mul[t][k0]][s2] for t in p2 for s2 in p1}
+                assert min(coset) == k0
+                assert coset == {k for k in range(size) if table[k][0] == k0}
+                covered.extend(coset)
+            # the double cosets partition K/K_m
+            assert sorted(covered) == list(range(size))
 
 
 def test_negative_level_is_invalid_config():
