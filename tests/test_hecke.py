@@ -32,6 +32,7 @@ SL2_Q2 = GroupSpec("SL", 2, Q2)
 GL2_Q2 = GroupSpec("GL", 2, Q2)
 GL2_Q3 = GroupSpec("GL", 2, Q3)
 SL2_F2 = GroupSpec("SL", 2, FieldModel.equal(2))
+SL3_Q2 = GroupSpec("SL", 3, Q2)
 
 
 @pytest.fixture(scope="module")
@@ -549,9 +550,6 @@ def test_structure_constants_match_tally_sampled(spec, m):
     assert any(alg._double_coset(l1.tau, l2.tau)[idx[k]][0] != idx[k] for l1, l2, k in middles)
     for l1, l2 in pairs:
         assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)
-
-
-SL3_Q2 = GroupSpec("SL", 3, Q2)
 
 
 @pytest.mark.parametrize(
