@@ -293,29 +293,16 @@ class HeckeAlgebra:
     # -- double coset equality ----------------------------------------------------
 
     def dc_equal(self, g: GroupElement, h: GroupElement) -> bool:
-        """Exact test of K_m g K_m = K_m h K_m.
-
-        Cartan types must match; equality then reduces to membership of h in
-        one of the left cosets of K_m g K_m, which are conjugated translates
-        of the cached coset system of n_tau.
-        """
-        fg = cartan(g)
-        fh = cartan(h)
-        if fg.tau != fh.tau:
-            return False
-        u = fg.a.inverse() @ h @ fg.b.inverse()
-        # h in K_m a alpha b K_m  <=>  a^-1 h b^-1 in K_m alpha K_m; sweep alphas
-        for _, alpha_inv in self._ntau_cosets(fg.tau):
-            if (alpha_inv @ u).in_km(self.m):
-                return True
-        return False
+        """Exact test of K_m g K_m = K_m h K_m: each double coset has one
+        canonical label."""
+        return self.classify(g) == self.classify(h)
 
     # -- left cosets ---------------------------------------------------------------
 
     def left_cosets(self, g: GroupElement):
         """Representatives alpha_i with K_m g K_m = |_| alpha_i K_m."""
         fac = cartan(g)
-        return [fac.a @ alpha @ fac.b for alpha, _ in self._ntau_cosets(fac.tau)]
+        return [fac.a @ alpha @ fac.b for alpha in self._ntau_cosets(fac.tau)]
 
     def degree(self, label_or_tau) -> int:
         """deg t_g = [K_m : K_m meet g K_m g^-1], the left-coset count.
@@ -326,7 +313,7 @@ class HeckeAlgebra:
         return len(self._ntau_cosets(tau))
 
     def _ntau_cosets(self, tau: CartanDatum):
-        """Left-coset system of K_m n_tau K_m: list of (alpha, alpha^-1).
+        """Left-coset system of K_m n_tau K_m: the list of the alpha.
 
         For m >= 1, by the Iwahori factorization of K_m, alpha = u n_tau
         with u upper unitriangular, u_ij = pi^m x_ij for i < j and x_ij
@@ -364,7 +351,7 @@ class HeckeAlgebra:
             for alpha in self._triangular(diag, entries, det):
                 if m == 0 and cartan(alpha).tau != tau:
                     continue
-                out.append((alpha, alpha.inverse()))
+                out.append(alpha)
         self._ntau_cosets_cache[tau] = out
         return out
 
@@ -481,16 +468,22 @@ class HeckeAlgebra:
         return sorted(out)
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
-        """The canonical label of K_m g K_m; classify(g) == classify(h) iff
-        dc_equal(g, h)."""
+        """The canonical label of K_m g K_m: for g = a n_tau b, that of the
+        classes ([a], [b]^-1)."""
         fac = cartan(g)
+        idx = self.class_index
         x = reduce_group(fac.a, self.m)
         y = reduce_group(fac.b, self.m).inverse()
-        self.orbit_table(fac.tau)
-        idx = self._q_index
-        ci, cj = self._canonical[fac.tau][(idx[x], idx[y])]
-        q = self.residue_classes
-        return DoubleCosetLabel(fac.tau, (q[ci], q[cj]))
+        return self.canonical_label(fac.tau, idx[x], idx[y])
+
+    def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
+        """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
+        q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y)."""
+        if tau not in self._canonical:
+            self.orbit_table(tau)
+        ci, cj = self._canonical[tau][(xi, yi)]
+        q = self._q
+        return DoubleCosetLabel(tau, (q[ci], q[cj]))
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""
@@ -592,11 +585,9 @@ class HeckeAlgebra:
         x2, y2 = idx[l2.pair[0]], idx[l2.pair[1]]
         k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul[self._inv_index()[y1]][x2]]
         left, right = mul[mul[x1][s]], mul[mul[y2][t2_inv]]
-        q = self.residue_classes
         out = {}
         for tau, xi, yi, c in self._bracket(l1.tau, k0, l2.tau):
-            ci, cj = self._canonical[tau][(left[xi], right[yi])]
-            out[DoubleCosetLabel(tau, (q[ci], q[cj]))] = c
+            out[self.canonical_label(tau, left[xi], right[yi])] = c
         out = dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
         self._sc_cache[key] = out
         return out
@@ -709,7 +700,7 @@ class HeckeAlgebra:
         x_lift = self.class_lift(self.class_index[l2.pair[0]])
         y_inv = self.class_lift(self.class_index[l2.pair[1]]).inverse()
         tally = {}
-        for u, _ in self._ntau_cosets(l2.tau):
+        for u in self._ntau_cosets(l2.tau):
             lab = self.classify(g @ x_lift @ u @ y_inv)
             tally[lab] = tally.get(lab, 0) + 1
         deg1 = self.degree(l1)

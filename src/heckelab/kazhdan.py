@@ -1,13 +1,17 @@
 """Transport of Hecke data between the two sides of a close pair.
 
-Elements move by re-factorization: g = a n_tau b with witnesses in K, the
-witnesses cross through lambda_N at the working precision, and the image
-is a' n'_tau b'.  On basis labels this realizes the bijection
-t_(x n_tau y^-1) -> t_(x' n'_tau y'^-1); the verification harness
-certifies exact equality of all windowed structure constants, the label
-bijection, and the compatibility of stabilizers under the residue
-isomorphism.  Windowed modules transport by relabeling their acting
-generators, which yields the desk-scale integrality transfer.
+Basis labels move by table lookup: the residue isomorphism lambda_m is a
+bijection of the classes of K/K_m on the two sides, and the label
+t_(x n_tau y^-1) goes to t_(x' n'_tau y'^-1) with [x'] = lambda_m [x],
+[y'] = lambda_m [y], canonicalized in the other side's orbit table; this
+needs N >= m.  Elements move by re-factorization: g = a n_tau b with
+witnesses in K, the witnesses cross through lambda_N at the working
+precision, and the image is a' n'_tau b'; this needs N >= m + 2|tau|.
+The verification harness certifies exact equality of all windowed
+structure constants, the label bijection, and the compatibility of
+stabilizers under the residue isomorphism.  Windowed modules transport by
+relabeling their acting generators, which yields the desk-scale
+integrality transfer.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ def safety_bound(taus, m: int) -> int:
 class TransportContext:
     """A matched pair of Hecke algebras plus the working precision.
 
-    N is the precision at which witnesses cross lambda; every transported
-    cocharacter tau must satisfy N >= m + 2|tau|, which is exactly the
-    certified bound of safety_bound({tau}, m).
+    N is the precision at which witnesses cross lambda.  Labels, Hecke
+    elements and modules transport at any N >= m; an element of Cartan
+    type tau needs N >= m + 2|tau|, the certified bound of
+    safety_bound({tau}, m).
     """
 
     def __init__(self, pair: ClosePair, spec: GroupSpec, spec2: GroupSpec,
@@ -88,7 +93,7 @@ class TransportContext:
         self.budget = budget
         self.algebra = HeckeAlgebra(spec, m, budget)
         self.algebra2 = HeckeAlgebra(spec2, m, budget)
-        self._label_cache = {}
+        self._lam = None
 
     def inverse(self) -> "TransportContext":
         return TransportContext(
@@ -97,9 +102,10 @@ class TransportContext:
         )
 
     def _require_transportable(self, tau: CartanDatum):
-        if self.N < self.m + 2 * tau.norm:
+        required = safety_bound([tau], self.m)
+        if self.N < required:
             raise InsufficientCloseness(
-                f"transport of tau={tau} needs N >= {self.m + 2 * tau.norm}, have N={self.N}"
+                f"transport of tau={tau} needs N >= {required}, have N={self.N}"
             )
 
     # -- elements -------------------------------------------------------------------
@@ -132,11 +138,57 @@ class TransportContext:
 
     # -- labels and Hecke elements -----------------------------------------------------
 
+    def _class_map(self):
+        """lam[i] = index on side 2 of lambda_m(q[i]), for the classes q of
+        K/K_m: checked to be a bijection with lam[ab] = lam[a] lam[b]."""
+        if self._lam is None:
+            A, A2 = self.algebra, self.algebra2
+            idx2 = A2.class_index
+            lam = [idx2.get(self.map_residue_matrix(r)) for r in A.residue_classes]
+            if len(lam) != len(idx2) or set(lam) != set(idx2.values()):
+                raise InvariantViolated("lambda_m is not a bijection of the classes of K/K_m")
+            mul2 = A2._mul_index()
+            for a, row in enumerate(A._mul_index()):
+                row2 = mul2[lam[a]]
+                if any(lam[c] != row2[lam[b]] for b, c in enumerate(row)):
+                    raise InvariantViolated(
+                        f"lambda_m is not multiplicative on K/K_m at class {a}"
+                    )
+            self._lam = lam
+        return self._lam
+
     def transport_label(self, label: DoubleCosetLabel) -> DoubleCosetLabel:
-        if label not in self._label_cache:
-            g2 = self.transport_element(self.algebra.representative(label))
-            self._label_cache[label] = self.algebra2.classify(g2)
-        return self._label_cache[label]
+        """(tau, [x], [y]) -> (tau, lambda_m [x], lambda_m [y]), canonicalized
+        on side 2.
+
+        This is the label of the witness route, classify'(transport_element(
+        x~ n_tau y~^-1)), wherever that route is defined (N >= m + 2|tau|):
+
+        1. Witnesses differ by Gamma_tau.  If a n_tau b = c n_tau d with a,
+           b, c, d in K, then (s, t) = (c^-1 a, d b^-1) has s n_tau t^-1 =
+           n_tau, so (s, t) is in Gamma_tau and ([a], [b]^-1) = ([c] [s],
+           [d]^-1 [t]).  With c = x~, d = y~^-1 and cartan's witnesses a, b
+           of the representative: ([a], [b]^-1) lies in the orbit ([x],
+           [y]) Gamma_tau; on side 2, classify' of a' n'_tau b' names the
+           orbit of ([a'], [b']^-1) whatever witnesses its cartan picks.
+        2. The image is a' n'_tau b' with a' = lift(lambda_N (a mod pi^N)),
+           and lift(lambda_N r) mod pi'^m = lambda_m (r mod pi^m), as
+           lambda_N reduces to lambda_m and a lift (with the SL column fix)
+           keeps residues.  So ([a'], [b']^-1) = (lam[a], lam[b^-1]).
+        3. lam x lam maps Gamma_tau onto Gamma'_tau: ``_gamma`` builds it
+           in o/pi^m from ring operations and powers of pi alone, which the
+           ring isomorphism lambda_m carries to the same construction on
+           side 2 (``verify_algebra_map`` reports this as gamma_mapped).
+           With lam multiplicative, the image of the orbit ([x], [y])
+           Gamma_tau is the orbit (lam[x], lam[y]) Gamma'_tau.
+
+        By 1-3 both routes name the orbit of (lam[x], lam[y]).  No Cartan
+        factorization, classification or field inverse runs here.
+        """
+        lam = self._class_map()
+        idx = self.algebra.class_index
+        x, y = label.pair
+        return self.algebra2.canonical_label(label.tau, lam[idx[x]], lam[idx[y]])
 
     def transport_hecke(self, f: HeckeElement) -> HeckeElement:
         """Coefficient-preserving relabeling along the label bijection."""
@@ -335,8 +387,8 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
 
     # per-tau structure: orbit counts, stabilizer transport, degrees
     tau_reports = []
-    max_norm_touched = max((l.tau.norm for l in basis), default=0)
-    for tau in sorted({l.tau for l in basis}, key=lambda t: t.sort_key()):
+    taus_touched = {l.tau for l in basis}
+    for tau in sorted(taus_touched, key=lambda t: t.sort_key()):
         tab = A.orbit_table(tau)
         tab2 = A2.orbit_table(tau)
         gamma_image = {
@@ -367,7 +419,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
             sc = A.structure_constants(l1, l2)
             lhs = {}
             for lab, c in sc.items():
-                max_norm_touched = max(max_norm_touched, lab.tau.norm)
+                taus_touched.add(lab.tau)
                 lhs[ctx.transport_label(lab)] = c
             rhs = A2.structure_constants(transported[l1], transported[l2])
             pairs_checked += 1
@@ -398,7 +450,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
         tau_reports=tau_reports,
         labels_injective=labels_injective,
         degrees_preserved=degrees_preserved,
-        min_sufficient_n_observed=ctx.m + 2 * max_norm_touched,
+        min_sufficient_n_observed=safety_bound(taus_touched, ctx.m),
     )
     return report
 

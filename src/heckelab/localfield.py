@@ -638,14 +638,18 @@ def _mixed_normalize(nums, den: int):
 
 @lru_cache(maxsize=None)
 def _pi_pow(model: "FieldModel", k: int) -> "FieldElement":
-    """pi^k.  The cache is process-global and unbounded: it keeps every
-    (model, k) asked for, with the model, for the life of the process, and
-    a call at k > 0 also caches pi^1 .. pi^(k-1) (k < 0: pi^1 .. pi^|k|)."""
-    if k == 0:
-        return model.one()
-    if k < 0:
-        return _pi_pow(model, -k).inverse()
-    return _pi_pow(model, k - 1) * model.uniformizer()
+    """pi^k in closed form.  Mixed: pi^k = p^a pi^r for k = a e + r, 0 <= r
+    < e, a coordinate p^a at pi^r (denominator p^-a when a < 0).  Equal:
+    t^k, a numerator t^k or a denominator t^-k.  The cache is
+    process-global and unbounded: it keeps every (model, k) asked for,
+    with the model, for the life of the process."""
+    if model.kind == MIXED:
+        a, r = divmod(k, model.e)
+        nums = [0] * model.e
+        nums[r] = model.p ** max(a, 0)
+        return FieldElement(model, (tuple(nums), model.p ** max(-a, 0)), _canonical=True)
+    mono = (0,) * abs(k) + (1,)
+    return FieldElement(model, (mono, (1,)) if k >= 0 else ((1,), mono), _canonical=True)
 
 
 def _ratfun_reduce(k: GF, num, den):

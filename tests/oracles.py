@@ -55,17 +55,22 @@ def left_cosets_kernel_sweep(g, m, budget=DEFAULT_BUDGET):
 
 
 def gamma_by_sweep(spec, tau, m, budget=DEFAULT_BUDGET):
-    """Gamma_tau computed directly from its definition via dc_equal.
-    Reference oracle for the stabilizer in orbit_table."""
+    """Gamma_tau from its definition: ([x], [y]) stabilizes K_m n_tau K_m iff
+    x n_tau y^-1 lies in one of its left cosets alpha_i K_m, the alpha_i
+    from the kernel sweep of ``left_cosets_kernel_sweep``.  One sweep per
+    tau rather than one per pair (``dc_equal_kernel_sweep``), which for
+    GL2/Q_3 would be |K/K_m|^2 = 2304 sweeps of 3^8 points.  Reference
+    oracle for the stabilizer in orbit_table."""
     algebra = get_algebra(spec, m, budget)
     n_tau = spec.n_of_tau(tau)
+    alpha_inv = [a.inverse() for a in left_cosets_kernel_sweep(n_tau, m, budget)]
     out = []
     q = algebra.residue_classes
     for i, xm in enumerate(q):
         x = algebra.class_lift(i)
         for j in range(len(q)):
-            y = algebra.class_lift(j)
-            if algebra.dc_equal(x @ n_tau @ y.inverse(), n_tau):
+            g = x @ n_tau @ algebra.class_lift(j).inverse()
+            if any((a @ g).in_km(m) for a in alpha_inv):
                 out.append((xm, q[j]))
     return out
 
@@ -116,6 +121,13 @@ def gamma_by_exact_witnesses(algebra, tau):
         ])
         out.add((idx[reduce_group(x, m)], idx[reduce_group(y, m)]))
     return sorted(out)
+
+
+def transport_label_by_witnesses(ctx, label):
+    """The label of the transported representative: refactor it, carry the
+    witnesses through lambda_N and classify on side 2.  Needs N >= m +
+    2|tau|.  Reference oracle for TransportContext.transport_label."""
+    return ctx.algebra2.classify(ctx.transport_element(ctx.algebra.representative(label)))
 
 
 def _cosets(algebra, label):

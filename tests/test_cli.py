@@ -91,6 +91,15 @@ def test_orbits_command(tmp_path, capsys):
     assert "|X_tau| = 9, |Gamma_tau| = 4" in capsys.readouterr().out
 
 
+def test_orbits_command_large_cocharacter(tmp_path, capsys):
+    # pi^1000 and pi^-1000 are formed in closed form, not by recursion
+    cfg = write_config(tmp_path, GL2_Q2)
+    assert main(["--config", cfg, "orbits", "1000,-1000"]) == 0
+    captured = capsys.readouterr()
+    assert "tau=(1000,-1000)" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_transport_command(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "field": {"kind": "mixed", "p": 2, "e": 4},

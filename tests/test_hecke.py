@@ -265,7 +265,7 @@ def test_classify_agrees_with_dc_equal(sl2_m1, rng):
     els = [random_windowed(SL2_Q2, rng, 1) for _ in range(23)]
     for g in els:
         for h in els:
-            assert (sl2_m1.classify(g) == sl2_m1.classify(h)) == sl2_m1.dc_equal(g, h)
+            assert (sl2_m1.classify(g) == sl2_m1.classify(h)) == dc_equal_kernel_sweep(g, h, 1)
 
 
 def test_orbit_table_tau_zero(sl2_m1):
@@ -344,7 +344,7 @@ def test_classify_gamma_orbit_equivalence(sl2_m1, rng):
         k1, k2 = random_in_k(SL2_Q2, rng), random_in_k(SL2_Q2, rng)
         k3, k4 = random_in_k(SL2_Q2, rng), random_in_k(SL2_Q2, rng)
         g, h = k1 @ n @ k2, k3 @ n @ k4
-        assert (sl2_m1.classify(g) == sl2_m1.classify(h)) == sl2_m1.dc_equal(g, h)
+        assert (sl2_m1.classify(g) == sl2_m1.classify(h)) == dc_equal_kernel_sweep(g, h, 1)
 
 
 def test_orbit_stabilizer_guard(monkeypatch):

@@ -10,6 +10,7 @@ from heckelab.errors import (
     MixedRings,
     SingularBasis,
 )
+from heckelab import hecke, kazhdan
 from heckelab.hecke import HeckeAlgebra, HeckeElement
 from heckelab.kazhdan import (
     TransportContext,
@@ -18,7 +19,7 @@ from heckelab.kazhdan import (
     safety_bound,
     verify_algebra_map,
 )
-from heckelab.localfield import ClosePair, FieldModel
+from heckelab.localfield import ClosePair, FieldElement, FieldModel
 from heckelab.matgrp import CartanDatum, GroupSpec, zero_tau
 from heckelab.rings import ZZ, RationalField
 from heckelab.sampling import (
@@ -27,6 +28,7 @@ from heckelab.sampling import (
     random_windowed,
     random_windowed_module,
 )
+from oracles import transport_label_by_witnesses
 
 E3 = FieldModel.equal(3)
 SL2_E3 = GroupSpec("SL", 2, E3)
@@ -131,6 +133,81 @@ def test_transport_witness_independence(flagship_ctx, rng):
         g = random_in_km(SL2_F, rng, 1) @ rep @ random_in_km(SL2_F, rng, 1)
         g2 = flagship_ctx.transport_element(g)
         assert flagship_ctx.algebra2.classify(g2) == target
+
+
+# ---------------------------------------------------------------- labels
+
+
+def _close_ctx(family, e, m, window, n=2):
+    """GL_n or SL_n over Q_2(2^(1/e)) ~ F_2((t)) at N = e."""
+    model = FieldModel.mixed(2, e)
+    pair = ClosePair(model, F_EQ, e)
+    spec, spec2 = GroupSpec(family, n, model), GroupSpec(family, n, F_EQ)
+    return TransportContext(pair, spec, spec2, m=m, N=e, window=window)
+
+
+@pytest.mark.parametrize("family, n, e, m, window, admitted", [
+    pytest.param("SL", 2, 5, 1, 1, 15, id="SL2 e=5 m=1 B=1"),
+    pytest.param("SL", 2, 5, 1, 2, 24, id="SL2 e=5 m=1 B=2"),
+    pytest.param("GL", 2, 5, 1, 2, 120, id="GL2 e=5 m=1 B=2"),
+    pytest.param("SL", 2, 5, 2, 1, 120, id="SL2 e=5 m=2 B=1"),
+    pytest.param("GL", 2, 3, 1, 1, 45, id="GL2 e=3 m=1 B=1"),
+    pytest.param("SL", 3, 3, 1, 1, 609, id="SL3 e=3 m=1 B=1"),
+])
+def test_transport_label_matches_witness_route(family, n, e, m, window, admitted):
+    # every window label the witness guard N >= m + 2|tau| admits
+    ctx = _close_ctx(family, e, m, window, n)
+    labels = [l for l in ctx.algebra.labels_in_window(window)
+              if safety_bound([l.tau], m) <= ctx.N]
+    assert len(labels) == admitted
+    for label in labels:
+        assert ctx.transport_label(label) == transport_label_by_witnesses(ctx, label)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_transport_label_follows_class_order(monkeypatch, m):
+    # across characteristics both sides enumerate K/K_m in one digit order,
+    # so lam is the identity on indices; side 2 enumerating in reverse
+    # makes it a true permutation, which both routes must follow
+    enumerate_classes = hecke.enumerate_residue_matrices
+
+    def reversed_on_side_2(spec, level, budget):
+        classes = enumerate_classes(spec, level, budget)
+        return classes[::-1] if spec.model == F_EQ else classes
+
+    monkeypatch.setattr(hecke, "enumerate_residue_matrices", reversed_on_side_2)
+    ctx = _close_ctx("SL", 5, m, 1)
+    assert ctx._class_map() != list(range(len(ctx.algebra.residue_classes)))
+    for label in ctx.algebra.labels_in_window(1):
+        assert ctx.transport_label(label) == transport_label_by_witnesses(ctx, label)
+
+
+def test_transport_label_needs_no_cartan_or_field_inverse(monkeypatch):
+    ctx = _close_ctx("SL", 5, 1, 2)
+    expected = {l: transport_label_by_witnesses(ctx, l) for l in ctx.algebra.labels_in_window(2)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transport_label ran a Cartan factorization or a field inverse")
+
+    monkeypatch.setattr(kazhdan, "cartan", refuse)
+    monkeypatch.setattr(hecke, "cartan", refuse)
+    monkeypatch.setattr(FieldElement, "inverse", refuse)
+    fresh = _close_ctx("SL", 5, 1, 2)
+    assert {l: fresh.transport_label(l) for l in expected} == expected
+
+
+def test_transport_label_rejects_non_multiplicative_class_map(monkeypatch):
+    # a class map that swaps the identity class with another one is a
+    # bijection but not a homomorphism of K/K_m
+    ctx = _close_ctx("SL", 5, 1, 1)
+    q = ctx.algebra.residue_classes
+    one = q[ctx.algebra._unit_index()]
+    other = next(r for r in q if r != one)
+    swap = {one: other, other: one}
+    mapped = ctx.map_residue_matrix
+    monkeypatch.setattr(ctx, "map_residue_matrix", lambda r: mapped(swap.get(r, r)))
+    with pytest.raises(InvariantViolated, match="multiplicative"):
+        ctx.transport_label(ctx.algebra.labels_in_window(1)[0])
 
 
 # ---------------------------------------------------------------- hecke elements

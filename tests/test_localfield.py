@@ -50,6 +50,18 @@ def test_valuation_zero_is_infinite():
 
 
 @pytest.mark.parametrize("model", all_models(), ids=str)
+def test_pi_pow_matches_repeated_products(model):
+    # the closed form against products of the uniformizer and one inverse
+    pi, power = model.uniformizer(), model.one()
+    for k in range(13):
+        assert model.pi_pow(k).data == power.data
+        assert model.pi_pow(-k).data == power.inverse().data
+        power = power * pi
+    assert model.pi_pow(1000).val() == 1000
+    assert model.pi_pow(-1000).val() == -1000
+
+
+@pytest.mark.parametrize("model", all_models(), ids=str)
 def test_valuation_properties_random(model, rng):
     for _ in range(1000):
         x = random_element(model, rng)
