@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -68,7 +69,11 @@ class RunConfig:
     seed: int
 
     @staticmethod
-    def _model(raw: dict, where: str) -> FieldModel:
+    def _model(raw: dict, where: str, budget: int) -> FieldModel:
+        """The field model of ``raw``.  Its sizes are charged to the budget
+        before it is built: the trial division of is_prime(p) (isqrt(p)
+        steps), the residue field of q = p^f elements, and the e
+        coordinates of every mixed-model element."""
         if not isinstance(raw, dict):
             raise InvalidConfig(f"{where} must be a JSON object, got {json.dumps(raw)}")
         try:
@@ -76,10 +81,15 @@ class RunConfig:
         except KeyError:
             raise InvalidConfig(f"{where}.kind must be one of {sorted(set(_KINDS))}")
         p = _config_int(raw.get("p"), f"{where}.p")
+        e = _config_int(raw.get("e", 1), f"{where}.e") if kind == MIXED else 1
+        f = _config_int(raw.get("f", 1), f"{where}.f") if kind == EQUAL else 1
+        _check_budget(math.isqrt(max(p, 0)), budget)
+        _check_budget_power(p, f, budget)
+        _check_budget(e, budget)
         try:
             if kind == MIXED:
-                return FieldModel.mixed(p, _config_int(raw.get("e", 1), f"{where}.e"))
-            return FieldModel.equal(p, _config_int(raw.get("f", 1), f"{where}.f"))
+                return FieldModel.mixed(p, e)
+            return FieldModel.equal(p, f)
         except ValueError as exc:
             raise InvalidConfig(f"bad {where}: {exc}")
 
@@ -87,8 +97,11 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if "field" not in raw:
             raise InvalidConfig("config needs a 'field' entry")
-        field = RunConfig._model(raw["field"], "field")
-        field2 = RunConfig._model(raw["field2"], "field2") if "field2" in raw else None
+        budget = _config_int(raw.get("budget", DEFAULT_BUDGET), "budget")
+        if budget < 1:
+            raise InvalidConfig("budget must be positive")
+        field = RunConfig._model(raw["field"], "field", budget)
+        field2 = RunConfig._model(raw["field2"], "field2", budget) if "field2" in raw else None
         group = raw.get("group", {})
         if not isinstance(group, dict):
             raise InvalidConfig(f"group must be a JSON object, got {json.dumps(group)}")
@@ -98,7 +111,6 @@ class RunConfig:
         n = _config_int(group.get("n", 2), "group.n")
         level = _config_int(raw.get("level", 1), "level")
         window = _config_int(raw.get("window", 1), "window")
-        budget = _config_int(raw.get("budget", DEFAULT_BUDGET), "budget")
         seed = _config_int(raw.get("seed", 1), "seed")
         closeness = _config_int(raw["closeness"], "closeness") if "closeness" in raw else None
         if family == "SL" and n < 2:
@@ -109,8 +121,6 @@ class RunConfig:
             raise InvalidConfig("level must be >= 0")
         if window < 0:
             raise InvalidConfig("window must be >= 0")
-        if budget < 1:
-            raise InvalidConfig("budget must be positive")
         try:
             ring = parse_ring(str(raw.get("ring", "Z")))
         except (ParseError, ValueError) as exc:

@@ -44,14 +44,16 @@ class DoubleCosetLabel:
 
     ``pair = (x, y)`` are residue matrices mod pi^m; the labelled coset is
     that of x~ n_tau y~^-1 for canonical lifts x~, y~.  Labels compare and
-    sort by (tau, serialized pair).
+    sort by (tau, serialized pair).  The hash and the string are computed
+    once, on first use, so a CSV formats each label once.
     """
 
-    __slots__ = ("tau", "pair")
+    __slots__ = ("tau", "pair", "_hash", "_str")
 
     def __init__(self, tau: CartanDatum, pair):
         self.tau = tau
         self.pair = tuple(pair)
+        self._hash = self._str = None
 
     def sort_key(self):
         return (self.tau.coords, self.pair[0].sort_key(), self.pair[1].sort_key())
@@ -64,12 +66,17 @@ class DoubleCosetLabel:
         )
 
     def __hash__(self):
-        return hash((self.tau.coords, self.pair))
+        if self._hash is None:
+            self._hash = hash((self.tau.coords, self.pair))
+        return self._hash
 
     def __str__(self):
-        if self.tau.is_zero() and self.pair[0] == self.pair[1]:
-            return f"[tau={self.tau}, k={self.pair[0]}]"
-        return f"[tau={self.tau}, x={self.pair[0]}, y={self.pair[1]}]"
+        if self._str is None:
+            if self.tau.is_zero() and self.pair[0] == self.pair[1]:
+                self._str = f"[tau={self.tau}, k={self.pair[0]}]"
+            else:
+                self._str = f"[tau={self.tau}, x={self.pair[0]}, y={self.pair[1]}]"
+        return self._str
 
     __repr__ = __str__
 
@@ -336,11 +343,15 @@ class HeckeAlgebra:
             shapes = [(a, [(i, j, m + a[j], a[i] - a[j]) for i, j in upper])]
         else:
             total = sum(x - a[-1] for x in a)
+            _check_budget_power(tau.spread + 1, n, self.budget)
             diags = [
                 c for c in itertools.product(range(tau.spread + 1), repeat=n)
                 if sum(c) == total
             ]
-            _check_budget(sum(q ** sum(c[i] for i, _ in upper) for c in diags), self.budget)
+            sizes = [sum(c[i] for i, _ in upper) for c in diags]
+            for size in sizes:
+                _check_budget_power(q, size, self.budget)
+            _check_budget(sum(q**size for size in sizes), self.budget)
             shapes = [
                 ([a[-1] + ci for ci in c], [(i, j, a[-1], c[i]) for i, j in upper])
                 for c in diags
@@ -393,12 +404,11 @@ class HeckeAlgebra:
             for yi in range(size):
                 if (xi, yi) in canonical:
                     continue
-                rep = (xi, yi)
                 label = DoubleCosetLabel(tau, (q[xi], q[yi]))
                 labels.append(label)
                 nrow = mul[yi]
                 for s, t in gamma_idx:
-                    canonical[(mrow[s], nrow[t])] = rep
+                    canonical[(mrow[s], nrow[t])] = label
         if len(labels) * len(gamma_idx) != size * size:
             raise InvariantViolated(
                 f"orbit-stabilizer mismatch at tau={tau}: "
@@ -448,15 +458,17 @@ class HeckeAlgebra:
             return [(e, e)]
         ring = self.residue_classes[0].ring
         n, a = self.spec.n, tau.coords
+        # pi^0 .. pi^top in o/pi^m; every power from pi^m on is 0 there
+        top = min(tau.spread, self.m)
         pi, pi_pows = ring.uniformizer(), [ring.one()]
-        for _ in range(tau.spread):
+        for _ in range(top):
             pi_pows.append(pi_pows[-1] * pi)
         residues = list(ring.elements())
         pools = []
         for i in range(n):
             for j in range(n):
                 d = a[i] - a[j]
-                sx, sy = pi_pows[max(d, 0)], pi_pows[max(-d, 0)]
+                sx, sy = pi_pows[min(max(d, 0), top)], pi_pows[min(max(-d, 0), top)]
                 pools.append([(sx * u, sy * u) for u in residues])
         out = []
         for entries in itertools.product(*pools):
@@ -478,12 +490,12 @@ class HeckeAlgebra:
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
-        q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y)."""
+        q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y).
+        It is the orbit table's own label object, so its hash and string
+        are computed once however often it is asked for."""
         if tau not in self._canonical:
             self.orbit_table(tau)
-        ci, cj = self._canonical[tau][(xi, yi)]
-        q = self._q
-        return DoubleCosetLabel(tau, (q[ci], q[cj]))
+        return self._canonical[tau][(xi, yi)]
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""
@@ -497,7 +509,10 @@ class HeckeAlgebra:
         return self._rep_cache[label]
 
     def label_of_tau(self, tau: CartanDatum) -> DoubleCosetLabel:
-        return self.classify(self.spec.n_of_tau(tau))
+        """The label of K_m n_tau K_m, read off the orbit table: n_tau =
+        1 n_tau 1^-1, so no Cartan factorization is needed."""
+        e = self._unit_index()
+        return self.canonical_label(tau, e, e)
 
     def labels_in_window(self, bound: int):
         """All basis labels with cocharacter norm <= bound, sorted."""
@@ -694,6 +709,8 @@ class HeckeAlgebra:
         including m = 0 (K_0 = K): deg(l2) classifications.  A tally whose
         product with deg(l1) the degree does not divide is a defect.
         """
+        # the coset systems of l1 and l2 are charged before anything is classified
+        deg1 = self.degree(l1)
         g = self.representative(l1)
         # l2 = (tau, [x], [y]) has the left cosets beta_j = x~ u y~^-1, u over
         # those of n_tau
@@ -703,7 +720,6 @@ class HeckeAlgebra:
         for u in self._ntau_cosets(l2.tau):
             lab = self.classify(g @ x_lift @ u @ y_inv)
             tally[lab] = tally.get(lab, 0) + 1
-        deg1 = self.degree(l1)
         out = {}
         for lab, cnt in tally.items():
             c, rem = divmod(deg1 * cnt, self.degree(lab))

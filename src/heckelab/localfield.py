@@ -489,12 +489,25 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """The exact inverse.  Equal model: swap numerator and denominator.
+        Mixed model: a rational n/d (every coordinate but the first zero;
+        this covers every element of Q_p at e = 1, the determinants +-1 and
+        1 of the Cartan witnesses and of SL, and the lifts of o/pi) inverts
+        in closed form to d/n, whose data ((sign(n) d, 0, ..., 0), |n|) is
+        already canonical since gcd(n, d) = 1; every other element by the
+        extended gcd modulo the Eisenstein polynomial pi^e - p."""
         m = self.model
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if m.kind == EQUAL:
             num, den = self.data
             return FieldElement(m, (den, num))
+        nums, den = self.data
+        if not any(nums[1:]):
+            n = nums[0]
+            return FieldElement(
+                m, ((den if n > 0 else -den,) + nums[1:], abs(n)), _canonical=True
+            )
         # invert modulo the Eisenstein polynomial x^e - p via extended gcd
         modulus = [Fraction(0)] * (m.e + 1)
         modulus[0] = Fraction(-m.p)

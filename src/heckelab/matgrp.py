@@ -338,6 +338,14 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     tie-break, used by the witness-independence harness).  All transforms
     are unimodular, so the witnesses land in K; for SL both witnesses are
     repaired to determinant one by diagonal units that cancel across n_tau.
+
+    A pivot is inverted only when it divides something: the first time an
+    entry below it or to its right is nonzero.  So the last pivot, and
+    every pivot whose row and column are already clear (all of them when
+    g = n_tau), costs no field inverse.  A changes only by column swaps and
+    by adding a multiple of one column to another, so det A = +-1 exactly,
+    and the SL fix of ``_k_element`` only ever inverts +-1, a rational that
+    ``FieldElement.inverse`` inverts in closed form.
     """
     spec = g.group
     model = spec.model
@@ -360,10 +368,12 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
             for r in range(n):
                 M[r][k], M[r][pj] = M[r][pj], M[r][k]
             B[k], B[pj] = B[pj], B[k]
-        pivot_inv = M[k][k].inverse()
+        pivot_inv = None
         for i in range(k + 1, n):
             if M[i][k].is_zero():
                 continue
+            if pivot_inv is None:
+                pivot_inv = M[k][k].inverse()
             f = M[i][k] * pivot_inv  # integral: pivot has minimal valuation
             if not f.is_integral():
                 raise InvariantViolated(f"SNF row multiplier {f} is not integral")
@@ -374,6 +384,8 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
         for j in range(k + 1, n):
             if M[k][j].is_zero():
                 continue
+            if pivot_inv is None:
+                pivot_inv = M[k][k].inverse()
             f = M[k][j] * pivot_inv
             if not f.is_integral():
                 raise InvariantViolated(f"SNF column multiplier {f} is not integral")
@@ -435,13 +447,15 @@ def _pick_pivot(M, k, rng):
 
 
 class ResidueMatrix:
-    """An n x n matrix over a residue ring o/pi^N; immutable, hashable."""
+    """An n x n matrix over a residue ring o/pi^N; immutable, hashable.
+    The hash is computed once, on first use."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "rows", "_hash")
 
     def __init__(self, ring: ResidueRing, rows):
         self.ring = ring
         self.rows = tuple(tuple(row) for row in rows)
+        self._hash = None
 
     @staticmethod
     def identity(ring: ResidueRing, n: int) -> "ResidueMatrix":
@@ -506,7 +520,9 @@ class ResidueMatrix:
         )
 
     def __hash__(self):
-        return hash((id(self.ring), tuple(x.coords for row in self.rows for x in row)))
+        if self._hash is None:
+            self._hash = hash((id(self.ring), tuple(x.coords for row in self.rows for x in row)))
+        return self._hash
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.rows) + "]"

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from heckelab import cli, hecke, kazhdan
+from heckelab import cli, hecke, kazhdan, localfield
 from heckelab.cli import RunConfig, main
 from heckelab.errors import IncompatiblePair, InvalidConfig, ParseError
 from heckelab.rings import IntegersMod, parse_ring
@@ -100,6 +100,15 @@ def test_orbits_command_large_cocharacter(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_orbits_command_huge_cocharacter_is_fast(tmp_path, capsys):
+    # Gamma_tau needs pi^0 .. pi^m in o/pi^m only, whatever the spread
+    cfg = write_config(tmp_path, GL2_Q2)
+    t0 = time.process_time()
+    assert main(["--config", cfg, "orbits", "1000000,-1000000"]) == 0
+    assert time.process_time() - t0 < 1
+    assert "|X_tau| = 9, |Gamma_tau| = 4" in capsys.readouterr().out
+
+
 def test_transport_command(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "field": {"kind": "mixed", "p": 2, "e": 4},
@@ -143,6 +152,28 @@ def test_verify_csv_emission(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "g,h,x,c,x_transported,c_transported"
     assert len(lines) > 1
+
+
+def test_flagship_verify_runs_few_extended_gcds(tmp_path, monkeypatch):
+    # only pivots that divide something and non-rational elements are
+    # inverted by the extended gcd: 62 calls at seed 7 (304 before)
+    cfg = write_config(tmp_path, {
+        "field": {"kind": "mixed", "p": 2, "e": 5},
+        "field2": {"kind": "equal", "p": 2},
+        "closeness": 5,
+        "group": {"family": "SL", "n": 2},
+        "level": 1,
+        "window": 1,
+        "seed": 7,
+    })
+    calls = []
+    invmod = localfield._q_poly_invmod
+    monkeypatch.setattr(localfield, "_q_poly_invmod", lambda *a: calls.append(1) or invmod(*a))
+    assert main([
+        "--config", cfg, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "sc.csv"),
+        "verify", "--suite", "all",
+    ]) == 0
+    assert 0 < len(calls) <= 70
 
 
 def count_algebras(monkeypatch):
@@ -250,6 +281,15 @@ Q2_IDENTITY = dict(GL2_Q2, field2=GL2_Q2["field"], closeness=5)
                  id="window-csv"),
     pytest.param(dict(Q2_IDENTITY, closeness=10**9), ["verify", "--suite", "field"],
                  id="closeness"),
+    pytest.param(dict(GL2_Q2, level=0),
+                 ["convolve", '{"terms":[{"tau":[1000000,0]}]}', '{"terms":[{"tau":[1,0]}]}'],
+                 id="spherical-cosets"),
+    pytest.param(dict(GL2_Q2, field={"kind": "mixed", "p": 2, "e": 10**9}),
+                 ["cartan", "[[1,0],[0,1]]"], id="e"),
+    pytest.param(dict(GL2_Q2, field={"kind": "equal", "p": 2, "f": 10**9}),
+                 ["cartan", "[[1,0],[0,1]]"], id="f"),
+    pytest.param(dict(GL2_Q2, field={"kind": "mixed", "p": 10**30 + 57}),
+                 ["cartan", "[[1,0],[0,1]]"], id="p"),
 ])
 def test_huge_sizes_are_refused_at_once(tmp_path, monkeypatch, capsys, config, argv):
     # refused by comparing exponents, before any ring or window is built

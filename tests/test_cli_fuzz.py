@@ -32,8 +32,8 @@ FIELDS = [
 # the flagship pair Q_2(2^(1/5)) ~ F_2((t)) is 5-close
 PARTNER = {1: {"kind": "equal", "p": 2}, 3: {"kind": "mixed", "p": 2, "e": 5}}
 GROUPS = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)]
-# level, window and closeness: mostly small, at times up to 10^9, which the
-# budget must refuse by exponent before anything of that size is built
+# level, window, closeness and the field's e and f: mostly small, at times up
+# to 10^9, which the budget must refuse before anything of that size is built
 SIZE = st.one_of(st.integers(0, 2), st.integers(0, 10**9))
 CONFIG = st.fixed_dictionaries(
     {
@@ -71,6 +71,10 @@ def invocations(draw):
     config = draw(CONFIG)
     fi = draw(st.integers(0, len(FIELDS) - 1))
     config["field"] = FIELDS[fi]
+    if draw(st.booleans()):
+        # e (mixed) or f (equal) up to 10^9, charged before the field is built
+        size_key = "e" if FIELDS[fi]["kind"] == "mixed" else "f"
+        config["field"] = dict(FIELDS[fi], **{size_key: draw(SIZE)})
     if draw(st.booleans()):
         config["field2"] = draw(st.sampled_from([FIELDS[fi], PARTNER.get(fi, FIELDS[fi])]))
         config["closeness"] = draw(SIZE)

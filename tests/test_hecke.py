@@ -4,7 +4,7 @@ import time
 import pytest
 
 from heckelab.errors import BudgetExceeded, InvalidConfig, InvariantViolated, MixedRings
-from heckelab.hecke import HeckeAlgebra, HeckeElement, base_change
+from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_change
 from heckelab.localfield import FieldModel
 from heckelab.matgrp import (
     CartanDatum,
@@ -333,6 +333,18 @@ def test_gamma_matches_exact_witnesses(spec, m, bound):
     for tau in dominant_window(spec.family, spec.n, bound):
         expected = tuple((q[s], q[t]) for s, t in gamma_by_exact_witnesses(alg, tau))
         assert alg.orbit_table(tau).gamma == expected, tau
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gamma_is_constant_once_spread_reaches_level(m):
+    # (i, j) entries carry pi^d with d = a_i - a_j, and every pi^d with d >=
+    # m is 0 in o/pi^m: Gamma_(k,-k) is one set for every 2k >= m
+    alg = HeckeAlgebra(GL2_Q2, m)
+    k0 = (m + 1) // 2
+    base = alg._gamma(CartanDatum((k0, -k0)))
+    assert base != alg._gamma(zero_tau(2))
+    for k in (k0 + 1, k0 + 2, 7, 10**6):
+        assert alg._gamma(CartanDatum((k, -k))) == base
 
 
 def test_classify_gamma_orbit_equivalence(sl2_m1, rng):
@@ -712,3 +724,15 @@ def test_labels_in_window(sl2_m1):
     assert len(labels) == 6 + 9
     assert len(set(labels)) == 15
     assert labels == sorted(labels, key=lambda l: l.sort_key())
+    # separately built equal labels, from fresh matrices, whose hash and
+    # string are not cached yet: the same hash, string and set
+    rebuilt = [
+        DoubleCosetLabel(CartanDatum(l.tau.coords),
+                         tuple(ResidueMatrix(r.ring, r.rows) for r in l.pair))
+        for l in labels
+    ]
+    for old, new in zip(labels, rebuilt):
+        assert new is not old and new == old
+        assert hash(new) == hash(old) and str(new) == str(old)
+        assert hash(new.pair[0]) == hash(old.pair[0])
+    assert set(rebuilt) == set(labels)

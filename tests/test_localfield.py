@@ -10,7 +10,15 @@ from heckelab.errors import (
     NotAUnit,
     PrecisionExceeded,
 )
-from heckelab.localfield import INF, ClosePair, FieldModel, gf, poly_trim
+from heckelab.localfield import (
+    INF,
+    ClosePair,
+    FieldElement,
+    FieldModel,
+    _q_poly_invmod,
+    gf,
+    poly_trim,
+)
 from heckelab.sampling import random_element, random_integral
 
 from conftest import all_models
@@ -59,6 +67,22 @@ def test_pi_pow_matches_repeated_products(model):
         power = power * pi
     assert model.pi_pow(1000).val() == 1000
     assert model.pi_pow(-1000).val() == -1000
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("e", [1, 2, 5])
+def test_rational_inverse_closed_form_matches_extended_gcd(p, e):
+    # n/d inverts in closed form; its data is the extended gcd's, canonical
+    model = FieldModel.mixed(p, e)
+    modulus = [Fraction(-p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
+    for x in (1, -1, 2, -2, 3, -6, 12, Fraction(1, 2), Fraction(-3, 4), Fraction(9, 8),
+              Fraction(-5, 27), Fraction(p**5, 7)):
+        elt = model.from_fraction(x)
+        s = _q_poly_invmod(list(elt.coords), modulus)
+        by_gcd = FieldElement(model, tuple(s[:e] + [Fraction(0)] * (e - len(s))))
+        inv = elt.inverse()
+        assert inv.data == by_gcd.data
+        assert elt * inv == model.one()
 
 
 @pytest.mark.parametrize("model", all_models(), ids=str)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import heckelab
+from heckelab import localfield
 from heckelab.errors import (
     BudgetExceeded,
     InvariantViolated,
@@ -178,6 +179,38 @@ def test_cartan_roundtrip_and_minors_oracle(family, n, model, rng):
         if family == "SL":
             assert sum(coords) == 0
             assert fac.a.det() == model.one() and fac.b.det() == model.one()
+
+
+def _count_invmod(monkeypatch):
+    """Count the extended-gcd inversions of the mixed model."""
+    calls = [0]
+    invmod = localfield._q_poly_invmod
+
+    def counted(*args):
+        calls[0] += 1
+        return invmod(*args)
+
+    monkeypatch.setattr(localfield, "_q_poly_invmod", counted)
+    return calls
+
+
+def test_cartan_inverts_only_pivots_it_divides_by(monkeypatch, rng):
+    # n_tau has its rows and columns clear, and det A = +-1 inverts in closed
+    # form: no extended gcd at all; a random SL2 element over Q_2(2^(1/5))
+    # needs the first pivot's inverse only, never the last pivot's
+    spec = GroupSpec("SL", 2, FieldModel.mixed(2, 5))
+    samples = [random_windowed(spec, rng, bound=2) for _ in range(20)]
+    calls = _count_invmod(monkeypatch)
+    for tau in dominant_window("SL", 2, 3):
+        calls[0] = 0
+        assert cartan(spec.n_of_tau(tau)).tau == tau
+        assert calls[0] == 0
+    counts = []
+    for g in samples:
+        calls[0] = 0
+        assert cartan(g).product() == g
+        counts.append(calls[0])
+    assert max(counts) == 1
 
 
 def test_cartan_uniqueness_of_tau(rng):
