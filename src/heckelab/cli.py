@@ -72,8 +72,9 @@ class RunConfig:
     def _model(raw: dict, where: str, budget: int) -> FieldModel:
         """The field model of ``raw``.  Its sizes are charged to the budget
         before it is built: the trial division of is_prime(p) (isqrt(p)
-        steps), the residue field of q = p^f elements, and the e
-        coordinates of every mixed-model element."""
+        steps), the residue field of q = p^f elements, and e^3 for a mixed
+        model, the integer elimination of one e x e multiplication matrix
+        behind every inverse (a product alone costs e^2)."""
         if not isinstance(raw, dict):
             raise InvalidConfig(f"{where} must be a JSON object, got {json.dumps(raw)}")
         try:
@@ -85,7 +86,7 @@ class RunConfig:
         f = _config_int(raw.get("f", 1), f"{where}.f") if kind == EQUAL else 1
         _check_budget(math.isqrt(max(p, 0)), budget)
         _check_budget_power(p, f, budget)
-        _check_budget(e, budget)
+        _check_budget_power(e, 3, budget)
         try:
             if kind == MIXED:
                 return FieldModel.mixed(p, e)

@@ -16,6 +16,7 @@ integrality transfer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,10 +27,11 @@ from .errors import (
     InvariantViolated,
     MixedRings,
     ParseError,
+    Singular,
     SingularBasis,
 )
 from .hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement
-from .localfield import ClosePair
+from .localfield import ClosePair, bareiss_solve
 from .matgrp import (
     DEFAULT_BUDGET,
     CartanDatum,
@@ -251,9 +253,14 @@ def check_lattice_stability(module: WindowedModule, lattice_basis) -> bool:
     basis = [[Fraction(x) for x in row] for row in lattice_basis]
     if len(basis) != d or any(len(row) != d for row in basis):
         raise SingularBasis("basis has the wrong shape")
-    inv = _fraction_inverse(basis)
-    if inv is None:
+    # basis^-1 = scale (scale basis)^-1, and scale basis is an integer matrix
+    scale = math.lcm(*(x.denominator for row in basis for x in row))
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    try:
+        X, D = bareiss_solve([[int(x * scale) for x in row] for row in basis], identity)
+    except Singular:
         raise SingularBasis("basis matrix is singular")
+    inv = [[Fraction(scale * x, D) for x in row] for row in X]
     for label in module.generators:
         mat = [[Fraction(x) for x in row] for row in module.matrix(label)]
         conj = _fraction_matmul(_fraction_matmul(inv, mat), basis)
@@ -270,24 +277,6 @@ def _fraction_matmul(A, B):
         [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
         for i in range(n)
     ]
-
-
-def _fraction_inverse(A):
-    n = len(A)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 # ---------------------------------------------------------------------------

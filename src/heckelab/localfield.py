@@ -33,6 +33,7 @@ from .errors import (
     NotAUnit,
     ParseError,
     PrecisionExceeded,
+    Singular,
 )
 
 INF = float("inf")
@@ -316,7 +317,8 @@ class FieldModel:
         return FieldElement(self, ((), (1,)))
 
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        """One element shared by every caller: elements are immutable."""
+        return _pi_pow(self, 0)
 
     def from_int(self, n: int) -> "FieldElement":
         if self.kind == MIXED:
@@ -363,45 +365,53 @@ class FieldModel:
 class FieldElement:
     """An exact element of a field model; immutable and hashable.
 
-    Mixed model: rational coordinates of 1, pi, ..., pi^(e-1), stored as
-    ``data = (nums, den)`` with integer numerators over one positive common
-    denominator, gcd-normalized (one gcd per operation instead of one per
-    coordinate keeps Fraction overhead off the hot paths).  Equal model:
-    ``data`` is a reduced fraction (num, den) of low-first coefficient
-    tuples over GF(q), den monic.
+    Three slots and no wrapper: ``model``, ``num`` and ``den``.  Mixed
+    model: ``num`` is the e-tuple of integer numerators of the rational
+    coordinates of 1, pi, ..., pi^(e-1) over the one positive common
+    denominator ``den``, gcd-normalized so that gcd(den, *num) = 1 and the
+    pair is canonical (one gcd per operation instead of one per coordinate
+    keeps Fraction overhead off the hot paths).  Equal model: ``num`` and
+    ``den`` are a reduced fraction of low-first coefficient tuples over
+    GF(q), den monic.  ``data`` is the pair (num, den), formed on demand;
+    equality compares the slots and the hash is hash((model, data)).
     """
 
-    __slots__ = ("model", "data")
+    __slots__ = ("model", "num", "den")
 
     def __init__(self, model: FieldModel, data, _canonical=False):
         self.model = model
         if model.kind == MIXED:
             if _canonical:
-                self.data = data
+                self.num, self.den = data
                 return
             items = tuple(data)
             if len(items) != model.e:
                 raise ParseError(f"{model} needs {model.e} coordinates, got {len(items)}")
             if all(isinstance(c, int) for c in items):
-                self.data = _mixed_normalize(items, 1)
+                self.num, self.den = _mixed_normalize(items, 1)
             else:
                 fracs = [Fraction(c) for c in items]
                 den = 1
                 for f in fracs:
                     den = den * f.denominator // _gcd(den, f.denominator)
                 nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
-                self.data = _mixed_normalize(nums, den)
+                self.num, self.den = _mixed_normalize(nums, den)
         else:
             num, den = data
             if not _canonical:
                 num, den = _ratfun_reduce(model.gf, poly_trim(num), poly_trim(den))
-            self.data = (num, den)
+            self.num, self.den = num, den
+
+    @property
+    def data(self):
+        """The canonical pair (num, den); read-only."""
+        return self.num, self.den
 
     @property
     def coords(self):
         """Mixed model only: the rational coordinates as Fractions."""
-        nums, den = self.data
-        return tuple(Fraction(x, den) for x in nums)
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- ring structure ------------------------------------------------------
 
@@ -421,9 +431,9 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         m = self.model
+        n1, d1 = self.num, self.den
+        n2, d2 = other.num, other.den
         if m.kind == MIXED:
-            n1, d1 = self.data
-            n2, d2 = other.data
             if d1 == d2:
                 return FieldElement(
                     m, _mixed_normalize(tuple(a + b for a, b in zip(n1, n2)), d1),
@@ -435,8 +445,6 @@ class FieldElement:
             nums = tuple(a * m1 + b * m2 for a, b in zip(n1, n2))
             return FieldElement(m, _mixed_normalize(nums, den), _canonical=True)
         k = m.gf
-        n1, d1 = self.data
-        n2, d2 = other.data
         if d1 == (1,) and d2 == (1,):
             return FieldElement(m, (poly_add(k, n1, n2), (1,)), _canonical=True)
         num = poly_add(k, poly_mul(k, n1, d2), poly_mul(k, n2, d1))
@@ -447,10 +455,8 @@ class FieldElement:
     def __neg__(self):
         m = self.model
         if m.kind == MIXED:
-            nums, den = self.data
-            return FieldElement(m, (tuple(-a for a in nums), den), _canonical=True)
-        num, den = self.data
-        return FieldElement(m, (poly_neg(m.gf, num), den), _canonical=True)
+            return FieldElement(m, (tuple(-a for a in self.num), self.den), _canonical=True)
+        return FieldElement(m, (poly_neg(m.gf, self.num), self.den), _canonical=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -466,10 +472,10 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         m = self.model
+        n1, d1 = self.num, self.den
+        n2, d2 = other.num, other.den
         if m.kind == MIXED:
             e, p = m.e, m.p
-            n1, d1 = self.data
-            n2, d2 = other.data
             prod = [0] * (2 * e - 1)
             for i, a in enumerate(n1):
                 if a:
@@ -480,8 +486,6 @@ class FieldElement:
                 prod[i - e] += prod[i] * p
             return FieldElement(m, _mixed_normalize(tuple(prod[:e]), d1 * d2), _canonical=True)
         k = m.gf
-        n1, d1 = self.data
-        n2, d2 = other.data
         if d1 == (1,) and d2 == (1,):
             return FieldElement(m, (poly_mul(k, n1, n2), (1,)), _canonical=True)
         return FieldElement(m, (poly_mul(k, n1, n2), poly_mul(k, d1, d2)))
@@ -490,30 +494,48 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """The exact inverse.  Equal model: swap numerator and denominator.
+
         Mixed model: a rational n/d (every coordinate but the first zero;
         this covers every element of Q_p at e = 1, the determinants +-1 and
         1 of the Cartan witnesses and of SL, and the lifts of o/pi) inverts
         in closed form to d/n, whose data ((sign(n) d, 0, ..., 0), |n|) is
-        already canonical since gcd(n, d) = 1; every other element by the
-        extended gcd modulo the Eisenstein polynomial pi^e - p."""
+        already canonical since gcd(n, d) = 1.
+
+        Every other element x = a/den, a = sum n_i pi^i, by one integer
+        solve.  Let M be the e x e integer matrix M[i][j] = n_(i-j) for
+        i >= j and p n_(i-j+e) otherwise: its column j holds the
+        coordinates of a pi^j, folded by pi^e = p, so M is the matrix of
+        multiplication by a in the basis 1, pi, ..., pi^(e-1).  Why this
+        gives the inverse, and its canonical data:
+
+        * M is invertible.  pi^e - p is Eisenstein at p, hence irreducible
+          over Q, so Q(pi) = Q[x]/(x^e - p) is a field; a != 0 there, so
+          multiplication by a is injective and det M != 0.
+        * M y = e_0 says a * (sum y_j pi^j) = 1, so y holds the coordinates
+          of a^-1, and x^-1 = den a^-1 = den y.
+        * ``bareiss_solve`` returns y = X/D with integer X and D != 0; all
+          of its divisions are exact (see there), so no Fraction is formed.
+        * _mixed_normalize(den X, D) is the unique pair with a positive
+          denominator and joint gcd one, hence the canonical ``data`` of
+          x^-1, whatever route computed it.
+        """
         m = self.model
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        num, den = self.num, self.den
         if m.kind == EQUAL:
-            num, den = self.data
             return FieldElement(m, (den, num))
-        nums, den = self.data
-        if not any(nums[1:]):
-            n = nums[0]
+        if not any(num[1:]):
+            n = num[0]
             return FieldElement(
-                m, ((den if n > 0 else -den,) + nums[1:], abs(n)), _canonical=True
+                m, ((den if n > 0 else -den,) + num[1:], abs(n)), _canonical=True
             )
-        # invert modulo the Eisenstein polynomial x^e - p via extended gcd
-        modulus = [Fraction(0)] * (m.e + 1)
-        modulus[0] = Fraction(-m.p)
-        modulus[m.e] = Fraction(1)
-        s = _q_poly_invmod(list(self.coords), modulus)
-        return FieldElement(m, tuple(s[: m.e] + [Fraction(0)] * (m.e - len(s))))
+        e, p = m.e, m.p
+        mat = [[num[i - j] if i >= j else p * num[i - j + e] for j in range(e)]
+               for i in range(e)]
+        X, D = bareiss_solve(mat, [[1]] + [[0]] * (e - 1))
+        inv_num = tuple(den * row[0] for row in X)
+        return FieldElement(m, _mixed_normalize(inv_num, D), _canonical=True)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -542,22 +564,22 @@ class FieldElement:
         """The normalized valuation, in Z for nonzero elements, INF for 0."""
         m = self.model
         if m.kind == MIXED:
-            nums, den = self.data
+            den = self.den
             vden = _vp_int(den, m.p) if den % m.p == 0 else 0
             best = INF
-            for i, a in enumerate(nums):
+            for i, a in enumerate(self.num):
                 if a:
                     v = m.e * (_vp_int(a, m.p) - vden) + i
                     if v < best:
                         best = v
             return best
-        num, den = self.data
-        return poly_ord0(num) - poly_ord0(den) if num else INF
+        num = self.num
+        return poly_ord0(num) - poly_ord0(self.den) if num else INF
 
     def is_zero(self) -> bool:
         if self.model.kind == MIXED:
-            return not any(self.data[0])
-        return not self.data[0]
+            return not any(self.num)
+        return not self.num
 
     def is_integral(self) -> bool:
         return self.val() >= 0
@@ -575,10 +597,11 @@ class FieldElement:
             other = self._coerce(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.model == other.model and self.data == other.data
+        return (self.model == other.model and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.model, self.data))
+        return hash((self.model, (self.num, self.den)))
 
     def __repr__(self):
         return f"<{self} over {self.model}>"
@@ -587,7 +610,7 @@ class FieldElement:
         m = self.model
         if m.kind == MIXED:
             return _format_terms(self.coords, "pi")
-        num, den = self.data
+        num, den = self.num, self.den
         num_s = _format_terms(num, "t")
         if den == (1,):
             return num_s
@@ -612,8 +635,8 @@ def mixed_dot(model: "FieldModel", xs, ys) -> "FieldElement":
     den_acc = 1
     width = 2 * e - 1
     for x, y in zip(xs, ys):
-        n1, d1 = x.data
-        n2, d2 = y.data
+        n1, d1 = x.num, x.den
+        n2, d2 = y.num, y.den
         prod = [0] * width
         for i, a in enumerate(n1):
             if a:
@@ -682,48 +705,54 @@ def _ratfun_reduce(k: GF, num, den):
     return num, den
 
 
-def _q_poly_divmod(a, b):
-    """Division with remainder in Q[x]; low-first Fraction lists."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a))
-    while len(a) - 1 >= db and a:
-        c = a[-1] / b[-1]
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i in range(db + 1):
-            a[shift + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
+def bareiss_solve(M, B):
+    """Solve M X = D B over the integers by fraction-free elimination.
 
+    M is an n x n and B an n x r integer matrix, both lists of rows.
+    Returns (X, D): an n x r integer matrix X and D = +-det M != 0 with
+    M X = D B, so M^-1 B = X / D.  Raises Singular when det M = 0.
 
-def _q_poly_invmod(a, modulus):
-    """Inverse of a modulo an irreducible polynomial over Q (extended gcd)."""
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(c != 0 for c in r1):
-        q, r = _q_poly_divmod(r0, r1)
-        # s_next = s0 - q*s1
-        s_next = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s_next[i + j] -= qc * sc
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-    # r0 is a nonzero constant c with s0*a = c mod modulus
-    const = r0[0]
-    if not (all(c == 0 for c in r0[1:]) and const != 0):
-        raise InvariantViolated("polynomial gcd with the irreducible modulus is not a unit")
-    return [c / const for c in s0]
+    Bareiss's elimination (Math. Comp. 22, 1968) on the rows of [M | B]:
+    step k replaces entry (i, j), i, j > k, by (a_ij a_kk - a_ik a_kj) /
+    a_(k-1)(k-1).  By Sylvester's identity the result is the
+    (k+1) x (k+1) minor of rows 0..k, i and columns 0..k, j of the
+    row-permuted [M | B], an integer, so every division is exact.  A zero
+    pivot is swapped with a lower row that is nonzero in its column; when
+    there is none, the first k+1 columns are dependent and det M = 0.  The
+    last pivot D is then det M up to the sign of the row swaps.  Back
+    substitution on the triangular rows U | B' stays integral: X = D M^-1 B
+    = +-adj(M) B is an integer matrix, so X_i = (D B'_i - sum_(j>i) U_ij
+    X_j) / U_ii divides exactly.
+    """
+    n = len(M)
+    r = len(B[0]) if n else 0
+    A = [list(row) + list(rhs) for row, rhs in zip(M, B)]
+    width = n + r
+    prev = 1
+    for k in range(n):
+        if not A[k][k]:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                raise Singular("matrix has determinant zero")
+            A[k], A[swap] = A[swap], A[k]
+        rk = A[k]
+        pivot = rk[k]
+        for ri in A[k + 1:]:
+            f = ri[k]
+            ri[k] = 0
+            for j in range(k + 1, width):
+                ri[j] = (ri[j] * pivot - f * rk[j]) // prev
+        prev = pivot
+    D = prev
+    X = [[0] * r for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        ri = A[i]
+        for c in range(r):
+            acc = D * ri[n + c]
+            for j in range(i + 1, n):
+                acc -= ri[j] * X[j][c]
+            X[i][c] = acc // ri[i]
+    return X, D
 
 
 def _format_terms(coeffs, var: str) -> str:
@@ -888,7 +917,7 @@ class ResidueRing:
             return self.zero()
         m = self.model
         if m.kind == MIXED:
-            nums, den = x.data
+            nums, den = x.num, x.den
             coords = []
             for a, mod in zip(nums, self.moduli):
                 if mod == 1:
@@ -897,7 +926,7 @@ class ResidueRing:
                     # x integral and normalized force den prime to p
                     coords.append((a * pow(den % mod, -1, mod)) % mod)
             return ResidueElement(self, tuple(coords))
-        num, den = x.data
+        num, den = x.num, x.den
         inv = _series_inverse(m.gf, den, self.N)
         series = poly_mul(m.gf, num, inv)[: self.N]
         return ResidueElement(self, tuple(series) + (0,) * (self.N - len(series)))

@@ -155,7 +155,8 @@ def dominant_window(family: str, n: int, bound: int, budget: int = DEFAULT_BUDGE
 class GroupElement:
     """An invertible n x n matrix over the field model; immutable.
 
-    For the SL family the determinant is required to be exactly 1.
+    For the SL family the determinant is required to be exactly 1; the
+    element then keeps the model's shared one as its determinant.
     """
 
     __slots__ = ("group", "rows", "_det")
@@ -169,8 +170,11 @@ class GroupElement:
         d = self.det()
         if d.is_zero():
             raise Singular("matrix has determinant zero")
-        if group.family == SL and d != group.model.one():
-            raise Singular(f"SL element must have determinant 1, got {d}")
+        if group.family == SL:
+            one = group.model.one()
+            if d != one:
+                raise Singular(f"SL element must have determinant 1, got {d}")
+            self._det = one  # the shared one, not a copy per element
 
     def det(self) -> FieldElement:
         if self._det is None:

@@ -5,11 +5,12 @@ Everything takes an explicit random.Random instance; no global state.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .hecke import HeckeAlgebra, HeckeElement
 from .kazhdan import WindowedModule
-from .localfield import MIXED, FieldElement, FieldModel, poly_trim
+from .localfield import MIXED, FieldElement, FieldModel, _mixed_normalize, poly_trim
 from .matgrp import (
     CartanDatum,
     GroupElement,
@@ -22,17 +23,23 @@ from .rings import ZZ
 
 
 def random_integral(model: FieldModel, rng, depth: int = 3) -> FieldElement:
-    """A random element of the valuation ring with small coordinates."""
+    """A random element of the valuation ring with small coordinates.
+
+    Mixed model: coordinate i is nums[i] / dens[i], with dens[i] prime to
+    p; the numerators are brought over the lcm of the denominators in
+    integers, so no Fraction is formed."""
     p = model.p
     if model.kind == MIXED:
-        coords = []
+        nums, dens = [], []
         for _ in range(model.e):
-            num = rng.randrange(-(p**depth), p**depth + 1)
+            nums.append(rng.randrange(-(p**depth), p**depth + 1))
             den = 1
             if rng.random() < 0.25:
                 den = rng.choice([d for d in range(2, 2 * p + 2) if d % p != 0])
-            coords.append(Fraction(num, den))
-        return FieldElement(model, tuple(coords))
+            dens.append(den)
+        den = math.lcm(*dens)
+        data = _mixed_normalize(tuple(n * (den // d) for n, d in zip(nums, dens)), den)
+        return FieldElement(model, data, _canonical=True)
     deg = rng.randrange(depth + 1)
     num = poly_trim(tuple(rng.randrange(model.q) for _ in range(deg + 1)))
     den = (1,)

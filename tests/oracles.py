@@ -5,9 +5,11 @@ path with the fast route it checks.
 """
 
 import itertools
+from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
 from heckelab.hecke import get_algebra
+from heckelab.localfield import FieldElement
 from heckelab.matgrp import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -16,6 +18,76 @@ from heckelab.matgrp import (
     iter_kernel,
     reduce_group,
 )
+
+
+def _q_poly_divmod(a, b):
+    """Division with remainder in Q[x]; low-first Fraction lists."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    b = list(b)
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    q = [Fraction(0)] * max(1, len(a))
+    while len(a) - 1 >= db and a:
+        c = a[-1] / b[-1]
+        shift = len(a) - 1 - db
+        q[shift] = c
+        for i in range(db + 1):
+            a[shift + i] -= c * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _q_poly_invmod(a, modulus):
+    """Inverse of a modulo an irreducible polynomial over Q (extended gcd)."""
+    r0, r1 = list(modulus), list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(c != 0 for c in r1):
+        q, r = _q_poly_divmod(r0, r1)
+        # s_next = s0 - q*s1
+        s_next = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, sc in enumerate(s1):
+                    s_next[i + j] -= qc * sc
+        r0, r1 = r1, r
+        s0, s1 = s1, s_next
+    # r0 is a nonzero constant c with s0*a = c mod modulus
+    const = r0[0]
+    if not (all(c == 0 for c in r0[1:]) and const != 0):
+        raise InvariantViolated("polynomial gcd with the irreducible modulus is not a unit")
+    return [c / const for c in s0]
+
+
+def inverse_by_extended_gcd(x):
+    """x^-1 in the mixed model by the extended gcd of its coordinate
+    polynomial with the Eisenstein polynomial pi^e - p, in Fractions.
+    Reference oracle for FieldElement.inverse."""
+    model = x.model
+    e = model.e
+    modulus = [Fraction(-model.p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
+    s = _q_poly_invmod(list(x.coords), modulus)
+    return FieldElement(model, tuple(s[:e] + [Fraction(0)] * (e - len(s))))
+
+
+def random_integral_by_fractions(model, rng, depth=3):
+    """A mixed-model random_integral built from one Fraction per
+    coordinate, with the same rng calls in the same order.  Reference
+    oracle for sampling.random_integral."""
+    p = model.p
+    coords = []
+    for _ in range(model.e):
+        num = rng.randrange(-(p**depth), p**depth + 1)
+        den = 1
+        if rng.random() < 0.25:
+            den = rng.choice([d for d in range(2, 2 * p + 2) if d % p != 0])
+        coords.append(Fraction(num, den))
+    return FieldElement(model, tuple(coords))
 
 
 def mul_table_by_products(algebra):

@@ -156,7 +156,8 @@ def test_verify_csv_emission(tmp_path):
 
 def test_flagship_verify_runs_few_extended_gcds(tmp_path, monkeypatch):
     # only pivots that divide something and non-rational elements are
-    # inverted by the extended gcd: 62 calls at seed 7 (304 before)
+    # inverted by the integer solve: 62 calls at seed 7 (304 when every
+    # pivot and every rational went through an extended gcd)
     cfg = write_config(tmp_path, {
         "field": {"kind": "mixed", "p": 2, "e": 5},
         "field2": {"kind": "equal", "p": 2},
@@ -167,8 +168,8 @@ def test_flagship_verify_runs_few_extended_gcds(tmp_path, monkeypatch):
         "seed": 7,
     })
     calls = []
-    invmod = localfield._q_poly_invmod
-    monkeypatch.setattr(localfield, "_q_poly_invmod", lambda *a: calls.append(1) or invmod(*a))
+    solve = localfield.bareiss_solve
+    monkeypatch.setattr(localfield, "bareiss_solve", lambda *a: calls.append(1) or solve(*a))
     assert main([
         "--config", cfg, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "sc.csv"),
         "verify", "--suite", "all",
@@ -286,6 +287,8 @@ Q2_IDENTITY = dict(GL2_Q2, field2=GL2_Q2["field"], closeness=5)
                  id="spherical-cosets"),
     pytest.param(dict(GL2_Q2, field={"kind": "mixed", "p": 2, "e": 10**9}),
                  ["cartan", "[[1,0],[0,1]]"], id="e"),
+    pytest.param(dict(GL2_Q2, field={"kind": "mixed", "p": 2, "e": 1000}, level=0),
+                 ["verify", "--suite", "field"], id="e-cubed"),
     pytest.param(dict(GL2_Q2, field={"kind": "equal", "p": 2, "f": 10**9}),
                  ["cartan", "[[1,0],[0,1]]"], id="f"),
     pytest.param(dict(GL2_Q2, field={"kind": "mixed", "p": 10**30 + 57}),
@@ -299,6 +302,13 @@ def test_huge_sizes_are_refused_at_once(tmp_path, monkeypatch, capsys, config, a
     assert main(["--config", cfg] + argv) == 2
     assert time.process_time() - t0 < 1
     assert "error [BudgetExceeded]" in capsys.readouterr().err
+
+
+def test_small_mixed_field_fits_the_budget(tmp_path, capsys):
+    # e^3 = 125 of the default budget: the field suite runs as before
+    cfg = write_config(tmp_path, dict(GL2_Q2, field={"kind": "mixed", "p": 2, "e": 5}, level=0))
+    assert main(["--config", cfg, "verify", "--suite", "field"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_windowed_pairs_are_charged(tmp_path, capsys):

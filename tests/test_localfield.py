@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,20 @@ from heckelab.errors import (
     NegativeValuation,
     NotAUnit,
     PrecisionExceeded,
+    Singular,
 )
 from heckelab.localfield import (
     INF,
     ClosePair,
-    FieldElement,
     FieldModel,
-    _q_poly_invmod,
+    bareiss_solve,
     gf,
     poly_trim,
 )
 from heckelab.sampling import random_element, random_integral
 
 from conftest import all_models
+from oracles import inverse_by_extended_gcd, random_integral_by_fractions
 
 
 # ---------------------------------------------------------------- valuations
@@ -74,15 +76,66 @@ def test_pi_pow_matches_repeated_products(model):
 def test_rational_inverse_closed_form_matches_extended_gcd(p, e):
     # n/d inverts in closed form; its data is the extended gcd's, canonical
     model = FieldModel.mixed(p, e)
-    modulus = [Fraction(-p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
     for x in (1, -1, 2, -2, 3, -6, 12, Fraction(1, 2), Fraction(-3, 4), Fraction(9, 8),
               Fraction(-5, 27), Fraction(p**5, 7)):
         elt = model.from_fraction(x)
-        s = _q_poly_invmod(list(elt.coords), modulus)
-        by_gcd = FieldElement(model, tuple(s[:e] + [Fraction(0)] * (e - len(s))))
         inv = elt.inverse()
-        assert inv.data == by_gcd.data
+        assert inv.data == inverse_by_extended_gcd(elt).data
         assert elt * inv == model.one()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 7])
+def test_inverse_matches_extended_gcd(p, e, rng):
+    # the integer solve against the Fraction extended gcd, which shares no
+    # code with it: random elements, their triple products and rationals
+    model = FieldModel.mixed(p, e)
+    xs = [x for x in (random_element(model, rng) for _ in range(30)) if not x.is_zero()]
+    xs += [xs[i] * xs[i + 1] * xs[i + 2] for i in range(0, 18, 3)]
+    xs += [model.from_fraction(Fraction(n, d))
+           for n, d in ((1, 1), (-1, 1), (p**3, 7), (-5, p**2))]
+    for x in xs:
+        inv = x.inverse()
+        assert inv.data == inverse_by_extended_gcd(x).data
+        assert x * inv == model.one()
+
+
+def test_bareiss_solve_matches_sympy(rng):
+    # M X = D B against sympy's rational inverse, with zero leading pivots
+    # that force row swaps, and a singular matrix refused by a typed error
+    sympy = pytest.importorskip("sympy")
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(10):
+            M = [[rng.choice([0, 0, rng.randrange(-9, 10)]) for _ in range(n)] for _ in range(n)]
+            if sympy.Matrix(M).det() == 0:
+                continue
+            B = [[rng.randrange(-5, 6) for _ in range(2)] for _ in range(n)]
+            X, D = bareiss_solve(M, B)
+            assert abs(D) == abs(sympy.Matrix(M).det())
+            assert sympy.Matrix(X) / D == sympy.Matrix(M).inv() * sympy.Matrix(B)
+    with pytest.raises(Singular):
+        bareiss_solve([[0, 1, 2], [0, 3, 4], [0, 5, 6]], [[1], [0], [0]])
+
+
+@pytest.mark.parametrize("model", [FieldModel.mixed(2, 1), FieldModel.mixed(2, 5),
+                                   FieldModel.mixed(3, 2), FieldModel.mixed(5, 3)], ids=str)
+def test_random_integral_matches_fraction_construction(model):
+    # the same rng calls give the same data as one Fraction per coordinate
+    ours, theirs = random.Random(17), random.Random(17)
+    for _ in range(500):
+        assert random_integral(model, ours).data == random_integral_by_fractions(model, theirs).data
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("model", all_models(), ids=str)
+def test_element_layout(model, rng):
+    # num and den in their own slots: no instance dict, data formed from
+    # them, the hash of (model, data), and one shared one
+    x = random_element(model, rng)
+    assert not hasattr(x, "__dict__")
+    assert x.data == (x.num, x.den)
+    assert hash(x) == hash((model, x.data))
+    assert model.one() is model.one()
 
 
 @pytest.mark.parametrize("model", all_models(), ids=str)

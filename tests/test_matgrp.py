@@ -181,26 +181,26 @@ def test_cartan_roundtrip_and_minors_oracle(family, n, model, rng):
             assert fac.a.det() == model.one() and fac.b.det() == model.one()
 
 
-def _count_invmod(monkeypatch):
-    """Count the extended-gcd inversions of the mixed model."""
+def _count_solves(monkeypatch):
+    """Count the integer solves behind mixed-model inverses of non-rationals."""
     calls = [0]
-    invmod = localfield._q_poly_invmod
+    solve = localfield.bareiss_solve
 
     def counted(*args):
         calls[0] += 1
-        return invmod(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(localfield, "_q_poly_invmod", counted)
+    monkeypatch.setattr(localfield, "bareiss_solve", counted)
     return calls
 
 
 def test_cartan_inverts_only_pivots_it_divides_by(monkeypatch, rng):
     # n_tau has its rows and columns clear, and det A = +-1 inverts in closed
-    # form: no extended gcd at all; a random SL2 element over Q_2(2^(1/5))
+    # form: no integer solve at all; a random SL2 element over Q_2(2^(1/5))
     # needs the first pivot's inverse only, never the last pivot's
     spec = GroupSpec("SL", 2, FieldModel.mixed(2, 5))
     samples = [random_windowed(spec, rng, bound=2) for _ in range(20)]
-    calls = _count_invmod(monkeypatch)
+    calls = _count_solves(monkeypatch)
     for tau in dominant_window("SL", 2, 3):
         calls[0] = 0
         assert cartan(spec.n_of_tau(tau)).tau == tau
@@ -291,6 +291,17 @@ def test_det_and_inverse_agree_on_field_and_residues(model):
                 assert g @ g_inv == spec.identity()
 
 
+@pytest.mark.parametrize("model", [FieldModel.mixed(2, 5), FieldModel.equal(2)], ids=str)
+def test_sl_element_keeps_the_shared_one(model, rng):
+    # an SL element, however built, keeps model.one() as its determinant
+    spec = GroupSpec("SL", 2, model)
+    g = random_in_k(spec, rng)
+    h = g @ random_in_km(spec, rng, 1)
+    fac = cartan(random_windowed(spec, rng, bound=1))
+    for x in (g, h, g.inverse(), fac.a, fac.b, spec.identity()):
+        assert x._det is model.one()
+
+
 def test_singular_matrix_rejected():
     spec = GroupSpec("GL", 2, FieldModel.mixed(2, 1))
     with pytest.raises(Singular):
@@ -327,11 +338,10 @@ def test_typed_guards_under_optimize():
     # the same-group, same-ring, coordinate-count, shape and nonzero guards
     # raise typed errors that python -O keeps
     code = (
-        "from fractions import Fraction\n"
-        "from heckelab.errors import InvariantViolated, MixedRings, ParseError\n"
+        "from heckelab.errors import InvariantViolated, MixedRings, ParseError, Singular\n"
         "from heckelab.kazhdan import WindowedModule\n"
         "from heckelab.localfield import FieldElement, FieldModel, ResidueElement,"
-        " _q_poly_invmod, _vp_int\n"
+        " _vp_int, bareiss_solve\n"
         "from heckelab.matgrp import GroupSpec, ResidueMatrix\n"
         "from heckelab.rings import QQ\n"
         "Q2 = FieldModel.mixed(2, 1)\n"
@@ -344,8 +354,7 @@ def test_typed_guards_under_optimize():
         "    (ParseError, lambda: ResidueElement(Q2.residue_ring(1), (1, 0))),\n"
         "    (ParseError, lambda: WindowedModule(QQ, 2, ('a',), {'a': [[1]]})),\n"
         "    (InvariantViolated, lambda: _vp_int(0, 2)),\n"
-        "    (InvariantViolated, lambda: _q_poly_invmod([Fraction(0), Fraction(1)],"
-        " [Fraction(0), Fraction(0), Fraction(1)])),\n"
+        "    (Singular, lambda: bareiss_solve([[1, 2], [2, 4]], [[1], [0]])),\n"
         "]\n"
         "for i, (exc, make) in enumerate(cases):\n"
         "    try:\n"
