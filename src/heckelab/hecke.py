@@ -27,6 +27,8 @@ from .matgrp import (
     GroupSpec,
     ResidueMatrix,
     cartan,
+    cartan_type,
+    code_product,
     dominant_window,
     enumerate_residue_matrices,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
@@ -208,6 +210,9 @@ class HeckeAlgebra:
         self.budget = budget
         self._q = None
         self._q_index = None
+        self._tables = None
+        self._codes = None
+        self._code_index = None
         self._q_lift = None
         self._q_mul = None
         self._q_inv = None
@@ -226,9 +231,19 @@ class HeckeAlgebra:
 
     @property
     def residue_classes(self):
+        """The classes of K/K_m in the order enumerated.  Each class also
+        gets its code (see ``matgrp.code_product``), taken from the class
+        itself, never from its position: ``_codes[i]`` is the code of class
+        i and ``_code_index`` maps a code back to its class."""
         if self._q is None:
-            self._q = enumerate_residue_matrices(self.spec, self.m, self.budget)
-            self._q_index = {mat: i for i, mat in enumerate(self._q)}
+            q = enumerate_residue_matrices(self.spec, self.m, self.budget)
+            tables = q[0].ring.tables(self.budget)
+            codes = [tuple(tables.index[x.coords] for row in mat.rows for x in row) for mat in q]
+            self._q_index = {mat: i for i, mat in enumerate(q)}
+            self._tables = tables
+            self._codes = codes
+            self._code_index = {code: i for i, code in enumerate(codes)}
+            self._q = q
         return self._q
 
     @property
@@ -248,16 +263,16 @@ class HeckeAlgebra:
 
         Filled by generator closure (Holt-Eick-O'Brien, Handbook of
         Computational Group Theory, ch. 4).  A generator's row costs |Q|
-        residue products; every other row is composed from known rows,
+        code products (``code_product``, index lookups in the ring tables);
+        every other row is composed from known rows,
         row(a g) = [row(a)[x] for x in row(g)], because (a g) b = a (g b).
         The rows known at any time form a subgroup, so each new generator
         (the smallest index still missing) at least doubles it: at most
         floor(log2 |Q|) generators and floor(log2 |Q|) * |Q| products.
         """
         if self._q_mul is None:
-            q = self.residue_classes
-            idx = self._q_index
-            size = len(q)
+            size = len(self.residue_classes)
+            codes, cidx, tables, n = self._codes, self._code_index, self._tables, self.spec.n
             _check_budget(size * size, self.budget)
             e = self._unit_index()
             mul = [None] * size
@@ -266,7 +281,8 @@ class HeckeAlgebra:
             while len(reached) < size:
                 while mul[missing] is not None:
                     missing += 1
-                mul[missing] = [idx[q[missing] @ b] for b in q]
+                x = codes[missing]
+                mul[missing] = [cidx[code_product(x, y, n, tables)] for y in codes]
                 gens.append(missing)
                 reached.append(missing)
                 # right-multiply everything reached, including what this
@@ -360,7 +376,7 @@ class HeckeAlgebra:
         out = []
         for diag, entries in shapes:
             for alpha in self._triangular(diag, entries, det):
-                if m == 0 and cartan(alpha).tau != tau:
+                if m == 0 and cartan_type(alpha) != tau:
                     continue
                 out.append(alpha)
         self._ntau_cosets_cache[tau] = out
@@ -391,24 +407,29 @@ class HeckeAlgebra:
         return self._orbit_tables[tau]
 
     def _build_orbit_table(self, tau: CartanDatum):
+        """The orbit table of tau, and its canonical map: one flat list in
+        which entry xi * |Q| + yi is the label of the pair (q[xi], q[yi]).
+
+        Pairs are swept in index order, so the first pair met of each orbit
+        (x, y) Gamma_tau is its least pair, and becomes the label's pair."""
         q = self.residue_classes
         size = len(q)
-        # the canonical dict below has one entry per pair in (K/K_m)^2
+        # the canonical list below has one entry per pair in (K/K_m)^2
         _check_budget(size * size, self.budget)
         gamma_idx = self._gamma(tau)
         mul = self._mul_index()
-        canonical = {}
+        canonical = [None] * (size * size)
         labels = []
         for xi in range(size):
             mrow = mul[xi]
             for yi in range(size):
-                if (xi, yi) in canonical:
+                if canonical[xi * size + yi] is not None:
                     continue
                 label = DoubleCosetLabel(tau, (q[xi], q[yi]))
                 labels.append(label)
                 nrow = mul[yi]
                 for s, t in gamma_idx:
-                    canonical[(mrow[s], nrow[t])] = label
+                    canonical[mrow[s] * size + nrow[t]] = label
         if len(labels) * len(gamma_idx) != size * size:
             raise InvariantViolated(
                 f"orbit-stabilizer mismatch at tau={tau}: "
@@ -446,37 +467,39 @@ class HeckeAlgebra:
            s = (det y')^-1 gives det y' = 1 exactly, keeps the entry
            conditions of 1., and changes no residue, as s = 1 mod pi^m.
 
-        So one pass over u in M_n(o/pi^m) keeps u iff its y is found in
-        ``class_index``.  Each u_ij equals x_ij or y_ij (one of max(d,0),
-        max(-d,0) is 0), so distinct u give distinct pairs, and the pass is
-        the q^(m n^2) points the budget admitted for K/K_m.  At m = 0,
+        So one pass over u in M_n(o/pi^m) keeps u iff its y is a class.
+        Each u_ij equals x_ij or y_ij (one of max(d,0), max(-d,0) is 0), so
+        distinct u give distinct pairs, and the pass is the q^(m n^2) points
+        the budget admitted for K/K_m.  The pass runs on codes: entry (i, j)
+        of the pair is (pi^max(d,0) u, pi^max(-d,0) u) by the ring's mul
+        table, and x and y are looked up in the code index.  At m = 0,
         K/K_0 is trivial.
         """
-        idx = self.class_index
         if self.m == 0:
             e = self._unit_index()
             return [(e, e)]
         ring = self.residue_classes[0].ring
+        tables, cidx = self._tables, self._code_index
+        mul = tables.mul
         n, a = self.spec.n, tau.coords
         # pi^0 .. pi^top in o/pi^m; every power from pi^m on is 0 there
         top = min(tau.spread, self.m)
-        pi, pi_pows = ring.uniformizer(), [ring.one()]
+        pi, pi_pows = tables.index[ring.uniformizer().coords], [tables.index[ring.one().coords]]
         for _ in range(top):
-            pi_pows.append(pi_pows[-1] * pi)
-        residues = list(ring.elements())
+            pi_pows.append(mul[pi_pows[-1]][pi])
+        residues = range(len(tables.elements))
         pools = []
         for i in range(n):
             for j in range(n):
                 d = a[i] - a[j]
-                sx, sy = pi_pows[min(max(d, 0), top)], pi_pows[min(max(-d, 0), top)]
-                pools.append([(sx * u, sy * u) for u in residues])
+                sx, sy = mul[pi_pows[min(max(d, 0), top)]], mul[pi_pows[min(max(-d, 0), top)]]
+                pools.append([(sx[u], sy[u]) for u in residues])
         out = []
         for entries in itertools.product(*pools):
             xs, ys = zip(*entries)
-            yi = idx.get(ResidueMatrix(ring, (ys[i * n:(i + 1) * n] for i in range(n))))
+            yi = cidx.get(ys)
             if yi is not None:
-                xi = idx[ResidueMatrix(ring, (xs[i * n:(i + 1) * n] for i in range(n)))]
-                out.append((xi, yi))
+                out.append((cidx[xs], yi))
         return sorted(out)
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
@@ -495,7 +518,7 @@ class HeckeAlgebra:
         are computed once however often it is asked for."""
         if tau not in self._canonical:
             self.orbit_table(tau)
-        return self._canonical[tau][(xi, yi)]
+        return self._canonical[tau][xi * len(self._q) + yi]
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""

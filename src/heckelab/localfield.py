@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    BudgetExceeded,
     IncompatiblePair,
     InvariantViolated,
     NegativeValuation,
@@ -865,6 +866,7 @@ class ResidueRing:
             raise ValueError("precision must be >= 0")
         self.model = model
         self.N = N
+        self._tables = None
         if model.kind == MIXED:
             self.caps = tuple(
                 max(0, -((- (N - i)) // model.e)) for i in range(model.e)
@@ -906,6 +908,30 @@ class ResidueRing:
         for coords in itertools.product(*(range(mod) for mod in self.moduli)):
             yield ResidueElement(self, coords)
 
+    def tables(self, budget: int) -> "RingTables":
+        """The ring in index arithmetic (see ``RingTables``), built once.
+
+        The budget is charged the size^2 entries of the add and mul tables
+        before anything is built, on every call.  Rings are process-global
+        (``residue_ring``), so the tables live as long as the ring does:
+        for the life of the process.
+        """
+        if self.size * self.size > budget:
+            raise BudgetExceeded(
+                f"tables of o/pi^{self.N} ({self.size}^2 entries) exceed budget {budget}"
+            )
+        if self._tables is None:
+            elements = tuple(self.elements())
+            index = {x.coords: i for i, x in enumerate(elements)}
+            self._tables = RingTables(
+                elements,
+                index,
+                [[index[(x + y).coords] for y in elements] for x in elements],
+                [[index[(x * y).coords] for y in elements] for x in elements],
+                [index[(-x).coords] for x in elements],
+            )
+        return self._tables
+
     # -- reduction and canonical lift -------------------------------------------
 
     def reduce(self, x: FieldElement) -> "ResidueElement":
@@ -939,6 +965,25 @@ class ResidueRing:
         if m.kind == MIXED:
             return FieldElement(m, tuple(r.coords))
         return FieldElement(m, (poly_trim(r.coords), (1,)), _canonical=True)
+
+
+@dataclass(frozen=True)
+class RingTables:
+    """o/pi^N in index arithmetic.
+
+    ``elements`` lists the ring in ``ResidueRing.elements()`` order, which
+    is lexicographic in ``coords``: index 0 is zero, and i < j iff
+    elements[i].coords < elements[j].coords.  ``index`` maps coords to
+    the index.  ``add[i][j]``, ``mul[i][j]`` and ``neg[i]`` are the indices
+    of elements[i] + elements[j], elements[i] * elements[j] and
+    -elements[i].
+    """
+
+    elements: tuple
+    index: dict
+    add: list
+    mul: list
+    neg: list
 
 
 @lru_cache(maxsize=None)

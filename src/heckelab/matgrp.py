@@ -2,9 +2,10 @@
 
 Provides the hyperspecial maximal compact K = G(o) and its congruence
 filtration K_m, the Cartan factorization g = a * n_tau * b computed by
-Smith normal form over the valuation ring, the diagonal cocharacter
-section tau -> n_tau = diag(pi^a_1, ..., pi^a_n), and exact enumeration
-of the finite quotients K/K_m and K_m/K_(m+c).
+Smith normal form over the valuation ring (and the type tau alone from the
+valuations of minors), the diagonal cocharacter section tau -> n_tau =
+diag(pi^a_1, ..., pi^a_n), and exact enumeration of the finite quotients
+K/K_m and K_m/K_(m+c).
 """
 
 from __future__ import annotations
@@ -426,6 +427,39 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     return CartanFactorization(a, tau, GroupElement(spec, B))
 
 
+def cartan_type(g: GroupElement) -> CartanDatum:
+    """The tau of g in K n_tau K, from the valuations of minors alone.
+
+    Let d_k(g) be the least valuation of a k x k minor of g, d_0 = 0, so
+    d_n = v(det g).  Then a_n + ... + a_(n-k+1) = d_k(g).
+
+    Proof.  By Cauchy-Binet a k x k minor of h g (or g h) is a sum of
+    products of a k x k minor of h and one of g.  For h in M_n(o) the
+    minors of h are integral, so d_k(h g) >= d_k(g) and d_k(g h) >=
+    d_k(g); applied to k1^-1 and k2^-1 as well this gives d_k(k1 g k2) =
+    d_k(g) for k1, k2 in K.  Hence d_k(g) = d_k(n_tau).  A k x k minor of
+    the diagonal n_tau is nonzero only on equal row and column sets S,
+    where it is pi^(sum of a_i over S), and the least such sum takes the k
+    smallest a_i.  Nothing here asks g to be integral.  (Equivalently: for
+    integral g the d_k are the determinantal divisors of its Smith normal
+    form over o, and pi^c g scales every k x k minor by pi^(kc) and adds c
+    to every a_i, which carries the formula to all of GL_n(F).)  So
+    a_(n-k+1) = d_k - d_(k-1), with no witness and no field inverse.
+    """
+    n = g.group.n
+    zero = g.group.model.zero()
+    rows = g.rows
+    d = [0]
+    for k in range(1, n):
+        d.append(min(
+            _cofactor_det([[rows[i][j] for j in cols] for i in rs], zero).val()
+            for rs in itertools.combinations(range(n), k)
+            for cols in itertools.combinations(range(n), k)
+        ))
+    d.append(g.det().val())
+    return CartanDatum(tuple(int(d[n - i] - d[n - i - 1]) for i in range(n)))
+
+
 def _pick_pivot(M, k, rng):
     n = len(M)
     best = None
@@ -537,6 +571,42 @@ class ResidueMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
+# A residue matrix in index arithmetic is its code: the row-major tuple of
+# the indices of its entries in the ring's ``RingTables``.
+
+
+def code_product(x, y, n: int, tables):
+    """The code of the product of the n x n matrices with codes x and y."""
+    add, mul = tables.add, tables.mul
+    out = []
+    for i in range(0, n * n, n):
+        row = x[i:i + n]
+        for j in range(n):
+            acc = mul[row[0]][y[j]]
+            for k in range(1, n):
+                acc = add[acc][mul[row[k]][y[k * n + j]]]
+            out.append(acc)
+    return tuple(out)
+
+
+def code_det(rows, tables) -> int:
+    """The index of the determinant of the matrix whose rows of entry
+    indices are ``rows``: ``_cofactor_det`` in the ring's tables."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    add, mul, neg = tables.add, tables.mul, tables.neg
+    if n == 2:
+        return add[mul[rows[0][0]][rows[1][1]]][neg[mul[rows[0][1]][rows[1][0]]]]
+    acc = 0  # index 0 is zero
+    for j, x in enumerate(rows[0]):
+        if x == 0:
+            continue
+        term = mul[x][code_det([r[:j] + r[j + 1:] for r in rows[1:]], tables)]
+        acc = add[acc][term if j % 2 == 0 else neg[term]]
+    return acc
+
+
 def reduce_group(g: GroupElement, N: int) -> ResidueMatrix:
     """The reduction K -> G(o/pi^N), a group homomorphism."""
     if not g.in_k():
@@ -586,26 +656,34 @@ def _check_budget_power(base: int, exponent: int, budget: int):
 
 
 def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
-    """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically."""
+    """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically.
+
+    The sweep runs over codes and takes each determinant with ``code_det``;
+    a ``ResidueMatrix`` is built only for a matrix that is kept.  It is born
+    sorted.  Indices are ordered as the coords of their elements
+    (``RingTables``), and ``sort_key`` is the row-major tuple of entry
+    coords, so comparing two codes lexicographically is comparing their
+    sort keys.  ``itertools.product`` yields codes in lexicographic order,
+    so the kept matrices come in strictly increasing ``sort_key`` order.
+    """
     if m == 0:
         ring = spec.model.residue_ring(0)
         return [ResidueMatrix.identity(ring, spec.n)]
     # |M_n(o/pi^m)| = q^(m n^2), charged before the ring is built
     _check_budget_power(spec.model.q, m * spec.n**2, budget)
     ring = spec.model.residue_ring(m)
-    pool = list(ring.elements())
+    tables = ring.tables(budget)
+    elements = tables.elements
+    if spec.family == SL:
+        wanted = {tables.index[ring.one().coords]}
+    else:
+        wanted = {i for i, x in enumerate(elements) if x.is_unit()}
     n = spec.n
     out = []
-    one = ring.one()
-    for flat in itertools.product(pool, repeat=n * n):
-        mat = ResidueMatrix(ring, tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n)))
-        d = mat.det()
-        if spec.family == SL:
-            if d == one:
-                out.append(mat)
-        elif d.is_unit():
-            out.append(mat)
-    out.sort(key=lambda mm: mm.sort_key())
+    for code in itertools.product(range(len(elements)), repeat=n * n):
+        rows = [code[i:i + n] for i in range(0, n * n, n)]
+        if code_det(rows, tables) in wanted:
+            out.append(ResidueMatrix(ring, tuple(tuple(elements[i] for i in row) for row in rows)))
     return out
 
 

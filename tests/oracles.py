@@ -8,12 +8,13 @@ import itertools
 from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
-from heckelab.hecke import get_algebra
+from heckelab.hecke import DoubleCosetLabel, get_algebra
 from heckelab.localfield import FieldElement
 from heckelab.matgrp import (
     DEFAULT_BUDGET,
     GroupElement,
     GroupSpec,
+    ResidueMatrix,
     cartan,
     iter_kernel,
     reduce_group,
@@ -88,6 +89,23 @@ def random_integral_by_fractions(model, rng, depth=3):
             den = rng.choice([d for d in range(2, 2 * p + 2) if d % p != 0])
         coords.append(Fraction(num, den))
     return FieldElement(model, tuple(coords))
+
+
+def residue_matrices_by_object_sweep(spec, m):
+    """Invertible matrices over o/pi^m (det = 1 for SL) from a sweep of
+    ResidueMatrix objects and their determinants, sorted by sort_key.
+    Reference oracle for enumerate_residue_matrices."""
+    ring = spec.model.residue_ring(m)
+    if m == 0:
+        return [ResidueMatrix.identity(ring, spec.n)]
+    n, one = spec.n, ring.one()
+    out = []
+    for flat in itertools.product(list(ring.elements()), repeat=n * n):
+        mat = ResidueMatrix(ring, (flat[i * n:(i + 1) * n] for i in range(n)))
+        d = mat.det()
+        if d == one if spec.family == "SL" else d.is_unit():
+            out.append(mat)
+    return sorted(out, key=lambda mat: mat.sort_key())
 
 
 def mul_table_by_products(algebra):
@@ -193,6 +211,26 @@ def gamma_by_exact_witnesses(algebra, tau):
         ])
         out.add((idx[reduce_group(x, m)], idx[reduce_group(y, m)]))
     return sorted(out)
+
+
+def canonical_by_orbits(algebra, taus):
+    """{tau: {(xi, yi): label}} over all pairs of classes: the orbits of
+    (K/K_m)^2 under right multiplication by Gamma_tau, each labelled by
+    its least pair, from ``mul_table_by_products`` and
+    ``gamma_by_exact_witnesses``.  Reference oracle for
+    HeckeAlgebra.canonical_label."""
+    q = algebra.residue_classes
+    mul = mul_table_by_products(algebra)
+    out = {}
+    for tau in taus:
+        gamma = gamma_by_exact_witnesses(algebra, tau)
+        labels = out[tau] = {}
+        for xi, yi in itertools.product(range(len(q)), repeat=2):
+            if (xi, yi) not in labels:
+                label = DoubleCosetLabel(tau, (q[xi], q[yi]))
+                for s, t in gamma:
+                    labels[(mul[xi][s], mul[yi][t])] = label
+    return out
 
 
 def transport_label_by_witnesses(ctx, label):

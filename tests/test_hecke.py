@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from heckelab import hecke
 from heckelab.errors import BudgetExceeded, InvalidConfig, InvariantViolated, MixedRings
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_change
 from heckelab.localfield import FieldModel
@@ -12,16 +13,19 @@ from heckelab.matgrp import (
     GroupSpec,
     ResidueMatrix,
     dominant_window,
+    enumerate_residue_matrices,
     zero_tau,
 )
 from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
 from heckelab.sampling import random_in_k, random_in_km, random_windowed
 from oracles import (
+    canonical_by_orbits,
     dc_equal_kernel_sweep,
     gamma_by_exact_witnesses,
     gamma_by_sweep,
     left_cosets_kernel_sweep,
     mul_table_by_products,
+    residue_matrices_by_object_sweep,
     structure_constants_by_membership,
     structure_constants_by_tally,
 )
@@ -392,15 +396,59 @@ def test_mul_index_matmul_count(spec, m, monkeypatch):
     alg = HeckeAlgebra(spec, m)
     size = len(alg.residue_classes)
     calls = [0]
-    matmul = ResidueMatrix.__matmul__
+    product = hecke.code_product
 
-    def counted(a, b):
+    def counted(*args):
         calls[0] += 1
-        return matmul(a, b)
+        return product(*args)
 
-    monkeypatch.setattr(ResidueMatrix, "__matmul__", counted)
+    monkeypatch.setattr(hecke, "code_product", counted)
     alg._mul_index()
     assert calls[0] <= (size.bit_length() - 1) * size
+    assert (calls[0] > 0) == (size > 1)
+
+
+@pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
+def test_enumeration_matches_object_sweep(spec, m):
+    # same classes in the same order, with no sort after the code sweep
+    assert enumerate_residue_matrices(spec, m) == residue_matrices_by_object_sweep(spec, m)
+
+
+@pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
+def test_canonical_label_matches_orbit_oracle(spec, m):
+    alg = HeckeAlgebra(spec, m)
+    size = len(alg.residue_classes)
+    taus = dominant_window(spec.family, spec.n, 1)
+    for tau, expected in canonical_by_orbits(alg, taus).items():
+        assert {
+            (xi, yi): alg.canonical_label(tau, xi, yi) for xi in range(size) for yi in range(size)
+        } == expected
+
+
+@pytest.mark.parametrize("spec, m", [c for c in MUL_TABLE_CELLS if c.values[1] >= 1])
+def test_tables_form_no_residue_matrix_product_or_det(spec, m, monkeypatch):
+    # K/K_m, its Cayley table and the orbit tables run in index arithmetic
+    def refuse(*args):
+        raise AssertionError("a ResidueMatrix product or determinant was formed")
+
+    monkeypatch.setattr(ResidueMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(ResidueMatrix, "det", refuse)
+    alg = HeckeAlgebra(spec, m)
+    alg._mul_index()
+    for tau in dominant_window(spec.family, spec.n, 1):
+        assert alg.orbit_table(tau).orbit_count > 0
+
+
+def test_spherical_cosets_run_no_cartan(monkeypatch):
+    # the m = 0 Hermite-normal-form filter reads tau off minors
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coset filter ran a Cartan factorization")
+
+    monkeypatch.setattr(hecke, "cartan", refuse)
+    alg = HeckeAlgebra(GL2_Q2, 0)
+    for tau in dominant_window("GL", 2, 2):
+        a1, a2 = tau.coords
+        assert alg.degree(tau) == (2 ** (a1 - a2 - 1) * 3 if a1 > a2 else 1)
 
 
 def test_budget_refuses_huge_level_and_window_at_once():
@@ -413,8 +461,14 @@ def test_budget_refuses_huge_level_and_window_at_once():
         dominant_window("SL", 2, 10**9)
     with pytest.raises(BudgetExceeded):
         HeckeAlgebra(SL2_Q2, 1).labels_in_window(10**9)
+    # GL1 over Q_2 at m = 10: its 2^10 residue points and its 512^2 pair
+    # tables fit the default budget, the 4^10 entries of the ring tables of
+    # o/pi^10 do not
+    with pytest.raises(BudgetExceeded, match="tables"):
+        HeckeAlgebra(GroupSpec("GL", 1, Q2), 10).residue_classes
     assert time.process_time() - t0 < 0.1
-    # the largest level under a budget: |M_2(o/pi^2)| = 2^8
+    # the largest level under a budget: |M_2(o/pi^2)| = 2^8, and for n >= 2
+    # that level charge covers the q^(2m) ring-table entries
     assert len(HeckeAlgebra(GL2_Q2, 2, budget=256).residue_classes) == 96
     with pytest.raises(BudgetExceeded):
         HeckeAlgebra(GL2_Q2, 2, budget=255)

@@ -235,6 +235,24 @@ def test_residue_ring_is_a_ring(rng):
             assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("model", all_models(), ids=str)
+def test_ring_tables_match_residue_arithmetic(model, N):
+    ring = model.residue_ring(N)
+    tables = ring.tables(10**6)
+    elements = list(ring.elements())
+    assert list(tables.elements) == elements
+    assert elements[0].is_zero()
+    assert [x.coords for x in elements] == sorted(x.coords for x in elements)
+    assert all(tables.index[x.coords] == i for i, x in enumerate(elements))
+    for i, x in enumerate(elements):
+        assert elements[tables.neg[i]] == -x
+        for j, y in enumerate(elements):
+            assert elements[tables.add[i][j]] == x + y
+            assert elements[tables.mul[i][j]] == x * y
+    assert ring.tables(10**6) is tables
+
+
 def test_residue_inverse_of_non_unit_is_typed():
     for model in (FieldModel.mixed(2, 2), FieldModel.equal(3)):
         ring = model.residue_ring(3)

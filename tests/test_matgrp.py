@@ -23,7 +23,11 @@ from heckelab.matgrp import (
     CartanDatum,
     GroupElement,
     GroupSpec,
+    ResidueMatrix,
     cartan,
+    cartan_type,
+    code_det,
+    code_product,
     dominant_window,
     enumerate_kernel,
     enumerate_residue,
@@ -179,6 +183,17 @@ def test_cartan_roundtrip_and_minors_oracle(family, n, model, rng):
         if family == "SL":
             assert sum(coords) == 0
             assert fac.a.det() == model.one() and fac.b.det() == model.one()
+
+
+@pytest.mark.parametrize("family, n", [("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)])
+@pytest.mark.parametrize("model", [FieldModel.mixed(2, 2), FieldModel.equal(2)], ids=str)
+def test_cartan_type_matches_cartan(family, n, model, rng):
+    spec = GroupSpec(family, n, model)
+    samples = [random_windowed(spec, rng, bound=2) for _ in range(12)]
+    # the window has negative cocharacters, so some samples are not integral
+    assert not all(x.is_integral() for g in samples for row in g.rows for x in row)
+    for g in samples:
+        assert cartan_type(g) == cartan(g).tau
 
 
 def _count_solves(monkeypatch):
@@ -380,6 +395,25 @@ def test_cartan_integrality_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------- enumeration
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "model", [FieldModel.mixed(3, 1), FieldModel.equal(3), FieldModel.mixed(2, 2)], ids=str
+)
+def test_codes_match_residue_matrix_det_and_product(model, n, rng):
+    ring = model.residue_ring(2)
+    tables = ring.tables(10**6)
+    elements = tables.elements
+    for _ in range(20):
+        x, y = (tuple(rng.randrange(len(elements)) for _ in range(n * n)) for _ in range(2))
+        X, Y = (
+            ResidueMatrix(ring, [[elements[c[i * n + j]] for j in range(n)] for i in range(n)])
+            for c in (x, y)
+        )
+        assert elements[code_det([x[i:i + n] for i in range(0, n * n, n)], tables)] == X.det()
+        product = tuple(tables.index[e.coords] for row in (X @ Y).rows for e in row)
+        assert code_product(x, y, n, tables) == product
 
 
 def test_enumerate_residue_sl2_f2():
