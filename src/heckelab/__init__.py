@@ -32,10 +32,6 @@ from .hecke import (
     HeckeElement,
     OrbitTable,
     base_change,
-    classify,
-    dc_equal,
-    get_algebra,
-    left_cosets,
 )
 from .kazhdan import (
     TransportContext,
@@ -57,7 +53,6 @@ from .matgrp import (
     enumerate_kernel,
     enumerate_residue,
     lift_group,
-    membership,
     reduce_group,
 )
 from .rings import QQ, ZZ, IntegersMod, PrimeField, RationalField
@@ -70,12 +65,11 @@ __all__ = [
     "NonUnitDet", "NotAUnit", "NotDominant", "NotInK", "ParseError", "PrecisionExceeded",
     "Singular", "SingularBasis", "SLTraceNonzero",
     "DoubleCosetLabel", "HeckeAlgebra", "HeckeElement", "OrbitTable", "base_change",
-    "classify", "dc_equal", "get_algebra", "left_cosets",
     "TransportContext", "VerificationReport", "WindowedModule",
     "check_lattice_stability", "safety_bound", "verify_algebra_map",
     "ClosePair", "FieldElement", "FieldModel", "ResidueElement", "ResidueRing",
     "CartanDatum", "CartanFactorization", "GroupElement", "GroupSpec",
     "ResidueMatrix", "cartan", "dominant_window", "enumerate_kernel",
-    "enumerate_residue", "lift_group", "membership", "reduce_group",
+    "enumerate_residue", "lift_group", "reduce_group",
     "QQ", "ZZ", "IntegersMod", "PrimeField", "RationalField",
 ]

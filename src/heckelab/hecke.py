@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
@@ -201,10 +200,9 @@ class HeckeAlgebra:
     def __init__(self, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
         if m < 0:
             raise InvalidConfig(f"level m must be >= 0, got {m}")
-        if m >= 1:
-            # every label needs K/K_m, enumerated from the q^(m n^2) points
-            # of M_n(o/pi^m): refuse before any ring of precision m is built
-            _check_budget_power(spec.model.q, m * spec.n**2, budget)
+        # every label needs K/K_m, enumerated from the q^(m n^2) points of
+        # M_n(o/pi^m): refuse before any ring of precision m is built
+        _check_budget_power(spec.model.q, m * spec.n**2, budget)
         self.spec = spec
         self.m = m
         self.budget = budget
@@ -224,7 +222,6 @@ class HeckeAlgebra:
         self._rep_cache = {}
         self._sc_cache = {}
         self._bracket_cache = {}
-        self._pipow_cache = {}
         self._warned_rings = set()
 
     # -- residue classes K/K_m --------------------------------------------------
@@ -308,11 +305,6 @@ class HeckeAlgebra:
             self._q_inv = [row.index(e) for row in self._mul_index()]
         return self._q_inv
 
-    def _pipow(self, k: int):
-        if k not in self._pipow_cache:
-            self._pipow_cache[k] = self.spec.model.pi_pow(k)
-        return self._pipow_cache[k]
-
     # -- double coset equality ----------------------------------------------------
 
     def dc_equal(self, g: GroupElement, h: GroupElement) -> bool:
@@ -388,12 +380,12 @@ class HeckeAlgebra:
         the canonical lifts of o/pi^N; all other entries are zero."""
         model, n = self.spec.model, self.spec.n
         pools = [
-            [self._pipow(s) * w.lift() for w in model.residue_ring(N).elements()]
+            [model.pi_pow(s) * w.lift() for w in model.residue_ring(N).elements()]
             for _, _, s, N in entries
         ]
         zero = model.zero()
         for combo in itertools.product(*pools):
-            rows = [[self._pipow(diag[i]) if i == j else zero for j in range(n)]
+            rows = [[model.pi_pow(diag[i]) if i == j else zero for j in range(n)]
                     for i in range(n)]
             for (i, j, _, _), x in zip(entries, combo):
                 rows[i][j] = x
@@ -472,12 +464,10 @@ class HeckeAlgebra:
         distinct u give distinct pairs, and the pass is the q^(m n^2) points
         the budget admitted for K/K_m.  The pass runs on codes: entry (i, j)
         of the pair is (pi^max(d,0) u, pi^max(-d,0) u) by the ring's mul
-        table, and x and y are looked up in the code index.  At m = 0,
-        K/K_0 is trivial.
+        table, and x and y are looked up in the code index.  At m = 0 the
+        same pass runs in the zero ring o/pi^0: one u, one pair, the one
+        class of K/K_0 = 1, so Gamma_tau = {(1, 1)}.
         """
-        if self.m == 0:
-            e = self._unit_index()
-            return [(e, e)]
         ring = self.residue_classes[0].ring
         tables, cidx = self._tables, self._code_index
         mul = tables.mul
@@ -504,12 +494,14 @@ class HeckeAlgebra:
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b, that of the
-        classes ([a], [b]^-1)."""
+        classes ([a], [b]^-1).  Reduction is a homomorphism, so [b]^-1 =
+        [b^-1] is read off the Cayley table (``_inv_index``): past the
+        factorization, no residue product or inverse is formed."""
         fac = cartan(g)
         idx = self.class_index
-        x = reduce_group(fac.a, self.m)
-        y = reduce_group(fac.b, self.m).inverse()
-        return self.canonical_label(fac.tau, idx[x], idx[y])
+        xi = idx[reduce_group(fac.a, self.m)]
+        yi = self._inv_index()[idx[reduce_group(fac.b, self.m)]]
+        return self.canonical_label(fac.tau, xi, yi)
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
@@ -566,7 +558,7 @@ class HeckeAlgebra:
         return HeckeElement(ring, {label: ring.one})
 
     def unit(self, ring=ZZ) -> HeckeElement:
-        return self.t(self.spec.identity(), ring)
+        return self.t_of_label(self.label_of_tau(zero_tau(self.spec.n)), ring)
 
     def structure_constants(self, l1: DoubleCosetLabel, l2: DoubleCosetLabel):
         """Integer constants c_x with t_(l1) * t_(l2) = sum c_x t_x.
@@ -805,58 +797,21 @@ class HeckeAlgebra:
         return [zero_tau(n)] + [t for t in nonzero if t.coords not in sums]
 
     def generators(self, bound: int, ring=ZZ):
-        """Generating set {t_(n_tau) : tau in Sigma} union {t_k : k in K/K_m}."""
+        """Generating set {t_(n_tau) : tau in Sigma} union {t_k : k in K/K_m}.
+
+        The label of k = q[i] is read off the orbit table of tau = 0, as k =
+        k n_0 1^-1: no Cartan factorization is needed."""
         self._check_ring(ring)
         seen = {}
         for tau in self.generator_cocharacters(bound):
             lab = self.label_of_tau(tau)
             seen[lab] = self.t_of_label(lab, ring)
+        zero, e = zero_tau(self.spec.n), self._unit_index()
         for i in range(len(self.residue_classes)):
-            lab = self.classify(self.class_lift(i))
+            lab = self.canonical_label(zero, i, e)
             if lab not in seen:
                 seen[lab] = self.t_of_label(lab, ring)
         return [seen[l] for l in sorted(seen, key=lambda l: l.sort_key())]
-
-
-@lru_cache(maxsize=None)
-def get_algebra(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> HeckeAlgebra:
-    """The shared algebra of (spec, m, budget), used by the free functions.
-
-    The cache is unbounded: every algebra built here stays alive for the
-    life of the process, with all of its caches (residue classes, Cayley
-    table, orbit tables, coset systems, representatives, structure
-    constants, the bracket products they are translated from and the
-    double-coset tables that fold them).  Build a
-    ``HeckeAlgebra`` directly for state that should be freed with it.
-    """
-    return HeckeAlgebra(spec, m, budget)
-
-
-# -- free-function forms of the operation contracts ------------------------------
-
-
-def dc_equal(g: GroupElement, h: GroupElement, m: int, budget: int = DEFAULT_BUDGET) -> bool:
-    return get_algebra(g.group, m, budget).dc_equal(g, h)
-
-
-def left_cosets(g: GroupElement, m: int, budget: int = DEFAULT_BUDGET):
-    return get_algebra(g.group, m, budget).left_cosets(g)
-
-
-def classify(g: GroupElement, m: int, budget: int = DEFAULT_BUDGET) -> DoubleCosetLabel:
-    return get_algebra(g.group, m, budget).classify(g)
-
-
-def orbit_table(tau: CartanDatum, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
-    return get_algebra(spec, m, budget).orbit_table(tau)
-
-
-def convolve(f1, f2, algebra: HeckeAlgebra, window=None):
-    return algebra.convolve(f1, f2, window)
-
-
-def generators(algebra: HeckeAlgebra, bound: int, ring=ZZ):
-    return algebra.generators(bound, ring)
 
 
 def structure_constants_csv(algebra: HeckeAlgebra, bound: int) -> str:

@@ -374,15 +374,15 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
     transported = {l: ctx.transport_label(l) for l in basis}
     labels_injective = len(set(transported.values())) == len(basis)
 
-    # per-tau structure: orbit counts, stabilizer transport, degrees
+    # per-tau structure: orbit counts, stabilizer transport, degrees; the
+    # stabilizers compare as class-index pairs through the class map lam
+    lam = ctx._class_map()
     tau_reports = []
     taus_touched = {l.tau for l in basis}
     for tau in sorted(taus_touched, key=lambda t: t.sort_key()):
         tab = A.orbit_table(tau)
         tab2 = A2.orbit_table(tau)
-        gamma_image = {
-            (ctx.map_residue_matrix(x), ctx.map_residue_matrix(y)) for x, y in tab.gamma
-        }
+        gamma_image = {(lam[s], lam[t]) for s, t in A._gamma_idx[tau]}
         tau_reports.append(
             TauReport(
                 tau=tau.coords,
@@ -390,7 +390,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
                 orbit_count_2=tab2.orbit_count,
                 gamma_size=tab.gamma_size,
                 gamma_size_2=tab2.gamma_size,
-                gamma_mapped=gamma_image == set(tab2.gamma),
+                gamma_mapped=gamma_image == set(A2._gamma_idx[tau]),
                 degree=A.degree(tau),
                 degree_2=A2.degree(tau),
             )

@@ -144,14 +144,23 @@ class GF:
         return self._encode(rem + (0,) * (self.f - len(rem)))
 
     def inv(self, a: int) -> int:
+        """a^-1: pow(a, -1, p) for f = 1; otherwise a^(q-2), since a^(q-1)
+        = 1 in the group F_q^* of order q - 1, by square-and-multiply in
+        about 2 log2 q products.  Memoized, as ``ResidueRing.reduce`` asks
+        for the same inverses (inv(1) above all) again and again."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF")
         if a not in self._inv:
-            # brute force is fine at desk scale (q <= a few hundred)
-            for b in range(1, self.q):
-                if self.mul(a, b) == 1:
-                    self._inv[a] = b
-                    break
+            if self.f == 1:
+                b = pow(a, -1, self.p)
+            else:
+                b, base, e = 1, a, self.q - 2
+                while e:
+                    if e & 1:
+                        b = self.mul(b, base)
+                    base = self.mul(base, base)
+                    e >>= 1
+            self._inv[a] = b
         return self._inv[a]
 
     def __repr__(self):

@@ -245,11 +245,6 @@ class GroupElement:
         return [[str(x) for x in row] for row in self.rows]
 
 
-def membership(g: GroupElement, m=None) -> bool:
-    """K-membership (m None) or K_m-membership."""
-    return g.in_k() if m is None else g.in_km(m)
-
-
 def _dot(row, col):
     model = row[0].model
     if model.kind == "MixedChar":
@@ -282,8 +277,8 @@ def _cofactor_det(rows, zero):
 
 
 def _cofactor_inverse(rows, det_inv, zero):
-    """Inverse as the adjugate times ``det_inv``, the inverse determinant;
-    entries and ``zero`` as for ``_cofactor_det``."""
+    """Inverse of a matrix of field elements as the adjugate times
+    ``det_inv``, the inverse determinant; ``zero`` is the field's zero."""
     n = len(rows)
     if n == 1:
         return ((det_inv,),)
@@ -525,19 +520,8 @@ class ResidueMatrix:
     def det(self) -> ResidueElement:
         return _cofactor_det(self.rows, self.ring.zero())
 
-    def inverse(self) -> "ResidueMatrix":
-        d = self.det()
-        if not d.is_unit():
-            raise NonUnitDet("residue matrix determinant is not a unit")
-        inv_rows = _cofactor_inverse(self.rows, d.inverse(), self.ring.zero())
-        return ResidueMatrix(self.ring, inv_rows)
-
     def map_entries(self, func, target_ring: ResidueRing) -> "ResidueMatrix":
         return ResidueMatrix(target_ring, tuple(tuple(func(x) for x in row) for row in self.rows))
-
-    def at_precision(self, N: int) -> "ResidueMatrix":
-        target = self.ring.model.residue_ring(N)
-        return self.map_entries(lambda x: x.at_precision(N), target)
 
     def is_one(self) -> bool:
         one, n = self.ring.one(), self.n
@@ -620,17 +604,21 @@ def lift_group(r: ResidueMatrix, spec: GroupSpec) -> GroupElement:
 
     Entries are lifted coordinate-wise; for SL the first column is rescaled
     by det^-1 (a unit congruent to 1 mod pi^N) so the determinant is exactly
-    one while the residue class is unchanged.
+    one while the residue class is unchanged.  Both checks read the exact
+    determinant d of the lifted rows: reduction is a ring homomorphism and
+    the lift a section of it, so d mod pi^N = det r, and d is a unit (and
+    = 1 mod pi^N) iff det r is (and = 1).
     """
-    if r.ring.N == 0:
+    N = r.ring.N
+    if N == 0:
         return spec.identity()
-    d = r.det()
+    rows = [[x.lift() for x in row] for row in r.rows]
+    d = _cofactor_det(rows, spec.model.zero())
     if not d.is_unit():
         raise NonUnitDet("cannot lift: determinant is not a unit")
-    if spec.family == SL and d != r.ring.one():
+    if spec.family == SL and (d - spec.model.one()).val() < N:
         raise NonUnitDet("cannot lift to SL: residue determinant is not 1")
-    rows = [[x.lift() for x in row] for row in r.rows]
-    return _k_element(spec, rows, _cofactor_det(rows, spec.model.zero()))
+    return _k_element(spec, rows, d)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +653,9 @@ def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BU
     coords, so comparing two codes lexicographically is comparing their
     sort keys.  ``itertools.product`` yields codes in lexicographic order,
     so the kept matrices come in strictly increasing ``sort_key`` order.
+    At m = 0 the ring is the zero ring o/pi^0, whose one element is a unit
+    (and 1), so the sweep keeps its one matrix: K/K_0 = 1.
     """
-    if m == 0:
-        ring = spec.model.residue_ring(0)
-        return [ResidueMatrix.identity(ring, spec.n)]
     # |M_n(o/pi^m)| = q^(m n^2), charged before the ring is built
     _check_budget_power(spec.model.q, m * spec.n**2, budget)
     ring = spec.model.residue_ring(m)

@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
-from heckelab.hecke import DoubleCosetLabel, get_algebra
+from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra
 from heckelab.localfield import FieldElement
 from heckelab.matgrp import (
     DEFAULT_BUDGET,
@@ -151,7 +151,7 @@ def gamma_by_sweep(spec, tau, m, budget=DEFAULT_BUDGET):
     tau rather than one per pair (``dc_equal_kernel_sweep``), which for
     GL2/Q_3 would be |K/K_m|^2 = 2304 sweeps of 3^8 points.  Reference
     oracle for the stabilizer in orbit_table."""
-    algebra = get_algebra(spec, m, budget)
+    algebra = HeckeAlgebra(spec, m, budget)
     n_tau = spec.n_of_tau(tau)
     alpha_inv = [a.inverse() for a in left_cosets_kernel_sweep(n_tau, m, budget)]
     out = []

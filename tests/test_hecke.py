@@ -4,9 +4,10 @@ import time
 import pytest
 
 from heckelab import hecke
+from heckelab import matgrp as matgrp_module
 from heckelab.errors import BudgetExceeded, InvalidConfig, InvariantViolated, MixedRings
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_change
-from heckelab.localfield import FieldModel
+from heckelab.localfield import FieldModel, ResidueElement
 from heckelab.matgrp import (
     CartanDatum,
     GroupElement,
@@ -439,6 +440,26 @@ def test_tables_form_no_residue_matrix_product_or_det(spec, m, monkeypatch):
         assert alg.orbit_table(tau).orbit_count > 0
 
 
+@pytest.mark.parametrize("spec", [
+    pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 5)), id="SL2/Q_2(2^(1/5)) m=1"),
+    pytest.param(GL2_Q3, id="GL2/Q_3 m=1"),
+])
+def test_classify_inverts_no_residue_matrix(spec, monkeypatch):
+    # on warm tables [b]^-1 comes from the Cayley table, not from a
+    # cofactor inverse over o/pi^m
+    alg = HeckeAlgebra(spec, 1)
+    rng = random.Random(1509)
+    samples = [random_windowed(spec, rng, 1) for _ in range(12)]
+    expected = [alg.classify(g) for g in samples]
+
+    def refuse(*args):
+        raise AssertionError("classify inverted a residue or a residue matrix")
+
+    monkeypatch.setattr(matgrp_module, "_cofactor_inverse", refuse)
+    monkeypatch.setattr(ResidueElement, "inverse", refuse)
+    assert [alg.classify(g) for g in samples] == expected
+
+
 def test_spherical_cosets_run_no_cartan(monkeypatch):
     # the m = 0 Hermite-normal-form filter reads tau off minors
     def refuse(*args, **kwargs):
@@ -610,9 +631,9 @@ def test_structure_constants_match_tally_sampled(spec, m):
     one = ResidueMatrix.identity(labels[0].pair[0].ring, spec.n)
     # the middle class k = y1^-1 x2 is what the translation carries into the
     # bracket, and the fold replaces it by the least class k0 of its double coset
-    middles = [(l1, l2, l1.pair[1].inverse() @ l2.pair[0]) for l1, l2 in pairs]
+    q, idx, inv = alg.residue_classes, alg.class_index, alg._inv_index()
+    middles = [(l1, l2, q[inv[idx[l1.pair[1]]]] @ l2.pair[0]) for l1, l2 in pairs]
     assert any(k != one for _, _, k in middles)
-    idx = alg.class_index
     assert any(alg._double_coset(l1.tau, l2.tau)[idx[k]][0] != idx[k] for l1, l2, k in middles)
     for l1, l2 in pairs:
         assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)

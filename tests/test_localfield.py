@@ -16,6 +16,7 @@ from heckelab.localfield import (
     INF,
     ClosePair,
     FieldModel,
+    GF,
     bareiss_solve,
     gf,
     poly_trim,
@@ -402,6 +403,24 @@ def test_gf4_field_axioms():
 def test_gf9_inverses():
     k = gf(3, 2)
     for a in range(1, 9):
+        assert k.mul(a, k.inv(a)) == 1
+
+
+@pytest.mark.parametrize(
+    "p, f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+             (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)],
+)
+def test_gf_inverse_matches_brute_force(p, f):
+    # every q = p^f <= 27; a fresh GF, so no memo is shared with other tests
+    k = GF(p, f)
+    for a in range(1, k.q):
+        assert k.inv(a) == next(b for b in range(1, k.q) if k.mul(a, b) == 1)
+
+
+def test_gf_inverse_at_large_q():
+    k = GF(2, 16)
+    rng = random.Random(216)
+    for a in [1, 2, k.q - 1] + [rng.randrange(1, k.q) for _ in range(200)]:
         assert k.mul(a, k.inv(a)) == 1
 
 

@@ -291,8 +291,10 @@ DET_INVERSE_MODELS = [
 
 @pytest.mark.parametrize("model", DET_INVERSE_MODELS)
 def test_det_and_inverse_agree_on_field_and_residues(model):
-    # the one cofactor determinant and inverse run on field entries and on
-    # residues mod pi^N; each path checks the other through reduce_group
+    # the one cofactor determinant runs on field entries and on residues
+    # mod pi^N, the cofactor inverse on field entries; reduce_group checks
+    # the determinant against its residue and the inverse as a residue
+    # matrix inverse
     rng = random.Random(4242)
     for family, n in (("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)):
         spec = GroupSpec(family, n, model)
@@ -302,7 +304,7 @@ def test_det_and_inverse_agree_on_field_and_residues(model):
                 g_inv = g.inverse()
                 r = reduce_group(g, N)
                 assert r.det() == g.det().residue(N)
-                assert r.inverse() == reduce_group(g_inv, N)
+                assert r @ reduce_group(g_inv, N) == ResidueMatrix.identity(r.ring, n)
                 assert g @ g_inv == spec.identity()
 
 
@@ -544,6 +546,19 @@ def test_lift_rejects_non_unit_det():
     bad = ResidueMatrix(ring, ((ring.from_int(2), ring.zero()), (ring.zero(), ring.one())))
     with pytest.raises(NonUnitDet):
         lift_group(bad, spec)
+    # det 3 is a unit mod 4 but not 1: a GL class, no SL class
+    unit_det = ResidueMatrix(ring, ((ring.from_int(3), ring.zero()), (ring.zero(), ring.one())))
+    assert lift_group(unit_det, spec).det() == model.from_int(3)
+    with pytest.raises(NonUnitDet, match="not 1"):
+        lift_group(unit_det, GroupSpec("SL", 2, model))
+
+
+def test_package_exports_resolve():
+    for name in heckelab.__all__:
+        assert hasattr(heckelab, name), name
+    namespace = {}
+    exec("from heckelab import *", namespace)
+    assert set(heckelab.__all__) <= set(namespace)
 
 
 def test_reduce_group_multiplicative(rng):
