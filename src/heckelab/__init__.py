@@ -17,7 +17,6 @@ from .errors import (
     MixedRings,
     NegativeValuation,
     NonUnitDet,
-    NotAUnit,
     NotDominant,
     NotInK,
     ParseError,
@@ -62,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded", "HeckelabError", "IncompatiblePair", "InsufficientCloseness",
     "InvalidConfig", "InvariantViolated", "MixedRings", "NegativeValuation",
-    "NonUnitDet", "NotAUnit", "NotDominant", "NotInK", "ParseError", "PrecisionExceeded",
+    "NonUnitDet", "NotDominant", "NotInK", "ParseError", "PrecisionExceeded",
     "Singular", "SingularBasis", "SLTraceNonzero",
     "DoubleCosetLabel", "HeckeAlgebra", "HeckeElement", "OrbitTable", "base_change",
     "TransportContext", "VerificationReport", "WindowedModule",

@@ -45,10 +45,6 @@ class NonUnitDet(HeckelabError):
     """Residue matrix cannot be lifted: determinant is not a unit."""
 
 
-class NotAUnit(HeckelabError, ZeroDivisionError):
-    """Inverse requested of a non-unit of a residue ring o/pi^N."""
-
-
 class BudgetExceeded(HeckelabError):
     """An enumeration would exceed the configured element budget."""
 

@@ -31,7 +31,6 @@ from .errors import (
     IncompatiblePair,
     InvariantViolated,
     NegativeValuation,
-    NotAUnit,
     ParseError,
     PrecisionExceeded,
     Singular,
@@ -962,8 +961,10 @@ class ResidueRing:
                     coords.append((a * pow(den % mod, -1, mod)) % mod)
             return ResidueElement(self, tuple(coords))
         num, den = x.num, x.den
-        inv = _series_inverse(m.gf, den, self.N)
-        series = poly_mul(m.gf, num, inv)[: self.N]
+        if den == (1,):  # every canonical lift: no series inverse, no product
+            series = num[: self.N]
+        else:
+            series = poly_mul(m.gf, num, _series_inverse(m.gf, den, self.N))[: self.N]
         return ResidueElement(self, tuple(series) + (0,) * (self.N - len(series)))
 
     def lift(self, r: "ResidueElement") -> FieldElement:
@@ -1104,31 +1105,8 @@ class ResidueElement:
         # in the zero ring (N = 0) every element is trivially a unit
         return self.ring.N == 0 or self.val() == 0
 
-    def inverse(self) -> "ResidueElement":
-        if self.ring.N == 0:
-            return self
-        if not self.is_unit():
-            raise NotAUnit(f"{self} is not a unit in the residue ring")
-        # lift, invert exactly (the inverse of a unit is integral), reduce
-        return self.ring.reduce(self.lift().inverse())
-
     def lift(self) -> FieldElement:
         return self.ring.lift(self)
-
-    def shift_down(self, k: int) -> "ResidueElement":
-        """Divide by pi^k: an element of o/pi^(N-k); requires val >= k."""
-        if self.val() < k:
-            raise ValueError("element not divisible by pi^k")
-        target = self.ring.model.residue_ring(self.ring.N - k)
-        shifted = self.lift() * self.ring.model.pi_pow(-k)
-        return target.reduce(shifted)
-
-    def at_precision(self, N: int) -> "ResidueElement":
-        """Truncate to a lower precision N."""
-        if N > self.ring.N:
-            raise PrecisionExceeded(f"cannot raise precision {self.ring.N} -> {N}")
-        target = self.ring.model.residue_ring(N)
-        return target.reduce(self.lift())
 
     def sort_key(self):
         return self.coords

@@ -643,35 +643,53 @@ def _check_budget_power(base: int, exponent: int, budget: int):
             )
 
 
-def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
-    """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically.
+def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int):
+    """The classes of G(o/pi^(m+c)) that are 1 mod pi^m (det = 1 for SL),
+    as ``ResidueMatrix``es in increasing ``sort_key`` order.
 
-    The sweep runs over codes and takes each determinant with ``code_det``;
-    a ``ResidueMatrix`` is built only for a matrix that is kept.  It is born
-    sorted.  Indices are ordered as the coords of their elements
-    (``RingTables``), and ``sort_key`` is the row-major tuple of entry
-    coords, so comparing two codes lexicographically is comparing their
-    sort keys.  ``itertools.product`` yields codes in lexicographic order,
-    so the kept matrices come in strictly increasing ``sort_key`` order.
-    At m = 0 the ring is the zero ring o/pi^0, whose one element is a unit
-    (and 1), so the sweep keeps its one matrix: K/K_0 = 1.
+    They are in bijection with K_m/K_(m+c).  Reduction K_m -> G(o/pi^(m+c))
+    is a group homomorphism with kernel K_(m+c), and its image lies in the
+    classes that are 1 mod pi^m.  The image is all of them: ``lift_group``
+    sends such a class r to an element of K that reduces to r, and that
+    element is 1 mod pi^m, so it lies in K_m.  At m = 0 the classes are
+    all of G(o/pi^c), that is K/K_c.
+
+    The sweep runs over codes in the ``RingTables`` of o/pi^(m+c).  Entry
+    (i, j) draws from the indices of the x with x = delta_ij mod pi^m, the
+    q^c elements delta_ij + pi^m y, y in o/pi^c; a matrix is kept when
+    ``code_det`` finds its determinant a unit (GL) or 1 (SL).  A
+    ``ResidueMatrix`` is built only for a matrix that is kept.  Indices are
+    ordered as the coords of their elements, and ``sort_key`` is the
+    row-major tuple of entry coords, so comparing two codes
+    lexicographically is comparing their sort keys; ``itertools.product``
+    over sorted pools yields codes in lexicographic order, so the classes
+    are born sorted.  At m + c = 0 the ring is the zero ring, whose one
+    element is a unit (and 1): its one matrix is K/K_0 = 1.
     """
-    # |M_n(o/pi^m)| = q^(m n^2), charged before the ring is built
-    _check_budget_power(spec.model.q, m * spec.n**2, budget)
-    ring = spec.model.residue_ring(m)
+    # the q^(c n^2) swept codes are charged before the ring is built
+    n = spec.n
+    _check_budget_power(spec.model.q, c * n * n, budget)
+    ring = spec.model.residue_ring(m + c)
     tables = ring.tables(budget)
     elements = tables.elements
+    one = ring.one()
+    off_diagonal = [i for i, x in enumerate(elements) if x.val() >= m]
+    diagonal = [i for i, x in enumerate(elements) if (x - one).val() >= m]
+    pools = [diagonal if i == j else off_diagonal for i in range(n) for j in range(n)]
     if spec.family == SL:
-        wanted = {tables.index[ring.one().coords]}
+        wanted = {tables.index[one.coords]}
     else:
         wanted = {i for i, x in enumerate(elements) if x.is_unit()}
-    n = spec.n
-    out = []
-    for code in itertools.product(range(len(elements)), repeat=n * n):
+    for code in itertools.product(*pools):
         rows = [code[i:i + n] for i in range(0, n * n, n)]
         if code_det(rows, tables) in wanted:
-            out.append(ResidueMatrix(ring, tuple(tuple(elements[i] for i in row) for row in rows)))
-    return out
+            yield ResidueMatrix(ring, tuple(tuple(elements[i] for i in row) for row in rows))
+
+
+def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
+    """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically:
+    the classes of K/K_m (see ``_congruence_classes``)."""
+    return list(_congruence_classes(spec, 0, m, budget))
 
 
 def enumerate_residue(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
@@ -687,79 +705,10 @@ def kernel_count(spec: GroupSpec, m: int, c: int) -> int:
 
 
 def iter_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
-    """Yield exact coset representatives of K_m/K_(m+c), one per class.
-
-    Representatives are I + pi^m * Y with Y running over canonical residue
-    lifts; for SL the last free entry of Y is solved so that the determinant
-    is congruent to 1 mod pi^(m+c), then corrected to exactly 1.
-    """
-    if c == 0:
-        yield spec.identity()
-        return
-    if m == 0:
-        yield from enumerate_residue(spec, c, budget)
-        return
-    _check_budget(kernel_count(spec, m, c), budget)
-    model = spec.model
-    n = spec.n
-    ring_c = model.residue_ring(c)
-    pool = list(ring_c.elements())
-    pim = model.pi_pow(m)
-    if spec.family == GL:
-        for flat in itertools.product(pool, repeat=n * n):
-            yield _kernel_element(spec, pim, [list(flat[i * n : (i + 1) * n]) for i in range(n)])
-    else:
-        ring_big = model.residue_ring(m + c)
-        pim_big = ring_big.reduce(pim)
-        one_big = ring_big.one()
-        for flat in itertools.product(pool, repeat=n * n - 1):
-            y = [[None] * n for _ in range(n)]
-            it = iter(flat)
-            for i in range(n):
-                for j in range(n):
-                    if (i, j) != (n - 1, n - 1):
-                        y[i][j] = next(it)
-            y[n - 1][n - 1] = _solve_last_entry(spec, ring_big, pim_big, one_big, y, ring_c)
-            yield _kernel_element(spec, pim, y)
-
-
-def _kernel_element(spec: GroupSpec, pim: FieldElement, y_rows) -> GroupElement:
-    model = spec.model
-    n = spec.n
-    one, zero = model.one(), model.zero()
-    rows = [
-        [
-            (one if i == j else zero) + pim * y_rows[i][j].lift()
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _k_element(spec, rows, _cofactor_det(rows, zero))
-
-
-def _solve_last_entry(spec, ring_big, pim_big, one_big, y, ring_c):
-    """Choose y[n-1][n-1] in o/pi^c making det(I + pi^m Y) = 1 mod pi^(m+c).
-
-    det is affine in the last entry: det = alpha + pi^m * y_nn * C with
-    C = 1 + O(pi^m) a unit cofactor, and alpha = 1 + O(pi^m), so
-    y_nn = -((alpha - 1)/pi^m) * (C mod pi^c)^-1.
-    """
-    n = spec.n
-    m = ring_big.N - ring_c.N
-    zero_c = ring_c.zero()
-    a_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            yij = y[i][j] if y[i][j] is not None else zero_c
-            base = one_big if i == j else ring_big.zero()
-            row.append(base + pim_big * ring_big.reduce(yij.lift()))
-        a_rows.append(tuple(row))
-    alpha = _cofactor_det(a_rows, ring_big.zero())
-    minor = [[a_rows[i][j] for j in range(n - 1)] for i in range(n - 1)]
-    cof = _cofactor_det(minor, ring_big.zero()) if n > 1 else one_big
-    u = (alpha - one_big).shift_down(m)
-    return -(u * cof.at_precision(ring_c.N).inverse())
+    """Yield exact coset representatives of K_m/K_(m+c), one per class:
+    the canonical lifts of ``_congruence_classes``."""
+    for r in _congruence_classes(spec, m, c, budget):
+        yield lift_group(r, spec)
 
 
 def enumerate_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):

@@ -8,7 +8,7 @@ whose localization Z_(l) plays the integral subring in lattice checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
@@ -114,57 +114,6 @@ class RationalField:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """F_l; coefficients are ints in [0, l)."""
-
-    l: int
-
-    def __post_init__(self):
-        if not is_prime(self.l):
-            raise ValueError(f"{self.l} is not prime")
-
-    @property
-    def name(self) -> str:
-        return f"F{self.l}"
-
-    @property
-    def residue_char(self) -> int:
-        return self.l
-
-    def from_int(self, n: int) -> int:
-        return n % self.l
-
-    def add(self, a, b):
-        return (a + b) % self.l
-
-    def mul(self, a, b):
-        return (a * b) % self.l
-
-    def neg(self, a):
-        return (-a) % self.l
-
-    def is_zero(self, a) -> bool:
-        return a % self.l == 0
-
-    def is_integral(self, a) -> bool:
-        return True
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def coeff_str(self, a) -> str:
-        return str(a % self.l)
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
 class IntegersMod:
     """Z/l^k; coefficients are ints in [0, l^k)."""
 
@@ -220,6 +169,18 @@ class IntegersMod:
 
     def __str__(self):
         return self.name
+
+
+@dataclass(frozen=True)
+class PrimeField(IntegersMod):
+    """F_l, the ring Z/l^k at k = 1 under its own name; coefficients are
+    ints in [0, l).  Equality compares classes, so F_l != Z/l."""
+
+    k: int = field(default=1, init=False, repr=False)
+
+    @property
+    def name(self) -> str:
+        return f"F{self.l}"
 
 
 ZZ = IntegerRing()

@@ -7,7 +7,7 @@ import pytest
 from heckelab import cli, hecke, kazhdan, localfield
 from heckelab.cli import RunConfig, main
 from heckelab.errors import IncompatiblePair, InvalidConfig, ParseError
-from heckelab.rings import IntegersMod, parse_ring
+from heckelab.rings import QQ, ZZ, IntegersMod, PrimeField, RationalField, parse_ring
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -335,6 +335,34 @@ def test_parse_ring_prime_power_modulus(text, ring):
 def test_parse_ring_rejects_non_prime_power(text):
     with pytest.raises(ParseError):
         parse_ring(text)
+
+
+@pytest.mark.parametrize("text, ring, name", [
+    ("Z", ZZ, "Z"),
+    ("Q", QQ, "Q"),
+    ("Q@3", RationalField(3), "Q(loc 3)"),
+    ("F2", PrimeField(2), "F2"),
+    ("F7", PrimeField(7), "F7"),
+    ("Z/3", IntegersMod(3, 1), "Z/3"),
+    ("Z/3^2", IntegersMod(3, 2), "Z/9"),
+])
+def test_parse_ring_results_and_names(text, ring, name):
+    parsed = parse_ring(text)
+    assert parsed == ring and type(parsed) is type(ring)
+    assert str(parsed) == parsed.name == name
+    assert parsed.residue_char == getattr(ring, "l", None)
+
+
+def test_prime_field_is_not_integers_mod():
+    # F_l and Z/l have the same arithmetic but are different rings
+    f3, z3 = PrimeField(3), IntegersMod(3)
+    assert f3 != z3 and z3 != f3
+    assert f3 == PrimeField(3) and hash(f3) == hash(PrimeField(3))
+    assert (f3.from_int(-4), f3.mul(2, 2), f3.add(2, 2), f3.neg(1)) == (2, 1, 1, 2)
+    assert (f3.zero, f3.one, f3.coeff_str(5)) == (0, 1, "2")
+    assert f3.is_zero(3) and not f3.is_zero(1)
+    with pytest.raises(ValueError):
+        PrimeField(4)
 
 
 def test_bad_matrix_diagnostic(tmp_path, capsys):

@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 
 from heckelab.errors import (
-    HeckelabError,
     IncompatiblePair,
     NegativeValuation,
-    NotAUnit,
     PrecisionExceeded,
     Singular,
 )
@@ -254,17 +252,6 @@ def test_ring_tables_match_residue_arithmetic(model, N):
     assert ring.tables(10**6) is tables
 
 
-def test_residue_inverse_of_non_unit_is_typed():
-    for model in (FieldModel.mixed(2, 2), FieldModel.equal(3)):
-        ring = model.residue_ring(3)
-        with pytest.raises(NotAUnit) as info:
-            ring.uniformizer().inverse()
-        # still a ZeroDivisionError, so existing handlers keep catching it
-        assert isinstance(info.value, HeckelabError)
-        assert isinstance(info.value, ZeroDivisionError)
-        assert ring.one().inverse() == ring.one()
-
-
 def test_reduction_is_ring_hom(rng):
     for model in (FieldModel.mixed(3, 2), FieldModel.equal(2)):
         ring = model.residue_ring(3)
@@ -273,6 +260,21 @@ def test_reduction_is_ring_hom(rng):
             y = random_integral(model, rng)
             assert ring.reduce(x + y) == ring.reduce(x) + ring.reduce(y)
             assert ring.reduce(x * y) == ring.reduce(x) * ring.reduce(y)
+
+
+def test_reduce_of_canonical_lift_is_identity():
+    # canonical lifts have denominator 1 and reduce to their own class
+    ring = FieldModel.equal(2, 4).residue_ring(2)
+    elements = list(ring.elements())
+    assert len(elements) == 256
+    for r in elements:
+        assert r.lift().den == (1,)
+        assert ring.reduce(r.lift()) == r
+    # a denominator that is not 1 still takes the series inverse:
+    # (1 + t)^-1 = 1 - t mod t^2
+    model = ring.model
+    x = model.element(((1,), (1, 1)))
+    assert ring.reduce(x) == ring.one() - ring.uniformizer()
 
 
 # ---------------------------------------------------------------- lambda

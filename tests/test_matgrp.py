@@ -31,6 +31,7 @@ from heckelab.matgrp import (
     dominant_window,
     enumerate_kernel,
     enumerate_residue,
+    iter_kernel,
     kernel_count,
     lift_group,
     reduce_group,
@@ -483,6 +484,38 @@ def test_enumerate_kernel_equal_char_sl():
     ks = enumerate_kernel(spec, 1, 1)
     assert len(ks) == 27 == kernel_count(spec, 1, 1)
     assert all(k.det() == spec.model.one() and k.in_km(1) for k in ks)
+
+
+KERNEL_SPECS = [
+    pytest.param(GroupSpec(family, 2, model), id=f"{family}2/{name}")
+    for name, model in (
+        ("Q_2", FieldModel.mixed(2, 1)),
+        ("Q_2(2^(1/2))", FieldModel.mixed(2, 2)),
+        ("F_3((t))", FieldModel.equal(3)),
+    )
+    for family in ("GL", "SL")
+]
+
+
+@pytest.mark.parametrize("spec, m, c", [
+    pytest.param(spec.values[0], m, c, id=f"{spec.id} m={m} c={c}")
+    for spec in KERNEL_SPECS
+    for m, c in ((1, 1), (1, 2), (2, 1))
+] + [pytest.param(GroupSpec("SL", 3, FieldModel.mixed(2, 1)), 1, 1, id="SL3/Q_2 m=1 c=1")])
+def test_kernel_is_a_complete_transversal(spec, m, c):
+    # |K_m/K_(m+c)| classes, each in K_m, pairwise incongruent mod K_(m+c)
+    # (reduction mod pi^(m+c) has kernel K_(m+c)): a complete transversal
+    ks = enumerate_kernel(spec, m, c)
+    assert len(ks) == kernel_count(spec, m, c)
+    assert all(k.in_km(m) for k in ks)
+    if spec.family == "SL":
+        assert all(k.det() == spec.model.one() for k in ks)
+    assert len({reduce_group(k, m + c) for k in ks}) == len(ks)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_kernel_at_level_zero_is_k_mod_km(spec):
+    assert list(iter_kernel(spec, 0, 1)) == enumerate_residue(spec, 1)
 
 
 def test_budget_guard():
