@@ -123,7 +123,7 @@ class RunConfig:
         if window < 0:
             raise InvalidConfig("window must be >= 0")
         try:
-            ring = parse_ring(str(raw.get("ring", "Z")))
+            ring = parse_ring(str(raw.get("ring", "Z")), budget)
         except (ParseError, ValueError) as exc:
             raise InvalidConfig(f"bad ring: {exc}")
         cfg = RunConfig(

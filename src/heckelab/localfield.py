@@ -21,6 +21,7 @@ sending the uniformizer class to the uniformizer class.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     IncompatiblePair,
     InvariantViolated,
+    MixedRings,
     NegativeValuation,
     ParseError,
     PrecisionExceeded,
@@ -347,13 +349,7 @@ class FieldModel:
         return self.from_int(num * den_inv)
 
     def uniformizer(self) -> "FieldElement":
-        if self.kind == MIXED:
-            if self.e == 1:
-                return self.from_int(self.p)
-            coords = [0] * self.e
-            coords[1] = 1
-            return FieldElement(self, tuple(coords))
-        return FieldElement(self, ((0, 1), (1,)))
+        return _pi_pow(self, 1)
 
     def pi_pow(self, k: int) -> "FieldElement":
         """pi^k for any integer k, exact (cached)."""
@@ -377,11 +373,11 @@ class FieldElement:
     Three slots and no wrapper: ``model``, ``num`` and ``den``.  Mixed
     model: ``num`` is the e-tuple of integer numerators of the rational
     coordinates of 1, pi, ..., pi^(e-1) over the one positive common
-    denominator ``den``, gcd-normalized so that gcd(den, *num) = 1 and the
-    pair is canonical (one gcd per operation instead of one per coordinate
-    keeps Fraction overhead off the hot paths).  Equal model: ``num`` and
-    ``den`` are a reduced fraction of low-first coefficient tuples over
-    GF(q), den monic.  ``data`` is the pair (num, den), formed on demand;
+    denominator ``den``, normalized by one ``math.gcd(den, *num)`` so that
+    the joint gcd is 1 and the pair is canonical (one gcd per operation
+    instead of one per coordinate keeps Fraction overhead off the hot
+    paths).  Equal model: ``num`` and ``den`` are a reduced fraction of
+    low-first coefficient tuples over GF(q), den monic.  ``data`` is the pair (num, den), formed on demand;
     equality compares the slots and the hash is hash((model, data)).
     """
 
@@ -400,9 +396,7 @@ class FieldElement:
                 self.num, self.den = _mixed_normalize(items, 1)
             else:
                 fracs = [Fraction(c) for c in items]
-                den = 1
-                for f in fracs:
-                    den = den * f.denominator // _gcd(den, f.denominator)
+                den = math.lcm(*(f.denominator for f in fracs))
                 nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
                 self.num, self.den = _mixed_normalize(nums, den)
         else:
@@ -427,7 +421,7 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.model != self.model:
-                raise ValueError("elements of different field models")
+                raise MixedRings(f"elements of {self.model} and {other.model}")
             return other
         if isinstance(other, int):
             return self.model.from_int(other)
@@ -448,7 +442,7 @@ class FieldElement:
                     m, _mixed_normalize(tuple(a + b for a, b in zip(n1, n2)), d1),
                     _canonical=True,
                 )
-            g = _gcd(d1, d2)
+            g = math.gcd(d1, d2)
             den = d1 // g * d2
             m1, m2 = den // d1, den // d2
             nums = tuple(a * m1 + b * m2 for a, b in zip(n1, n2))
@@ -484,16 +478,8 @@ class FieldElement:
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if m.kind == MIXED:
-            e, p = m.e, m.p
-            prod = [0] * (2 * e - 1)
-            for i, a in enumerate(n1):
-                if a:
-                    for j, b in enumerate(n2):
-                        prod[i + j] += a * b
-            # fold pi^(e+j) = p * pi^j
-            for i in range(2 * e - 2, e - 1, -1):
-                prod[i - e] += prod[i] * p
-            return FieldElement(m, _mixed_normalize(tuple(prod[:e]), d1 * d2), _canonical=True)
+            prod = _mixed_product(n1, n2, m.e, m.p)
+            return FieldElement(m, _mixed_normalize(prod, d1 * d2), _canonical=True)
         k = m.gf
         if d1 == (1,) and d2 == (1,):
             return FieldElement(m, (poly_mul(k, n1, n2), (1,)), _canonical=True)
@@ -626,10 +612,18 @@ class FieldElement:
         return f"({num_s})/({_format_terms(den, 't')})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _mixed_product(n1, n2, e: int, p: int):
+    """The e integer coordinates of (sum n1_i pi^i)(sum n2_j pi^j) folded
+    by pi^e = p: the mixed model's one product kernel."""
+    prod = [0] * (2 * e - 1)
+    for i, a in enumerate(n1):
+        if a:
+            for j, b in enumerate(n2):
+                prod[i + j] += a * b
+    # fold pi^(e+j) = p * pi^j
+    for i in range(2 * e - 2, e - 1, -1):
+        prod[i - e] += prod[i] * p
+    return tuple(prod[:e])
 
 
 def mixed_dot(model: "FieldModel", xs, ys) -> "FieldElement":
@@ -642,23 +636,14 @@ def mixed_dot(model: "FieldModel", xs, ys) -> "FieldElement":
     e, p = model.e, model.p
     acc = [0] * e
     den_acc = 1
-    width = 2 * e - 1
     for x, y in zip(xs, ys):
-        n1, d1 = x.num, x.den
-        n2, d2 = y.num, y.den
-        prod = [0] * width
-        for i, a in enumerate(n1):
-            if a:
-                for j, b in enumerate(n2):
-                    prod[i + j] += a * b
-        for i in range(width - 1, e - 1, -1):
-            prod[i - e] += prod[i] * p
-        d = d1 * d2
+        prod = _mixed_product(x.num, y.num, e, p)
+        d = x.den * y.den
         if d == den_acc:
             for i in range(e):
                 acc[i] += prod[i]
         else:
-            g = _gcd(den_acc, d)
+            g = math.gcd(den_acc, d)
             m_old, m_new = d // g, den_acc // g
             for i in range(e):
                 acc[i] = acc[i] * m_old + prod[i] * m_new
@@ -671,11 +656,7 @@ def _mixed_normalize(nums, den: int):
     if den < 0:
         den = -den
         nums = tuple(-x for x in nums)
-    g = den
-    for x in nums:
-        if g == 1:
-            break
-        g = _gcd(g, x)
+    g = math.gcd(den, *nums)
     if g > 1:
         return tuple(x // g for x in nums), den // g
     return tuple(nums), den
@@ -944,7 +925,7 @@ class ResidueRing:
 
     def reduce(self, x: FieldElement) -> "ResidueElement":
         if x.model != self.model:
-            raise ValueError("element of a different model")
+            raise MixedRings(f"element of {x.model} reduced in o/pi^{self.N} of {self.model}")
         if x.val() < 0:
             raise NegativeValuation(f"v({x}) < 0, not in the valuation ring")
         if self.N == 0:
@@ -970,7 +951,7 @@ class ResidueRing:
     def lift(self, r: "ResidueElement") -> FieldElement:
         """Canonical lift: least non-negative coordinate representatives."""
         if r.ring is not self:
-            raise ValueError("residue element of a different ring")
+            raise MixedRings("residue element of a different ring")
         m = self.model
         if m.kind == MIXED:
             return FieldElement(m, tuple(r.coords))
@@ -1033,7 +1014,7 @@ class ResidueElement:
 
     def _check(self, other):
         if not isinstance(other, ResidueElement) or other.ring is not self.ring:
-            raise ValueError("residue elements of different rings")
+            raise MixedRings("residue elements of different rings")
 
     def __add__(self, other):
         self._check(other)
@@ -1064,24 +1045,10 @@ class ResidueElement:
         r = self.ring
         m = r.model
         if m.kind == MIXED:
-            e, p = m.e, m.p
-            prod = [0] * (2 * e - 1)
-            for i, a in enumerate(self.coords):
-                if a:
-                    for j, b in enumerate(other.coords):
-                        prod[i + j] += a * b
-            for i in range(2 * e - 2, e - 1, -1):
-                prod[i - e] += prod[i] * p
+            prod = _mixed_product(self.coords, other.coords, m.e, m.p)
             return ResidueElement(r, tuple(c % mod for c, mod in zip(prod, r.moduli)))
-        k = m.gf
-        N = r.N
-        out = [0] * N
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if i + j < N and b:
-                        out[i + j] = k.add(out[i + j], k.mul(a, b))
-        return ResidueElement(r, tuple(out))
+        out = poly_mul(m.gf, self.coords, other.coords)[: r.N]
+        return ResidueElement(r, out + (0,) * (r.N - len(out)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -1181,34 +1148,17 @@ class ClosePair:
 
     def _map(self, r: ResidueElement, src: FieldModel, dst: FieldModel) -> ResidueElement:
         if r.ring.model != src:
-            raise ValueError("residue element does not belong to the source model")
+            raise MixedRings(f"residue element of {r.ring.model}, not of the source {src}")
         n = r.ring.N
         if n > self.N:
             raise PrecisionExceeded(f"element precision {n} exceeds pair level {self.N}")
         target = dst.residue_ring(n)
         if src == dst:
             return ResidueElement(target, r.coords)
-        # distinct models: both sides are F_p[t]/t^n in uniformizer digits
-        digits = self._digits(r, n)
-        return self._from_digits(target, digits, n)
-
-    @staticmethod
-    def _digits(r: ResidueElement, n: int):
-        m = r.ring.model
-        if m.kind == EQUAL:
-            return r.coords[:n]
-        # e >= n, so every live coordinate cap is exactly p
-        return tuple(r.coords[i] if i < len(r.coords) else 0 for i in range(n))
-
-    @staticmethod
-    def _from_digits(target: ResidueRing, digits, n: int):
-        m = target.model
-        if m.kind == EQUAL:
-            return ResidueElement(target, tuple(digits) + (0,) * (target.N - n))
-        coords = [0] * m.e
-        for i in range(n):
-            coords[i] = digits[i]
-        return ResidueElement(target, tuple(coords))
+        # distinct models: both sides are F_p[t]/t^n, and the first n
+        # coordinates of either are its uniformizer digits (a mixed side has
+        # e >= n, so its coordinates past n are 0 and the rest live mod p)
+        return ResidueElement(target, r.coords[:n] + (0,) * (target._width() - n))
 
     def __str__(self):
         return f"({self.model_f}) ~ ({self.model_f2}) at level {self.N}"

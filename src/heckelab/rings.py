@@ -13,10 +13,46 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .localfield import is_prime
+from .matgrp import _check_budget, _check_budget_power
+
+
+class CoefficientRing:
+    """The ring operations, written once through ``from_int``: each ring
+    maps an integer, or a sum or product of its elements, to its canonical
+    element, and supplies ``name`` and ``residue_char``."""
+
+    def add(self, a, b):
+        return self.from_int(a + b)
+
+    def mul(self, a, b):
+        return self.from_int(a * b)
+
+    def neg(self, a):
+        return self.from_int(-a)
+
+    def is_zero(self, a) -> bool:
+        return self.from_int(a) == 0
+
+    def is_integral(self, a) -> bool:
+        return True
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def coeff_str(self, a) -> str:
+        return str(self.from_int(a))
+
+    def __str__(self):
+        return self.name
 
 
 @dataclass(frozen=True)
-class IntegerRing:
+class IntegerRing(CoefficientRing):
     """The initial ring Z; coefficients are Python ints."""
 
     name = "Z"
@@ -25,38 +61,9 @@ class IntegerRing:
     def from_int(self, n: int) -> int:
         return n
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def is_integral(self, a) -> bool:
-        return True
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def coeff_str(self, a) -> str:
-        return str(a)
-
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
-class RationalField:
+class RationalField(CoefficientRing):
     """Q, with an optional designated prime l giving the integral subring.
 
     With ``localized_at = l`` the integral subring is Z_(l) (denominators
@@ -77,20 +84,8 @@ class RationalField:
             return "Q"
         return f"Q(loc {self.localized_at})"
 
-    def from_int(self, n: int) -> Fraction:
+    def from_int(self, n) -> Fraction:
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_integral(self, a) -> bool:
         a = Fraction(a)
@@ -98,37 +93,22 @@ class RationalField:
             return a.denominator == 1
         return a.denominator % self.localized_at != 0
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def coeff_str(self, a) -> str:
-        return str(a)
-
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
-class IntegersMod:
-    """Z/l^k; coefficients are ints in [0, l^k)."""
+class IntegersMod(CoefficientRing):
+    """Z/l^k; coefficients are ints in [0, l^k).  The modulus l^k is
+    formed once, when the ring is built."""
 
     l: int
     k: int = 1
+    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.l):
-            raise ValueError(f"{self.l} is not prime")
         if self.k < 1:
             raise ValueError("exponent must be >= 1")
-
-    @property
-    def modulus(self) -> int:
-        return self.l**self.k
+        if not is_prime(self.l):
+            raise ValueError(f"{self.l} is not prime")
+        object.__setattr__(self, "modulus", self.l**self.k)
 
     @property
     def name(self) -> str:
@@ -140,35 +120,6 @@ class IntegersMod:
 
     def from_int(self, n: int) -> int:
         return n % self.modulus
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def is_zero(self, a) -> bool:
-        return a % self.modulus == 0
-
-    def is_integral(self, a) -> bool:
-        return True
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def coeff_str(self, a) -> str:
-        return str(a % self.modulus)
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -187,23 +138,35 @@ ZZ = IntegerRing()
 QQ = RationalField()
 
 
-def parse_ring(text: str):
-    """Ring from a config string: Z, Q, Q@l, Fl, or Z/l^k."""
+def parse_ring(text: str, budget: int):
+    """Ring from a config string: Z, Q, Q@l, Fl, or Z/l^k.
+
+    Its sizes are charged to the budget before it is built, as a field
+    model's are: the isqrt(l) steps of the trial division behind is_prime(l)
+    (isqrt(n) to factor a modulus n), and the l^k elements of a finite ring,
+    compared by exponent so that a huge one is refused at once.
+    """
     text = text.strip()
     if text == "Z":
         return ZZ
     if text == "Q":
         return QQ
     if text.startswith("Q@"):
-        return RationalField(localized_at=int(text[2:]))
+        l = int(text[2:])
+        _check_budget(math.isqrt(max(l, 0)), budget)
+        return RationalField(localized_at=l)
     if text.startswith("F"):
-        return PrimeField(int(text[1:]))
+        l = int(text[1:])
+        _check_budget(l, budget)  # l >= isqrt(l)
+        return PrimeField(l)
     if text.startswith("Z/"):
         body = text[2:]
         if "^" in body:
-            l, k = body.split("^")
-            return IntegersMod(int(l), int(k))
+            l, k = (int(part) for part in body.split("^"))
+            _check_budget_power(l, k, budget)  # l^k >= isqrt(l) once k >= 1
+            return IntegersMod(l, k)
         n = int(body)
+        _check_budget(n, budget)  # n >= isqrt(n)
         if n >= 2:
             # the least divisor > 1 is prime; trial division stops at sqrt(n)
             l = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)

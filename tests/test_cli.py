@@ -6,7 +6,8 @@ import pytest
 
 from heckelab import cli, hecke, kazhdan, localfield
 from heckelab.cli import RunConfig, main
-from heckelab.errors import IncompatiblePair, InvalidConfig, ParseError
+from heckelab.errors import BudgetExceeded, IncompatiblePair, InvalidConfig, ParseError
+from heckelab.matgrp import DEFAULT_BUDGET
 from heckelab.rings import QQ, ZZ, IntegersMod, PrimeField, RationalField, parse_ring
 
 
@@ -271,6 +272,7 @@ def test_config_rejection_is_fast_and_precise():
 
 
 GL1_Q2 = dict(GL2_Q2, group={"family": "GL", "n": 1})
+TAU_SQUARED = ["convolve", '{"terms":[{"tau":[1,0]}]}', '{"terms":[{"tau":[1,0]}]}']
 Q2_IDENTITY = dict(GL2_Q2, field2=GL2_Q2["field"], closeness=5)
 
 
@@ -293,6 +295,10 @@ Q2_IDENTITY = dict(GL2_Q2, field2=GL2_Q2["field"], closeness=5)
                  ["cartan", "[[1,0],[0,1]]"], id="f"),
     pytest.param(dict(GL2_Q2, field={"kind": "mixed", "p": 10**30 + 57}),
                  ["cartan", "[[1,0],[0,1]]"], id="p"),
+    pytest.param(dict(GL2_Q2, ring="Z/3^100000"), TAU_SQUARED, id="ring-modulus"),
+    pytest.param(dict(GL2_Q2, ring="Z/3^10000000"), TAU_SQUARED, id="ring-exponent"),
+    pytest.param(dict(GL2_Q2, ring="F100000000000031"), TAU_SQUARED, id="ring-prime"),
+    pytest.param(dict(GL2_Q2, ring="Q@100000000000031"), TAU_SQUARED, id="ring-localization"),
 ])
 def test_huge_sizes_are_refused_at_once(tmp_path, monkeypatch, capsys, config, argv):
     # refused by comparing exponents, before any ring or window is built
@@ -327,14 +333,14 @@ def test_windowed_pairs_are_charged(tmp_path, capsys):
 ])
 def test_parse_ring_prime_power_modulus(text, ring):
     t0 = time.process_time()
-    assert parse_ring(text) == ring
+    assert parse_ring(text, 10**8) == ring
     assert time.process_time() - t0 < 0.1
 
 
 @pytest.mark.parametrize("text", ["Z/12", "Z/1", "Z/0"])
 def test_parse_ring_rejects_non_prime_power(text):
     with pytest.raises(ParseError):
-        parse_ring(text)
+        parse_ring(text, DEFAULT_BUDGET)
 
 
 @pytest.mark.parametrize("text, ring, name", [
@@ -347,10 +353,18 @@ def test_parse_ring_rejects_non_prime_power(text):
     ("Z/3^2", IntegersMod(3, 2), "Z/9"),
 ])
 def test_parse_ring_results_and_names(text, ring, name):
-    parsed = parse_ring(text)
+    parsed = parse_ring(text, DEFAULT_BUDGET)
     assert parsed == ring and type(parsed) is type(ring)
     assert str(parsed) == parsed.name == name
     assert parsed.residue_char == getattr(ring, "l", None)
+
+
+@pytest.mark.parametrize("text", ["Z/1000003", "Z/2^20", "F1000003"])
+def test_ring_larger_than_the_budget_needs_a_larger_budget(text):
+    # a ring of l^k elements is charged l^k
+    with pytest.raises(BudgetExceeded):
+        parse_ring(text, DEFAULT_BUDGET)
+    assert parse_ring(text, 10**8).residue_char is not None
 
 
 def test_prime_field_is_not_integers_mod():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from heckelab.errors import (
     IncompatiblePair,
+    MixedRings,
     NegativeValuation,
     PrecisionExceeded,
     Singular,
@@ -15,8 +17,10 @@ from heckelab.localfield import (
     ClosePair,
     FieldModel,
     GF,
+    _mixed_product,
     bareiss_solve,
     gf,
+    mixed_dot,
     poly_trim,
 )
 from heckelab.sampling import random_element, random_integral
@@ -260,6 +264,75 @@ def test_reduction_is_ring_hom(rng):
             y = random_integral(model, rng)
             assert ring.reduce(x + y) == ring.reduce(x) + ring.reduce(y)
             assert ring.reduce(x * y) == ring.reduce(x) * ring.reduce(y)
+
+
+def _sympy_mixed_product(sympy, c1, c2, e, p):
+    """The coordinates of (sum c1_i x^i)(sum c2_j x^j) mod x^e - p over Q,
+    by sympy's polynomial division, as e Fractions."""
+    x = sympy.Symbol("x")
+    poly = lambda c: sympy.Poly(list(reversed([sympy.Rational(str(v)) for v in c])), x,
+                                domain="QQ")
+    rem = (poly(c1) * poly(c2)).rem(sympy.Poly(x**e - p, x, domain="QQ"))
+    coeffs = [Fraction(str(v)) for v in reversed(rem.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (e - len(coeffs)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 7])
+def test_mixed_product_kernel_matches_sympy(p, e, rng):
+    # the one pi-adic product kernel and its three callers against sympy's
+    # remainder mod x^e - p, which shares no code with them
+    sympy = pytest.importorskip("sympy")
+    model = FieldModel.mixed(p, e)
+    for _ in range(10):
+        n1 = [rng.choice([0, rng.randrange(-p**3, p**3 + 1)]) for _ in range(e)]
+        n2 = [rng.choice([0, rng.randrange(-p**3, p**3 + 1)]) for _ in range(e)]
+        assert _mixed_product(n1, n2, e, p) == _sympy_mixed_product(sympy, n1, n2, e, p)
+    xs = [random_element(model, rng) for _ in range(6)]
+    ys = [random_element(model, rng) for _ in range(6)]
+    products = [_sympy_mixed_product(sympy, x.coords, y.coords, e, p) for x, y in zip(xs, ys)]
+    for x, y, prod in zip(xs, ys, products):
+        assert (x * y).coords == prod
+    assert mixed_dot(model, xs, ys).coords == tuple(map(sum, zip(*products)))
+    for N in (1, e, 2 * e):
+        ring = model.residue_ring(N)
+        moduli = [p ** max(0, math.ceil((N - i) / e)) for i in range(e)]
+        for _ in range(10):
+            a = ring.element([rng.randrange(mod) for mod in moduli])
+            b = ring.element([rng.randrange(mod) for mod in moduli])
+            prod = _sympy_mixed_product(sympy, a.coords, b.coords, e, p)
+            assert (a * b).coords == tuple(int(c) % mod for c, mod in zip(prod, moduli))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_equal_residue_product_matches_sympy(p, N):
+    # every product in F_p[t]/t^N against sympy's product over F_p, truncated
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    ring = FieldModel.equal(p).residue_ring(N)
+    poly = lambda c: sympy.Poly(list(reversed(c)), t, modulus=p)
+    for a, b in itertools.product(ring.elements(), repeat=2):
+        coeffs = [int(c) % p for c in reversed((poly(a.coords) * poly(b.coords)).all_coeffs())]
+        assert (a * b).coords == tuple((coeffs + [0] * N)[:N])
+
+
+def _mixed_rings_cases():
+    q2, f2 = FieldModel.mixed(2, 2), FieldModel.equal(2)
+    return {
+        "coerce": lambda: q2.one() + f2.one(),
+        "reduce": lambda: q2.residue_ring(1).reduce(f2.one()),
+        "lift": lambda: q2.residue_ring(2).lift(q2.residue_ring(1).one()),
+        "residue-op": lambda: q2.residue_ring(1).one() * q2.residue_ring(2).one(),
+        "lambda": lambda: ClosePair(q2, f2, 2).apply(f2.residue_ring(1).one()),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mixed_rings_cases()))
+def test_mixing_models_raises_mixed_rings(case):
+    # the typed error, as GroupElement and ResidueMatrix products raise it
+    with pytest.raises(MixedRings):
+        _mixed_rings_cases()[case]()
 
 
 def test_reduce_of_canonical_lift_is_identity():
