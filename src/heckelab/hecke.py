@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
@@ -402,31 +403,68 @@ class HeckeAlgebra:
         """The orbit table of tau, and its canonical map: one flat list in
         which entry xi * |Q| + yi is the label of the pair (q[xi], q[yi]).
 
-        Pairs are swept in index order, so the first pair met of each orbit
-        (x, y) Gamma_tau is its least pair, and becomes the label's pair."""
+        Gamma = Gamma_tau acts on Q^2, Q = K/K_m, by (x, y)(s, t) = (x s,
+        y t), and an orbit's label is its least pair of indices (indices
+        are ordered as the classes' sort keys).  It is found in two stages
+        (Holt-Eick-O'Brien, Handbook of Computational Group Theory, ch. 4),
+        with Gamma_1 = {s : (s, t) in Gamma} and K_2 = {t : (1, t) in Gamma}:
+
+        1. Gamma is a subgroup of Q x Q, the stabilizer of K_m n_tau K_m
+           (``_gamma``), so Gamma_1 and K_2 are subgroups of Q.
+        2. The fibre {t : (s, t) in Gamma} is t_s K_2 for any t_s in it:
+           (s, t) and (s, t') in Gamma give (1, t^-1 t') in Gamma.
+        3. So the orbit of (x, y) is {(x s, y t_s k) : s in Gamma_1, k in
+           K_2}.  Its least first entry is x0 = min(x Gamma_1), met at the
+           one s = x^-1 x0, and its least pair is (x0, min(y t_s K_2)).
+           For x = x0 s', s = s'^-1 and t_s = t_s'^-1 will do.
+        4. Q acts freely on itself, so Gamma acts freely on Q^2: every
+           orbit has |Gamma| pairs.  The labels are the pairs (x0, y0) of a
+           least element of a coset x Gamma_1 and one of a coset y K_2
+           ((x0, y0) is its own least pair: s = 1 and t_1 in K_2), in
+           index order exactly as the first pairs met by a sweep of Q^2.
+
+        Two passes over Q (``_coset_minima``) give min(x Gamma_1) with t_s
+        for every x, and min(z K_2) for every z; row x of the flat list is
+        then read off column t_s of the Cayley table, y -> y t_s, and the
+        K_2-coset minima.  Either pass fails unless the translates of its
+        subgroup partition Q, and the counts must give |Gamma_1| |K_2| =
+        |Gamma|.  Together that is: every label occurs exactly |Gamma|
+        times in the flat list, which a Gamma that is not a subgroup breaks
+        (orbit-stabilizer).
+        """
         q = self.residue_classes
         size = len(q)
         # the canonical list below has one entry per pair in (K/K_m)^2
         _check_budget(size * size, self.budget)
         gamma_idx = self._gamma(tau)
-        mul = self._mul_index()
-        canonical = [None] * (size * size)
-        labels = []
-        for xi in range(size):
-            mrow = mul[xi]
-            for yi in range(size):
-                if canonical[xi * size + yi] is not None:
-                    continue
-                label = DoubleCosetLabel(tau, (q[xi], q[yi]))
-                labels.append(label)
-                nrow = mul[yi]
-                for s, t in gamma_idx:
-                    canonical[mrow[s] * size + nrow[t]] = label
-        if len(labels) * len(gamma_idx) != size * size:
+        mul, inv, e = self._mul_index(), self._inv_index(), self._unit_index()
+        fibre = {}  # s -> t_s, the least t with (s, t) in Gamma
+        for s, t in gamma_idx:
+            fibre.setdefault(s, t)
+        k2 = [t for s, t in gamma_idx if s == e]
+        if len(fibre) * len(k2) != len(gamma_idx):
             raise InvariantViolated(
                 f"orbit-stabilizer mismatch at tau={tau}: "
-                f"{len(labels)} * {len(gamma_idx)} != {size}^2"
+                f"|Gamma_1| |K_2| = {len(fibre)} * {len(k2)} != |Gamma| = {len(gamma_idx)}"
             )
+        x0, via = self._coset_minima(tau, list(fibre))
+        y0 = self._coset_minima(tau, k2)[0]
+        xs = [x for x in range(size) if x0[x] == x]
+        ys = [y for y in range(size) if y0[y] == y]
+        position = {y: j for j, y in enumerate(ys)}
+        slot = [position[y] for y in y0]  # slot[z]: position of min(z K_2) in ys
+        rows = [None] * size
+        labels = []
+        for x in xs:
+            rows[x] = [DoubleCosetLabel(tau, (q[x], q[y])) for y in ys]
+            labels.extend(rows[x])
+        columns = {}
+        canonical = []
+        for x in range(size):
+            t = inv[fibre[via[x]]]  # x = x0 s: (x, y) ~ (x0, y t_s^-1)
+            if t not in columns:
+                columns[t] = list(map(slot.__getitem__, map(itemgetter(t), mul)))
+            canonical.extend(map(rows[x0[x]].__getitem__, columns[t]))
         table = OrbitTable(
             tau,
             tuple(labels),
@@ -435,6 +473,26 @@ class HeckeAlgebra:
         self._orbit_tables[tau] = table
         self._canonical[tau] = canonical
         self._gamma_idx[tau] = gamma_idx
+
+    def _coset_minima(self, tau: CartanDatum, sub):
+        """least[z] = min(z H) and via[z] = s with z = least[z] s, for H
+        the subgroup of K/K_m listed by ``sub``: one pass in index order,
+        in which the first index met of each coset x H is its least.  Raises
+        unless the cosets met partition K/K_m, |H| indices each."""
+        mul = self._mul_index()
+        least, via = [None] * len(mul), [None] * len(mul)
+        for x, row in enumerate(mul):
+            if least[x] is not None:
+                continue
+            coset = [row[s] for s in sub]
+            if x not in coset or any(least[z] is not None for z in coset):
+                raise InvariantViolated(
+                    f"orbit-stabilizer mismatch at tau={tau}: the cosets of a "
+                    f"projection of Gamma_tau do not partition K/K_{self.m}"
+                )
+            for s, z in zip(sub, coset):
+                least[z], via[z] = x, s
+        return least, via
 
     def _gamma(self, tau: CartanDatum):
         """Gamma_tau as the sorted index pairs of its classes ([x], [y]).

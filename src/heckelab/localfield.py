@@ -216,14 +216,21 @@ def poly_neg(k: GF, a):
     return tuple(k.neg(x) for x in a)
 
 
-def poly_mul(k: GF, a, b):
-    if not a or not b:
+def poly_mul(k: GF, a, b, N=None):
+    """a b, or a b mod t^N when N is given: no product of coefficients at
+    t^N or above is formed, and none with a zero factor."""
+    size = len(a) + len(b) - 1
+    if N is not None:
+        size = min(size, N)
+    if size <= 0:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+    out = [0] * size
+    add, mul = k.add, k.mul
+    for i, x in enumerate(a[:size]):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = k.add(out[i + j], k.mul(x, y))
+            for j, y in enumerate(b[:size - i]):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
     return poly_trim(out)
 
 def poly_divmod(k: GF, a, b):
@@ -856,6 +863,7 @@ class ResidueRing:
         self.model = model
         self.N = N
         self._tables = None
+        self._names = {}  # coords -> the element's string, formed once
         if model.kind == MIXED:
             self.caps = tuple(
                 max(0, -((- (N - i)) // model.e)) for i in range(model.e)
@@ -945,7 +953,7 @@ class ResidueRing:
         if den == (1,):  # every canonical lift: no series inverse, no product
             series = num[: self.N]
         else:
-            series = poly_mul(m.gf, num, _series_inverse(m.gf, den, self.N))[: self.N]
+            series = poly_mul(m.gf, num, _series_inverse(m.gf, den, self.N), self.N)
         return ResidueElement(self, tuple(series) + (0,) * (self.N - len(series)))
 
     def lift(self, r: "ResidueElement") -> FieldElement:
@@ -982,7 +990,8 @@ def residue_ring(model: FieldModel, N: int) -> ResidueRing:
     """The shared o/pi^N of a model.  Residues compare their rings by
     identity, so each (model, N) must have exactly one ring: the cache is
     process-global and unbounded, and keeps every ring asked for, with its
-    model, for the life of the process."""
+    model, its tables and the string of every element formatted (at most
+    one per element of the ring), for the life of the process."""
     return ResidueRing(model, N)
 
 
@@ -1047,7 +1056,7 @@ class ResidueElement:
         if m.kind == MIXED:
             prod = _mixed_product(self.coords, other.coords, m.e, m.p)
             return ResidueElement(r, tuple(c % mod for c, mod in zip(prod, r.moduli)))
-        out = poly_mul(m.gf, self.coords, other.coords)[: r.N]
+        out = poly_mul(m.gf, self.coords, other.coords, r.N)
         return ResidueElement(r, out + (0,) * (r.N - len(out)))
 
     def is_zero(self) -> bool:
@@ -1089,9 +1098,12 @@ class ResidueElement:
         return hash((id(self.ring), self.coords))
 
     def __str__(self):
-        m = self.ring.model
-        var = "pi" if m.kind == MIXED else "t"
-        return f"{_format_terms(self.coords, var)}@{self.ring.N}"
+        names = self.ring._names
+        name = names.get(self.coords)
+        if name is None:
+            var = "pi" if self.ring.model.kind == MIXED else "t"
+            name = names[self.coords] = f"{_format_terms(self.coords, var)}@{self.ring.N}"
+        return name
 
     __repr__ = __str__
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -97,7 +98,8 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class CartanDatum:
-    """A dominant cocharacter: integers a_1 >= a_2 >= ... >= a_n."""
+    """A dominant cocharacter: integers a_1 >= a_2 >= ... >= a_n.  Its
+    string is formed once, on first use."""
 
     coords: tuple
 
@@ -131,8 +133,12 @@ class CartanDatum:
     def sort_key(self):
         return self.coords
 
-    def __str__(self):
+    @cached_property
+    def _str(self) -> str:
         return "(" + ",".join(str(a) for a in self.coords) + ")"
+
+    def __str__(self):
+        return self._str
 
 
 def zero_tau(n: int) -> CartanDatum:
@@ -481,14 +487,14 @@ def _pick_pivot(M, k, rng):
 
 class ResidueMatrix:
     """An n x n matrix over a residue ring o/pi^N; immutable, hashable.
-    The hash is computed once, on first use."""
+    The hash and the string are computed once, on first use."""
 
-    __slots__ = ("ring", "rows", "_hash")
+    __slots__ = ("ring", "rows", "_hash", "_str")
 
     def __init__(self, ring: ResidueRing, rows):
         self.ring = ring
         self.rows = tuple(tuple(row) for row in rows)
-        self._hash = None
+        self._hash = self._str = None
 
     @staticmethod
     def identity(ring: ResidueRing, n: int) -> "ResidueMatrix":
@@ -547,7 +553,9 @@ class ResidueMatrix:
         return self._hash
 
     def __str__(self):
-        return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.rows) + "]"
+        if self._str is None:
+            self._str = "[" + "; ".join(", ".join(map(str, row)) for row in self.rows) + "]"
+        return self._str
 
     __repr__ = __str__
 

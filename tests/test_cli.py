@@ -1,5 +1,8 @@
+import hashlib
 import json
+import pathlib
 import random
+import re
 import time
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from heckelab import cli, hecke, kazhdan, localfield
 from heckelab.cli import RunConfig, main
 from heckelab.errors import BudgetExceeded, IncompatiblePair, InvalidConfig, ParseError
-from heckelab.matgrp import DEFAULT_BUDGET
+from heckelab.matgrp import DEFAULT_BUDGET, GroupSpec, dominant_window
 from heckelab.rings import QQ, ZZ, IntegersMod, PrimeField, RationalField, parse_ring
 
 
@@ -176,6 +179,58 @@ def test_flagship_verify_runs_few_extended_gcds(tmp_path, monkeypatch):
         "verify", "--suite", "all",
     ]) == 0
     assert 0 < len(calls) <= 70
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+# sha256 of the labels of the coset-tables benchmark configurations, as
+# recorded at commit 26be8a3 (orbit tables by a sweep of (K/K_m)^2): one
+# line per tau of the window, f"{tau} {degree} {orbit_count} {gamma_size} "
+# and the labels, lines joined by "\n".  SL2 over Q_2 and over F_2((t))
+# agree, as both residue rings are F_2.
+LABEL_DIGESTS = [
+    ("SL", 3, localfield.FieldModel.mixed(2), 1, 1,
+     "9770463f7382ba74059774213b21668ae4c8315f716722499d08a9c01c4fcca4"),
+    ("GL", 2, localfield.FieldModel.mixed(2), 0, 2,
+     "926d35f5da9997b8b0626790dfcab11ba090758cb293766a4b8250f944718661"),
+    ("GL", 2, localfield.FieldModel.mixed(3), 1, 1,
+     "758710bc80db46d7886a38d59100fecdac5de912930d0c00c899b1a18c0b59a4"),
+    ("SL", 2, localfield.FieldModel.equal(2), 1, 2,
+     "6da10a84257b8087c946cf8d2cca258be7ca47bcdc8863360eeaaf8865f86508"),
+    ("SL", 2, localfield.FieldModel.mixed(2), 1, 2,
+     "6da10a84257b8087c946cf8d2cca258be7ca47bcdc8863360eeaaf8865f86508"),
+]
+EXPECTED = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "expected.json"
+
+
+def test_label_and_flagship_bytes_are_pinned(tmp_path):
+    for family, n, model, m, bound, digest in LABEL_DIGESTS:
+        algebra = hecke.HeckeAlgebra(GroupSpec(family, n, model), m)
+        lines = []
+        for tau in dominant_window(family, n, bound):
+            table = algebra.orbit_table(tau)
+            lines.append(f"{tau} {algebra.degree(tau)} {table.orbit_count} {table.gamma_size} "
+                         + " ".join(str(label) for label in table.labels))
+        assert sha256("\n".join(lines)) == digest, (family, n, str(model), m)
+    # the flagship verify --suite all: report (without its seed lines) and CSV
+    expected = json.loads(EXPECTED.read_text())["cli-verify"]
+    cfg = write_config(tmp_path, {
+        "field": {"kind": "mixed", "p": 2, "e": 5},
+        "field2": {"kind": "equal", "p": 2},
+        "closeness": 5,
+        "group": {"family": "SL", "n": 2},
+        "level": 1,
+        "window": 1,
+        "seed": 7,
+    })
+    report, csv = tmp_path / "r.json", tmp_path / "sc.csv"
+    assert main(["--config", cfg, "--out", str(report), "--csv", str(csv),
+                 "verify", "--suite", "all"]) == 0
+    seedless = re.sub(rb'^ *"seed": -?\d+,?\n', b"", report.read_bytes(), flags=re.MULTILINE)
+    assert sha256(seedless) == expected["report_sha256"]
+    assert sha256(csv.read_bytes()) == expected["csv_sha256"]
 
 
 def count_algebras(monkeypatch):

@@ -1,9 +1,10 @@
+import collections
 import random
 import time
 
 import pytest
 
-from heckelab import hecke
+from heckelab import hecke, localfield
 from heckelab import matgrp as matgrp_module
 from heckelab.errors import BudgetExceeded, InvalidConfig, InvariantViolated, MixedRings
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_change
@@ -409,6 +410,43 @@ def test_mul_index_matmul_count(spec, m, monkeypatch):
     assert (calls[0] > 0) == (size > 1)
 
 
+def test_labels_format_each_class_and_residue_once(monkeypatch):
+    # a label is one f-string of cached parts: each class of K/K_m formats
+    # its n^2 entries once, and each element of o/pi is formatted once a
+    # process, however many labels and algebras share it
+    n = SL3_Q2.n
+    entries, terms = [0], collections.Counter()
+    element_str, format_terms = localfield.ResidueElement.__str__, localfield._format_terms
+
+    def counted_entry(x):
+        entries[0] += 1
+        return element_str(x)
+
+    def counted_terms(coeffs, var):
+        terms[tuple(coeffs), var] += 1
+        return format_terms(coeffs, var)
+
+    monkeypatch.setattr(localfield.ResidueElement, "__str__", counted_entry)
+    monkeypatch.setattr(localfield, "_format_terms", counted_terms)
+    formatted, classes = [], 0
+    for _ in range(2):  # two fresh algebras, fresh classes, one shared ring
+        alg = HeckeAlgebra(SL3_Q2, 1)
+        labels = [l for tau in dominant_window("SL", 3, 1) for l in alg.orbit_table(tau).labels]
+        formatted += [(l, str(l)) for l in labels] + [(l, str(l)) for l in labels]
+        classes += len({id(c) for l in labels for c in l.pair})
+    assert entries[0] == n * n * classes
+    assert max(terms.values(), default=1) == 1
+    monkeypatch.undo()
+    ring = localfield.ResidueRing(Q2, 1)  # not the shared ring: no string cached
+
+    def fresh(c):
+        return ResidueMatrix(ring, [[localfield.ResidueElement(ring, x.coords) for x in row]
+                                    for row in c.rows])
+
+    for label, text in formatted:
+        assert str(DoubleCosetLabel(label.tau, [fresh(c) for c in label.pair])) == text
+
+
 @pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS + [
     pytest.param(SL2_Q2, 1, id="SL2/Q_2 m=1"),  # with the cells above: every coset-tables config
 ])
@@ -417,15 +455,23 @@ def test_enumeration_matches_object_sweep(spec, m):
     assert enumerate_residue_matrices(spec, m) == residue_matrices_by_object_sweep(spec, m)
 
 
-@pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
+@pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS + [pytest.param(SL2_Q2, 1, id="SL2/Q_2 m=1")])
 def test_canonical_label_matches_orbit_oracle(spec, m):
+    # window 2 where the coset-tables benchmark builds window 2
+    bound = 2 if (spec, m) in [(GL2_Q2, 0), (SL2_F2, 1), (SL2_Q2, 1)] else 1
     alg = HeckeAlgebra(spec, m)
-    size = len(alg.residue_classes)
-    taus = dominant_window(spec.family, spec.n, 1)
+    q = alg.residue_classes
+    size = len(q)
+    taus = dominant_window(spec.family, spec.n, bound)
     for tau, expected in canonical_by_orbits(alg, taus).items():
         assert {
             (xi, yi): alg.canonical_label(tau, xi, yi) for xi in range(size) for yi in range(size)
         } == expected
+        # the oracle labels each orbit by its least pair: the labels are
+        # those pairs, in index order
+        least = sorted((xi, yi) for (xi, yi), label in expected.items()
+                       if label.pair == (q[xi], q[yi]))
+        assert list(alg.orbit_table(tau).labels) == [expected[key] for key in least]
 
 
 @pytest.mark.parametrize("spec, m", [c for c in MUL_TABLE_CELLS if c.values[1] >= 1])

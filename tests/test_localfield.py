@@ -21,6 +21,7 @@ from heckelab.localfield import (
     bareiss_solve,
     gf,
     mixed_dot,
+    poly_mul,
     poly_trim,
 )
 from heckelab.sampling import random_element, random_integral
@@ -315,6 +316,21 @@ def test_equal_residue_product_matches_sympy(p, N):
     for a, b in itertools.product(ring.elements(), repeat=2):
         coeffs = [int(c) % p for c in reversed((poly(a.coords) * poly(b.coords)).all_coeffs())]
         assert (a * b).coords == tuple((coeffs + [0] * N)[:N])
+
+
+@pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (2, 2)])
+def test_truncated_poly_mul_is_the_product_mod_t_n(p, f):
+    # poly_mul(a, b, N) against every coefficient of the schoolbook product
+    k = gf(p, f)
+    rng = random.Random(1801)
+    for _ in range(100):
+        a, b = (poly_trim(rng.randrange(k.q) for _ in range(rng.randrange(6))) for _ in "ab")
+        full = [0] * (len(a) + len(b))
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            full[i + j] = k.add(full[i + j], k.mul(x, y))
+        assert poly_mul(k, a, b) == poly_trim(full)
+        for N in range(len(full) + 2):
+            assert poly_mul(k, a, b, N) == poly_trim(full[:N])
 
 
 def _mixed_rings_cases():
