@@ -15,9 +15,9 @@ Coefficients over any supported ring are obtained by base change from Z.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
@@ -220,6 +220,7 @@ class HeckeAlgebra:
         self._gamma_idx = {}
         self._double_coset_cache = {}
         self._ntau_cosets_cache = {}
+        self._degrees = {}
         self._rep_cache = {}
         self._sc_cache = {}
         self._bracket_cache = {}
@@ -321,12 +322,74 @@ class HeckeAlgebra:
         return [fac.a @ alpha @ fac.b for alpha in self._ntau_cosets(fac.tau)]
 
     def degree(self, label_or_tau) -> int:
-        """deg t_g = [K_m : K_m meet g K_m g^-1], the left-coset count.
+        """deg t_g = [K_m : K_m meet g K_m g^-1], the left-coset count, in
+        closed form; no coset is built.  It only depends on the tau of g
+        (K_m is normal in K), and is cached per tau:
 
-        By normality of K_m in K the degree only depends on tau.
+            m >= 1:  q^<2rho,tau>,
+            m = 0:   q^(<2rho,tau> - N + N_tau) [n]_q! / prod_i [m_i]_q!,
+
+        with m_i the multiplicities of the entries a_1 >= .. >= a_n of tau,
+        N = n(n-1)/2, N_tau = sum_i m_i(m_i - 1)/2 and [k]_q! = prod_(j<=k)
+        (q^j - 1)/(q - 1) (Macdonald, Symmetric Functions and Hall
+        Polynomials, ch. V (2.7)-(2.9), where it reads q^<2rho,tau>
+        v_n(q^-1) / v_tau(q^-1)).
+
+        Proof.  Write n = n_tau, and let U-, T, U+ be the lower
+        unitriangular, diagonal and upper unitriangular matrices.  For m >=
+        1, K_m = U-_m T_m U+_m (Iwahori factorization: every factor
+        integral and = 1 mod pi^m), and for g in the big cell U- T U+ the
+        factors are unique.
+        1. The index is [K_m : J], J = K_m meet n K_m n^-1 = {k in K_m :
+           n^-1 k n in K_m}, and (n^-1 k n)_ij = pi^(a_j - a_i) k_ij.  For
+           k = v d u in K_m, n^-1 v n is again in U-_m (a_j - a_i >= 0 for
+           i > j), so k is in J iff u is: J = U-_m T_m U+_c with c_ij = m +
+           a_i - a_j.  Then J k = J u for k = v d u, and J u = J u' iff u'
+           u^-1 is in J meet U+ = U+_c: [K_m : J] = [U+_m : U+_c].
+        2. Haar measure on U+ is the product of the additive measures of
+           its entries (left translation is unitriangular in them), so
+           [U+_m : U+_c] = prod_(i<j) q^(c_ij - m) = q^<2rho,tau>.
+        3. At m = 0, J = K meet n K n^-1 = {k in K : k_ij in pi^(a_i - a_j)
+           o for a_i > a_j}.  Reduction K -> G(F_q) has kernel K_1, so
+           [K : J] = [K : K_1 J] [K_1 J : J] = [G(F_q) : P] [K_1 : K_1 meet
+           J], with P the image of J: the block lower triangular matrices
+           whose blocks are the runs of equal a_i, every one of which lifts
+           into J.  [G(F_q) : P] counts the flags of type (m_i) in F_q^n,
+           [n]_q! / prod_i [m_i]_q! (for SL too: SL_n(F_q) acts
+           transitively on them, with stabilizer P meet SL_n).  As in 1. and
+           2., with K_1 in place of K_m and c_ij = max(a_i - a_j, 1),
+           [K_1 : K_1 meet J] = prod_(i<j) q^(c_ij - 1) = q^(<2rho,tau> - N +
+           N_tau): each of the N - N_tau pairs with a_i > a_j loses 1.
+
+        The budget is charged what ``_ntau_cosets`` would charge for the
+        cosets (``_coset_shapes``), so a product still charges the coset
+        systems of both factors before it classifies anything.
         """
         tau = label_or_tau.tau if isinstance(label_or_tau, DoubleCosetLabel) else label_or_tau
-        return len(self._ntau_cosets(tau))
+        return self._degree(tau)
+
+    def _degree(self, tau: CartanDatum) -> int:
+        """The closed form of ``degree``, charged and cached per tau; what
+        ``_ntau_cosets`` audits its cosets against."""
+        if tau not in self._degrees:
+            self._coset_shapes(tau)
+            q, n, a = self.spec.model.q, self.spec.n, tau.coords
+            two_rho = sum(a[i] - a[j] for i in range(n) for j in range(i + 1, n))
+            if self.m >= 1:
+                self._degrees[tau] = q**two_rho
+            else:
+                def q_factorial(k):
+                    return math.prod((q**j - 1) // (q - 1) for j in range(1, k + 1))
+
+                mults = [a.count(x) for x in set(a)]
+                n_tau = sum(k * (k - 1) // 2 for k in mults)
+                num = q ** (two_rho - n * (n - 1) // 2 + n_tau) * q_factorial(n)
+                den = math.prod(q_factorial(k) for k in mults)
+                deg, rem = divmod(num, den)
+                if rem:
+                    raise InvariantViolated(f"spherical degree of tau={tau}: {num} / {den}")
+                self._degrees[tau] = deg
+        return self._degrees[tau]
 
     def _ntau_cosets(self, tau: CartanDatum):
         """Left-coset system of K_m n_tau K_m: the list of the alpha.
@@ -340,40 +403,49 @@ class HeckeAlgebra:
         (i < j) over the lifts of o/pi^(c_i), kept when alpha has Cartan
         type tau.  Either way det alpha = det n_tau exactly, so SL needs no
         determinant fix.  The budget is charged the number of candidates
-        before any of them is built.
+        before any of them is built (``_coset_shapes``), and the system
+        built must have the closed-form size of ``degree``: an enumerated
+        count is audited against the formula, else InvariantViolated.
         """
         if tau in self._ntau_cosets_cache:
             return self._ntau_cosets_cache[tau]
-        spec, m = self.spec, self.m
-        q, n, a = spec.model.q, spec.n, tau.coords
+        det = self.spec.n_of_tau(tau).det()
+        out = []
+        for diag, entries in self._coset_shapes(tau):
+            for alpha in self._triangular(diag, entries, det):
+                if self.m == 0 and cartan_type(alpha) != tau:
+                    continue
+                out.append(alpha)
+        if len(out) != self._degree(tau):
+            raise InvariantViolated(
+                f"left-coset system of tau={tau} has {len(out)} cosets, "
+                f"degree {self._degree(tau)}"
+            )
+        self._ntau_cosets_cache[tau] = out
+        return out
+
+    def _coset_shapes(self, tau: CartanDatum):
+        """The (diagonal, entries) shapes of ``_triangular`` whose elements
+        are the coset candidates of ``_ntau_cosets``, after charging the
+        budget their number: q^<2rho,tau> at m >= 1; at m = 0 first the
+        (a_1 - a_n + 1)^n diagonal candidates, by exponent, then the
+        Hermite-normal-form candidate count."""
+        m, q, n, a = self.m, self.spec.model.q, self.spec.n, tau.coords
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         if m >= 1:
             _check_budget_power(q, sum(a[i] - a[j] for i, j in upper), self.budget)
-            shapes = [(a, [(i, j, m + a[j], a[i] - a[j]) for i, j in upper])]
-        else:
-            total = sum(x - a[-1] for x in a)
-            _check_budget_power(tau.spread + 1, n, self.budget)
-            diags = [
-                c for c in itertools.product(range(tau.spread + 1), repeat=n)
-                if sum(c) == total
-            ]
-            sizes = [sum(c[i] for i, _ in upper) for c in diags]
-            for size in sizes:
-                _check_budget_power(q, size, self.budget)
-            _check_budget(sum(q**size for size in sizes), self.budget)
-            shapes = [
-                ([a[-1] + ci for ci in c], [(i, j, a[-1], c[i]) for i, j in upper])
-                for c in diags
-            ]
-        det = spec.n_of_tau(tau).det()
-        out = []
-        for diag, entries in shapes:
-            for alpha in self._triangular(diag, entries, det):
-                if m == 0 and cartan_type(alpha) != tau:
-                    continue
-                out.append(alpha)
-        self._ntau_cosets_cache[tau] = out
-        return out
+            return [(a, [(i, j, m + a[j], a[i] - a[j]) for i, j in upper])]
+        total = sum(x - a[-1] for x in a)
+        _check_budget_power(tau.spread + 1, n, self.budget)
+        diags = [c for c in itertools.product(range(tau.spread + 1), repeat=n) if sum(c) == total]
+        sizes = [sum(c[i] for i, _ in upper) for c in diags]
+        for size in sizes:
+            _check_budget_power(q, size, self.budget)
+        _check_budget(sum(q**size for size in sizes), self.budget)
+        return [
+            ([a[-1] + ci for ci in c], [(i, j, a[-1], c[i]) for i, j in upper])
+            for c in diags
+        ]
 
     def _triangular(self, diag, entries, det):
         """Upper triangular elements with diagonal pi^diag[i] and, for each
@@ -400,8 +472,9 @@ class HeckeAlgebra:
         return self._orbit_tables[tau]
 
     def _build_orbit_table(self, tau: CartanDatum):
-        """The orbit table of tau, and its canonical map: one flat list in
-        which entry xi * |Q| + yi is the label of the pair (q[xi], q[yi]).
+        """The orbit table of tau, and its canonical map: the lists x0,
+        tcol and slot over K/K_m and the label rows, from which
+        ``canonical_label`` reads the label of any pair (q[xi], q[yi]).
 
         Gamma = Gamma_tau acts on Q^2, Q = K/K_m, by (x, y)(s, t) = (x s,
         y t), and an orbit's label is its least pair of indices (indices
@@ -423,21 +496,19 @@ class HeckeAlgebra:
            ((x0, y0) is its own least pair: s = 1 and t_1 in K_2), in
            index order exactly as the first pairs met by a sweep of Q^2.
 
-        Two passes over Q (``_coset_minima``) give min(x Gamma_1) with t_s
-        for every x, and min(z K_2) for every z; row x of the flat list is
-        then read off column t_s of the Cayley table, y -> y t_s, and the
-        K_2-coset minima.  Either pass fails unless the translates of its
-        subgroup partition Q, and the counts must give |Gamma_1| |K_2| =
-        |Gamma|.  Together that is: every label occurs exactly |Gamma|
-        times in the flat list, which a Gamma that is not a subgroup breaks
-        (orbit-stabilizer).
+        Two passes over Q (``_coset_minima``) give x0[x] = min(x Gamma_1)
+        with s' = via[x], and min(z K_2) for every z, kept as slot[z], its
+        position in the row of x0; tcol[x] = t_s'^-1 is the column of the
+        Cayley table that takes y to y t_s.  That is O(|Q| + |labels|)
+        per tau, nothing per pair.  Either pass fails unless the
+        translates of its subgroup partition Q, and the counts must give
+        |Gamma_1| |K_2| = |Gamma|, which a Gamma that is not a subgroup
+        breaks (orbit-stabilizer).
         """
         q = self.residue_classes
         size = len(q)
-        # the canonical list below has one entry per pair in (K/K_m)^2
-        _check_budget(size * size, self.budget)
         gamma_idx = self._gamma(tau)
-        mul, inv, e = self._mul_index(), self._inv_index(), self._unit_index()
+        inv, e = self._inv_index(), self._unit_index()
         fibre = {}  # s -> t_s, the least t with (s, t) in Gamma
         for s, t in gamma_idx:
             fibre.setdefault(s, t)
@@ -449,29 +520,23 @@ class HeckeAlgebra:
             )
         x0, via = self._coset_minima(tau, list(fibre))
         y0 = self._coset_minima(tau, k2)[0]
-        xs = [x for x in range(size) if x0[x] == x]
         ys = [y for y in range(size) if y0[y] == y]
         position = {y: j for j, y in enumerate(ys)}
-        slot = [position[y] for y in y0]  # slot[z]: position of min(z K_2) in ys
+        slot = [position[y] for y in y0]
+        tcol = [inv[fibre[s]] for s in via]  # x = x0 s: (x, y) ~ (x0, y t_s^-1)
         rows = [None] * size
         labels = []
-        for x in xs:
-            rows[x] = [DoubleCosetLabel(tau, (q[x], q[y])) for y in ys]
-            labels.extend(rows[x])
-        columns = {}
-        canonical = []
         for x in range(size):
-            t = inv[fibre[via[x]]]  # x = x0 s: (x, y) ~ (x0, y t_s^-1)
-            if t not in columns:
-                columns[t] = list(map(slot.__getitem__, map(itemgetter(t), mul)))
-            canonical.extend(map(rows[x0[x]].__getitem__, columns[t]))
+            if x0[x] == x:
+                rows[x] = [DoubleCosetLabel(tau, (q[x], q[y])) for y in ys]
+                labels.extend(rows[x])
         table = OrbitTable(
             tau,
             tuple(labels),
             tuple((q[s], q[t]) for s, t in gamma_idx),
         )
         self._orbit_tables[tau] = table
-        self._canonical[tau] = canonical
+        self._canonical[tau] = (x0, tcol, slot, rows)
         self._gamma_idx[tau] = gamma_idx
 
     def _coset_minima(self, tau: CartanDatum, sub):
@@ -564,11 +629,14 @@ class HeckeAlgebra:
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
         q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y).
-        It is the orbit table's own label object, so its hash and string
-        are computed once however often it is asked for."""
+        With x0 = min(x Gamma_1) and t_s as in ``_build_orbit_table``, it
+        is (x0, min(y t_s K_2)): four list reads.  It is the orbit table's
+        own label object, so its hash and string are computed once however
+        often it is asked for."""
         if tau not in self._canonical:
             self.orbit_table(tau)
-        return self._canonical[tau][xi * len(self._q) + yi]
+        x0, tcol, slot, rows = self._canonical[tau]
+        return rows[x0[xi]][slot[self._q_mul[yi][tcol[xi]]]]
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""

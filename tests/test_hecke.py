@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import time
 
@@ -213,6 +214,56 @@ def test_degree_budget_charges_transversal_size():
     with pytest.raises(BudgetExceeded):
         HeckeAlgebra(SL2_Q2, 1, budget=100).degree(tau)
     assert HeckeAlgebra(SL2_Q2, 1).degree(tau) == 256
+
+
+# the five coset-tables configurations in their windows, and two at m = 0
+DEGREE_CELLS = [
+    pytest.param(SL3_Q2, 1, 1, id="SL3/Q_2 m=1 B=1"),
+    pytest.param(GL2_Q2, 0, 2, id="GL2/Q_2 m=0 B=2"),
+    pytest.param(SL2_F2, 1, 2, id="SL2/F_2((t)) m=1 B=2"),
+    pytest.param(GL2_Q3, 1, 1, id="GL2/Q_3 m=1 B=1"),
+    pytest.param(SL2_Q2, 1, 2, id="SL2/Q_2 m=1 B=2"),
+    pytest.param(GroupSpec("GL", 3, Q2), 0, 1, id="GL3/Q_2 m=0 B=1"),
+    pytest.param(SL3_Q2, 0, 1, id="SL3/Q_2 m=0 B=1"),
+]
+
+
+@pytest.mark.parametrize("spec, m, bound", DEGREE_CELLS)
+def test_degree_closed_form_matches_enumeration(spec, m, bound, monkeypatch):
+    # the closed form first, on a fresh algebra, with no coset system built;
+    # then the enumerated transversal of every tau has that many cosets
+    taus = dominant_window(spec.family, spec.n, bound)
+    alg = HeckeAlgebra(spec, m)
+    enumerate_cosets = HeckeAlgebra._ntau_cosets
+    built = []
+    monkeypatch.setattr(HeckeAlgebra, "_ntau_cosets", lambda self, tau: built.append(tau))
+    degrees = {tau: alg.degree(tau) for tau in taus}
+    assert built == []
+    monkeypatch.setattr(HeckeAlgebra, "_ntau_cosets", enumerate_cosets)
+    for tau in taus:
+        assert degrees[tau] == len(alg._ntau_cosets(tau))
+
+
+@pytest.mark.parametrize("spec, m", [
+    pytest.param(SL2_Q2, 1, id="SL2/Q_2 m=1"),
+    pytest.param(GL2_Q2, 0, id="GL2/Q_2 m=0"),
+])
+def test_coset_count_guard(spec, m, monkeypatch):
+    # a transversal one coset short of the closed form is a defect, also
+    # when a coset product asks for it
+    tau = CartanDatum((1, -1))
+    triangular = HeckeAlgebra._triangular
+
+    def drop_first(self, diag, entries, det):
+        return itertools.islice(triangular(self, diag, entries, det), 1, None)
+
+    monkeypatch.setattr(HeckeAlgebra, "_triangular", drop_first)
+    with pytest.raises(InvariantViolated, match="left-coset system"):
+        HeckeAlgebra(spec, m)._ntau_cosets(tau)
+    alg = HeckeAlgebra(spec, m)
+    lab = alg.label_of_tau(tau)
+    with pytest.raises(InvariantViolated, match="left-coset system"):
+        alg.structure_constants(lab, lab)
 
 
 def test_degree_is_congruence_index(sl2_m1):
@@ -472,6 +523,24 @@ def test_canonical_label_matches_orbit_oracle(spec, m):
         least = sorted((xi, yi) for (xi, yi), label in expected.items()
                        if label.pair == (q[xi], q[yi]))
         assert list(alg.orbit_table(tau).labels) == [expected[key] for key in least]
+
+
+def test_orbit_tables_hold_nothing_per_pair():
+    # the canonical map of each tau is O(|Q| + |labels|): no sequence in
+    # it, at any depth, has one entry per pair of (K/K_m)^2
+    alg = HeckeAlgebra(SL3_Q2, 1)
+    for tau in dominant_window("SL", 3, 1):
+        alg.orbit_table(tau)
+    pairs = len(alg.residue_classes) ** 2
+
+    def lengths(obj):
+        if isinstance(obj, (list, tuple)):
+            yield len(obj)
+            for item in obj:
+                yield from lengths(item)
+
+    assert len(alg._canonical) == len(dominant_window("SL", 3, 1))
+    assert max(lengths(list(alg._canonical.values()))) < pairs
 
 
 @pytest.mark.parametrize("spec, m", [c for c in MUL_TABLE_CELLS if c.values[1] >= 1])
