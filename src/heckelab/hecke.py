@@ -25,10 +25,8 @@ from .matgrp import (
     CartanDatum,
     GroupElement,
     GroupSpec,
-    ResidueMatrix,
     cartan,
     cartan_type,
-    code_product,
     dominant_window,
     enumerate_residue_matrices,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
@@ -37,6 +35,8 @@ from .matgrp import (
     zero_tau,
     _check_budget,
     _check_budget_power,
+    _congruence_classes,
+    _subgroup_generators,
 )
 from .rings import ZZ
 
@@ -201,8 +201,8 @@ class HeckeAlgebra:
     def __init__(self, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
         if m < 0:
             raise InvalidConfig(f"level m must be >= 0, got {m}")
-        # every label needs K/K_m, enumerated from the q^(m n^2) points of
-        # M_n(o/pi^m): refuse before any ring of precision m is built
+        # the stabilizers Gamma_tau (``_gamma``) sweep the q^(m n^2) points
+        # of M_n(o/pi^m): refuse before any ring of precision m is built
         _check_budget_power(spec.model.q, m * spec.n**2, budget)
         self.spec = spec
         self.m = m
@@ -213,7 +213,10 @@ class HeckeAlgebra:
         self._codes = None
         self._code_index = None
         self._q_lift = None
-        self._q_mul = None
+        self._closure = None
+        self._steps = None
+        self._words = None
+        self._e = None
         self._q_inv = None
         self._orbit_tables = {}
         self._canonical = {}
@@ -230,20 +233,35 @@ class HeckeAlgebra:
 
     @property
     def residue_classes(self):
-        """The classes of K/K_m in the order enumerated.  Each class also
-        gets its code (see ``matgrp.code_product``), taken from the class
-        itself, never from its position: ``_codes[i]`` is the code of class
-        i and ``_code_index`` maps a code back to its class."""
+        """The classes of K/K_m in the order enumerated, with the closure
+        that built them (``matgrp.ClassClosure``) moved to that order:
+        ``_codes[i]`` is the code of class i, ``_code_index`` maps a code
+        back to its class and ``_words[i]`` lists the moves whose product
+        is q[i].  Each class is placed by the class itself, never by its
+        position."""
         if self._q is None:
-            q = enumerate_residue_matrices(self.spec, self.m, self.budget)
-            tables = q[0].ring.tables(self.budget)
-            codes = [tuple(tables.index[x.coords] for row in mat.rows for x in row) for mat in q]
+            closure = _congruence_classes(self.spec, 0, self.m, self.budget)
+            q = enumerate_residue_matrices(self.spec, self.m, self.budget, closure=closure)
             self._q_index = {mat: i for i, mat in enumerate(q)}
-            self._tables = tables
-            self._codes = codes
-            self._code_index = {code: i for i, code in enumerate(codes)}
+            pos = [0] * len(q)  # class i of q is class pos[i] of the closure
+            for j, mat in enumerate(closure.matrices):
+                pos[self._q_index[mat]] = j
+            self._closure = closure
+            self._tables = closure.tables
+            self._codes = [closure.codes[j] for j in pos]
+            self._code_index = {code: i for i, code in enumerate(self._codes)}
+            self._words = [closure.words[j] for j in pos]
+            self._e = self._words.index(())
             self._q = q
         return self._q
+
+    def _move_table(self):
+        """steps[s][i], the class of q[i] times move s: |K/K_m| |S| entries,
+        charged to the budget when first asked for."""
+        if self._steps is None:
+            self.residue_classes
+            self._steps = self._closure.move_table(self._codes, self._code_index, self.budget)
+        return self._steps
 
     @property
     def class_index(self):
@@ -257,54 +275,33 @@ class HeckeAlgebra:
             self._q_lift[i] = lift_group(self.residue_classes[i], self.spec)
         return self._q_lift[i]
 
-    def _mul_index(self):
-        """Cayley table of Q = K/K_m: mul[a][b] is the index of q[a] @ q[b].
-
-        Filled by generator closure (Holt-Eick-O'Brien, Handbook of
-        Computational Group Theory, ch. 4).  A generator's row costs |Q|
-        code products (``code_product``, index lookups in the ring tables);
-        every other row is composed from known rows,
-        row(a g) = [row(a)[x] for x in row(g)], because (a g) b = a (g b).
-        The rows known at any time form a subgroup, so each new generator
-        (the smallest index still missing) at least doubles it: at most
-        floor(log2 |Q|) generators and floor(log2 |Q|) * |Q| products.
-        """
-        if self._q_mul is None:
-            size = len(self.residue_classes)
-            codes, cidx, tables, n = self._codes, self._code_index, self._tables, self.spec.n
-            _check_budget(size * size, self.budget)
-            e = self._unit_index()
-            mul = [None] * size
-            mul[e] = list(range(size))
-            reached, gens, missing = [e], [], 0
-            while len(reached) < size:
-                while mul[missing] is not None:
-                    missing += 1
-                x = codes[missing]
-                mul[missing] = [cidx[code_product(x, y, n, tables)] for y in codes]
-                gens.append(missing)
-                reached.append(missing)
-                # right-multiply everything reached, including what this
-                # loop appends, until the subgroup is closed
-                for a in reached:
-                    row = mul[a]
-                    for g in gens:
-                        c = row[g]
-                        if mul[c] is None:
-                            mul[c] = [row[x] for x in mul[g]]
-                            reached.append(c)
-            self._q_mul = mul
-        return self._q_mul
+    def _mul(self, a: int, b: int) -> int:
+        """The index of q[a] q[b]: b's word s_1 .. s_k walked from a along
+        the move table, a s_1 .. s_k, k table reads.  Nothing per pair of
+        classes is stored."""
+        steps = self._steps or self._move_table()
+        for s in self._words[b]:
+            a = steps[s][a]
+        return a
 
     def _unit_index(self) -> int:
-        """Index of the identity class of K/K_m."""
-        return self.class_index[ResidueMatrix.identity(self.residue_classes[0].ring, self.spec.n)]
+        """Index of the identity class of K/K_m, the one with the empty word."""
+        self.residue_classes
+        return self._e
 
     def _inv_index(self):
-        """inv[a] is the index of q[a]^-1, read off the Cayley table."""
+        """inv[a] is the index of q[a]^-1: for q[a] = s_1 .. s_k, the word
+        s_k^-1 .. s_1^-1 walked from the identity (the moves are closed
+        under inverses)."""
         if self._q_inv is None:
-            e = self._unit_index()
-            self._q_inv = [row.index(e) for row in self._mul_index()]
+            e, steps, inverse = self._unit_index(), self._move_table(), self._closure.inverse
+            out = []
+            for word in self._words:
+                x = e
+                for s in reversed(word):
+                    x = steps[inverse[s]][x]
+                out.append(x)
+            self._q_inv = out
         return self._q_inv
 
     # -- double coset equality ----------------------------------------------------
@@ -498,12 +495,13 @@ class HeckeAlgebra:
 
         Two passes over Q (``_coset_minima``) give x0[x] = min(x Gamma_1)
         with s' = via[x], and min(z K_2) for every z, kept as slot[z], its
-        position in the row of x0; tcol[x] = t_s'^-1 is the column of the
-        Cayley table that takes y to y t_s.  That is O(|Q| + |labels|)
-        per tau, nothing per pair.  Either pass fails unless the
-        translates of its subgroup partition Q, and the counts must give
-        |Gamma_1| |K_2| = |Gamma|, which a Gamma that is not a subgroup
-        breaks (orbit-stabilizer).
+        position in the row of x0; tcol[x] = t_s'^-1 is the class whose
+        word, walked from y, gives y t_s (``_mul``).  That is O(|Q| +
+        |labels|) per tau, nothing per pair; the |Q|^2 / |Gamma| labels
+        are charged to the budget before they are built.  Either pass
+        fails unless the translates of its subgroup partition Q, and the
+        counts must give |Gamma_1| |K_2| = |Gamma|, which a Gamma that is
+        not a subgroup breaks (orbit-stabilizer).
         """
         q = self.residue_classes
         size = len(q)
@@ -518,6 +516,7 @@ class HeckeAlgebra:
                 f"orbit-stabilizer mismatch at tau={tau}: "
                 f"|Gamma_1| |K_2| = {len(fibre)} * {len(k2)} != |Gamma| = {len(gamma_idx)}"
             )
+        _check_budget(size * size // len(gamma_idx), self.budget)
         x0, via = self._coset_minima(tau, list(fibre))
         y0 = self._coset_minima(tau, k2)[0]
         ys = [y for y in range(size) if y0[y] == y]
@@ -544,12 +543,12 @@ class HeckeAlgebra:
         the subgroup of K/K_m listed by ``sub``: one pass in index order,
         in which the first index met of each coset x H is its least.  Raises
         unless the cosets met partition K/K_m, |H| indices each."""
-        mul = self._mul_index()
-        least, via = [None] * len(mul), [None] * len(mul)
-        for x, row in enumerate(mul):
+        size = len(self.residue_classes)
+        least, via = [None] * size, [None] * size
+        for x in range(size):
             if least[x] is not None:
                 continue
-            coset = [row[s] for s in sub]
+            coset = [self._mul(x, s) for s in sub]
             if x not in coset or any(least[z] is not None for z in coset):
                 raise InvariantViolated(
                     f"orbit-stabilizer mismatch at tau={tau}: the cosets of a "
@@ -585,11 +584,11 @@ class HeckeAlgebra:
         So one pass over u in M_n(o/pi^m) keeps u iff its y is a class.
         Each u_ij equals x_ij or y_ij (one of max(d,0), max(-d,0) is 0), so
         distinct u give distinct pairs, and the pass is the q^(m n^2) points
-        the budget admitted for K/K_m.  The pass runs on codes: entry (i, j)
-        of the pair is (pi^max(d,0) u, pi^max(-d,0) u) by the ring's mul
-        table, and x and y are looked up in the code index.  At m = 0 the
-        same pass runs in the zero ring o/pi^0: one u, one pair, the one
-        class of K/K_0 = 1, so Gamma_tau = {(1, 1)}.
+        that ``__init__`` charged to the budget.  The pass runs on codes:
+        entry (i, j) of the pair is (pi^max(d,0) u, pi^max(-d,0) u) by the
+        ring's mul table, and x and y are looked up in the code index.  At
+        m = 0 the same pass runs in the zero ring o/pi^0: one u, one pair,
+        the one class of K/K_0 = 1, so Gamma_tau = {(1, 1)}.
         """
         ring = self.residue_classes[0].ring
         tables, cidx = self._tables, self._code_index
@@ -618,8 +617,8 @@ class HeckeAlgebra:
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b, that of the
         classes ([a], [b]^-1).  Reduction is a homomorphism, so [b]^-1 =
-        [b^-1] is read off the Cayley table (``_inv_index``): past the
-        factorization, no residue product or inverse is formed."""
+        [b^-1] is read off ``_inv_index``: past the factorization, no
+        residue product or inverse is formed."""
         fac = cartan(g)
         idx = self.class_index
         xi = idx[reduce_group(fac.a, self.m)]
@@ -630,13 +629,13 @@ class HeckeAlgebra:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
         q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y).
         With x0 = min(x Gamma_1) and t_s as in ``_build_orbit_table``, it
-        is (x0, min(y t_s K_2)): four list reads.  It is the orbit table's
-        own label object, so its hash and string are computed once however
-        often it is asked for."""
+        is (x0, min(y t_s K_2)): three list reads and one product
+        (``_mul``).  It is the orbit table's own label object, so its hash
+        and string are computed once however often it is asked for."""
         if tau not in self._canonical:
             self.orbit_table(tau)
         x0, tcol, slot, rows = self._canonical[tau]
-        return rows[x0[xi]][slot[self._q_mul[yi][tcol[xi]]]]
+        return rows[x0[xi]][slot[self._mul(yi, tcol[xi])]]
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""
@@ -729,21 +728,20 @@ class HeckeAlgebra:
         so the translated label is (tau, [x1 s x], [y2 t'^-1 y]),
         canonicalized in the orbit table of tau.  Translation is a
         bijection on labels, so the constants carry over unchanged:
-        relabeling is index arithmetic in the Cayley table of K/K_m, with
-        no field operation.
+        relabeling is index arithmetic, products of classes of K/K_m
+        walked along the move table (``_mul``), with no field operation.
         """
         key = (l1, l2)
         if key in self._sc_cache:
             return self._sc_cache[key]
-        idx = self.class_index
-        mul = self._mul_index()
+        idx, mul = self.class_index, self._mul
         x1, y1 = idx[l1.pair[0]], idx[l1.pair[1]]
         x2, y2 = idx[l2.pair[0]], idx[l2.pair[1]]
-        k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul[self._inv_index()[y1]][x2]]
-        left, right = mul[mul[x1][s]], mul[mul[y2][t2_inv]]
+        k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul(self._inv_index()[y1], x2)]
+        left, right = mul(x1, s), mul(y2, t2_inv)
         out = {}
         for tau, xi, yi, c in self._bracket(l1.tau, k0, l2.tau):
-            out[self.canonical_label(tau, left[xi], right[yi])] = c
+            out[self.canonical_label(tau, mul(left, xi), mul(right, yi))] = c
         out = dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
         self._sc_cache[key] = out
         return out
@@ -764,14 +762,14 @@ class HeckeAlgebra:
         """
         key = (tau1, tau2)
         if key not in self._double_coset_cache:
-            mul, inv = self._mul_index(), self._inv_index()
+            mul, inv = self._mul, self._inv_index()
             self.orbit_table(tau1)
             self.orbit_table(tau2)
             left = self._generating_pairs(self._gamma_idx[tau1], 1)
             right = [(s, inv[t]) for s, t in self._generating_pairs(self._gamma_idx[tau2], 0)]
             e = self._unit_index()
-            table = [None] * len(mul)
-            for k0 in range(len(mul)):
+            table = [None] * len(inv)
+            for k0 in range(len(inv)):
                 if table[k0] is not None:
                     continue
                 table[k0] = (k0, e, e)
@@ -779,39 +777,26 @@ class HeckeAlgebra:
                 for k in reached:
                     _, s, t_inv = table[k]
                     for s_a, t_a in left:
-                        c = mul[t_a][k]
+                        c = mul(t_a, k)
                         if table[c] is None:
-                            table[c] = (k0, mul[s_a][s], t_inv)
+                            table[c] = (k0, mul(s_a, s), t_inv)
                             reached.append(c)
-                    row = mul[k]
                     for s_a, t_a_inv in right:
-                        c = row[s_a]
+                        c = mul(k, s_a)
                         if table[c] is None:
-                            table[c] = (k0, s, mul[t_a_inv][t_inv])
+                            table[c] = (k0, s, mul(t_a_inv, t_inv))
                             reached.append(c)
             self._double_coset_cache[key] = table
         return self._double_coset_cache[key]
 
     def _generating_pairs(self, pairs, side: int):
         """Pairs of ``pairs`` whose ``side`` components generate the
-        projection of the group ``pairs`` to that side.  A pair is kept
-        when its component is outside the subgroup the kept ones generate,
-        which then at least doubles, as in ``_mul_index``."""
-        mul = self._mul_index()
-        e = self._unit_index()
-        gens, reached, seen = [], [e], {e}
+        projection of the group ``pairs`` to that side: the first pair met
+        with each component that ``matgrp._subgroup_generators`` keeps."""
+        first = {}
         for pair in pairs:
-            if pair[side] in seen:
-                continue
-            gens.append(pair)
-            for a in reached:
-                row = mul[a]
-                for g in gens:
-                    c = row[g[side]]
-                    if c not in seen:
-                        seen.add(c)
-                        reached.append(c)
-        return gens
+            first.setdefault(pair[side], pair)
+        return [first[g] for g in _subgroup_generators(first, self._mul, self._unit_index())]
 
     def _bracket(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
         """t_(n_tau1) * t_(k0) * t_(n_tau2) as (tau, x index, y index, c)

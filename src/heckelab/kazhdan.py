@@ -142,20 +142,36 @@ class TransportContext:
 
     def _class_map(self):
         """lam[i] = index on side 2 of lambda_m(q[i]), for the classes q of
-        K/K_m: checked to be a bijection with lam[ab] = lam[a] lam[b]."""
+        K/K_m, checked to be a group isomorphism onto the classes of side
+        2: a bijection with lam(e) = e' and lam(x s) = lam(x) lam(s) for
+        every class x and every move s of side 1's closure
+        (``matgrp.ClassClosure``), |K/K_m| |S| checks.
+
+        Those imply lam(x y) = lam(x) lam(y) for all classes x, y.  The
+        moves generate K/K_m, so y = s_1 .. s_k (its word); induct on k.
+        At k = 0, lam(x e) = lam(x) = lam(x) e' = lam(x) lam(e).  For y =
+        y' s, lam(x y' s) = lam(x y') lam(s) = lam(x) lam(y') lam(s) =
+        lam(x) lam(y' s): the outer steps are the check at (x y', s) and at
+        (y', s), the middle one the induction hypothesis at y'.
+        """
         if self._lam is None:
             A, A2 = self.algebra, self.algebra2
             idx2 = A2.class_index
             lam = [idx2.get(self.map_residue_matrix(r)) for r in A.residue_classes]
             if len(lam) != len(idx2) or set(lam) != set(idx2.values()):
                 raise InvariantViolated("lambda_m is not a bijection of the classes of K/K_m")
-            mul2 = A2._mul_index()
-            for a, row in enumerate(A._mul_index()):
-                row2 = mul2[lam[a]]
-                if any(lam[c] != row2[lam[b]] for b, c in enumerate(row)):
-                    raise InvariantViolated(
-                        f"lambda_m is not multiplicative on K/K_m at class {a}"
-                    )
+            e = A._unit_index()
+            if lam[e] != A2._unit_index():
+                raise InvariantViolated(
+                    "lambda_m is not multiplicative on K/K_m: it moves the identity class"
+                )
+            for s, row in enumerate(A._move_table()):
+                lam_s = lam[row[e]]  # the class of the move itself, e s = s
+                for x, xs in enumerate(row):
+                    if lam[xs] != A2._mul(lam[x], lam_s):
+                        raise InvariantViolated(
+                            f"lambda_m is not multiplicative on K/K_m at class {x}, move {s}"
+                        )
             self._lam = lam
         return self._lam
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,7 +75,9 @@ class GF:
     Elements are integers in [0, q) whose base-p digits are the coefficients
     of a residue polynomial modulo a fixed irreducible monic polynomial of
     degree f (the lexicographically smallest one, so the encoding is
-    deterministic).  For f = 1 this is plain arithmetic mod p.
+    deterministic).  For f = 1 this is plain arithmetic mod p; for f > 1
+    products and inverses are reads of the log and antilog tables of
+    ``_power_tables``, built once per field.
     """
 
     def __init__(self, p: int, f: int = 1):
@@ -87,6 +90,8 @@ class GF:
         self.q = p**f
         self.modulus = self._find_irreducible() if f > 1 else (0, 1)
         self._inv = {}
+        if f > 1:
+            self._exp, self._log = self._power_tables()
 
     def _digits(self, a: int):
         p, f = self.p, self.f
@@ -115,6 +120,63 @@ class GF:
                     return False
         return True
 
+    def _power_tables(self):
+        """exp[i] = g^i for 0 <= i < 2(q - 1) and log[g^i] = i (log[0] is
+        unused), for g the least primitive element in the integer encoding.
+
+        F_q^* is cyclic of order q - 1, so g is primitive iff g^((q-1)/r)
+        != 1 for every prime r dividing q - 1; the constants lie in F_p^*,
+        of order below q - 1, so the search starts at x.  ``times`` is
+        Horner's rule on the digits of its second factor, a x being a shift
+        with x^f = -(m_0 + m_1 x + .. + m_(f-1) x^(f-1)) for the modulus m.
+        The q - 2 products by g that list the powers are each two reads of
+        tables of about sqrt(q) products by g: for c = hi x^h + lo, c g =
+        (hi x^h) g + lo g, added digit by digit.  The tables hold 3q - 2
+        integers; wherever a config names a field, q is charged to the
+        budget first (``cli.RunConfig._model``)."""
+        p, f, q = self.p, self.f, self.q
+        low = [(-c) % p for c in self.modulus[:f]]
+
+        def times(a, b):
+            acc = [0] * f
+            for d in reversed(b):
+                top = acc[-1]
+                acc = [(x + top * c + d * y) % p for x, c, y in zip([0] + acc[:-1], low, a)]
+            return acc
+
+        def power(a, e):
+            out = [1] + [0] * (f - 1)
+            while e:
+                if e & 1:
+                    out = times(out, a)
+                a, e = times(a, a), e >> 1
+            return out
+
+        n, r, primes = q - 1, 2, []
+        while r * r <= n:
+            if n % r == 0:
+                primes.append(r)
+                while n % r == 0:
+                    n //= r
+            r += 1
+        primes += [n] if n > 1 else []
+        one = [1] + [0] * (f - 1)
+        g = next(g for g in range(p, q)
+                 if all(power(self._digits(g), (q - 1) // r) != one for r in primes))
+        g_digits, split = self._digits(g), p ** (f // 2)  # split = x^h encoded
+        by_low = [times(self._digits(lo), g_digits) for lo in range(split)]
+        by_high = [times(self._digits(hi * split), g_digits) for hi in range(q // split)]
+        weights = [p**i for i in range(f)]
+        exp, code = [1], 1
+        for _ in range(q - 2):
+            hi, lo = divmod(code, split)
+            code = sum((u + v) % p * w for u, v, w in zip(by_high[hi], by_low[lo], weights))
+            exp.append(code)
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        return array("l", exp + exp), array("l", log)
+
     def add(self, a: int, b: int) -> int:
         p = self.p
         if self.f == 1:
@@ -132,36 +194,22 @@ class GF:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        p = self.p
         if self.f == 1:
-            return (a * b) % p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.f - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _polymod_intcoeffs(tuple(prod), self.modulus, p)
-        return self._encode(rem + (0,) * (self.f - len(rem)))
+            return (a * b) % self.p
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
-        """a^-1: pow(a, -1, p) for f = 1; otherwise a^(q-2), since a^(q-1)
-        = 1 in the group F_q^* of order q - 1, by square-and-multiply in
-        about 2 log2 q products.  Memoized, as ``ResidueRing.reduce`` asks
-        for the same inverses (inv(1) above all) again and again."""
+        """a^-1: pow(a, -1, p) for f = 1, memoized, as ``ResidueRing.reduce``
+        asks for the same inverses (inv(1) above all) again and again;
+        otherwise g^(q - 1 - log a), one table read."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF")
+        if self.f > 1:
+            return self._exp[self.q - 1 - self._log[a]]
         if a not in self._inv:
-            if self.f == 1:
-                b = pow(a, -1, self.p)
-            else:
-                b, base, e = 1, a, self.q - 2
-                while e:
-                    if e & 1:
-                        b = self.mul(b, base)
-                    base = self.mul(base, base)
-                    e >>= 1
-            self._inv[a] = b
+            self._inv[a] = pow(a, -1, self.p)
         return self._inv[a]
 
     def __repr__(self):

@@ -11,6 +11,7 @@ K/K_m and K_m/K_(m+c).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -563,42 +564,6 @@ class ResidueMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
 
-# A residue matrix in index arithmetic is its code: the row-major tuple of
-# the indices of its entries in the ring's ``RingTables``.
-
-
-def code_product(x, y, n: int, tables):
-    """The code of the product of the n x n matrices with codes x and y."""
-    add, mul = tables.add, tables.mul
-    out = []
-    for i in range(0, n * n, n):
-        row = x[i:i + n]
-        for j in range(n):
-            acc = mul[row[0]][y[j]]
-            for k in range(1, n):
-                acc = add[acc][mul[row[k]][y[k * n + j]]]
-            out.append(acc)
-    return tuple(out)
-
-
-def code_det(rows, tables) -> int:
-    """The index of the determinant of the matrix whose rows of entry
-    indices are ``rows``: ``_cofactor_det`` in the ring's tables."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    add, mul, neg = tables.add, tables.mul, tables.neg
-    if n == 2:
-        return add[mul[rows[0][0]][rows[1][1]]][neg[mul[rows[0][1]][rows[1][0]]]]
-    acc = 0  # index 0 is zero
-    for j, x in enumerate(rows[0]):
-        if x == 0:
-            continue
-        term = mul[x][code_det([r[:j] + r[j + 1:] for r in rows[1:]], tables)]
-        acc = add[acc][term if j % 2 == 0 else neg[term]]
-    return acc
-
-
 def reduce_group(g: GroupElement, N: int) -> ResidueMatrix:
     """The reduction K -> G(o/pi^N), a group homomorphism."""
     if not g.in_k():
@@ -651,9 +616,149 @@ def _check_budget_power(base: int, exponent: int, budget: int):
             )
 
 
-def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int):
+# A residue matrix in index arithmetic is its code: the row-major tuple of
+# the indices of its entries in the ring's ``RingTables``.
+
+
+def _subgroup_generators(members, op, e):
+    """Generators of the subgroup of a finite group that ``members`` lists,
+    with ``op(a, b)`` the product of two indices and ``e`` the identity.
+
+    A member is kept when it lies outside the subgroup the kept ones
+    generate, which then at least doubles: at most log2 |members| are
+    kept.  That subgroup is closed by right products with the kept members
+    alone; in a finite group every inverse is a positive power, so the
+    closure is the subgroup they generate."""
+    gens, reached, seen = [], [e], {e}
+    for x in members:
+        if x in seen:
+            continue
+        gens.append(x)
+        for a in reached:  # grows while it is read, until the subgroup is closed
+            for g in gens:
+                c = op(a, g)
+                if c not in seen:
+                    seen.add(c)
+                    reached.append(c)
+    return gens
+
+
+def _class_count(spec: GroupSpec, m: int, c: int) -> int:
+    """|K_m/K_(m+c)| in closed form: ``kernel_count`` at m >= 1 (and 1 at
+    c = 0); at m = 0 the order of G(o/pi^c), |GL_n(F_q)| q^(n^2 (c - 1))
+    for GL (reduction mod pi is onto, with kernel 1 + pi M_n(o/pi^c)), and
+    for SL that divided by |(o/pi^c)^*| = (q - 1) q^(c - 1), the image of
+    the determinant."""
+    if m >= 1 or c == 0:
+        return kernel_count(spec, m, c)
+    q, n = spec.model.q, spec.n
+    order = q ** (n * n * (c - 1)) * math.prod(q**n - q**i for i in range(n))
+    return order if spec.family == GL else order // ((q - 1) * q ** (c - 1))
+
+
+def _class_moves(spec: GroupSpec, m: int, ring: ResidueRing, tables):
+    """The moves S that generate the classes of G(R), R = o/pi^(m+c) the
+    ring of ``tables``, that are 1 mod pi^m (see ``_congruence_classes``).
+
+    A move is the right multiplication by one generator, on codes: a pair
+    (adds, scales) in which entry a of a code c becomes add[c[a]][row[c[b]]]
+    for each (a, b, row) in adds (column j += w column k, row by row) and
+    row[c[a]] for each (a, row) in scales (column j *= u), ``row`` being
+    the row of the mul table of w or u (``_apply_move``).  With P = pi^m R, W generators of the additive group P and U
+    generators of the unit group 1 + P (of R^* at m = 0), both from
+    ``_subgroup_generators`` and closed under inverses:
+    - x_ij(w) = 1 + w e_ij for i != j and w in W: column j += w column i;
+    - GL: diag(1, .., u, .., 1) with u in U, at position 0 alone when m = 0
+      and at every position when m >= 1;
+    - SL, m >= 1: h_i(u) = diag(.., u, u^-1, ..) at positions i, i + 1.
+    Returns the moves and the index of the inverse of each, which is a
+    move too: x_ij(w)^-1 = x_ij(-w), and u^-1 is in U.
+    """
+    n = spec.n
+    add, mul, index = tables.add, tables.mul, tables.index
+    one = index[ring.one().coords]
+    ideal = [i for i, x in enumerate(tables.elements) if x.val() >= m]
+    if m == 0:
+        unit_group = [i for i in ideal if tables.elements[i].is_unit()]
+    else:
+        unit_group = sorted(add[one][i] for i in ideal)
+
+    def inv(u):
+        return mul[u].index(one)
+
+    def closed(gens, inverse):
+        return list(dict.fromkeys(gens + [inverse(g) for g in gens]))
+
+    ws = closed(_subgroup_generators(ideal, lambda a, b: add[a][b], 0), tables.neg.__getitem__)
+    us = closed(_subgroup_generators(unit_group, lambda a, b: mul[a][b], one), inv)
+    keys = [("x", i, j, w) for i in range(n) for j in range(n) if i != j for w in ws]
+    if spec.family == GL:
+        keys += [("d", i, i, u) for i in (range(n) if m else range(1)) for u in us]
+    elif m:
+        keys += [("h", i, i + 1, u) for i in range(n - 1) for u in us]
+    offsets = range(0, n * n, n)
+    moves, inverse = [], []
+    position = {key: s for s, key in enumerate(keys)}
+    for kind, i, j, v in keys:
+        if kind == "x":
+            moves.append((tuple((r + j, r + i, mul[v]) for r in offsets), ()))
+            inverse.append(position[kind, i, j, tables.neg[v]])
+        else:
+            scales = [(r + i, mul[v]) for r in offsets]
+            if kind == "h":
+                scales += [(r + j, mul[inv(v)]) for r in offsets]
+            moves.append(((), tuple(scales)))
+            inverse.append(position[kind, i, j, inv(v)])
+    return moves, inverse
+
+
+def _apply_move(move, code, add):
+    """The code of the class with code ``code`` times the move ``move`` (a
+    pair (adds, scales), see ``_class_moves``); ``add`` is the ring's add
+    table."""
+    adds, scales = move
+    out = list(code)
+    for a, b, row in adds:
+        out[a] = add[code[a]][row[code[b]]]
+    for a, row in scales:
+        out[a] = row[code[a]]
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class ClassClosure:
+    """The classes of ``_congruence_classes`` in index arithmetic, over
+    ``tables``, the ``RingTables`` of o/pi^(m+c).
+
+    ``codes[x]`` is the code of class x and ``matrices[x]`` its
+    ``ResidueMatrix``, in increasing ``sort_key`` order.  ``moves`` and
+    ``inverse`` are those of ``_class_moves``, and ``words[x]`` is a
+    shortest tuple of moves s_1, .., s_k with x = s_1 .. s_k (the
+    breadth-first parent pointers), so that x y is y's word walked from x
+    along the move table.
+    """
+
+    tables: object
+    codes: list
+    matrices: list
+    moves: list
+    inverse: list
+    words: list
+
+    def move_table(self, codes, code_index, budget: int):
+        """table[s][x] = code_index[codes[x] times move s], for ``codes``
+        these classes in any order and ``code_index`` its inverse.  The
+        budget is charged the |G| |S| entries before any is built."""
+        _check_budget(len(codes) * len(self.moves), budget)
+        add = self.tables.add
+        return [[code_index[_apply_move(move, code, add)] for code in codes]
+                for move in self.moves]
+
+
+def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassClosure:
     """The classes of G(o/pi^(m+c)) that are 1 mod pi^m (det = 1 for SL),
-    as ``ResidueMatrix``es in increasing ``sort_key`` order.
+    by breadth-first closure from the identity under the moves of
+    ``_class_moves``, sorted once at the end.
 
     They are in bijection with K_m/K_(m+c).  Reduction K_m -> G(o/pi^(m+c))
     is a group homomorphism with kernel K_(m+c), and its image lies in the
@@ -662,42 +767,83 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int):
     element is 1 mod pi^m, so it lies in K_m.  At m = 0 the classes are
     all of G(o/pi^c), that is K/K_c.
 
-    The sweep runs over codes in the ``RingTables`` of o/pi^(m+c).  Entry
-    (i, j) draws from the indices of the x with x = delta_ij mod pi^m, the
-    q^c elements delta_ij + pi^m y, y in o/pi^c; a matrix is kept when
-    ``code_det`` finds its determinant a unit (GL) or 1 (SL).  A
-    ``ResidueMatrix`` is built only for a matrix that is kept.  Indices are
-    ordered as the coords of their elements, and ``sort_key`` is the
-    row-major tuple of entry coords, so comparing two codes
-    lexicographically is comparing their sort keys; ``itertools.product``
-    over sorted pools yields codes in lexicographic order, so the classes
-    are born sorted.  At m + c = 0 the ring is the zero ring, whose one
-    element is a unit (and 1): its one matrix is K/K_0 = 1.
+    The moves generate this group, G say, in R = o/pi^(m+c), P = pi^m R:
+    - m = 0: R is local with maximal ideal pi R.  For g in GL_n(R) some
+      entry of column 1 is a unit (else det g would lie in pi R); adding
+      that row to row 1 if need be makes g_11 a unit, and row and column
+      operations with g_11 as pivot clear row and column 1.  By induction
+      (Gaussian elimination) g = e diag(d_1, .., d_n) e' with e, e' in the
+      group E generated by the x_ij(w), w in R, and each diag(.., d, d^-1,
+      ..) lies in E (Whitehead: diag(u, u^-1) = x_12(u) x_21(-u^-1) x_12(u)
+      x_12(-1) x_21(1) x_12(-1)), so g lies in E diag(det g, 1, .., 1).
+      So SL_n(R) = E, and GL_n(R) is generated by E and diag(u, 1, .., 1),
+      u in R^*.
+    - m >= 1 (Iwahori factorization K_m = U-_m T_m U+_m): g = 1 mod P has
+      unit pivots g_kk = 1 mod P and multipliers in P, so elimination gives
+      g = v d u with v lower and u upper unitriangular, entries in P, and
+      d diagonal with entries in 1 + P; v and u are products of x_ij(p),
+      p in P.  For SL, prod d_i = 1 and d = prod_i h_i(d_1 .. d_i).
+    - x_ij(a + b) = x_ij(a) x_ij(b), diag(u v) = diag(u) diag(v) and h_i(u
+      v) = h_i(u) h_i(v), so generators of the groups P and 1 + P (R^* at
+      m = 0) suffice.
+    Breadth-first right products with the moves from the identity reach
+    every product of moves, so the closure is G.  It must have the closed-
+    form size of ``_class_count``, else InvariantViolated: a move missing
+    from S shows as a short closure.
+
+    The budget is charged q^(c n^2), a bound on the classes taken by
+    exponent, before the ring is built; the closure keeps O(|G|) (codes
+    and words, not the images it meets), and ``ClassClosure.move_table``
+    charges the |G| |S| entries of the move table before it builds it.
+    Indices are ordered as the coords of their elements, and ``sort_key``
+    is the row-major tuple of entry coords, so sorting codes is sorting by
+    ``sort_key``.  At m + c = 0 the ring is the zero ring, whose one
+    element is 1: no move, and one class, K/K_0 = 1.
     """
-    # the q^(c n^2) swept codes are charged before the ring is built
     n = spec.n
     _check_budget_power(spec.model.q, c * n * n, budget)
+    order = _class_count(spec, m, c)
     ring = spec.model.residue_ring(m + c)
     tables = ring.tables(budget)
-    elements = tables.elements
-    one = ring.one()
-    off_diagonal = [i for i, x in enumerate(elements) if x.val() >= m]
-    diagonal = [i for i, x in enumerate(elements) if (x - one).val() >= m]
-    pools = [diagonal if i == j else off_diagonal for i in range(n) for j in range(n)]
-    if spec.family == SL:
-        wanted = {tables.index[one.coords]}
-    else:
-        wanted = {i for i, x in enumerate(elements) if x.is_unit()}
-    for code in itertools.product(*pools):
-        rows = [code[i:i + n] for i in range(0, n * n, n)]
-        if code_det(rows, tables) in wanted:
-            yield ResidueMatrix(ring, tuple(tuple(elements[i] for i in row) for row in rows))
+    moves, inverse = _class_moves(spec, m, ring, tables)
+    add, one = tables.add, tables.index[ring.one().coords]
+    identity = tuple(one if i == j else 0 for i in range(n) for j in range(n))
+    mismatch = (f"closure of {spec.family}_{n} mod pi^{m + c} at level {m} does not "
+                f"have the closed-form {order} classes")
+    found, codes, words = {identity}, [identity], [()]
+    for x, code in enumerate(codes):  # grows while it is read
+        for s, move in enumerate(moves):
+            out = _apply_move(move, code, add)
+            if out not in found:
+                if len(codes) == order:
+                    raise InvariantViolated(mismatch)
+                found.add(out)
+                codes.append(out)
+                words.append(words[x] + (s,))
+    if len(codes) != order:
+        raise InvariantViolated(mismatch)
+    ranked = sorted(range(order), key=codes.__getitem__)
+    codes = [codes[x] for x in ranked]
+    entry, offsets = tables.elements.__getitem__, range(0, n * n, n)
+    return ClassClosure(
+        tables,
+        codes,
+        [ResidueMatrix(ring, tuple(tuple(map(entry, code[r:r + n])) for r in offsets))
+         for code in codes],
+        moves,
+        inverse,
+        [words[x] for x in ranked],
+    )
 
 
-def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
+def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET,
+                               closure: ClassClosure | None = None):
     """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically:
-    the classes of K/K_m (see ``_congruence_classes``)."""
-    return list(_congruence_classes(spec, 0, m, budget))
+    the classes of K/K_m, those of ``closure`` when it is given, else of
+    ``_congruence_classes(spec, 0, m, budget)``."""
+    if closure is None:
+        closure = _congruence_classes(spec, 0, m, budget)
+    return list(closure.matrices)
 
 
 def enumerate_residue(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
@@ -715,7 +861,7 @@ def kernel_count(spec: GroupSpec, m: int, c: int) -> int:
 def iter_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
     """Yield exact coset representatives of K_m/K_(m+c), one per class:
     the canonical lifts of ``_congruence_classes``."""
-    for r in _congruence_classes(spec, m, c, budget):
+    for r in _congruence_classes(spec, m, c, budget).matrices:
         yield lift_group(r, spec)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra
-from heckelab.localfield import FieldElement
+from heckelab.localfield import FieldElement, _polymod_intcoeffs
 from heckelab.matgrp import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -65,6 +65,20 @@ def _q_poly_invmod(a, modulus):
     return [c / const for c in s0]
 
 
+def gf_product_by_digits(k, a, b):
+    """a b in k = GF(p^f): the schoolbook product of the digit polynomials,
+    reduced by the field's modulus.  Reference oracle for GF.mul."""
+    p, f = k.p, k.f
+    da, db = k._digits(a), k._digits(b)
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    rem = _polymod_intcoeffs(tuple(prod), k.modulus, p)
+    return k._encode(rem + (0,) * (f - len(rem)))
+
+
 def inverse_by_extended_gcd(x):
     """x^-1 in the mixed model by the extended gcd of its coordinate
     polynomial with the Eisenstein polynomial pi^e - p, in Fractions.
@@ -108,9 +122,43 @@ def residue_matrices_by_object_sweep(spec, m):
     return sorted(out, key=lambda mat: mat.sort_key())
 
 
+def code_product(x, y, n: int, tables):
+    """The code of the product of the n x n matrices with codes x and y,
+    by the row-column sum in the ring's tables."""
+    add, mul = tables.add, tables.mul
+    out = []
+    for i in range(0, n * n, n):
+        row = x[i:i + n]
+        for j in range(n):
+            acc = mul[row[0]][y[j]]
+            for k in range(1, n):
+                acc = add[acc][mul[row[k]][y[k * n + j]]]
+            out.append(acc)
+    return tuple(out)
+
+
+def code_det(rows, tables) -> int:
+    """The index of the determinant of the matrix whose rows of entry
+    indices are ``rows``: cofactor expansion along the first row in the
+    ring's tables."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    add, mul, neg = tables.add, tables.mul, tables.neg
+    if n == 2:
+        return add[mul[rows[0][0]][rows[1][1]]][neg[mul[rows[0][1]][rows[1][0]]]]
+    acc = 0  # index 0 is zero
+    for j, x in enumerate(rows[0]):
+        if x == 0:
+            continue
+        term = mul[x][code_det([r[:j] + r[j + 1:] for r in rows[1:]], tables)]
+        acc = add[acc][term if j % 2 == 0 else neg[term]]
+    return acc
+
+
 def mul_table_by_products(algebra):
     """Cayley table of K/K_m with every entry a residue-matrix product.
-    Reference oracle for HeckeAlgebra._mul_index."""
+    Reference oracle for HeckeAlgebra._mul and _inv_index."""
     q = algebra.residue_classes
     idx = algebra.class_index
     return [[idx[a @ b] for b in q] for a in q]

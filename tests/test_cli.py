@@ -95,6 +95,22 @@ def test_orbits_command(tmp_path, capsys):
     assert "|X_tau| = 9, |Gamma_tau| = 4" in capsys.readouterr().out
 
 
+def test_orbits_command_sl3_over_q3(tmp_path, capsys):
+    # |K/K_1| = |SL3(F_3)| = 5,616: its 3.2e7 pairs exceed the default budget,
+    # its move table does not
+    cfg = write_config(tmp_path, {
+        "field": {"kind": "mixed", "p": 3},
+        "group": {"family": "SL", "n": 3},
+        "level": 1,
+        "window": 1,
+        "seed": 11,
+    })
+    assert main(["--config", cfg, "orbits", "1,0,-1"]) == 0
+    out = capsys.readouterr().out
+    assert "|X_tau| = 10816, |Gamma_tau| = 2916, |K/K_m|^2 = 31539456" in out
+    assert 31539456 > DEFAULT_BUDGET
+
+
 def test_orbits_command_large_cocharacter(tmp_path, capsys):
     # pi^1000 and pi^-1000 are formed in closed form, not by recursion
     cfg = write_config(tmp_path, GL2_Q2)

@@ -439,26 +439,83 @@ MUL_TABLE_CELLS = [
 
 @pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
 def test_mul_index_matches_products(spec, m):
+    # every product x y, walked along the move table, and every inverse,
+    # against the residue-matrix products of all |K/K_m|^2 pairs
     alg = HeckeAlgebra(spec, m)
-    assert alg._mul_index() == mul_table_by_products(alg)
+    table = mul_table_by_products(alg)
+    pairs = itertools.product(range(len(table)), repeat=2)
+    assert all(alg._mul(x, y) == table[x][y] for x, y in pairs)
+    e = alg._unit_index()
+    assert alg._inv_index() == [row.index(e) for row in table]
 
 
 @pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
 def test_mul_index_matmul_count(spec, m, monkeypatch):
-    # generator closure: at most floor(log2 |Q|) generator rows of |Q| products
-    alg = HeckeAlgebra(spec, m)
-    size = len(alg.residue_classes)
-    calls = [0]
-    product = hecke.code_product
+    # the closure and its move table apply each move to each class once
+    # (2 |Q| |S| moves) and form no matrix product or determinant; the code
+    # product and code determinant live only in tests/oracles.py
+    applied = [0]
+    class_moves = matgrp_module._class_moves
+
+    class Counted(tuple):
+        def __iter__(self):  # a move is unpacked once each time it is applied
+            applied[0] += 1
+            return super().__iter__()
 
     def counted(*args):
-        calls[0] += 1
-        return product(*args)
+        moves, inverse = class_moves(*args)
+        return [Counted(move) for move in moves], inverse
 
-    monkeypatch.setattr(hecke, "code_product", counted)
-    alg._mul_index()
-    assert calls[0] <= (size.bit_length() - 1) * size
-    assert (calls[0] > 0) == (size > 1)
+    def refuse(*args):
+        raise AssertionError("the closure formed a matrix product or determinant")
+
+    monkeypatch.setattr(matgrp_module, "_class_moves", counted)
+    monkeypatch.setattr(matgrp_module, "_cofactor_det", refuse)
+    monkeypatch.setattr(ResidueMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(ResidueMatrix, "det", refuse)
+    alg = HeckeAlgebra(spec, m)
+    size = len(alg.residue_classes)
+    moves = len(alg._move_table())
+    assert applied[0] <= 2 * size * moves
+    assert (applied[0] > 0) == (size > 1)
+    assert not hasattr(matgrp_module, "code_product") and not hasattr(matgrp_module, "code_det")
+
+
+@pytest.mark.parametrize("spec, order", [
+    pytest.param(GroupSpec("SL", 3, Q3), 3**3 * (3**2 - 1) * (3**3 - 1), id="SL3/Q_3 m=1"),
+    pytest.param(GroupSpec("GL", 3, Q3), (3**3 - 1) * (3**3 - 3) * (3**3 - 9), id="GL3/Q_3 m=1"),
+])
+def test_closure_reaches_rank_two_over_q3(spec, order):
+    # |SL3(F_3)| = 5,616 and |GL3(F_3)| = 11,232 classes build under the
+    # default budget, where their 3.2e7 and 1.3e8 pairs would not fit; every
+    # orbit table of the window obeys orbit-stabilizer, with the closed-form
+    # degree q^<2rho,tau>
+    alg = HeckeAlgebra(spec, 1)
+    size = len(alg.residue_classes)
+    assert size == order
+    assert size * size > matgrp_module.DEFAULT_BUDGET
+    for tau in dominant_window(spec.family, 3, 1):
+        table = alg.orbit_table(tau)
+        assert table.orbit_count * table.gamma_size == size * size, tau
+        a = tau.coords
+        assert alg.degree(tau) == 3 ** sum(a[i] - a[j] for i in range(3) for j in range(i + 1, 3))
+
+
+def test_closure_guard_trips_on_a_missing_move(monkeypatch):
+    # a generating set with one move dropped closes on a proper subgroup,
+    # short of the closed-form order: the unit move of GL2/Q_3 (det = 1
+    # only) and one of the two elementary moves of SL2/Q_2 (order 2)
+    class_moves = matgrp_module._class_moves
+    for spec, drop in ((GL2_Q3, -1), (SL2_Q2, 0)):
+        def dropped(*args, drop=drop):
+            moves, inverse = class_moves(*args)
+            del moves[drop]  # the closure raises before any inverse is read
+            return moves, inverse
+
+        monkeypatch.setattr(matgrp_module, "_class_moves", dropped)
+        with pytest.raises(InvariantViolated, match="closed-form"):
+            HeckeAlgebra(spec, 1).residue_classes
+        monkeypatch.undo()
 
 
 def test_labels_format_each_class_and_residue_once(monkeypatch):
@@ -500,9 +557,12 @@ def test_labels_format_each_class_and_residue_once(monkeypatch):
 
 @pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS + [
     pytest.param(SL2_Q2, 1, id="SL2/Q_2 m=1"),  # with the cells above: every coset-tables config
+    pytest.param(GroupSpec("GL", 2, FieldModel.equal(2, 2)), 1, id="GL2/F_4((t)) m=1"),
+    pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 2)), 2, id="SL2/Q_2(2^(1/2)) m=2"),
 ])
 def test_enumeration_matches_object_sweep(spec, m):
-    # same classes in the same order, with no sort after the code sweep
+    # the closure from elementary moves, sorted once, gives the same classes
+    # in the same order as a sweep of all residue matrices and determinants
     assert enumerate_residue_matrices(spec, m) == residue_matrices_by_object_sweep(spec, m)
 
 
@@ -545,14 +605,14 @@ def test_orbit_tables_hold_nothing_per_pair():
 
 @pytest.mark.parametrize("spec, m", [c for c in MUL_TABLE_CELLS if c.values[1] >= 1])
 def test_tables_form_no_residue_matrix_product_or_det(spec, m, monkeypatch):
-    # K/K_m, its Cayley table and the orbit tables run in index arithmetic
+    # K/K_m, its move table and the orbit tables run in index arithmetic
     def refuse(*args):
         raise AssertionError("a ResidueMatrix product or determinant was formed")
 
     monkeypatch.setattr(ResidueMatrix, "__matmul__", refuse)
     monkeypatch.setattr(ResidueMatrix, "det", refuse)
     alg = HeckeAlgebra(spec, m)
-    alg._mul_index()
+    alg._inv_index()
     for tau in dominant_window(spec.family, spec.n, 1):
         assert alg.orbit_table(tau).orbit_count > 0
 
@@ -562,7 +622,7 @@ def test_tables_form_no_residue_matrix_product_or_det(spec, m, monkeypatch):
     pytest.param(GL2_Q3, id="GL2/Q_3 m=1"),
 ])
 def test_classify_inverts_no_residue_matrix(spec, monkeypatch):
-    # on warm tables [b]^-1 comes from the Cayley table, not from a
+    # on warm tables [b]^-1 comes from the move table, not from a
     # cofactor inverse over o/pi^m
     alg = HeckeAlgebra(spec, 1)
     rng = random.Random(1509)
@@ -611,12 +671,32 @@ def test_budget_refuses_huge_level_and_window_at_once():
         HeckeAlgebra(GL2_Q2, 2, budget=255)
 
 
-def test_orbit_table_budget_charges_pair_tables():
-    # 81 residue points pass the budget, the 48^2 = 2304-entry tables do not
-    alg = HeckeAlgebra(GL2_Q3, 1, budget=2000)
+def test_budget_charges_move_table_and_labels():
+    # GL2/Q_3 at m = 1: the 81 residue points and the 48 classes pass a
+    # budget of 200, the 48 * 5 = 240 entries of the move table do not
+    alg = HeckeAlgebra(GL2_Q3, 1, budget=200)
     assert len(alg.residue_classes) == 48
     with pytest.raises(BudgetExceeded):
         alg.orbit_table(zero_tau(2))
+    assert len(HeckeAlgebra(GL2_Q3, 1, budget=240)._move_table()) == 5
+
+
+def test_orbit_table_charges_its_labels(monkeypatch):
+    # the |K/K_m|^2 / |Gamma_tau| labels of each tau are charged before they
+    # are built: 168 at tau = 0 and 441 at (1,0,-1) on SL3/Q_2, m = 1
+    charged = []
+    check = hecke._check_budget
+
+    def recorded(count, budget):
+        charged.append(count)
+        return check(count, budget)
+
+    monkeypatch.setattr(hecke, "_check_budget", recorded)
+    alg = HeckeAlgebra(SL3_Q2, 1)
+    for tau in dominant_window("SL", 3, 1):
+        charged.clear()
+        table = alg.orbit_table(tau)
+        assert table.orbit_count in charged
 
 
 # ---------------------------------------------------------------- convolution
@@ -762,9 +842,10 @@ def test_structure_constants_match_tally_sampled(spec, m):
 def test_double_cosets_fold_the_bracket(spec, m):
     # table[k] = (k0, s, t'^-1) must give k = t k0 s' with (s, t) in
     # Gamma_tau1 and (s', t') in Gamma_tau2, k0 least in P2 k P1; checked
-    # against the Cayley table and the Gamma pairs of the orbit tables
+    # against the residue-matrix products of the oracle and the Gamma pairs
+    # of the orbit tables
     alg = HeckeAlgebra(spec, m)
-    mul, idx = alg._mul_index(), alg.class_index
+    mul, idx = mul_table_by_products(alg), alg.class_index
     size = len(mul)
     inv = [row.index(alg._unit_index()) for row in mul]
 

@@ -20,7 +20,7 @@ from heckelab.kazhdan import (
     verify_algebra_map,
 )
 from heckelab.localfield import ClosePair, FieldElement, FieldModel
-from heckelab.matgrp import CartanDatum, GroupSpec, zero_tau
+from heckelab.matgrp import CartanDatum, GroupSpec, dominant_window, zero_tau
 from heckelab.rings import ZZ, RationalField
 from heckelab.sampling import (
     random_hecke,
@@ -171,8 +171,8 @@ def test_transport_label_follows_class_order(monkeypatch, m):
     # makes it a true permutation, which both routes must follow
     enumerate_classes = hecke.enumerate_residue_matrices
 
-    def reversed_on_side_2(spec, level, budget):
-        classes = enumerate_classes(spec, level, budget)
+    def reversed_on_side_2(spec, level, budget, closure=None):
+        classes = enumerate_classes(spec, level, budget, closure=closure)
         return classes[::-1] if spec.model == F_EQ else classes
 
     monkeypatch.setattr(hecke, "enumerate_residue_matrices", reversed_on_side_2)
@@ -180,6 +180,20 @@ def test_transport_label_follows_class_order(monkeypatch, m):
     assert ctx._class_map() != list(range(len(ctx.algebra.residue_classes)))
     for label in ctx.algebra.labels_in_window(1):
         assert ctx.transport_label(label) == transport_label_by_witnesses(ctx, label)
+
+
+def test_class_map_and_gamma_transport_sl3_over_q3():
+    # the close pair Q_3 ~ F_3((t)) at N = 1: lam is checked on the 5,616 |S|
+    # generator pairs of SL3(F_3), and lam x lam maps Gamma_tau onto
+    # Gamma'_tau for every tau of the window
+    q3 = FieldModel.mixed(3, 1)
+    ctx = TransportContext(ClosePair(q3, E3, 1), GroupSpec("SL", 3, q3), GroupSpec("SL", 3, E3),
+                           m=1, N=1, window=1)
+    lam = ctx._class_map()
+    assert sorted(lam) == list(range(5616))
+    for tau in dominant_window("SL", 3, 1):
+        image = {(lam[s], lam[t]) for s, t in ctx.algebra._gamma(tau)}
+        assert image == set(ctx.algebra2._gamma(tau)), tau
 
 
 def test_transport_label_needs_no_cartan_or_field_inverse(monkeypatch):

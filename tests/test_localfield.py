@@ -27,7 +27,7 @@ from heckelab.localfield import (
 from heckelab.sampling import random_element, random_integral
 
 from conftest import all_models
-from oracles import inverse_by_extended_gcd, random_integral_by_fractions
+from oracles import gf_product_by_digits, inverse_by_extended_gcd, random_integral_by_fractions
 
 
 # ---------------------------------------------------------------- valuations
@@ -513,6 +513,28 @@ def test_gf_inverse_at_large_q():
     rng = random.Random(216)
     for a in [1, 2, k.q - 1] + [rng.randrange(1, k.q) for _ in range(200)]:
         assert k.mul(a, k.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p, f", [(2, 2), (2, 3), (3, 2)])
+def test_gf_product_matches_digit_oracle(p, f):
+    # the log/antilog product on every pair, and every inverse, against the
+    # schoolbook product of digit polynomials
+    k = GF(p, f)
+    for a, b in itertools.product(range(k.q), repeat=2):
+        assert k.mul(a, b) == gf_product_by_digits(k, a, b)
+    for a in range(1, k.q):
+        assert gf_product_by_digits(k, a, k.inv(a)) == 1
+
+
+def test_gf_product_matches_digit_oracle_at_large_q():
+    k = gf(2, 16)
+    rng = random.Random(2016)
+    for a, b in [(0, 5), (1, k.q - 1), (k.q - 1, k.q - 1)] + [
+        (rng.randrange(1, k.q), rng.randrange(1, k.q)) for _ in range(500)
+    ]:
+        assert k.mul(a, b) == gf_product_by_digits(k, a, b)
+        if a:
+            assert gf_product_by_digits(k, a, k.inv(a)) == 1
 
 
 def test_equal_char_f2_arithmetic(rng):

@@ -26,8 +26,6 @@ from heckelab.matgrp import (
     ResidueMatrix,
     cartan,
     cartan_type,
-    code_det,
-    code_product,
     dominant_window,
     enumerate_kernel,
     enumerate_residue,
@@ -37,6 +35,7 @@ from heckelab.matgrp import (
     reduce_group,
 )
 from heckelab.sampling import random_in_k, random_in_km, random_windowed
+from oracles import code_det, code_product
 
 
 from heckelab.matgrp import _cofactor_det
