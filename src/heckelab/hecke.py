@@ -201,8 +201,8 @@ class HeckeAlgebra:
     def __init__(self, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
         if m < 0:
             raise InvalidConfig(f"level m must be >= 0, got {m}")
-        # the stabilizers Gamma_tau (``_gamma``) sweep the q^(m n^2) points
-        # of M_n(o/pi^m): refuse before any ring of precision m is built
+        # q^(m n^2) bounds |K/K_m|, each |Gamma_tau| and (n >= 2) the ring tables:
+        # refuse before any is built (the closure's move table is charged apart)
         _check_budget_power(spec.model.q, m * spec.n**2, budget)
         self.spec = spec
         self.m = m
@@ -213,14 +213,14 @@ class HeckeAlgebra:
         self._codes = None
         self._code_index = None
         self._q_lift = None
-        self._closure = None
+        self._closure = self._pos = None
         self._steps = None
         self._words = None
         self._e = None
         self._q_inv = None
         self._orbit_tables = {}
         self._canonical = {}
-        self._gamma_idx = {}
+        self._gamma_shapes = {}
         self._double_coset_cache = {}
         self._ntau_cosets_cache = {}
         self._degrees = {}
@@ -246,7 +246,7 @@ class HeckeAlgebra:
             pos = [0] * len(q)  # class i of q is class pos[i] of the closure
             for j, mat in enumerate(closure.matrices):
                 pos[self._q_index[mat]] = j
-            self._closure = closure
+            self._closure, self._pos = closure, pos
             self._tables = closure.tables
             self._codes = [closure.codes[j] for j in pos]
             self._code_index = {code: i for i, code in enumerate(self._codes)}
@@ -256,11 +256,15 @@ class HeckeAlgebra:
         return self._q
 
     def _move_table(self):
-        """steps[s][i], the class of q[i] times move s: |K/K_m| |S| entries,
-        charged to the budget when first asked for."""
+        """steps[s][i] = q[i] s: the closure's table in q's order, its
+        |K/K_m| |S| entries charged as when the closure recorded them."""
         if self._steps is None:
             self.residue_classes
-            self._steps = self._closure.move_table(self._codes, self._code_index, self.budget)
+            _check_budget(len(self._codes) * len(self._closure.moves), self.budget)
+            self._steps, pos = self._closure.table, self._pos
+            if pos != sorted(pos):  # q is not in the closure's order: move the table to it
+                back = [self._code_index[code] for code in self._closure.codes]
+                self._steps = [[back[row[j]] for j in pos] for row in self._steps]
         return self._steps
 
     @property
@@ -536,7 +540,6 @@ class HeckeAlgebra:
         )
         self._orbit_tables[tau] = table
         self._canonical[tau] = (x0, tcol, slot, rows)
-        self._gamma_idx[tau] = gamma_idx
 
     def _coset_minima(self, tau: CartanDatum, sub):
         """least[z] = min(z H) and via[z] = s with z = least[z] s, for H
@@ -581,38 +584,51 @@ class HeckeAlgebra:
            s = (det y')^-1 gives det y' = 1 exactly, keeps the entry
            conditions of 1., and changes no residue, as s = 1 mod pi^m.
 
-        So one pass over u in M_n(o/pi^m) keeps u iff its y is a class.
-        Each u_ij equals x_ij or y_ij (one of max(d,0), max(-d,0) is 0), so
-        distinct u give distinct pairs, and the pass is the q^(m n^2) points
-        that ``__init__`` charged to the budget.  The pass runs on codes:
-        entry (i, j) of the pair is (pi^max(d,0) u, pi^max(-d,0) u) by the
-        ring's mul table, and x and y are looked up in the code index.  At
-        m = 0 the same pass runs in the zero ring o/pi^0: one u, one pair,
-        the one class of K/K_0 = 1, so Gamma_tau = {(1, 1)}.
+        So Gamma_tau = {([x(u)], [y(u)]) : u in M_n(o/pi^m), y(u) a class},
+        x(u)_ij = pi^sx u_ij, y(u)_ij = pi^sy u_ij, sx = min(max(d, 0), top),
+        sy = min(max(-d, 0), top), top = min(a_1 - a_n, m) (pi^m = 0 in
+        o/pi^m).  One pass over the classes y finds it: where sy = 0, u_ij =
+        y_ij and x_ij = pi^sx y_ij; where sy > 0, sx = 0 and x_ij = u_ij runs
+        over the q^sy preimages of y_ij under pi^sy, or none (no u gives y).
+        So each u with y(u) a class is met once, at y(u).  x(u) is a class:
+        lifting u as in 1. gives x' = n_tau y' n_tau^-1, det x' = det y',
+        and x', y' reduce to x(u), y(u).  Pairs are distinct (each u_ij is
+        x_ij or y_ij), so |Gamma_tau| <= q^(m n^2), as ``__init__`` charged,
+        and each x is looked up once.  At m = 0 (o/pi^0 = 0) Gamma_tau =
+        {(1, 1)}.  The list, which callers must not change, depends on tau
+        only through its (sx, sy): each such shape is built once.
         """
-        ring = self.residue_classes[0].ring
-        tables, cidx = self._tables, self._code_index
-        mul = tables.mul
         n, a = self.spec.n, tau.coords
-        # pi^0 .. pi^top in o/pi^m; every power from pi^m on is 0 there
         top = min(tau.spread, self.m)
+        shape = tuple((min(max(a[i] - a[j], 0), top), min(max(a[j] - a[i], 0), top))
+                      for i in range(n) for j in range(n))  # (sx, sy) at entry i n + j
+        if shape in self._gamma_shapes:
+            return self._gamma_shapes[shape]
+        ring = self.residue_classes[0].ring
+        tables, cidx, codes = self._tables, self._code_index, self._codes
+        mul, q = tables.mul, self.spec.model.q
         pi, pi_pows = tables.index[ring.uniformizer().coords], [tables.index[ring.one().coords]]
         for _ in range(top):
             pi_pows.append(mul[pi_pows[-1]][pi])
-        residues = range(len(tables.elements))
-        pools = []
-        for i in range(n):
-            for j in range(n):
-                d = a[i] - a[j]
-                sx, sy = mul[pi_pows[min(max(d, 0), top)]], mul[pi_pows[min(max(-d, 0), top)]]
-                pools.append([(sx[u], sy[u]) for u in residues])
+        preimages = [[[] for _ in tables.elements] for _ in pi_pows]  # [s][v]: u with pi^s u = v
+        for s, p in enumerate(pi_pows):
+            for u, v in enumerate(mul[p]):
+                preimages[s][v].append(u)
+        # picks[k][t] maps y_ij to x_ij = pi^sx u at entry k, u its t-th
+        # preimage under pi^sy: one pick per entry is one u for each y kept
+        picks, ys = [], range(len(codes))
+        for k, (sx, sy) in enumerate(shape):
+            row, pre = mul[pi_pows[sx]], preimages[sy]
+            picks.append([[row[us[t]] if us else None for us in pre] for t in range(q**sy)])
+            if sy:  # keep the y whose y_ij lies in the image of pi^sy
+                ys = [yi for yi in ys if pre[codes[yi][k]]]
+        columns = list(zip(*map(codes.__getitem__, ys)))  # columns[k][r] = codes[ys[r]][k]
         out = []
-        for entries in itertools.product(*pools):
-            xs, ys = zip(*entries)
-            yi = cidx.get(ys)
-            if yi is not None:
-                out.append((cidx[xs], yi))
-        return sorted(out)
+        for chosen in itertools.product(*picks):
+            xs = zip(*[map(pick.__getitem__, col) for pick, col in zip(chosen, columns)])
+            out.extend(zip(map(cidx.__getitem__, xs), ys))
+        out = self._gamma_shapes[shape] = sorted(out)
+        return out
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b, that of the
@@ -765,8 +781,8 @@ class HeckeAlgebra:
             mul, inv = self._mul, self._inv_index()
             self.orbit_table(tau1)
             self.orbit_table(tau2)
-            left = self._generating_pairs(self._gamma_idx[tau1], 1)
-            right = [(s, inv[t]) for s, t in self._generating_pairs(self._gamma_idx[tau2], 0)]
+            left = self._generating_pairs(self._gamma(tau1), 1)
+            right = [(s, inv[t]) for s, t in self._generating_pairs(self._gamma(tau2), 0)]
             e = self._unit_index()
             table = [None] * len(inv)
             for k0 in range(len(inv)):

@@ -398,7 +398,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
     for tau in sorted(taus_touched, key=lambda t: t.sort_key()):
         tab = A.orbit_table(tau)
         tab2 = A2.orbit_table(tau)
-        gamma_image = {(lam[s], lam[t]) for s, t in A._gamma_idx[tau]}
+        gamma_image = {(lam[s], lam[t]) for s, t in A._gamma(tau)}
         tau_reports.append(
             TauReport(
                 tau=tau.coords,
@@ -406,7 +406,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
                 orbit_count_2=tab2.orbit_count,
                 gamma_size=tab.gamma_size,
                 gamma_size_2=tab2.gamma_size,
-                gamma_mapped=gamma_image == set(A2._gamma_idx[tau]),
+                gamma_mapped=gamma_image == set(A2._gamma(tau)),
                 degree=A.degree(tau),
                 degree_2=A2.degree(tau),
             )

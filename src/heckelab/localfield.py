@@ -101,24 +101,14 @@ class GF:
         return sum(d * self.p**i for i, d in enumerate(digits))
 
     def _find_irreducible(self):
-        # smallest monic degree-f polynomial with no root pattern that
-        # factors; test by exhaustive division against lower degrees
+        """The first monic irreducible degree-f polynomial over F_p, low
+        coefficients in ``itertools.product`` order, by Rabin's test; x
+        divides those with a zero constant term, which are not tested."""
         p, f = self.p, self.f
         for tail in itertools.product(range(p), repeat=f):
-            poly = tail + (1,)
-            if self._is_irreducible(poly):
-                return poly
-        raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, poly) -> bool:
-        p = self.p
-        deg = len(poly) - 1
-        for d in range(1, deg // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                div = tail + (1,)
-                if _polymod_intcoeffs(poly, div, p) == ():
-                    return False
-        return True
+            if tail[0] and _is_irreducible(tail + (1,), p):
+                return tail + (1,)
+        raise InvariantViolated(f"no irreducible polynomial of degree {f} over F_{p}")
 
     def _power_tables(self):
         """exp[i] = g^i for 0 <= i < 2(q - 1) and log[g^i] = i (log[0] is
@@ -230,6 +220,23 @@ def _polymod_intcoeffs(a, m, p):
     while a and a[-1] % p == 0:
         a.pop()
     return tuple(c % p for c in a)
+
+
+def _is_irreducible(poly, p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980): monic P of degree f over F_p
+    is irreducible iff x^(p^f) = x mod P and gcd(x^(p^(f/r)) - x, P) = 1 for
+    each prime r | f.  As (sum a_i x^i)^p = sum a_i x^(i p) over F_p, each
+    x^(p^i) mod P is the one before with its exponents times p, reduced."""
+    f, frobenius = len(poly) - 1, [(0, 1)]  # frobenius[i] = x^(p^i) mod P
+    for _ in range(f):
+        spread = [0] * (p * len(frobenius[-1]))
+        spread[::p] = frobenius[-1]
+        frobenius.append(_polymod_intcoeffs(spread, poly, p))
+    k = gf(p)
+    return frobenius[f] == (0, 1) and all(
+        poly_gcd(k, poly_add(k, frobenius[f // r], (0, p - 1)), poly) == (1,)
+        for r in range(2, f + 1) if f % r == 0 and is_prime(r)
+    )
 
 
 @lru_cache(maxsize=None)

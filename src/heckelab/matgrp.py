@@ -735,7 +735,7 @@ class ClassClosure:
     ``inverse`` are those of ``_class_moves``, and ``words[x]`` is a
     shortest tuple of moves s_1, .., s_k with x = s_1 .. s_k (the
     breadth-first parent pointers), so that x y is y's word walked from x
-    along the move table.
+    along ``table``, table[s][x] = x s (None unless the budget admits it).
     """
 
     tables: object
@@ -744,15 +744,7 @@ class ClassClosure:
     moves: list
     inverse: list
     words: list
-
-    def move_table(self, codes, code_index, budget: int):
-        """table[s][x] = code_index[codes[x] times move s], for ``codes``
-        these classes in any order and ``code_index`` its inverse.  The
-        budget is charged the |G| |S| entries before any is built."""
-        _check_budget(len(codes) * len(self.moves), budget)
-        add = self.tables.add
-        return [[code_index[_apply_move(move, code, add)] for code in codes]
-                for move in self.moves]
+    table: list | None
 
 
 def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassClosure:
@@ -792,9 +784,9 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     from S shows as a short closure.
 
     The budget is charged q^(c n^2), a bound on the classes taken by
-    exponent, before the ring is built; the closure keeps O(|G|) (codes
-    and words, not the images it meets), and ``ClassClosure.move_table``
-    charges the |G| |S| entries of the move table before it builds it.
+    exponent, before the ring is built; the closure keeps O(|G|) codes and
+    words, and the index of each image it meets, the |G| |S| entries of
+    the move table, only when the budget admits them.
     Indices are ordered as the coords of their elements, and ``sort_key``
     is the row-major tuple of entry coords, so sorting codes is sorting by
     ``sort_key``.  At m + c = 0 the ring is the zero ring, whose one
@@ -810,29 +802,34 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     identity = tuple(one if i == j else 0 for i in range(n) for j in range(n))
     mismatch = (f"closure of {spec.family}_{n} mod pi^{m + c} at level {m} does not "
                 f"have the closed-form {order} classes")
-    found, codes, words = {identity}, [identity], [()]
+    table = [[0] * order for _ in moves] if order * len(moves) <= budget else None
+    found, codes, words = {identity: 0}, [identity], [()]
     for x, code in enumerate(codes):  # grows while it is read
         for s, move in enumerate(moves):
             out = _apply_move(move, code, add)
-            if out not in found:
+            y = found.get(out)
+            if y is None:
                 if len(codes) == order:
                     raise InvariantViolated(mismatch)
-                found.add(out)
+                y = found[out] = len(codes)
                 codes.append(out)
                 words.append(words[x] + (s,))
+            if table is not None:
+                table[s][x] = y
     if len(codes) != order:
         raise InvariantViolated(mismatch)
     ranked = sorted(range(order), key=codes.__getitem__)
-    codes = [codes[x] for x in ranked]
+    rank = {x: r for r, x in enumerate(ranked)}
     entry, offsets = tables.elements.__getitem__, range(0, n * n, n)
     return ClassClosure(
         tables,
-        codes,
-        [ResidueMatrix(ring, tuple(tuple(map(entry, code[r:r + n])) for r in offsets))
-         for code in codes],
+        [codes[x] for x in ranked],
+        [ResidueMatrix(ring, tuple(tuple(map(entry, codes[x][r:r + n])) for r in offsets))
+         for x in ranked],
         moves,
         inverse,
         [words[x] for x in ranked],
+        None if table is None else [[rank[row[x]] for x in ranked] for row in table],
     )
 
 

@@ -79,6 +79,21 @@ def gf_product_by_digits(k, a, b):
     return k._encode(rem + (0,) * (f - len(rem)))
 
 
+def irreducible_by_trial_division(p, f):
+    """The first monic polynomial of degree f over F_p, low coefficients in
+    ``itertools.product`` order, that no monic polynomial of degree 1 to
+    f // 2 divides.  Reference oracle for GF._find_irreducible."""
+    for tail in itertools.product(range(p), repeat=f):
+        poly = tail + (1,)
+        if all(
+            _polymod_intcoeffs(poly, div + (1,), p) != ()
+            for d in range(1, f // 2 + 1)
+            for div in itertools.product(range(p), repeat=d)
+        ):
+            return poly
+    raise InvariantViolated(f"no irreducible polynomial of degree {f} over F_{p}")
+
+
 def inverse_by_extended_gcd(x):
     """x^-1 in the mixed model by the extended gcd of its coordinate
     polynomial with the Eisenstein polynomial pi^e - p, in Fractions.

@@ -379,6 +379,12 @@ GAMMA_CELLS = [
     pytest.param(GroupSpec("GL", 2, FieldModel.equal(3)), 1, 1, id="GL2/F_3((t)) m=1 B=1"),
     pytest.param(GroupSpec("SL", 2, FieldModel.equal(3)), 1, 1, id="SL2/F_3((t)) m=1 B=1"),
     pytest.param(GroupSpec("GL", 3, Q2), 1, 1, id="GL3/Q_2 m=1 B=1"),
+    # equal characteristic at m = 2: sy = m (the y_ij must vanish) and
+    # spreads above m for SL2; 0 < sy < m (q^sy preimages of each y_ij in
+    # pi^sy o/pi^m) at tau = (1,0) for GL2
+    pytest.param(SL2_F2, 2, 2, id="SL2/F_2((t)) m=2 B=2"),
+    pytest.param(GroupSpec("GL", 2, FieldModel.equal(2)), 2, 1, id="GL2/F_2((t)) m=2 B=1"),
+    pytest.param(GroupSpec("GL", 3, Q2), 1, 2, id="GL3/Q_2 m=1 B=2"),
 ]
 
 
@@ -390,6 +396,37 @@ def test_gamma_matches_exact_witnesses(spec, m, bound):
     for tau in dominant_window(spec.family, spec.n, bound):
         expected = tuple((q[s], q[t]) for s, t in gamma_by_exact_witnesses(alg, tau))
         assert alg.orbit_table(tau).gamma == expected, tau
+
+
+@pytest.mark.parametrize("spec, m, bound", [
+    pytest.param(SL3_Q2, 1, 1, id="SL3/Q_2 m=1 B=1"),
+    pytest.param(GL2_Q2, 2, 2, id="GL2/Q_2 m=2 B=2"),
+])
+def test_gamma_looks_up_each_pair_once(spec, m, bound):
+    # one pass over the classes y of K/K_m: every x it forms belongs to a
+    # pair of Gamma_tau, and each is looked up in the code index once; a
+    # tau whose capped exponents were met before looks up nothing
+    class Counting(dict):
+        lookups = 0
+
+        def __getitem__(self, code):
+            Counting.lookups += 1
+            return super().__getitem__(code)
+
+        def get(self, code, default=None):
+            Counting.lookups += 1
+            return super().get(code, default)
+
+    for tau in dominant_window(spec.family, spec.n, bound):
+        alg = HeckeAlgebra(spec, m)
+        alg.residue_classes
+        alg._code_index = Counting(alg._code_index)
+        Counting.lookups = 0
+        gamma = alg._gamma(tau)
+        assert Counting.lookups == len(gamma) > 0, tau
+        shifted = CartanDatum(tuple(x + 1 for x in tau.coords))
+        if spec.family == "GL":  # a central shift keeps every a_i - a_j
+            assert alg._gamma(shifted) is gamma and Counting.lookups == len(gamma), tau
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -451,8 +488,9 @@ def test_mul_index_matches_products(spec, m):
 
 @pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
 def test_mul_index_matmul_count(spec, m, monkeypatch):
-    # the closure and its move table apply each move to each class once
-    # (2 |Q| |S| moves) and form no matrix product or determinant; the code
+    # the closure applies each move to each class once, recording the move
+    # table as it goes (|Q| |S| moves), and forms no matrix product or
+    # determinant; the code
     # product and code determinant live only in tests/oracles.py
     applied = [0]
     class_moves = matgrp_module._class_moves
@@ -476,7 +514,7 @@ def test_mul_index_matmul_count(spec, m, monkeypatch):
     alg = HeckeAlgebra(spec, m)
     size = len(alg.residue_classes)
     moves = len(alg._move_table())
-    assert applied[0] <= 2 * size * moves
+    assert applied[0] == size * moves
     assert (applied[0] > 0) == (size > 1)
     assert not hasattr(matgrp_module, "code_product") and not hasattr(matgrp_module, "code_det")
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab import localfield
 from heckelab.errors import (
     IncompatiblePair,
+    InvariantViolated,
     MixedRings,
     NegativeValuation,
     PrecisionExceeded,
@@ -27,7 +29,12 @@ from heckelab.localfield import (
 from heckelab.sampling import random_element, random_integral
 
 from conftest import all_models
-from oracles import gf_product_by_digits, inverse_by_extended_gcd, random_integral_by_fractions
+from oracles import (
+    gf_product_by_digits,
+    inverse_by_extended_gcd,
+    irreducible_by_trial_division,
+    random_integral_by_fractions,
+)
 
 
 # ---------------------------------------------------------------- valuations
@@ -535,6 +542,20 @@ def test_gf_product_matches_digit_oracle_at_large_q():
         assert k.mul(a, b) == gf_product_by_digits(k, a, b)
         if a:
             assert gf_product_by_digits(k, a, k.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p, f_max", [(2, 16), (3, 9)])
+def test_gf_modulus_matches_trial_division(p, f_max):
+    # Rabin's test picks the same modulus as dividing by every monic
+    # polynomial up to degree f // 2, so every F_(p^f) encoding is unchanged
+    for f in range(2, f_max + 1):
+        assert gf(p, f).modulus == irreducible_by_trial_division(p, f), f
+
+
+def test_gf_without_irreducible_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(localfield, "_is_irreducible", lambda poly, p: False)
+    with pytest.raises(InvariantViolated, match="no irreducible polynomial"):
+        GF(2, 3)
 
 
 def test_equal_char_f2_arithmetic(rng):
