@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
@@ -93,14 +93,19 @@ class DoubleCosetLabel:
 class OrbitTable:
     """The orbit/stabilizer data of K_m n_tau K_m under (K/K_m)^2.
 
-    ``gamma`` holds the stabilizing pairs as residue-matrix pairs, and
-    ``labels`` one canonical representative label per orbit; the counting
-    identity |X_tau| * |Gamma_tau| = |K/K_m|^2 always holds.
+    ``gamma_index`` holds the stabilizing pairs as index pairs into ``classes``
+    (``gamma`` forms them as residue-matrix pairs), ``labels`` one canonical
+    label per orbit; the counting identity |X_tau| |Gamma_tau| = |K/K_m|^2 holds.
     """
 
     tau: CartanDatum
     labels: tuple
-    gamma: tuple
+    gamma_index: tuple
+    classes: list = field(repr=False, compare=False)
+
+    @property
+    def gamma(self) -> tuple:
+        return tuple((self.classes[s], self.classes[t]) for s, t in self.gamma_index)
 
     @property
     def orbit_count(self) -> int:
@@ -108,7 +113,7 @@ class OrbitTable:
 
     @property
     def gamma_size(self) -> int:
-        return len(self.gamma)
+        return len(self.gamma_index)
 
 
 class HeckeElement:
@@ -533,11 +538,7 @@ class HeckeAlgebra:
             if x0[x] == x:
                 rows[x] = [DoubleCosetLabel(tau, (q[x], q[y])) for y in ys]
                 labels.extend(rows[x])
-        table = OrbitTable(
-            tau,
-            tuple(labels),
-            tuple((q[s], q[t]) for s, t in gamma_idx),
-        )
+        table = OrbitTable(tau, tuple(labels), tuple(gamma_idx), q)
         self._orbit_tables[tau] = table
         self._canonical[tau] = (x0, tcol, slot, rows)
 
@@ -627,8 +628,7 @@ class HeckeAlgebra:
         for chosen in itertools.product(*picks):
             xs = zip(*[map(pick.__getitem__, col) for pick, col in zip(chosen, columns)])
             out.extend(zip(map(cidx.__getitem__, xs), ys))
-        out = self._gamma_shapes[shape] = sorted(out)
-        return out
+        return self._gamma_shapes.setdefault(shape, sorted(out))
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b, that of the

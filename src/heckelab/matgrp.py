@@ -784,9 +784,9 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     from S shows as a short closure.
 
     The budget is charged q^(c n^2), a bound on the classes taken by
-    exponent, before the ring is built; the closure keeps O(|G|) codes and
-    words, and the index of each image it meets, the |G| |S| entries of
-    the move table, only when the budget admits them.
+    exponent, before the ring is built; the closure keeps O(|G|) codes,
+    words and matrices (which share one tuple per distinct row), and the
+    |G| |S| move-table entries it meets only when the budget admits them.
     Indices are ordered as the coords of their elements, and ``sort_key``
     is the row-major tuple of entry coords, so sorting codes is sorting by
     ``sort_key``.  At m + c = 0 the ring is the zero ring, whose one
@@ -821,11 +821,11 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     ranked = sorted(range(order), key=codes.__getitem__)
     rank = {x: r for r, x in enumerate(ranked)}
     entry, offsets = tables.elements.__getitem__, range(0, n * n, n)
+    rows = {k: tuple(map(entry, k)) for k in {x[r:r + n] for x in codes for r in offsets}}
     return ClassClosure(
         tables,
         [codes[x] for x in ranked],
-        [ResidueMatrix(ring, tuple(tuple(map(entry, codes[x][r:r + n])) for r in offsets))
-         for x in ranked],
+        [ResidueMatrix(ring, tuple(rows[codes[x][r:r + n]] for r in offsets)) for x in ranked],
         moves,
         inverse,
         [words[x] for x in ranked],
