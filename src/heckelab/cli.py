@@ -14,7 +14,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import kazhdan
 from .errors import HeckelabError, InvalidConfig, ParseError
@@ -29,6 +28,7 @@ from .matgrp import (
     _check_budget,
     _check_budget_power,
 )
+from .record import Record
 from .rings import ZZ, PrimeField, parse_ring
 from .sampling import random_in_k, random_windowed
 
@@ -53,20 +53,24 @@ def _config_int(value, name: str) -> int:
     raise InvalidConfig(f"{name} must be an integer, got {json.dumps(value)}")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Validated run configuration; invalid inputs fail before any work."""
 
-    field: FieldModel
-    field2: FieldModel | None
-    closeness: int | None
-    family: str
-    n: int
-    level: int
-    window: int
-    ring: object
-    budget: int
-    seed: int
+    __slots__ = ("field", "field2", "closeness", "family", "n", "level", "window", "ring",
+                 "budget", "seed")
+
+    def __init__(self, field: FieldModel, field2: FieldModel | None, closeness: int | None,
+                 family: str, n: int, level: int, window: int, ring, budget: int, seed: int):
+        self.field = field
+        self.field2 = field2
+        self.closeness = closeness
+        self.family = family
+        self.n = n
+        self.level = level
+        self.window = window
+        self.ring = ring
+        self.budget = budget
+        self.seed = seed
 
     @staticmethod
     def _model(raw: dict, where: str, budget: int) -> FieldModel:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
@@ -38,6 +37,7 @@ from .matgrp import (
     _congruence_classes,
     _subgroup_generators,
 )
+from .record import FrozenRecord, _set
 from .rings import ZZ
 
 
@@ -89,8 +89,7 @@ class DoubleCosetLabel:
         }
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(FrozenRecord, fields=("tau", "labels", "gamma_index")):
     """The orbit/stabilizer data of K_m n_tau K_m under (K/K_m)^2.
 
     ``gamma_index`` holds the stabilizing pairs as index pairs into ``classes``
@@ -98,10 +97,13 @@ class OrbitTable:
     label per orbit; the counting identity |X_tau| |Gamma_tau| = |K/K_m|^2 holds.
     """
 
-    tau: CartanDatum
-    labels: tuple
-    gamma_index: tuple
-    classes: list = field(repr=False, compare=False)
+    __slots__ = ("tau", "labels", "gamma_index", "classes")
+
+    def __init__(self, tau: CartanDatum, labels: tuple, gamma_index: tuple, classes: list):
+        _set(self, "tau", tau)
+        _set(self, "labels", labels)
+        _set(self, "gamma_index", gamma_index)
+        _set(self, "classes", classes)
 
     @property
     def gamma(self) -> tuple:

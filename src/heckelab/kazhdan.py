@@ -17,7 +17,6 @@ integrality transfer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -44,6 +43,7 @@ from .matgrp import (
     _check_budget,
     _check_budget_power,
 )
+from .record import FrozenRecord, Record, _set
 from .rings import RationalField
 
 
@@ -231,8 +231,7 @@ class TransportContext:
         )
 
 
-@dataclass(frozen=True)
-class WindowedModule:
+class WindowedModule(FrozenRecord, compare=("ring", "rank", "generators")):
     """A finite-rank module over the windowed Hecke generators.
 
     One exact rank x rank matrix over the coefficient ring per generator
@@ -240,16 +239,17 @@ class WindowedModule:
     designated integral subring.
     """
 
-    ring: object
-    rank: int
-    generators: tuple
-    matrices: dict = field(compare=False)
+    __slots__ = ("ring", "rank", "generators", "matrices")
 
-    def __post_init__(self):
-        for label in self.generators:
-            mat = self.matrices[label]
-            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
-                raise ParseError(f"generator {label} needs a {self.rank} x {self.rank} matrix")
+    def __init__(self, ring, rank: int, generators: tuple, matrices: dict):
+        for label in generators:
+            mat = matrices[label]
+            if len(mat) != rank or any(len(row) != rank for row in mat):
+                raise ParseError(f"generator {label} needs a {rank} x {rank} matrix")
+        _set(self, "ring", ring)
+        _set(self, "rank", rank)
+        _set(self, "generators", generators)
+        _set(self, "matrices", matrices)
 
     def matrix(self, label):
         return self.matrices[label]
@@ -300,16 +300,20 @@ def _fraction_matmul(A, B):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TauReport:
-    tau: tuple
-    orbit_count: int
-    orbit_count_2: int
-    gamma_size: int
-    gamma_size_2: int
-    gamma_mapped: bool
-    degree: int
-    degree_2: int
+class TauReport(Record):
+    __slots__ = ("tau", "orbit_count", "orbit_count_2", "gamma_size", "gamma_size_2",
+                 "gamma_mapped", "degree", "degree_2")
+
+    def __init__(self, tau: tuple, orbit_count: int, orbit_count_2: int, gamma_size: int,
+                 gamma_size_2: int, gamma_mapped: bool, degree: int, degree_2: int):
+        self.tau = tau
+        self.orbit_count = orbit_count
+        self.orbit_count_2 = orbit_count_2
+        self.gamma_size = gamma_size
+        self.gamma_size_2 = gamma_size_2
+        self.gamma_mapped = gamma_mapped
+        self.degree = degree
+        self.degree_2 = degree_2
 
     def ok(self) -> bool:
         return (
@@ -320,19 +324,25 @@ class TauReport:
         )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of the windowed structure-constant comparison."""
 
-    config: dict
-    basis_size: int
-    pairs_checked: int
-    pairs_equal: int
-    counterexamples: list
-    tau_reports: list
-    labels_injective: bool
-    degrees_preserved: bool
-    min_sufficient_n_observed: int
+    __slots__ = ("config", "basis_size", "pairs_checked", "pairs_equal", "counterexamples",
+                 "tau_reports", "labels_injective", "degrees_preserved",
+                 "min_sufficient_n_observed")
+
+    def __init__(self, config: dict, basis_size: int, pairs_checked: int, pairs_equal: int,
+                 counterexamples: list, tau_reports: list, labels_injective: bool,
+                 degrees_preserved: bool, min_sufficient_n_observed: int):
+        self.config = config
+        self.basis_size = basis_size
+        self.pairs_checked = pairs_checked
+        self.pairs_equal = pairs_equal
+        self.counterexamples = counterexamples
+        self.tau_reports = tau_reports
+        self.labels_injective = labels_injective
+        self.degrees_preserved = degrees_preserved
+        self.min_sufficient_n_observed = min_sufficient_n_observed
 
     @property
     def success(self) -> bool:

@@ -24,7 +24,6 @@ import itertools
 import math
 import re
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +37,7 @@ from .errors import (
     PrecisionExceeded,
     Singular,
 )
+from .record import FrozenRecord, _set
 
 INF = float("inf")
 
@@ -337,30 +337,30 @@ MIXED = "MixedChar"
 EQUAL = "EqualChar"
 
 
-@dataclass(frozen=True)
-class FieldModel:
+class FieldModel(FrozenRecord):
     """A dense model of a local field: see the module docstring.
 
     kind is MIXED (F = Q_p(pi), pi^e = p, residue degree fixed at 1) or
     EQUAL (F = F_{p^f}(t) inside F_{p^f}((t))).
     """
 
-    kind: str
-    p: int
-    e: int = 1
-    f: int = 1
+    __slots__ = ("kind", "p", "e", "f")
 
-    def __post_init__(self):
-        if self.kind not in (MIXED, EQUAL):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 1 or self.f < 1:
+    def __init__(self, kind: str, p: int, e: int = 1, f: int = 1):
+        if kind not in (MIXED, EQUAL):
+            raise ValueError(f"unknown model kind {kind!r}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if e < 1 or f < 1:
             raise ValueError("e and f must be >= 1")
-        if self.kind == MIXED and self.f != 1:
+        if kind == MIXED and f != 1:
             raise ValueError("mixed-characteristic model has residue degree 1")
-        if self.kind == EQUAL and self.e != 1:
+        if kind == EQUAL and e != 1:
             raise ValueError("equal-characteristic model stores e = 1")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "e", e)
+        _set(self, "f", f)
 
     @staticmethod
     def mixed(p: int, e: int = 1) -> "FieldModel":
@@ -1021,8 +1021,7 @@ class ResidueRing:
         return FieldElement(m, (poly_trim(r.coords), (1,)), _canonical=True)
 
 
-@dataclass(frozen=True)
-class RingTables:
+class RingTables(FrozenRecord):
     """o/pi^N in index arithmetic.
 
     ``elements`` lists the ring in ``ResidueRing.elements()`` order, which
@@ -1033,11 +1032,14 @@ class RingTables:
     -elements[i].
     """
 
-    elements: tuple
-    index: dict
-    add: list
-    mul: list
-    neg: list
+    __slots__ = ("elements", "index", "add", "mul", "neg")
+
+    def __init__(self, elements: tuple, index: dict, add: list, mul: list, neg: list):
+        _set(self, "elements", elements)
+        _set(self, "index", index)
+        _set(self, "add", add)
+        _set(self, "mul", mul)
+        _set(self, "neg", neg)
 
 
 @lru_cache(maxsize=None)
@@ -1168,8 +1170,7 @@ class ResidueElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosePair:
+class ClosePair(FrozenRecord):
     """A matched pair of field models with closeness level N.
 
     Carries the coordinate-wise ring isomorphism
@@ -1179,25 +1180,24 @@ class ClosePair:
     (otherwise o/pi^N and F_p[t]/t^N are non-isomorphic rings).
     """
 
-    model_f: FieldModel
-    model_f2: FieldModel
-    N: int
+    __slots__ = ("model_f", "model_f2", "N")
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, model_f: FieldModel, model_f2: FieldModel, N: int):
+        if N < 1:
             raise IncompatiblePair("closeness level must be >= 1")
-        a, b = self.model_f, self.model_f2
-        if a == b:
-            return
-        if a.p != b.p:
-            raise IncompatiblePair("residue characteristics differ")
-        for side in (a, b):
-            if side.f != 1:
-                raise IncompatiblePair("cross pairs require residue degree 1")
-            if side.kind == MIXED and side.e < self.N:
-                raise IncompatiblePair(
-                    f"mixed side needs ramification e >= N: e={side.e}, N={self.N}"
-                )
+        if model_f != model_f2:
+            if model_f.p != model_f2.p:
+                raise IncompatiblePair("residue characteristics differ")
+            for side in (model_f, model_f2):
+                if side.f != 1:
+                    raise IncompatiblePair("cross pairs require residue degree 1")
+                if side.kind == MIXED and side.e < N:
+                    raise IncompatiblePair(
+                        f"mixed side needs ramification e >= N: e={side.e}, N={N}"
+                    )
+        _set(self, "model_f", model_f)
+        _set(self, "model_f2", model_f2)
+        _set(self, "N", N)
 
     @property
     def identity(self) -> bool:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -27,6 +25,7 @@ from .errors import (
     Singular,
 )
 from .localfield import FieldElement, FieldModel, ResidueElement, ResidueRing, mixed_dot
+from .record import FrozenRecord, _set
 
 GL = "GL"
 SL = "SL"
@@ -34,24 +33,24 @@ SL = "SL"
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(FrozenRecord):
     """One of the split families GL_n / SL_n over a field model.
 
     n = 1 is admitted for GL only, as a degenerate test case.
     """
 
-    family: str
-    n: int
-    model: FieldModel
+    __slots__ = ("family", "n", "model")
 
-    def __post_init__(self):
-        if self.family not in (GL, SL):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == SL and self.n < 2:
+    def __init__(self, family: str, n: int, model: FieldModel):
+        if family not in (GL, SL):
+            raise ValueError(f"unknown family {family!r}")
+        if family == SL and n < 2:
             raise ValueError("SL needs n >= 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be >= 1")
+        _set(self, "family", family)
+        _set(self, "n", n)
+        _set(self, "model", model)
 
     def identity(self) -> "GroupElement":
         one, zero = self.model.one(), self.model.zero()
@@ -97,19 +96,19 @@ class GroupSpec:
         return GroupElement(self, rows)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(FrozenRecord):
     """A dominant cocharacter: integers a_1 >= a_2 >= ... >= a_n.  Its
     string is formed once, on first use."""
 
-    coords: tuple
+    __slots__ = ("coords", "_str")
 
-    def __post_init__(self):
-        coords = tuple(int(a) for a in self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords: tuple):
+        coords = tuple(int(a) for a in coords)
         for x, y in zip(coords, coords[1:]):
             if x < y:
                 raise NotDominant(f"{coords} is not weakly decreasing")
+        _set(self, "coords", coords)
+        _set(self, "_str", None)
 
     @property
     def norm(self) -> int:
@@ -134,11 +133,9 @@ class CartanDatum:
     def sort_key(self):
         return self.coords
 
-    @cached_property
-    def _str(self) -> str:
-        return "(" + ",".join(str(a) for a in self.coords) + ")"
-
     def __str__(self):
+        if self._str is None:
+            _set(self, "_str", "(" + ",".join(str(a) for a in self.coords) + ")")
         return self._str
 
 
@@ -322,13 +319,15 @@ def _k_element(spec: GroupSpec, rows, det) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanFactorization:
+class CartanFactorization(FrozenRecord):
     """g = a * n_tau * b with a, b in K and tau dominant."""
 
-    a: GroupElement
-    tau: CartanDatum
-    b: GroupElement
+    __slots__ = ("a", "tau", "b")
+
+    def __init__(self, a: GroupElement, tau: CartanDatum, b: GroupElement):
+        _set(self, "a", a)
+        _set(self, "tau", tau)
+        _set(self, "b", b)
 
     def n_tau(self) -> GroupElement:
         return self.a.group.n_of_tau(self.tau)
@@ -725,8 +724,7 @@ def _apply_move(move, code, add):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ClassClosure:
+class ClassClosure(FrozenRecord):
     """The classes of ``_congruence_classes`` in index arithmetic, over
     ``tables``, the ``RingTables`` of o/pi^(m+c).
 
@@ -738,13 +736,17 @@ class ClassClosure:
     along ``table``, table[s][x] = x s (None unless the budget admits it).
     """
 
-    tables: object
-    codes: list
-    matrices: list
-    moves: list
-    inverse: list
-    words: list
-    table: list | None
+    __slots__ = ("tables", "codes", "matrices", "moves", "inverse", "words", "table")
+
+    def __init__(self, tables, codes: list, matrices: list, moves: list, inverse: list,
+                 words: list, table: list | None):
+        _set(self, "tables", tables)
+        _set(self, "codes", codes)
+        _set(self, "matrices", matrices)
+        _set(self, "moves", moves)
+        _set(self, "inverse", inverse)
+        _set(self, "words", words)
+        _set(self, "table", table)
 
 
 def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassClosure:
@@ -784,7 +786,13 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     from S shows as a short closure.
 
     The budget is charged q^(c n^2), a bound on the classes taken by
-    exponent, before the ring is built; the closure keeps O(|G|) codes,
+    exponent, before the ring is built, and then the |o/pi^(m+c)|^2
+    entries of its tables (``ResidueRing.tables``).  That second charge
+    grows with m, not with the classes: GL2/Q_2 at c = 1 has 16 classes at
+    every m >= 1, yet m = 9 needs the 1024^2 tables of o/pi^10 and exceeds
+    the default budget while m = 4 passes.  (For m >= c, K_m/K_(m+c) is
+    abelian, additive in M_n(o/pi^c), and would need no such ring.)  The
+    closure keeps O(|G|) codes,
     words and matrices (which share one tuple per distinct row), and the
     |G| |S| move-table entries it meets only when the budget admits them.
     Indices are ordered as the coords of their elements, and ``sort_key``
@@ -857,11 +865,15 @@ def kernel_count(spec: GroupSpec, m: int, c: int) -> int:
 
 def iter_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
     """Yield exact coset representatives of K_m/K_(m+c), one per class:
-    the canonical lifts of ``_congruence_classes``."""
+    the canonical lifts of ``_congruence_classes``.  The budget is charged
+    the |o/pi^(m+c)|^2 ring-table entries as well as q^(c n^2), so a deep
+    level m raises BudgetExceeded however few classes there are."""
     for r in _congruence_classes(spec, m, c, budget).matrices:
         yield lift_group(r, spec)
 
 
 def enumerate_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
-    """Materialized list of K_m/K_(m+c) representatives (see iter_kernel)."""
+    """Materialized list of K_m/K_(m+c) representatives (see iter_kernel,
+    also for the budget: GL2/Q_2 at (m, c) = (9, 1) is refused, (4, 1)
+    gives 16 elements)."""
     return list(iter_kernel(spec, m, c, budget))

@@ -8,18 +8,26 @@ whose localization Z_(l) plays the integral subring in lattice checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
 from .localfield import is_prime
 from .matgrp import _check_budget, _check_budget_power
+from .record import FrozenRecord, _set
+
+
+def _prime(l: int) -> int:
+    if not is_prime(l):
+        raise ValueError(f"{l} is not prime")
+    return l
 
 
 class CoefficientRing:
     """The ring operations, written once through ``from_int``: each ring
     maps an integer, or a sum or product of its elements, to its canonical
     element, and supplies ``name`` and ``residue_char``."""
+
+    __slots__ = ()
 
     def add(self, a, b):
         return self.from_int(a + b)
@@ -51,10 +59,10 @@ class CoefficientRing:
         return self.name
 
 
-@dataclass(frozen=True)
-class IntegerRing(CoefficientRing):
+class IntegerRing(CoefficientRing, FrozenRecord):
     """The initial ring Z; coefficients are Python ints."""
 
+    __slots__ = ()
     name = "Z"
     residue_char = None
 
@@ -62,21 +70,20 @@ class IntegerRing(CoefficientRing):
         return n
 
 
-@dataclass(frozen=True)
-class RationalField(CoefficientRing):
+class RationalField(CoefficientRing, FrozenRecord):
     """Q, with an optional designated prime l giving the integral subring.
 
     With ``localized_at = l`` the integral subring is Z_(l) (denominators
     prime to l); without it the integral subring is Z itself.
     """
 
-    localized_at: int | None = None
-
+    __slots__ = ("localized_at",)
     residue_char = None
 
-    def __post_init__(self):
-        if self.localized_at is not None and not is_prime(self.localized_at):
+    def __init__(self, localized_at: int | None = None):
+        if localized_at is not None and not is_prime(localized_at):
             raise ValueError("localization prime must be prime")
+        _set(self, "localized_at", localized_at)
 
     @property
     def name(self) -> str:
@@ -94,21 +101,18 @@ class RationalField(CoefficientRing):
         return a.denominator % self.localized_at != 0
 
 
-@dataclass(frozen=True)
-class IntegersMod(CoefficientRing):
+class IntegersMod(CoefficientRing, FrozenRecord, fields=("l", "k")):
     """Z/l^k; coefficients are ints in [0, l^k).  The modulus l^k is
     formed once, when the ring is built."""
 
-    l: int
-    k: int = 1
-    modulus: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("l", "k", "modulus")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, l: int, k: int = 1):
+        if k < 1:
             raise ValueError("exponent must be >= 1")
-        if not is_prime(self.l):
-            raise ValueError(f"{self.l} is not prime")
-        object.__setattr__(self, "modulus", self.l**self.k)
+        _set(self, "l", _prime(l))
+        _set(self, "k", k)
+        _set(self, "modulus", l**k)
 
     @property
     def name(self) -> str:
@@ -122,12 +126,16 @@ class IntegersMod(CoefficientRing):
         return n % self.modulus
 
 
-@dataclass(frozen=True)
-class PrimeField(IntegersMod):
+class PrimeField(IntegersMod, fields=("l",), compare=("l", "k")):
     """F_l, the ring Z/l^k at k = 1 under its own name; coefficients are
     ints in [0, l).  Equality compares classes, so F_l != Z/l."""
 
-    k: int = field(default=1, init=False, repr=False)
+    __slots__ = ()
+    k = 1
+
+    def __init__(self, l: int):
+        _set(self, "l", _prime(l))
+        _set(self, "modulus", l)
 
     @property
     def name(self) -> str:

@@ -1,0 +1,88 @@
+"""Property tests of exact field arithmetic, drawn by hypothesis.
+
+The field axioms that the Hecke algebra rests on, the valuation as a
+homomorphism with the ultrametric inequality, and lambda_N of the flagship
+pair Q_2(2^(1/5)) ~ F_2((t)) as a ring isomorphism of o/pi^5.  The fields
+are the mixed Q_2(2^(1/5)) and Q_3 and the equal F_2((t)) and F_4((t)).
+Examples are derandomized, so the suite draws the same ones every run.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckelab.localfield import ClosePair, FieldModel
+
+MODELS = {
+    "Q_2(2^(1/5))": FieldModel.mixed(2, 5),
+    "Q_3": FieldModel.mixed(3),
+    "F_2((t))": FieldModel.equal(2),
+    "F_4((t))": FieldModel.equal(2, 2),
+}
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def elements(model: FieldModel, nonzero: bool = False):
+    """Elements pi^k * u with k in [-3, 3] and u drawn from small data: a
+    mixed u has rational coordinates, an equal u is a ratio of polynomials
+    of degree < 4 over F_q with a nonzero denominator."""
+    if model.kind == "MixedChar":
+        coord = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+        unit = st.tuples(*[coord] * model.e).map(model.element)
+    else:
+        poly = st.lists(st.integers(0, model.q - 1), max_size=4).map(tuple)
+        nonzero_poly = poly.filter(any)
+        unit = st.tuples(poly, nonzero_poly).map(model.element)
+    drawn = st.builds(lambda u, k: u * model.pi_pow(k), unit, st.integers(-3, 3))
+    return drawn.filter(lambda x: not x.is_zero()) if nonzero else drawn
+
+
+def _by_model(test):
+    return pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())(test)
+
+
+@_by_model
+@PROPERTY
+@given(data=st.data())
+def test_ring_axioms(model, data):
+    x, y, z = (data.draw(elements(model)) for _ in range(3))
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+
+
+@_by_model
+@PROPERTY
+@given(data=st.data())
+def test_inverse(model, data):
+    x = data.draw(elements(model, nonzero=True))
+    assert x * x.inverse() == model.one()
+    assert x.inverse().inverse() == x
+
+
+@_by_model
+@PROPERTY
+@given(data=st.data())
+def test_valuation_is_multiplicative_and_ultrametric(model, data):
+    x, y = (data.draw(elements(model, nonzero=True)) for _ in range(2))
+    assert (x * y).val() == x.val() + y.val()
+    assert (x + y).val() >= min(x.val(), y.val())
+    if x.val() != y.val():
+        assert (x + y).val() == min(x.val(), y.val())
+
+
+FLAGSHIP = ClosePair(FieldModel.mixed(2, 5), FieldModel.equal(2), 5)
+RING = FLAGSHIP.model_f.residue_ring(5)
+RESIDUES = st.tuples(*[st.integers(0, mod - 1) for mod in RING.moduli]).map(RING.element)
+
+
+@PROPERTY
+@given(a=RESIDUES, b=RESIDUES)
+def test_lambda_is_additive_and_multiplicative(a, b):
+    lam = FLAGSHIP.apply
+    assert lam(a + b) == lam(a) + lam(b)
+    assert lam(a * b) == lam(a) * lam(b)
+    assert FLAGSHIP.apply_inverse(lam(a)) == a

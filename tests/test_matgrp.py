@@ -525,6 +525,18 @@ def test_budget_guard():
         enumerate_kernel(spec, 1, 3, budget=100)
 
 
+def test_kernel_budget_charges_the_ring_tables_of_level_m_plus_c():
+    # K_m/K_(m+c) is built over the tables of o/pi^(m+c), charged
+    # |o/pi^(m+c)|^2 before the closure: at m = 4 that is 32^2 for 16
+    # classes, at m = 9 it is 1024^2 > 10^6 for 16 classes again
+    spec = GroupSpec("GL", 2, FieldModel.mixed(2, 1))
+    ks = enumerate_kernel(spec, 4, 1)
+    assert len(ks) == 16 == kernel_count(spec, 4, 1)
+    with pytest.raises(BudgetExceeded, match=r"tables of o/pi\^10 \(1024\^2 entries\) "
+                                             r"exceed budget 1000000"):
+        enumerate_kernel(spec, 9, 1)
+
+
 # ---------------------------------------------------------------- reduce / lift
 
 
