@@ -385,13 +385,16 @@ def cmd_verify(args) -> int:
     failures = []
     which = args.suite
     # One context serves the kazhdan suite, the hecke suite and the CSV, so
-    # each windowed structure constant is computed once per run.  It is
-    # built only when needed: the field and hecke suites alone run on
-    # configs that cannot build one (level 0, no closeness).
-    ctx = None
+    # each windowed structure constant is computed once per run.  The
+    # context and the algebra are built only when needed: the field and
+    # hecke suites alone run on configs that cannot build one (level 0, no
+    # closeness), and the field suite on levels whose K/K_m the budget refuses.
+    ctx = algebra = None
     if which in ("kazhdan", "all") or (args.csv and cfg.field2 is not None):
         ctx = cfg.transport_context()
-    algebra = ctx.algebra if ctx is not None else HeckeAlgebra(cfg.spec(), cfg.level, cfg.budget)
+        algebra = ctx.algebra
+    elif which == "hecke" or args.csv:
+        algebra = HeckeAlgebra(cfg.spec(), cfg.level, cfg.budget)
     if which in ("field", "all"):
         suites["field"] = _suite_field(cfg, rng, failures)
     if which in ("hecke", "all"):

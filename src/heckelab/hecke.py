@@ -3,8 +3,11 @@
 Double cosets K_m g K_m are classified by a label (tau, [x], [y]) meaning
 g lies in K_m x n_tau y^-1 K_m, with the residue pair ([x], [y]) canonical
 (minimal) in its orbit under the stabilizer Gamma_tau of K_m n_tau K_m
-inside (K/K_m)^2.  Convolution uses the normalization mu(K_m) = 1, under
-which all structure constants are non-negative integers
+inside (K/K_m)^2.  A label holds [x] and [y] as indices into the
+algebra's classes of K/K_m, which are in ``sort_key`` order, so the
+least pair is the least index pair; residue matrices are formed only to
+print or serialize a label.  Convolution uses the normalization mu(K_m)
+= 1, under which all structure constants are non-negative integers
 
     t_g * t_h = sum_x c_x t_x,   c_x = #{i : alpha_i^-1 x in K_m h K_m},
 
@@ -27,7 +30,6 @@ from .matgrp import (
     cartan,
     cartan_type,
     dominant_window,
-    enumerate_residue_matrices,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
     lift_group,
     reduce_group,
@@ -44,28 +46,40 @@ from .rings import ZZ
 class DoubleCosetLabel:
     """Canonical identifier of a double coset K_m g K_m.
 
-    ``pair = (x, y)`` are residue matrices mod pi^m; the labelled coset is
-    that of x~ n_tau y~^-1 for canonical lifts x~, y~.  Labels compare and
-    sort by (tau, serialized pair).  The hash and the string are computed
-    once, on first use, so a CSV formats each label once.
+    ``x`` and ``y`` index ``classes``, the classes of K/K_m of the algebra
+    that made the label (``HeckeAlgebra.residue_classes``); the labelled
+    coset is that of x~ n_tau y~^-1 for the canonical lifts x~, y~ of
+    classes[x], classes[y].  ``pair`` forms the two residue matrices, as
+    the string and ``serialize`` do.  Labels sort by (tau, x, y), the
+    order of their matrices' ``sort_key``: the classes are in that order.
+    Labels sharing a class list compare by index, others by matrix, so
+    equal labels of two algebras over one ring are equal, hash alike and
+    print alike.  The hash and the string are computed once, on first use,
+    so a CSV formats each label once.
     """
 
-    __slots__ = ("tau", "pair", "_hash", "_str")
+    __slots__ = ("tau", "x", "y", "classes", "_hash", "_str")
 
-    def __init__(self, tau: CartanDatum, pair):
+    def __init__(self, tau: CartanDatum, x: int, y: int, classes):
         self.tau = tau
-        self.pair = tuple(pair)
+        self.x = x
+        self.y = y
+        self.classes = classes
         self._hash = self._str = None
 
+    @property
+    def pair(self):
+        return (self.classes[self.x], self.classes[self.y])
+
     def sort_key(self):
-        return (self.tau.coords, self.pair[0].sort_key(), self.pair[1].sort_key())
+        return (self.tau.coords, self.x, self.y)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DoubleCosetLabel)
-            and other.tau == self.tau
-            and other.pair == self.pair
-        )
+        if not isinstance(other, DoubleCosetLabel) or other.tau != self.tau:
+            return False
+        if other.classes is self.classes:
+            return other.x == self.x and other.y == self.y
+        return other.pair == self.pair
 
     def __hash__(self):
         if self._hash is None:
@@ -74,19 +88,18 @@ class DoubleCosetLabel:
 
     def __str__(self):
         if self._str is None:
-            if self.tau.is_zero() and self.pair[0] == self.pair[1]:
-                self._str = f"[tau={self.tau}, k={self.pair[0]}]"
+            x, y = self.pair
+            if self.tau.is_zero() and self.x == self.y:
+                self._str = f"[tau={self.tau}, k={x}]"
             else:
-                self._str = f"[tau={self.tau}, x={self.pair[0]}, y={self.pair[1]}]"
+                self._str = f"[tau={self.tau}, x={x}, y={y}]"
         return self._str
 
     __repr__ = __str__
 
     def serialize(self):
-        return {
-            "tau": list(self.tau.coords),
-            "pair": [self.pair[0].serialize(), self.pair[1].serialize()],
-        }
+        x, y = self.pair
+        return {"tau": list(self.tau.coords), "pair": [x.serialize(), y.serialize()]}
 
 
 class OrbitTable(FrozenRecord, fields=("tau", "labels", "gamma_index")):
@@ -164,10 +177,6 @@ class HeckeElement:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def max_norm(self) -> int:
-        """Largest cocharacter norm appearing in the support."""
-        return max((l.tau.norm for l in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -216,11 +225,9 @@ class HeckeAlgebra:
         self.budget = budget
         self._q = None
         self._q_index = None
-        self._tables = None
-        self._codes = None
         self._code_index = None
         self._q_lift = None
-        self._closure = self._pos = None
+        self._closure = None
         self._steps = None
         self._words = None
         self._e = None
@@ -240,44 +247,42 @@ class HeckeAlgebra:
 
     @property
     def residue_classes(self):
-        """The classes of K/K_m in the order enumerated, with the closure
-        that built them (``matgrp.ClassClosure``) moved to that order:
-        ``_codes[i]`` is the code of class i, ``_code_index`` maps a code
-        back to its class and ``_words[i]`` lists the moves whose product
-        is q[i].  Each class is placed by the class itself, never by its
-        position."""
+        """The classes of K/K_m in ``sort_key`` order, as the closure that
+        built them (``matgrp.ClassClosure``) lists them: labels and every
+        table of the algebra index this list.  ``_code_index`` maps a
+        class's code back to it and ``_words[i]`` lists the moves whose
+        product is q[i]."""
         if self._q is None:
             closure = _congruence_classes(self.spec, 0, self.m, self.budget)
-            q = enumerate_residue_matrices(self.spec, self.m, self.budget, closure=closure)
-            self._q_index = {mat: i for i, mat in enumerate(q)}
-            pos = [0] * len(q)  # class i of q is class pos[i] of the closure
-            for j, mat in enumerate(closure.matrices):
-                pos[self._q_index[mat]] = j
-            self._closure, self._pos = closure, pos
-            self._tables = closure.tables
-            self._codes = [closure.codes[j] for j in pos]
-            self._code_index = {code: i for i, code in enumerate(self._codes)}
-            self._words = [closure.words[j] for j in pos]
+            self._closure, self._words = closure, closure.words
+            self._code_index = {code: i for i, code in enumerate(closure.codes)}
             self._e = self._words.index(())
-            self._q = q
+            self._q = closure.matrices
         return self._q
 
     def _move_table(self):
-        """steps[s][i] = q[i] s: the closure's table in q's order, its
-        |K/K_m| |S| entries charged as when the closure recorded them."""
+        """steps[s][i] = q[i] s: the closure's table, its |K/K_m| |S|
+        entries charged as when the closure recorded them."""
         if self._steps is None:
-            self.residue_classes
-            _check_budget(len(self._codes) * len(self._closure.moves), self.budget)
-            self._steps, pos = self._closure.table, self._pos
-            if pos != sorted(pos):  # q is not in the closure's order: move the table to it
-                back = [self._code_index[code] for code in self._closure.codes]
-                self._steps = [[back[row[j]] for j in pos] for row in self._steps]
+            _check_budget(len(self.residue_classes) * len(self._closure.moves), self.budget)
+            self._steps = self._closure.table
         return self._steps
 
     @property
     def class_index(self):
-        self.residue_classes
+        """Residue matrix -> index of its class, for matrices that enter
+        from outside the algebra; a label carries its indices."""
+        if self._q_index is None:
+            self._q_index = {mat: i for i, mat in enumerate(self.residue_classes)}
         return self._q_index
+
+    def _indices(self, label: DoubleCosetLabel):
+        """The class indices (x, y) of a label, which must index this
+        algebra's classes: its own list, or an equal one (another algebra
+        of the same group and level), else MixedRings."""
+        if label.classes is not self.residue_classes and label.classes != self._q:
+            raise MixedRings(f"label {label} indexes the classes of another K/K_m")
+        return label.x, label.y
 
     def class_lift(self, i: int) -> GroupElement:
         if self._q_lift is None:
@@ -538,7 +543,7 @@ class HeckeAlgebra:
         labels = []
         for x in range(size):
             if x0[x] == x:
-                rows[x] = [DoubleCosetLabel(tau, (q[x], q[y])) for y in ys]
+                rows[x] = [DoubleCosetLabel(tau, x, y, q) for y in ys]
                 labels.extend(rows[x])
         table = OrbitTable(tau, tuple(labels), tuple(gamma_idx), q)
         self._orbit_tables[tau] = table
@@ -608,7 +613,7 @@ class HeckeAlgebra:
         if shape in self._gamma_shapes:
             return self._gamma_shapes[shape]
         ring = self.residue_classes[0].ring
-        tables, cidx, codes = self._tables, self._code_index, self._codes
+        tables, cidx, codes = self._closure.tables, self._code_index, self._closure.codes
         mul, q = tables.mul, self.spec.model.q
         pi, pi_pows = tables.index[ring.uniformizer().coords], [tables.index[ring.one().coords]]
         for _ in range(top):
@@ -658,12 +663,9 @@ class HeckeAlgebra:
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""
         if label not in self._rep_cache:
-            xi = self.class_index[label.pair[0]]
-            yi = self.class_index[label.pair[1]]
+            x, y = self._indices(label)
             n_tau = self.spec.n_of_tau(label.tau)
-            self._rep_cache[label] = (
-                self.class_lift(xi) @ n_tau @ self.class_lift(yi).inverse()
-            )
+            self._rep_cache[label] = self.class_lift(x) @ n_tau @ self.class_lift(y).inverse()
         return self._rep_cache[label]
 
     def label_of_tau(self, tau: CartanDatum) -> DoubleCosetLabel:
@@ -752,9 +754,7 @@ class HeckeAlgebra:
         key = (l1, l2)
         if key in self._sc_cache:
             return self._sc_cache[key]
-        idx, mul = self.class_index, self._mul
-        x1, y1 = idx[l1.pair[0]], idx[l1.pair[1]]
-        x2, y2 = idx[l2.pair[0]], idx[l2.pair[1]]
+        (x1, y1), (x2, y2), mul = self._indices(l1), self._indices(l2), self._mul
         k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul(self._inv_index()[y1], x2)]
         left, right = mul(x1, s), mul(y2, t2_inv)
         out = {}
@@ -822,22 +822,19 @@ class HeckeAlgebra:
         ``_double_coset(tau1, tau2)``: one coset product per double coset."""
         key = (tau1, k0, tau2)
         if key not in self._bracket_cache:
-            q, idx = self.residue_classes, self._q_index
-            one = q[self._unit_index()]
-            product = self._product(
-                DoubleCosetLabel(tau1, (one, one)), DoubleCosetLabel(tau2, (q[k0], one))
-            )
             self._bracket_cache[key] = [
-                (lab.tau, idx[lab.pair[0]], idx[lab.pair[1]], c)
-                for lab, c in product.items()
+                (lab.tau, lab.x, lab.y, c) for lab, c in self._product(tau1, k0, tau2).items()
             ]
         return self._bracket_cache[key]
 
-    def _product(self, l1: DoubleCosetLabel, l2: DoubleCosetLabel):
-        """The constants of t_(l1) * t_(l2) from one sweep of the cosets of l2.
+    def _product(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
+        """The constants of t_g * t_h, g = n_tau1 and h = k0~ n_tau2, from
+        one sweep of the cosets of tau2.  As t_(k0) * 1_S = 1_(k0 S), t_h
+        = t_(k0) * t_(n_tau2), so this is the bracket of ``_bracket``.
 
-        Let K_m g K_m = |_| alpha_i K_m be the double coset of l1, g =
-        ``representative(l1)``, and K_m h K_m = |_| beta_j K_m that of l2.
+        Let K_m g K_m = |_| alpha_i K_m and K_m h K_m = |_| beta_j K_m;
+        K_m is normal in K, so beta_j = k0~ u_j for the left cosets u_j of
+        n_tau2 (``_ntau_cosets``).
 
         1. With mu(K_m) = 1, (t_g * t_h)(y) = #{i : alpha_i^-1 y in K_m h K_m}
            = #{(i, j) : alpha_i beta_j K_m = y K_m}, as alpha_i K_m h K_m =
@@ -849,26 +846,23 @@ class HeckeAlgebra:
            in K_m.  So alpha_i beta_j = k (g beta_s(j)) kappa_j, and the
            multiset {[alpha_i beta_j]}_j is {[g beta_j]}_j for every i.
 
-        Hence c_x deg(x) = deg(l1) #{j : g beta_j in K_m x K_m}, at every m
-        including m = 0 (K_0 = K): deg(l2) classifications.  A tally whose
-        product with deg(l1) the degree does not divide is a defect.
+        Hence c_x deg(x) = deg(tau1) #{j : g beta_j in K_m x K_m}, at every
+        m including m = 0 (K_0 = K): deg(tau2) classifications.  A tally
+        whose product with deg(tau1) the degree does not divide is a defect.
         """
-        # the coset systems of l1 and l2 are charged before anything is classified
-        deg1 = self.degree(l1)
-        g = self.representative(l1)
-        # l2 = (tau, [x], [y]) has the left cosets beta_j = x~ u y~^-1, u over
-        # those of n_tau
-        x_lift = self.class_lift(self.class_index[l2.pair[0]])
-        y_inv = self.class_lift(self.class_index[l2.pair[1]]).inverse()
+        # the coset systems of tau1 and tau2 are charged before anything is classified
+        deg1 = self._degree(tau1)
+        g_k0 = self.spec.n_of_tau(tau1) @ self.class_lift(k0)
         tally = {}
-        for u in self._ntau_cosets(l2.tau):
-            lab = self.classify(g @ x_lift @ u @ y_inv)
+        for u in self._ntau_cosets(tau2):
+            lab = self.classify(g_k0 @ u)
             tally[lab] = tally.get(lab, 0) + 1
         out = {}
         for lab, cnt in tally.items():
             c, rem = divmod(deg1 * cnt, self.degree(lab))
             if rem:
-                raise InvariantViolated(f"{deg1} * tally {cnt} of {lab} in {l1} * {l2} "
+                raise InvariantViolated(f"{deg1} * tally {cnt} of {lab} in the bracket of "
+                                        f"tau={tau1}, class {k0}, tau={tau2} "
                                         f"not divisible by degree {self.degree(lab)}")
             out[lab] = c
         return out

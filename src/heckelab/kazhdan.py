@@ -204,9 +204,8 @@ class TransportContext:
         factorization, classification or field inverse runs here.
         """
         lam = self._class_map()
-        idx = self.algebra.class_index
-        x, y = label.pair
-        return self.algebra2.canonical_label(label.tau, lam[idx[x]], lam[idx[y]])
+        x, y = self.algebra._indices(label)
+        return self.algebra2.canonical_label(label.tau, lam[x], lam[y])
 
     def transport_hecke(self, f: HeckeElement) -> HeckeElement:
         """Coefficient-preserving relabeling along the label bijection."""

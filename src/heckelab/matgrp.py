@@ -529,14 +529,6 @@ class ResidueMatrix:
     def map_entries(self, func, target_ring: ResidueRing) -> "ResidueMatrix":
         return ResidueMatrix(target_ring, tuple(tuple(func(x) for x in row) for row in self.rows))
 
-    def is_one(self) -> bool:
-        one, n = self.ring.one(), self.n
-        return all(
-            self.rows[i][j] == (one if i == j else self.ring.zero())
-            for i in range(n)
-            for j in range(n)
-        )
-
     def sort_key(self):
         return tuple(x.coords for row in self.rows for x in row)
 
@@ -841,14 +833,10 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     )
 
 
-def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET,
-                               closure: ClassClosure | None = None):
+def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
     """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically:
-    the classes of K/K_m, those of ``closure`` when it is given, else of
-    ``_congruence_classes(spec, 0, m, budget)``."""
-    if closure is None:
-        closure = _congruence_classes(spec, 0, m, budget)
-    return list(closure.matrices)
+    the classes of K/K_m of ``_congruence_classes(spec, 0, m, budget)``."""
+    return list(_congruence_classes(spec, 0, m, budget).matrices)
 
 
 def enumerate_residue(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):

@@ -175,7 +175,7 @@ def mul_table_by_products(algebra):
     """Cayley table of K/K_m with every entry a residue-matrix product.
     Reference oracle for HeckeAlgebra._mul and _inv_index."""
     q = algebra.residue_classes
-    idx = algebra.class_index
+    idx = {mat: i for i, mat in enumerate(q)}
     return [[idx[a @ b] for b in q] for a in q]
 
 
@@ -240,7 +240,7 @@ def gamma_by_exact_witnesses(algebra, tau):
     """
     spec, m = algebra.spec, algebra.m
     model, n = spec.model, spec.n
-    idx = algebra.class_index
+    idx = {mat: i for i, mat in enumerate(algebra.residue_classes)}
     if m == 0:
         e = idx[reduce_group(spec.identity(), 0)]
         return [(e, e)]
@@ -290,7 +290,7 @@ def canonical_by_orbits(algebra, taus):
         labels = out[tau] = {}
         for xi, yi in itertools.product(range(len(q)), repeat=2):
             if (xi, yi) not in labels:
-                label = DoubleCosetLabel(tau, (q[xi], q[yi]))
+                label = DoubleCosetLabel(tau, xi, yi, q)
                 for s, t in gamma:
                     labels[(mul[xi][s], mul[yi][t])] = label
     return out

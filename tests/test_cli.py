@@ -388,6 +388,16 @@ def test_small_mixed_field_fits_the_budget(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
 
 
+def test_field_suite_at_a_deep_level_is_not_refused(tmp_path, capsys):
+    # K/K_30 of GL2/Q_2 is charged q^(m n^2) = 2^120 and refused, but only
+    # the hecke suite and the CSV build it: the field suite alone runs
+    cfg = write_config(tmp_path, dict(GL2_Q2, level=30))
+    assert main(["--config", cfg, "verify", "--suite", "field"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert main(["--config", cfg, "verify", "--suite", "hecke"]) == 2
+    assert "error [BudgetExceeded]: enumeration of 2^120 elements" in capsys.readouterr().err
+
+
 def test_windowed_pairs_are_charged(tmp_path, capsys):
     # GL1 has one label per cocharacter: 201 fit the budget, their 201^2
     # products do not

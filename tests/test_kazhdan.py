@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -20,7 +23,14 @@ from heckelab.kazhdan import (
     verify_algebra_map,
 )
 from heckelab.localfield import ClosePair, FieldElement, FieldModel
-from heckelab.matgrp import CartanDatum, GroupSpec, dominant_window, zero_tau
+from heckelab.matgrp import (
+    CartanDatum,
+    ClassClosure,
+    GroupSpec,
+    ResidueMatrix,
+    dominant_window,
+    zero_tau,
+)
 from heckelab.rings import ZZ, RationalField
 from heckelab.sampling import (
     random_hecke,
@@ -167,15 +177,23 @@ def test_transport_label_matches_witness_route(family, n, e, m, window, admitted
 @pytest.mark.parametrize("m", [1, 2])
 def test_transport_label_follows_class_order(monkeypatch, m):
     # across characteristics both sides enumerate K/K_m in one digit order,
-    # so lam is the identity on indices; side 2 enumerating in reverse
-    # makes it a true permutation, which both routes must follow
-    enumerate_classes = hecke.enumerate_residue_matrices
+    # so lam is the identity on indices; side 2's closure listed in reverse,
+    # its codes, matrices, words and move table alike, makes it a true
+    # permutation, which both routes must follow
+    congruence_classes = hecke._congruence_classes
 
-    def reversed_on_side_2(spec, level, budget, closure=None):
-        classes = enumerate_classes(spec, level, budget, closure=closure)
-        return classes[::-1] if spec.model == F_EQ else classes
+    def reversed_on_side_2(spec, level, c, budget):
+        closure = congruence_classes(spec, level, c, budget)
+        if spec.model != F_EQ:
+            return closure
+        last = len(closure.codes) - 1  # class x is class last - x of the reversed list
+        return ClassClosure(
+            closure.tables, closure.codes[::-1], closure.matrices[::-1], closure.moves,
+            closure.inverse, closure.words[::-1],
+            [[last - xs for xs in reversed(row)] for row in closure.table],
+        )
 
-    monkeypatch.setattr(hecke, "enumerate_residue_matrices", reversed_on_side_2)
+    monkeypatch.setattr(hecke, "_congruence_classes", reversed_on_side_2)
     ctx = _close_ctx("SL", 5, m, 1)
     assert ctx._class_map() != list(range(len(ctx.algebra.residue_classes)))
     for label in ctx.algebra.labels_in_window(1):
@@ -208,6 +226,23 @@ def test_transport_label_needs_no_cartan_or_field_inverse(monkeypatch):
     monkeypatch.setattr(FieldElement, "inverse", refuse)
     fresh = _close_ctx("SL", 5, 1, 2)
     assert {l: fresh.transport_label(l) for l in expected} == expected
+
+
+def test_label_of_the_other_side_is_a_typed_error(flagship_ctx):
+    # a label indexes its own algebra's classes: side 1 refuses one of side
+    # 2, whose indices name other classes, and accepts one of a second
+    # algebra of the same group and level
+    label = flagship_ctx.algebra.labels_in_window(1)[3]
+    other = flagship_ctx.transport_label(label)
+    with pytest.raises(MixedRings, match="classes of another"):
+        flagship_ctx.algebra.structure_constants(other, label)
+    with pytest.raises(MixedRings, match="classes of another"):
+        flagship_ctx.algebra.representative(other)
+    with pytest.raises(MixedRings, match="classes of another"):
+        flagship_ctx.transport_label(other)
+    twin = HeckeAlgebra(SL2_F, 1).labels_in_window(1)[3]
+    assert twin.classes is not label.classes and twin == label
+    assert flagship_ctx.transport_label(twin) is other
 
 
 def test_transport_label_rejects_non_multiplicative_class_map(monkeypatch):
@@ -419,6 +454,35 @@ def test_verify_rejects_swapped_tau_1_labels(flagship_ctx, monkeypatch):
     assert rep.counterexamples
 
 
+def test_warm_csv_reads_labels_by_index(monkeypatch):
+    # a label carries its class indices: with the orbit tables, brackets and
+    # lam built, the flagship CSV hashes no residue matrix and looks no label
+    # up in class_index, and its bytes are those of benchmark/expected.json
+    ctx = TransportContext(ClosePair(F_MIX, F_EQ, 5), SL2_F, SL2_F2, m=1, N=5, window=1)
+    assert verify_algebra_map(ctx).success
+    for alg in (ctx.algebra, ctx.algebra2):
+        alg._sc_cache.clear()
+    counts = {"hash": 0, "class_index": 0}
+    matrix_hash, class_index = ResidueMatrix.__hash__, HeckeAlgebra.class_index
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return matrix_hash(self)
+
+    def counted_class_index(self):
+        counts["class_index"] += 1
+        return class_index.fget(self)
+
+    monkeypatch.setattr(ResidueMatrix, "__hash__", counted_hash)
+    monkeypatch.setattr(HeckeAlgebra, "class_index", property(counted_class_index))
+    text = kazhdan.structure_constants_csv(ctx)
+    monkeypatch.undo()
+    assert counts == {"hash": 0, "class_index": 0}
+    expected = pathlib.Path(__file__).resolve().parents[1] / "benchmark" / "expected.json"
+    digest = json.loads(expected.read_text())["cli-verify"]["csv_sha256"]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_verify_computes_one_product_per_bracket(monkeypatch):
     # t_(l1) * t_(l2) is a translate of t_(n_tau1) * t_k * t_(n_tau2), and
     # that of the least k0 in P2 k P1: one double coset each for the tau
@@ -428,9 +492,9 @@ def test_verify_computes_one_product_per_bracket(monkeypatch):
     calls = {id(ctx.algebra): 0, id(ctx.algebra2): 0}
     product = HeckeAlgebra._product
 
-    def counted(self, l1, l2):
+    def counted(self, tau1, k0, tau2):
         calls[id(self)] += 1
-        return product(self, l1, l2)
+        return product(self, tau1, k0, tau2)
 
     monkeypatch.setattr(HeckeAlgebra, "_product", counted)
     assert verify_algebra_map(ctx).success

@@ -543,7 +543,7 @@ def test_kernel_budget_charges_the_ring_tables_of_level_m_plus_c():
 def test_reduce_group_identity():
     spec = GroupSpec("SL", 2, FieldModel.mixed(2, 2))
     r = reduce_group(spec.identity(), 2)
-    assert r.is_one()
+    assert r == ResidueMatrix.identity(spec.model.residue_ring(2), 2)
 
 
 def test_reduce_group_requires_k():
