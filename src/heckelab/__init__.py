@@ -49,7 +49,6 @@ from .matgrp import (
     ResidueMatrix,
     cartan,
     dominant_window,
-    enumerate_kernel,
     enumerate_residue,
     lift_group,
     reduce_group,
@@ -68,7 +67,7 @@ __all__ = [
     "check_lattice_stability", "safety_bound", "verify_algebra_map",
     "ClosePair", "FieldElement", "FieldModel", "ResidueElement", "ResidueRing",
     "CartanDatum", "CartanFactorization", "GroupElement", "GroupSpec",
-    "ResidueMatrix", "cartan", "dominant_window", "enumerate_kernel",
-    "enumerate_residue", "lift_group", "reduce_group",
+    "ResidueMatrix", "cartan", "dominant_window", "enumerate_residue", "lift_group",
+    "reduce_group",
     "QQ", "ZZ", "IntegersMod", "PrimeField", "RationalField",
 ]

@@ -210,7 +210,7 @@ def _matrix(cfg: RunConfig, rows):
         raise ParseError("matrix must be a JSON list of rows")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"matrix must be {n} x {n}")
-    return cfg.spec().parse_matrix(rows)
+    return cfg.spec().parse_matrix(rows, cfg.budget)
 
 
 def _parse_tau(cfg: RunConfig, text: str) -> CartanDatum:

@@ -21,7 +21,7 @@ import itertools
 import math
 import warnings
 
-from .errors import InvalidConfig, InvariantViolated, MixedRings
+from .errors import InvalidConfig, InvariantViolated, MixedRings, NotInK
 from .matgrp import (
     DEFAULT_BUDGET,
     CartanDatum,
@@ -32,7 +32,6 @@ from .matgrp import (
     dominant_window,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
     lift_group,
-    reduce_group,
     zero_tau,
     _check_budget,
     _check_budget_power,
@@ -224,7 +223,6 @@ class HeckeAlgebra:
         self.m = m
         self.budget = budget
         self._q = None
-        self._q_index = None
         self._code_index = None
         self._q_lift = None
         self._closure = None
@@ -250,8 +248,9 @@ class HeckeAlgebra:
         """The classes of K/K_m in ``sort_key`` order, as the closure that
         built them (``matgrp.ClassClosure``) lists them: labels and every
         table of the algebra index this list.  ``_code_index`` maps a
-        class's code back to it and ``_words[i]`` lists the moves whose
-        product is q[i]."""
+        class's code back to it, the one way in for a class from outside
+        (``_class_of``), and ``_words[i]`` lists the moves whose product is
+        q[i]."""
         if self._q is None:
             closure = _congruence_classes(self.spec, 0, self.m, self.budget)
             self._closure, self._words = closure, closure.words
@@ -268,13 +267,18 @@ class HeckeAlgebra:
             self._steps = self._closure.table
         return self._steps
 
-    @property
-    def class_index(self):
-        """Residue matrix -> index of its class, for matrices that enter
-        from outside the algebra; a label carries its indices."""
-        if self._q_index is None:
-            self._q_index = {mat: i for i, mat in enumerate(self.residue_classes)}
-        return self._q_index
+    def _class_of(self, k: GroupElement) -> int:
+        """The index of the class of k in K/K_m: its entries reduced mod
+        pi^m straight to a code (NegativeValuation for an entry outside o),
+        read in ``_code_index``.  A code that is no class (det k not a unit,
+        or for SL not 1 mod pi^m) raises NotInK.  No residue matrix is
+        formed."""
+        ring = self.residue_classes[0].ring
+        reduce, index = ring.reduce, self._closure.tables.index
+        i = self._code_index.get(tuple(index[reduce(x).coords] for row in k.rows for x in row))
+        if i is None:
+            raise NotInK(f"{k} does not reduce to a class of K/K_{self.m}")
+        return i
 
     def _indices(self, label: DoubleCosetLabel):
         """The class indices (x, y) of a label, which must index this
@@ -319,13 +323,6 @@ class HeckeAlgebra:
                 out.append(x)
             self._q_inv = out
         return self._q_inv
-
-    # -- double coset equality ----------------------------------------------------
-
-    def dc_equal(self, g: GroupElement, h: GroupElement) -> bool:
-        """Exact test of K_m g K_m = K_m h K_m: each double coset has one
-        canonical label."""
-        return self.classify(g) == self.classify(h)
 
     # -- left cosets ---------------------------------------------------------------
 
@@ -639,13 +636,14 @@ class HeckeAlgebra:
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b, that of the
-        classes ([a], [b]^-1).  Reduction is a homomorphism, so [b]^-1 =
-        [b^-1] is read off ``_inv_index``: past the factorization, no
-        residue product or inverse is formed."""
+        classes ([a], [b]^-1), each witness reduced to its code
+        (``_class_of``).  Reduction is a homomorphism, so [b]^-1 = [b^-1]
+        is read off ``_inv_index``: past the factorization, no residue
+        matrix, product or inverse is formed.  K_m g K_m = K_m h K_m iff
+        classify(g) == classify(h): each double coset has one label."""
         fac = cartan(g)
-        idx = self.class_index
-        xi = idx[reduce_group(fac.a, self.m)]
-        yi = self._inv_index()[idx[reduce_group(fac.b, self.m)]]
+        xi = self._class_of(fac.a)
+        yi = self._inv_index()[self._class_of(fac.b)]
         return self.canonical_label(fac.tau, xi, yi)
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:

@@ -145,7 +145,9 @@ class TransportContext:
         K/K_m, checked to be a group isomorphism onto the classes of side
         2: a bijection with lam(e) = e' and lam(x s) = lam(x) lam(s) for
         every class x and every move s of side 1's closure
-        (``matgrp.ClassClosure``), |K/K_m| |S| checks.
+        (``matgrp.ClassClosure``), |K/K_m| |S| checks.  lambda_m is applied
+        once to each of the q^m elements of o/pi^m; a class's code maps
+        entry by entry through that and is read in side 2's code index.
 
         Those imply lam(x y) = lam(x) lam(y) for all classes x, y.  The
         moves generate K/K_m, so y = s_1 .. s_k (its word); induct on k.
@@ -156,12 +158,13 @@ class TransportContext:
         """
         if self._lam is None:
             A, A2 = self.algebra, self.algebra2
-            idx2 = A2.class_index
-            lam = [idx2.get(self.map_residue_matrix(r)) for r in A.residue_classes]
+            e, e2 = A._unit_index(), A2._unit_index()  # both closures built
+            index2, idx2 = A2._closure.tables.index, A2._code_index
+            ring_map = [index2[self.pair.apply(r).coords] for r in A._closure.tables.elements]
+            lam = [idx2.get(tuple(map(ring_map.__getitem__, code))) for code in A._closure.codes]
             if len(lam) != len(idx2) or set(lam) != set(idx2.values()):
                 raise InvariantViolated("lambda_m is not a bijection of the classes of K/K_m")
-            e = A._unit_index()
-            if lam[e] != A2._unit_index():
+            if lam[e] != e2:
                 raise InvariantViolated(
                     "lambda_m is not multiplicative on K/K_m: it moves the identity class"
                 )

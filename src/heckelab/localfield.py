@@ -41,6 +41,8 @@ from .record import FrozenRecord, _set
 
 INF = float("inf")
 
+DEFAULT_BUDGET = 10**6
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -206,33 +208,16 @@ class GF:
         return f"GF({self.p}^{self.f})" if self.f > 1 else f"GF({self.p})"
 
 
-def _polymod_intcoeffs(a, m, p):
-    """Remainder of a modulo monic m, coefficients in Z/p, low-first tuples."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    while a and a[-1] % p == 0:
-        a.pop()
-    return tuple(c % p for c in a)
-
-
 def _is_irreducible(poly, p: int) -> bool:
     """Rabin's test (SIAM J. Comput. 9, 1980): monic P of degree f over F_p
     is irreducible iff x^(p^f) = x mod P and gcd(x^(p^(f/r)) - x, P) = 1 for
     each prime r | f.  As (sum a_i x^i)^p = sum a_i x^(i p) over F_p, each
     x^(p^i) mod P is the one before with its exponents times p, reduced."""
-    f, frobenius = len(poly) - 1, [(0, 1)]  # frobenius[i] = x^(p^i) mod P
+    k, f, frobenius = gf(p), len(poly) - 1, [(0, 1)]  # frobenius[i] = x^(p^i) mod P
     for _ in range(f):
         spread = [0] * (p * len(frobenius[-1]))
         spread[::p] = frobenius[-1]
-        frobenius.append(_polymod_intcoeffs(spread, poly, p))
-    k = gf(p)
+        frobenius.append(poly_divmod(k, spread, poly)[1])
     return frobenius[f] == (0, 1) and all(
         poly_gcd(k, poly_add(k, frobenius[f // r], (0, p - 1)), poly) == (1,)
         for r in range(2, f + 1) if f % r == 0 and is_prime(r)
@@ -381,9 +366,6 @@ class FieldModel(FrozenRecord):
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, data) -> "FieldElement":
-        return FieldElement(self, data)
-
     def zero(self) -> "FieldElement":
         if self.kind == MIXED:
             return FieldElement(self, (0,) * self.e)
@@ -420,8 +402,8 @@ class FieldModel(FrozenRecord):
     def residue_ring(self, N: int) -> "ResidueRing":
         return residue_ring(self, N)
 
-    def parse(self, text: str) -> "FieldElement":
-        return _parse_element(self, text)
+    def parse(self, text: str, budget: int = DEFAULT_BUDGET) -> "FieldElement":
+        return _parse_element(self, text, budget)
 
     def __str__(self):
         if self.kind == MIXED:
@@ -826,56 +808,52 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_element(model: FieldModel, text: str) -> FieldElement:
+def _parse_element(model: FieldModel, text: str, budget: int) -> FieldElement:
+    """An element string of either model (README, "Element syntax"): a sum
+    of terms, or over F_q((t)) also "(sum)/(sum)"."""
     text = text.strip()
     if model.kind == EQUAL and text.startswith("("):
         mt = re.fullmatch(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)", text)
         if not mt:
             raise ParseError(f"cannot parse field element {text!r}")
-        num = _parse_poly(model, mt.group("num"))
-        den = _parse_poly(model, mt.group("den"))
-        return FieldElement(model, (num, den))
-    if model.kind == EQUAL:
-        return FieldElement(model, (_parse_poly(model, text), (1,)))
-    coords = [Fraction(0)] * model.e
+        den = _parse_terms(model, mt.group("den"), budget)
+        if den.is_zero():
+            raise ParseError(f"zero denominator in {text!r}")
+        return _parse_terms(model, mt.group("num"), budget) / den
+    return _parse_terms(model, text, budget)
+
+
+def _parse_terms(model: FieldModel, text: str, budget: int) -> FieldElement:
+    """The sum of the '+'/'-' separated terms c*x^k of ``text``, x the
+    model's variable (pi or t), one term parser for both models.  The
+    coefficient c is read as a Fraction, as ``from_fraction`` takes it;
+    over F_q((t)) it must be p-integral.  The power is checked per model
+    before anything is built: below e for Q_p(pi), and for F_q((t))
+    charged to the budget as the k + 1 coefficients of t^k."""
+    var = "pi" if model.kind == MIXED else "t"
+    out = model.zero()
     for term, sign in _split_terms(text):
         mt = _TERM_RE.match(term)
         if not mt or (mt.group("coeff") is None and mt.group("var") is None):
             raise ParseError(f"cannot parse term {term!r} in {text!r}")
-        coeff = Fraction(mt.group("coeff")) if mt.group("coeff") else Fraction(1)
-        power = 0
-        if mt.group("var"):
-            if mt.group("var") != "pi":
-                raise ParseError(f"unexpected variable in {text!r}")
-            power = int(mt.group("pow") or 1)
-        if power >= model.e:
-            raise ParseError(f"pi^{power} exceeds degree {model.e - 1}")
-        coords[power] += sign * coeff
-    return FieldElement(model, tuple(coords))
-
-
-def _parse_poly(model: FieldModel, text: str):
-    coeffs = {}
-    for term, sign in _split_terms(text):
-        mt = _TERM_RE.match(term)
-        if not mt or (mt.group("coeff") is None and mt.group("var") is None):
-            raise ParseError(f"cannot parse term {term!r} in {text!r}")
-        c = int(mt.group("coeff")) if mt.group("coeff") else 1
-        power = 0
-        if mt.group("var"):
-            if mt.group("var") != "t":
-                raise ParseError(f"unexpected variable in {text!r}")
-            power = int(mt.group("pow") or 1)
-        k = model.gf
-        prev = coeffs.get(power, 0)
-        val = c % model.p if sign > 0 else (-c) % model.p
-        coeffs[power] = k.add(prev, val)
-    if not coeffs:
-        return ()
-    out = [0] * (max(coeffs) + 1)
-    for i, c in coeffs.items():
-        out[i] = c
-    return poly_trim(out)
+        if mt.group("var") not in (None, var):
+            raise ParseError(f"unexpected variable in {text!r}")
+        try:  # a zero denominator, or more digits than int() converts
+            coeff = sign * Fraction(mt.group("coeff") or 1)
+            power = int(mt.group("pow") or 1) if mt.group("var") else 0
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"cannot read term {term!r}: {exc}") from None
+        if model.kind == MIXED:
+            if power >= model.e:
+                raise ParseError(f"pi^{power} exceeds degree {model.e - 1}")
+        elif power >= budget:
+            raise BudgetExceeded(f"t^{power} has {power + 1} coefficients, "
+                                 f"over budget {budget}")
+        elif coeff.denominator % model.p == 0:
+            raise ParseError(f"coefficient {coeff} is not {model.p}-integral in {text!r}")
+        # x^k by squaring: pi_pow would cache every t^k a text asks for
+        out = out + model.from_fraction(coeff) * model.uniformizer() ** power
+    return out
 
 
 def _split_terms(text: str):
@@ -950,10 +928,6 @@ class ResidueRing:
 
     def _width(self) -> int:
         return self.model.e if self.model.kind == MIXED else self.N
-
-    def element(self, coords) -> "ResidueElement":
-        coords = tuple(c % mod for c, mod in zip(coords, self.moduli))
-        return ResidueElement(self, coords)
 
     def elements(self):
         """All ring elements in a fixed deterministic order."""

@@ -24,13 +24,18 @@ from .errors import (
     SLTraceNonzero,
     Singular,
 )
-from .localfield import FieldElement, FieldModel, ResidueElement, ResidueRing, mixed_dot
+from .localfield import (
+    DEFAULT_BUDGET,
+    FieldElement,
+    FieldModel,
+    ResidueElement,
+    ResidueRing,
+    mixed_dot,
+)
 from .record import FrozenRecord, _set
 
 GL = "GL"
 SL = "SL"
-
-DEFAULT_BUDGET = 10**6
 
 
 class GroupSpec(FrozenRecord):
@@ -59,20 +64,12 @@ class GroupSpec(FrozenRecord):
         )
         return GroupElement(self, rows)
 
-    def element(self, rows) -> "GroupElement":
-        return GroupElement(self, rows)
-
-    def from_ints(self, rows) -> "GroupElement":
-        conv = tuple(
-            tuple(self.model.from_int(x) if isinstance(x, int) else x for x in row)
-            for row in rows
-        )
-        return GroupElement(self, conv)
-
-    def parse_matrix(self, rows_of_strings) -> "GroupElement":
+    def parse_matrix(self, rows_of_strings, budget: int = DEFAULT_BUDGET) -> "GroupElement":
+        """The element whose rows hold ints or element strings (a t^k term
+        is charged to ``budget``, see ``FieldModel.parse``)."""
         conv = tuple(
             tuple(
-                self.model.from_int(x) if isinstance(x, int) else self.model.parse(str(x))
+                self.model.from_int(x) if isinstance(x, int) else self.model.parse(str(x), budget)
                 for x in row
             )
             for row in rows_of_strings
@@ -204,9 +201,6 @@ class GroupElement:
         det_inv = self.det().inverse()
         inv_rows = _cofactor_inverse(self.rows, det_inv, self.group.model.zero())
         return GroupElement(self.group, inv_rows, _det=det_inv)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.rows[i][j]
 
     # -- membership in the congruence filtration -------------------------------
 
@@ -858,10 +852,3 @@ def iter_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
     level m raises BudgetExceeded however few classes there are."""
     for r in _congruence_classes(spec, m, c, budget).matrices:
         yield lift_group(r, spec)
-
-
-def enumerate_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
-    """Materialized list of K_m/K_(m+c) representatives (see iter_kernel,
-    also for the budget: GL2/Q_2 at (m, c) = (9, 1) is refused, (4, 1)
-    gives 16 elements)."""
-    return list(iter_kernel(spec, m, c, budget))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra
-from heckelab.localfield import FieldElement, _polymod_intcoeffs
+from heckelab.localfield import FieldElement
 from heckelab.matgrp import (
     DEFAULT_BUDGET,
     GroupElement,
@@ -63,6 +63,22 @@ def _q_poly_invmod(a, modulus):
     if not (all(c == 0 for c in r0[1:]) and const != 0):
         raise InvariantViolated("polynomial gcd with the irreducible modulus is not a unit")
     return [c / const for c in s0]
+
+
+def _polymod_intcoeffs(a, m, p):
+    """Remainder of a modulo monic m, coefficients in Z/p, low-first tuples."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) > dm:
+        lead = a[-1] % p
+        if lead:
+            shift = len(a) - 1 - dm
+            for i, c in enumerate(m):
+                a[shift + i] = (a[shift + i] - lead * c) % p
+        a.pop()
+    while a and a[-1] % p == 0:
+        a.pop()
+    return tuple(c % p for c in a)
 
 
 def gf_product_by_digits(k, a, b):

@@ -18,13 +18,8 @@ from heckelab.kazhdan import (
 from heckelab.localfield import ClosePair, FieldModel
 from heckelab.matgrp import GroupSpec, cartan, dominant_window
 from heckelab.rings import PrimeField, RationalField
-from heckelab.sampling import (
-    random_hecke,
-    random_in_k,
-    random_in_km,
-    random_windowed,
-    random_windowed_module,
-)
+from heckelab.sampling import random_in_k, random_windowed
+from samples import random_hecke, random_in_km, random_windowed_module
 
 Q2 = FieldModel.mixed(2, 1)
 Q3 = FieldModel.mixed(3, 1)
@@ -149,7 +144,7 @@ def test_criterion_2_convolution_lemma():
 def test_criterion_3_spherical_oracle():
     t0 = time.time()
     A = shared_algebra(GL2_Q2, 0)
-    g = GL2_Q2.from_ints([[2, 0], [0, 1]])
+    g = GL2_Q2.parse_matrix([[2, 0], [0, 1]])
     f = A.t(g)
     prod = A.convolve(f, f)
     by_tau = {lab.tau.coords: c for lab, c in prod.terms.items()}

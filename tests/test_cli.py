@@ -500,6 +500,37 @@ def test_bad_input_is_typed_error(tmp_path, capsys, config, argv, error):
     assert f"error [{error}]" in capsys.readouterr().err
 
 
+GL2_F3 = dict(GL2_Q2, field={"kind": "equal", "p": 3})
+
+
+@pytest.mark.parametrize("config, entry, code, error", [
+    pytest.param(GL2_Q2, "1/0", 2, "ParseError", id="mixed-1/0"),
+    pytest.param(GL2_Q2, "0/0", 2, "ParseError", id="mixed-0/0"),
+    pytest.param(GL2_Q2, "1/0*pi", 2, "ParseError", id="mixed-1/0*pi"),
+    pytest.param(GL2_Q2, "1" * 4301, 2, "ParseError", id="mixed-4301-digits"),
+    pytest.param(GL2_F3, "1/0*t", 2, "ParseError", id="equal-1/0*t"),
+    pytest.param(GL2_F3, "(1)/(0)", 2, "ParseError", id="equal-zero-denominator"),
+    pytest.param(GL2_F3, "1" * 4301 + "*t", 2, "ParseError", id="equal-4301-digits"),
+    pytest.param(GL2_F3, "1/3*t", 2, "ParseError", id="equal-denominator-of-p"),
+    pytest.param(GL2_F3, "t^99999999999999999999", 2, "BudgetExceeded", id="equal-t^(10^20)"),
+    pytest.param(dict(GL2_F3, budget=1000), "t^5000", 2, "BudgetExceeded",
+                 id="equal-t^5000-budget-1000"),
+    pytest.param(GL2_F3, "1/2*t", 0, None, id="equal-p-integral-fraction"),
+])
+def test_malformed_element_is_typed(tmp_path, capsys, config, entry, code, error):
+    # a malformed entry ends in a typed error and exit 2, never a traceback;
+    # a t^k term is charged to the budget before its k + 1 coefficients are
+    # built, and 1/2 over F_3 is 2, as from_fraction reads it
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "cartan", json.dumps([[1, 0], [0, entry]])]) == code
+    captured = capsys.readouterr()
+    if error is None:
+        assert main(["--config", cfg, "cartan", json.dumps([[1, 0], [0, "2*t"]])]) == 0
+        assert captured.out == capsys.readouterr().out
+    else:
+        assert f"error [{error}]" in captured.err
+
+
 def test_unreadable_config_is_typed_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{bad")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.localfield import ClosePair, FieldModel
+from heckelab.localfield import ClosePair, FieldElement, FieldModel, ResidueElement
 
 MODELS = {
     "Q_2(2^(1/5))": FieldModel.mixed(2, 5),
@@ -30,11 +30,11 @@ def elements(model: FieldModel, nonzero: bool = False):
     of degree < 4 over F_q with a nonzero denominator."""
     if model.kind == "MixedChar":
         coord = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
-        unit = st.tuples(*[coord] * model.e).map(model.element)
+        unit = st.tuples(*[coord] * model.e).map(lambda data: FieldElement(model, data))
     else:
         poly = st.lists(st.integers(0, model.q - 1), max_size=4).map(tuple)
         nonzero_poly = poly.filter(any)
-        unit = st.tuples(poly, nonzero_poly).map(model.element)
+        unit = st.tuples(poly, nonzero_poly).map(lambda data: FieldElement(model, data))
     drawn = st.builds(lambda u, k: u * model.pi_pow(k), unit, st.integers(-3, 3))
     return drawn.filter(lambda x: not x.is_zero()) if nonzero else drawn
 
@@ -76,7 +76,8 @@ def test_valuation_is_multiplicative_and_ultrametric(model, data):
 
 FLAGSHIP = ClosePair(FieldModel.mixed(2, 5), FieldModel.equal(2), 5)
 RING = FLAGSHIP.model_f.residue_ring(5)
-RESIDUES = st.tuples(*[st.integers(0, mod - 1) for mod in RING.moduli]).map(RING.element)
+RESIDUES = st.tuples(*[st.integers(0, mod - 1) for mod in RING.moduli]).map(
+    lambda coords: ResidueElement(RING, coords))
 
 
 @PROPERTY

@@ -7,7 +7,14 @@ import pytest
 
 from heckelab import hecke, localfield
 from heckelab import matgrp as matgrp_module
-from heckelab.errors import BudgetExceeded, InvalidConfig, InvariantViolated, MixedRings
+from heckelab.errors import (
+    BudgetExceeded,
+    InvalidConfig,
+    InvariantViolated,
+    MixedRings,
+    NegativeValuation,
+    NotInK,
+)
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_change
 from heckelab.localfield import FieldModel
 from heckelab.matgrp import (
@@ -15,12 +22,13 @@ from heckelab.matgrp import (
     GroupElement,
     GroupSpec,
     ResidueMatrix,
+    cartan,
     dominant_window,
     enumerate_residue_matrices,
     zero_tau,
 )
 from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
-from heckelab.sampling import random_in_k, random_in_km, random_windowed
+from heckelab.sampling import random_in_k, random_windowed
 from oracles import (
     canonical_by_orbits,
     dc_equal_kernel_sweep,
@@ -32,6 +40,7 @@ from oracles import (
     structure_constants_by_membership,
     structure_constants_by_tally,
 )
+from samples import random_in_km
 
 Q2 = FieldModel.mixed(2, 1)
 Q3 = FieldModel.mixed(3, 1)
@@ -65,10 +74,18 @@ def gl2_q3_m1():
 # ---------------------------------------------------------------- dc_equal
 
 
+def dc_equal(alg, g, h):
+    """K_m g K_m = K_m h K_m as classify reads it, equal labels, checked
+    against the bounded-kernel search of the oracle."""
+    same = alg.classify(g) == alg.classify(h)
+    assert same == dc_equal_kernel_sweep(g, h, alg.m)
+    return same
+
+
 def test_dc_equal_reflexive(sl2_m1, rng):
     for _ in range(5):
         g = random_windowed(SL2_Q2, rng, 1)
-        assert sl2_m1.dc_equal(g, g)
+        assert dc_equal(sl2_m1, g, g)
 
 
 def test_dc_equal_km_translates(sl2_m1, rng):
@@ -76,31 +93,31 @@ def test_dc_equal_km_translates(sl2_m1, rng):
     for _ in range(5):
         k1 = random_in_km(SL2_Q2, rng, 1)
         k2 = random_in_km(SL2_Q2, rng, 1)
-        assert sl2_m1.dc_equal(k1 @ n @ k2, n)
+        assert dc_equal(sl2_m1, k1 @ n @ k2, n)
 
 
 def test_dc_equal_oracle_case(gl2_m1):
     # recorded verdict of the bounded-kernel oracle: these two type-(1,0)
     # elements are NOT K_1-double-coset equal (the (1,2) entry of anything
     # in K_1 diag(2,1) K_1 is divisible by 2)
-    g = GL2_Q2.from_ints([[2, 0], [0, 1]])
-    h = GL2_Q2.from_ints([[2, 1], [0, 1]])
-    assert gl2_m1.dc_equal(g, h) is False
+    g = GL2_Q2.parse_matrix([[2, 0], [0, 1]])
+    h = GL2_Q2.parse_matrix([[2, 1], [0, 1]])
+    assert dc_equal(gl2_m1, g, h) is False
     assert dc_equal_kernel_sweep(g, h, 1) is False
-    assert gl2_m1.dc_equal(g, g)
+    assert dc_equal(gl2_m1, g, g)
 
 
 def test_dc_equal_matches_kernel_sweep(sl2_m1, rng):
     for _ in range(10):
         g = random_windowed(SL2_Q2, rng, 1)
         h = random_windowed(SL2_Q2, rng, 1)
-        assert sl2_m1.dc_equal(g, h) == dc_equal_kernel_sweep(g, h, 1)
+        assert dc_equal(sl2_m1, g, h) == dc_equal_kernel_sweep(g, h, 1)
 
 
 def test_dc_equal_different_tau(sl2_m1):
     n0 = SL2_Q2.identity()
     n1 = SL2_Q2.n_of_tau(CartanDatum((1, -1)))
-    assert not sl2_m1.dc_equal(n0, n1)
+    assert not dc_equal(sl2_m1, n0, n1)
 
 
 # ---------------------------------------------------------------- left cosets
@@ -111,7 +128,7 @@ def test_left_cosets_identity(sl2_m1):
 
 
 def test_left_cosets_spherical_degree(gl2_m0):
-    g = GL2_Q2.from_ints([[2, 0], [0, 1]])
+    g = GL2_Q2.parse_matrix([[2, 0], [0, 1]])
     cosets = gl2_m0.left_cosets(g)
     assert len(cosets) == 3  # q + 1
     for i, a in enumerate(cosets):
@@ -314,7 +331,7 @@ def test_classify_k_elements_tau_zero(sl2_m1, rng):
         k = random_in_k(SL2_Q2, rng)
         lab = sl2_m1.classify(k)
         assert lab.tau.is_zero()
-        assert sl2_m1.dc_equal(sl2_m1.representative(lab), k)
+        assert dc_equal(sl2_m1, sl2_m1.representative(lab), k)
 
 
 def test_classify_agrees_with_dc_equal(sl2_m1, rng):
@@ -323,6 +340,56 @@ def test_classify_agrees_with_dc_equal(sl2_m1, rng):
     for g in els:
         for h in els:
             assert (sl2_m1.classify(g) == sl2_m1.classify(h)) == dc_equal_kernel_sweep(g, h, 1)
+
+
+@pytest.mark.parametrize("spec, m", [(SL2_Q2, 1), (SL2_F2, 2), (GL2_Q3, 1)],
+                         ids=["SL2/Q_2 m=1", "SL2/F_2((t)) m=2", "GL2/Q_3 m=1"])
+def test_classify_reads_witnesses_by_code(spec, m, rng, monkeypatch):
+    # a witness enters K/K_m by its code alone: on a warm algebra classify
+    # calls no reduce_group and builds and hashes no residue matrix, and
+    # names the classes that reducing its witnesses to matrices names
+    alg = HeckeAlgebra(spec, m)
+    idx = {mat: i for i, mat in enumerate(alg.residue_classes)}
+    els = [random_windowed(spec, rng, 1) for _ in range(10)]
+    expected = []
+    for g in els:
+        fac = cartan(g)
+        xi = idx[matgrp_module.reduce_group(fac.a, m)]
+        yi = alg._inv_index()[idx[matgrp_module.reduce_group(fac.b, m)]]
+        expected.append(alg.canonical_label(fac.tau, xi, yi))
+    counts = {"built": 0, "hashed": 0}
+    matrix_init, matrix_hash = ResidueMatrix.__init__, ResidueMatrix.__hash__
+
+    def counted_init(self, *args):
+        counts["built"] += 1
+        matrix_init(self, *args)
+
+    def counted_hash(self):
+        counts["hashed"] += 1
+        return matrix_hash(self)
+
+    def refuse(*args):
+        raise AssertionError("classify reduced a witness to a residue matrix")
+
+    monkeypatch.setattr(matgrp_module, "reduce_group", refuse)
+    monkeypatch.setattr(ResidueMatrix, "__init__", counted_init)
+    monkeypatch.setattr(ResidueMatrix, "__hash__", counted_hash)
+    labels = [alg.classify(g) for g in els]
+    monkeypatch.undo()
+    assert counts == {"built": 0, "hashed": 0}
+    assert labels == expected
+
+
+def test_witness_outside_the_classes_is_typed():
+    # a matrix whose code names no class of K/K_m raises NotInK: a non-unit
+    # determinant, or for SL a unit determinant that is not 1 mod pi^m; an
+    # entry outside o raises NegativeValuation
+    with pytest.raises(NotInK):
+        HeckeAlgebra(GL2_Q2, 1)._class_of(GL2_Q2.parse_matrix([[2, 0], [0, 1]]))
+    with pytest.raises(NotInK):
+        HeckeAlgebra(GroupSpec("SL", 2, Q3), 1)._class_of(GL2_Q3.parse_matrix([[2, 0], [0, 1]]))
+    with pytest.raises(NegativeValuation):
+        HeckeAlgebra(GL2_Q2, 1)._class_of(GL2_Q2.parse_matrix([["1/2", 0], [0, 2]]))
 
 
 def test_orbit_table_tau_zero(sl2_m1):
@@ -810,7 +877,7 @@ def test_single_support_product_of_cocharacters(gl2_q3_m1):
 
 
 def test_spherical_oracle(gl2_m0):
-    g = GL2_Q2.from_ints([[2, 0], [0, 1]])
+    g = GL2_Q2.parse_matrix([[2, 0], [0, 1]])
     f = gl2_m0.t(g)
     prod = gl2_m0.convolve(f, f)
     by_tau = {lab.tau.coords: c for lab, c in prod.terms.items()}
@@ -869,7 +936,8 @@ def test_structure_constants_match_tally_sampled(spec, m):
     one = ResidueMatrix.identity(labels[0].pair[0].ring, spec.n)
     # the middle class k = y1^-1 x2 is what the translation carries into the
     # bracket, and the fold replaces it by the least class k0 of its double coset
-    q, idx, inv = alg.residue_classes, alg.class_index, alg._inv_index()
+    q, inv = alg.residue_classes, alg._inv_index()
+    idx = {mat: i for i, mat in enumerate(q)}
     middles = [(l1, l2, q[inv[l1.y]] @ l2.pair[0]) for l1, l2 in pairs]
     assert any(k != one for _, _, k in middles)
     assert any(alg._double_coset(l1.tau, l2.tau)[idx[k]][0] != idx[k] for l1, l2, k in middles)
@@ -887,7 +955,8 @@ def test_double_cosets_fold_the_bracket(spec, m):
     # against the residue-matrix products of the oracle and the Gamma pairs
     # of the orbit tables
     alg = HeckeAlgebra(spec, m)
-    mul, idx = mul_table_by_products(alg), alg.class_index
+    mul = mul_table_by_products(alg)
+    idx = {mat: i for i, mat in enumerate(alg.residue_classes)}
     size = len(mul)
     inv = [row.index(alg._unit_index()) for row in mul]
 

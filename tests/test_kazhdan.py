@@ -26,19 +26,16 @@ from heckelab.localfield import ClosePair, FieldElement, FieldModel
 from heckelab.matgrp import (
     CartanDatum,
     ClassClosure,
+    GroupElement,
     GroupSpec,
     ResidueMatrix,
     dominant_window,
     zero_tau,
 )
 from heckelab.rings import ZZ, RationalField
-from heckelab.sampling import (
-    random_hecke,
-    random_in_km,
-    random_windowed,
-    random_windowed_module,
-)
-from oracles import transport_label_by_witnesses
+from heckelab.sampling import random_windowed
+from oracles import dc_equal_kernel_sweep, transport_label_by_witnesses
+from samples import random_hecke, random_in_km, random_windowed_module
 
 E3 = FieldModel.equal(3)
 SL2_E3 = GroupSpec("SL", 2, E3)
@@ -117,15 +114,18 @@ def test_transport_of_diagonal_uniformizer():
 
 def test_transport_unipotent_translate(flagship_ctx):
     # k n_tau with k = 1 + pi E_12 lands in the class of k' n'_tau,
-    # k' = 1 + t E_12; certified on the F' side by dc_equal
+    # k' = 1 + t E_12; certified on the F' side by equal labels and by the
+    # bounded-kernel search
     model, model2 = F_MIX, F_EQ
     one, zero, pi = model.one(), model.zero(), model.uniformizer()
-    k = SL2_F.element(((one, pi), (zero, one)))
+    k = GroupElement(SL2_F, ((one, pi), (zero, one)))
     tau = CartanDatum((1, -1))
     g2 = flagship_ctx.transport_element(k @ SL2_F.n_of_tau(tau))
     one2, zero2, t = model2.one(), model2.zero(), model2.uniformizer()
-    k2 = SL2_F2.element(((one2, t), (zero2, one2)))
-    assert flagship_ctx.algebra2.dc_equal(g2, k2 @ SL2_F2.n_of_tau(tau))
+    k2 = GroupElement(SL2_F2, ((one2, t), (zero2, one2)))
+    h2 = k2 @ SL2_F2.n_of_tau(tau)
+    assert flagship_ctx.algebra2.classify(g2) == flagship_ctx.algebra2.classify(h2)
+    assert dc_equal_kernel_sweep(g2, h2, 1)
 
 
 def test_transport_guard_insufficient_closeness(flagship_ctx):
@@ -247,14 +247,16 @@ def test_label_of_the_other_side_is_a_typed_error(flagship_ctx):
 
 def test_transport_label_rejects_non_multiplicative_class_map(monkeypatch):
     # a class map that swaps the identity class with another one is a
-    # bijection but not a homomorphism of K/K_m
+    # bijection but not a homomorphism of K/K_m: side 2's code index with
+    # the codes of its identity and of its first other class swapped
     ctx = _close_ctx("SL", 5, 1, 1)
-    q = ctx.algebra.residue_classes
-    one = q[ctx.algebra._unit_index()]
-    other = next(r for r in q if r != one)
-    swap = {one: other, other: one}
-    mapped = ctx.map_residue_matrix
-    monkeypatch.setattr(ctx, "map_residue_matrix", lambda r: mapped(swap.get(r, r)))
+    side2 = ctx.algebra2
+    one = side2._unit_index()  # builds the closure
+    codes = side2._closure.codes
+    other = next(x for x in range(len(codes)) if x != one)
+    swapped = dict(side2._code_index)
+    swapped[codes[one]], swapped[codes[other]] = other, one
+    monkeypatch.setattr(side2, "_code_index", swapped)
     with pytest.raises(InvariantViolated, match="multiplicative"):
         ctx.transport_label(ctx.algebra.labels_in_window(1)[0])
 
@@ -456,28 +458,35 @@ def test_verify_rejects_swapped_tau_1_labels(flagship_ctx, monkeypatch):
 
 def test_warm_csv_reads_labels_by_index(monkeypatch):
     # a label carries its class indices: with the orbit tables, brackets and
-    # lam built, the flagship CSV hashes no residue matrix and looks no label
-    # up in class_index, and its bytes are those of benchmark/expected.json
+    # lam built, the flagship CSV hashes no residue matrix and looks no code
+    # up in the code index, the way in for a class from outside, and its
+    # bytes are those of benchmark/expected.json
     ctx = TransportContext(ClosePair(F_MIX, F_EQ, 5), SL2_F, SL2_F2, m=1, N=5, window=1)
     assert verify_algebra_map(ctx).success
     for alg in (ctx.algebra, ctx.algebra2):
         alg._sc_cache.clear()
-    counts = {"hash": 0, "class_index": 0}
-    matrix_hash, class_index = ResidueMatrix.__hash__, HeckeAlgebra.class_index
+    counts = {"hash": 0, "code_index": 0}
+    matrix_hash = ResidueMatrix.__hash__
 
     def counted_hash(self):
         counts["hash"] += 1
         return matrix_hash(self)
 
-    def counted_class_index(self):
-        counts["class_index"] += 1
-        return class_index.fget(self)
+    class Counting(dict):
+        def __getitem__(self, code):
+            counts["code_index"] += 1
+            return super().__getitem__(code)
+
+        def get(self, code, default=None):
+            counts["code_index"] += 1
+            return super().get(code, default)
 
     monkeypatch.setattr(ResidueMatrix, "__hash__", counted_hash)
-    monkeypatch.setattr(HeckeAlgebra, "class_index", property(counted_class_index))
+    for alg in (ctx.algebra, ctx.algebra2):
+        monkeypatch.setattr(alg, "_code_index", Counting(alg._code_index))
     text = kazhdan.structure_constants_csv(ctx)
     monkeypatch.undo()
-    assert counts == {"hash": 0, "class_index": 0}
+    assert counts == {"hash": 0, "code_index": 0}
     expected = pathlib.Path(__file__).resolve().parents[1] / "benchmark" / "expected.json"
     digest = json.loads(expected.read_text())["cli-verify"]["csv_sha256"]
     assert hashlib.sha256(text.encode()).hexdigest() == digest

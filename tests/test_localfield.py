@@ -17,8 +17,10 @@ from heckelab.errors import (
 from heckelab.localfield import (
     INF,
     ClosePair,
+    FieldElement,
     FieldModel,
     GF,
+    ResidueElement,
     _mixed_product,
     bareiss_solve,
     gf,
@@ -306,8 +308,8 @@ def test_mixed_product_kernel_matches_sympy(p, e, rng):
         ring = model.residue_ring(N)
         moduli = [p ** max(0, math.ceil((N - i) / e)) for i in range(e)]
         for _ in range(10):
-            a = ring.element([rng.randrange(mod) for mod in moduli])
-            b = ring.element([rng.randrange(mod) for mod in moduli])
+            a = ResidueElement(ring, [rng.randrange(mod) for mod in moduli])
+            b = ResidueElement(ring, [rng.randrange(mod) for mod in moduli])
             prod = _sympy_mixed_product(sympy, a.coords, b.coords, e, p)
             assert (a * b).coords == tuple(int(c) % mod for c, mod in zip(prod, moduli))
 
@@ -369,7 +371,7 @@ def test_reduce_of_canonical_lift_is_identity():
     # a denominator that is not 1 still takes the series inverse:
     # (1 + t)^-1 = 1 - t mod t^2
     model = ring.model
-    x = model.element(((1,), (1, 1)))
+    x = FieldElement(model, ((1,), (1, 1)))
     assert ring.reduce(x) == ring.one() - ring.uniformizer()
 
 

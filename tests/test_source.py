@@ -69,3 +69,49 @@ def test_library_generates_no_code():
         found += [f"{path.name}:{node.lineno} {name}" for name in names
                   if name.split(".")[0] in ("dataclasses", "exec", "eval")]
     assert found == []
+
+
+# Defined in src/heckelab but referenced nowhere else in it, each with the
+# reason it stays: API (in heckelab.__all__, which needs no entry, or
+# README), a CLI entry point, or a name that benchmark/tracer.py or
+# benchmark/workloads.py patches or reads.
+UNREFERENCED_ALLOWED = {
+    "gamma": "README API: OrbitTable's Gamma_tau as residue-matrix pairs",
+    "scaled": "README API: a HeckeElement times a scalar",
+    "representative": "README API: the canonical element of a label",
+    "transport_hecke": "README API: transport of Hecke elements",
+    "transport_module": "README API: transport of windowed modules",
+    "in_km": "benchmark/tracer.py patches GroupElement.in_km",
+    "iter_kernel": "benchmark/tracer.py patches matgrp.iter_kernel",
+}
+
+
+def _unreferenced_definitions():
+    """(module, name) of every function, method and class whose name is
+    used nowhere in the package outside its own definition; an import
+    alone is no use, and dunder methods are called by the language."""
+    defs, uses = [], {}
+    for path, node in _library_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((path.name, node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            uses.setdefault(name, []).append((path.name, node.lineno))
+    return sorted({
+        (module, name) for module, name, first, last in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and all(where == module and first <= line <= last for where, line in uses.get(name, ()))
+    })
+
+
+def test_every_definition_is_used_or_allowed():
+    # no alias or test-only helper lives in the library unannounced
+    found = [f"{module}:{name}" for module, name in _unreferenced_definitions()
+             if name not in UNREFERENCED_ALLOWED and name not in heckelab.__all__]
+    assert found == []
+
+
+def test_unreferenced_allowlist_is_current():
+    # each allowed name is still defined and still unreferenced
+    names = {name for _, name in _unreferenced_definitions()}
+    assert sorted(set(UNREFERENCED_ALLOWED) - names) == []

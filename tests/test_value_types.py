@@ -23,7 +23,7 @@ E_REPR = "FieldModel(kind='EqualChar', p=2, e=1, f=1)"
 TAU = CartanDatum((1, -1))
 SPEC = GroupSpec("GL", 2, M)
 ONE = SPEC.identity()
-SWAP = SPEC.from_ints([[0, 1], [1, 0]])
+SWAP = SPEC.parse_matrix([[0, 1], [1, 0]])
 
 
 def _case(cls, kwargs, text, compare, frozen=True, defaults=None):
