@@ -490,12 +490,11 @@ def _suite_hecke(cfg: RunConfig, rng, failures, algebra: HeckeAlgebra = None) ->
            algebra.convolve(unit, f) == f and algebra.convolve(f, unit) == f)
     taus = dominant_window(spec.family, spec.n, cfg.window, algebra.budget)
     _check_budget(len(taus) ** 2, algebra.budget)  # one product per pair below
+    theta = {tau: algebra.t(spec.n_of_tau(tau)) for tau in taus}  # one classify per tau
     ok_single = True
     for t1 in taus:
         for t2 in taus:
-            prod = algebra.convolve(
-                algebra.t(spec.n_of_tau(t1)), algebra.t(spec.n_of_tau(t2))
-            )
+            prod = algebra.convolve(theta[t1], theta[t2])
             target = algebra.label_of_tau(t1 + t2)
             if algebra.m == 0:
                 # the spherical algebra: the leading term plus lower terms

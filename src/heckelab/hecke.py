@@ -21,7 +21,7 @@ import itertools
 import math
 import warnings
 
-from .errors import InvalidConfig, InvariantViolated, MixedRings, NotInK
+from .errors import InvalidConfig, InvariantViolated, MixedRings
 from .matgrp import (
     DEFAULT_BUDGET,
     CartanDatum,
@@ -36,6 +36,8 @@ from .matgrp import (
     _check_budget,
     _check_budget_power,
     _congruence_classes,
+    _eliminate,
+    _replay,
     _subgroup_generators,
 )
 from .record import FrozenRecord, _set
@@ -249,8 +251,8 @@ class HeckeAlgebra:
         built them (``matgrp.ClassClosure``) lists them: labels and every
         table of the algebra index this list.  ``_code_index`` maps a
         class's code back to it, the one way in for a class from outside
-        (``_class_of``), and ``_words[i]`` lists the moves whose product is
-        q[i]."""
+        (``_witness_classes``), and ``_words[i]`` lists the moves whose
+        product is q[i]."""
         if self._q is None:
             closure = _congruence_classes(self.spec, 0, self.m, self.budget)
             self._closure, self._words = closure, closure.words
@@ -266,19 +268,6 @@ class HeckeAlgebra:
             _check_budget(len(self.residue_classes) * len(self._closure.moves), self.budget)
             self._steps = self._closure.table
         return self._steps
-
-    def _class_of(self, k: GroupElement) -> int:
-        """The index of the class of k in K/K_m: its entries reduced mod
-        pi^m straight to a code (NegativeValuation for an entry outside o),
-        read in ``_code_index``.  A code that is no class (det k not a unit,
-        or for SL not 1 mod pi^m) raises NotInK.  No residue matrix is
-        formed."""
-        ring = self.residue_classes[0].ring
-        reduce, index = ring.reduce, self._closure.tables.index
-        i = self._code_index.get(tuple(index[reduce(x).coords] for row in k.rows for x in row))
-        if i is None:
-            raise NotInK(f"{k} does not reduce to a class of K/K_{self.m}")
-        return i
 
     def _indices(self, label: DoubleCosetLabel):
         """The class indices (x, y) of a label, which must index this
@@ -635,16 +624,47 @@ class HeckeAlgebra:
         return self._gamma_shapes.setdefault(shape, sorted(out))
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
-        """The canonical label of K_m g K_m: for g = a n_tau b, that of the
-        classes ([a], [b]^-1), each witness reduced to its code
-        (``_class_of``).  Reduction is a homomorphism, so [b]^-1 = [b^-1]
-        is read off ``_inv_index``: past the factorization, no residue
-        matrix, product or inverse is formed.  K_m g K_m = K_m h K_m iff
-        classify(g) == classify(h): each double coset has one label."""
-        fac = cartan(g)
-        xi = self._class_of(fac.a)
-        yi = self._inv_index()[self._class_of(fac.b)]
-        return self.canonical_label(fac.tau, xi, yi)
+        """The canonical label of K_m g K_m: for g = a n_tau b as ``cartan``
+        factors it, that of the classes ([a], [b]^-1).  K_m g K_m = K_m h
+        K_m iff classify(g) == classify(h): each double coset has one label.
+
+        No witness is formed.  ``cartan`` builds a and b by replaying the
+        operations of ``matgrp._eliminate`` on exact identity matrices, so
+        each of their entries is a polynomial with integer coefficients in
+        the multipliers f and units u of the elimination (the SL fix scales
+        by sign = +-1), and each f and u is integral.  Reduction o -> o/pi^m
+        is a ring homomorphism, so it carries each entry to the same
+        polynomial in the residues of the f and u, which is what the replay
+        of the same operations on the add and mul tables of o/pi^m
+        evaluates (``_witness_classes``).  So the replayed codes are [a]
+        and [b], and the label is canonical_label(tau, [a], [b]^-1): the
+        identical object (the orbit table's own) that cartan's witnesses
+        name, not merely an equal one.  No GroupElement, determinant or
+        reduction of a witness entry is formed; each f and u is reduced
+        once."""
+        tau, ops, _ = _eliminate(g)
+        xi, yi = self._witness_classes(ops)
+        return self.canonical_label(tau, xi, yi)
+
+    def _witness_classes(self, ops):
+        """The class indices ([a], [b]^-1) of the witnesses that ``ops`` of
+        ``matgrp._eliminate`` make: their codes replayed in the ring tables
+        of o/pi^m and read in ``_code_index``, and [b]^-1 read off
+        ``_inv_index``.  A code that is no class, which the integral ops of
+        an elimination cannot give, raises InvariantViolated."""
+        ring = self.residue_classes[0].ring
+        tables = self._closure.tables
+        index, add, mul = tables.index, tables.add, tables.mul
+        a_t, b = _replay(
+            ops, self.spec.n, index[ring.one().coords], 0,
+            lambda x, y: add[x][y], lambda x, y: mul[x][y],
+            lambda x: index[ring.reduce(x).coords],
+        )
+        xi = self._code_index.get(tuple(x for col in zip(*a_t) for x in col))
+        bi = self._code_index.get(tuple(x for row in b for x in row))
+        if xi is None or bi is None:
+            raise InvariantViolated(f"a replayed Cartan witness is no class of K/K_{self.m}")
+        return xi, self._inv_index()[bi]
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =

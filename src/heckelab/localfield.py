@@ -387,7 +387,7 @@ class FieldModel(FrozenRecord):
             return FieldElement(self, _mixed_normalize(nums, x.denominator), _canonical=True)
         # equal characteristic: only p-integral rationals make sense
         if x.denominator % self.p == 0:
-            raise ValueError("denominator not invertible in residue characteristic")
+            raise MixedRings(f"{x} has no image in {self}: {self.p} divides its denominator")
         num = x.numerator % self.p
         den_inv = pow(x.denominator % self.p, -1, self.p)
         return self.from_int(num * den_inv)
@@ -827,9 +827,12 @@ def _parse_terms(model: FieldModel, text: str, budget: int) -> FieldElement:
     """The sum of the '+'/'-' separated terms c*x^k of ``text``, x the
     model's variable (pi or t), one term parser for both models.  The
     coefficient c is read as a Fraction, as ``from_fraction`` takes it;
-    over F_q((t)) it must be p-integral.  The power is checked per model
-    before anything is built: below e for Q_p(pi), and for F_q((t))
-    charged to the budget as the k + 1 coefficients of t^k."""
+    over F_p((t)) it must be p-integral.  Over F_q((t)) with f > 1 it is
+    what ``__str__`` prints there, the integer code of an element of GF(q)
+    (its base-p digits, see ``GF``), so it must be an integer below q in
+    absolute value, and -c is that element negated.  The power is checked
+    per model before anything is built: below e for Q_p(pi), and for
+    F_q((t)) charged to the budget as the k + 1 coefficients of t^k."""
     var = "pi" if model.kind == MIXED else "t"
     out = model.zero()
     for term, sign in _split_terms(text):
@@ -849,10 +852,19 @@ def _parse_terms(model: FieldModel, text: str, budget: int) -> FieldElement:
         elif power >= budget:
             raise BudgetExceeded(f"t^{power} has {power + 1} coefficients, "
                                  f"over budget {budget}")
+        elif model.f > 1:
+            if coeff.denominator != 1 or abs(coeff) >= model.q:
+                raise ParseError(f"coefficient {coeff} is no GF({model.q}) code, an integer "
+                                 f"below {model.q}, in {text!r}")
         elif coeff.denominator % model.p == 0:
             raise ParseError(f"coefficient {coeff} is not {model.p}-integral in {text!r}")
+        if model.f == 1:
+            value = model.from_fraction(coeff)
+        else:
+            value = FieldElement(model, ((abs(coeff.numerator),), (1,)))
+            value = -value if coeff < 0 else value
         # x^k by squaring: pi_pow would cache every t^k a text asks for
-        out = out + model.from_fraction(coeff) * model.uniformizer() ** power
+        out = out + value * model.uniformizer() ** power
     return out
 
 

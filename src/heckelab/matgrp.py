@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import (
     BudgetExceeded,
@@ -297,10 +298,10 @@ def _k_element(spec: GroupSpec, rows, det) -> GroupElement:
     """The matrix ``rows`` over o, of exact unit determinant ``det``, as an
     element of ``spec``.
 
-    For SL column 0 is scaled by det^-1 (the package's one copy of this
-    fix): the result has determinant exactly one, which GroupElement checks
-    again, and when det = 1 mod pi^N its residue mod pi^N is that of
-    ``rows``, because det^-1 = 1 mod pi^N.
+    For SL column 0 is scaled by det^-1 (a Cartan witness, of det +-1,
+    takes its fix from ``_eliminate`` instead): the result has determinant
+    exactly one, which GroupElement checks again, and when det = 1 mod pi^N
+    its residue mod pi^N is that of ``rows``, because det^-1 = 1 mod pi^N.
     """
     if spec.family == GL:
         return GroupElement(spec, rows, _det=det)
@@ -330,44 +331,50 @@ class CartanFactorization(FrozenRecord):
         return self.a @ self.n_tau() @ self.b
 
 
-def cartan(g: GroupElement, rng=None) -> CartanFactorization:
-    """Smith-normal-form factorization over the valuation ring.
+# An elimination's operation acts on the rows of W[0] = A^T (a column of A
+# is a row of A^T) or W[1] = B, as a tuple (kind, w, i, j, x): _SWAP swaps
+# rows i and j of W[w], _ADD adds x times row j to row i, _SCALE multiplies
+# row i by x (j unused).
+_SWAP, _ADD, _SCALE = range(3)
+
+
+def _eliminate(g: GroupElement, rng=None):
+    """The Smith-normal-form elimination of g over the valuation ring, as
+    (tau, ops, sign): ops carry two identity matrices to the witnesses A^T
+    and B of g = A n_tau B (``_replay``), and sign = det A = +-1.
 
     Pivots on a minimal-valuation entry of the trailing submatrix
     (lexicographically smallest position on ties; ``rng`` randomizes the
-    tie-break, used by the witness-independence harness).  All transforms
-    are unimodular, so the witnesses land in K; for SL both witnesses are
-    repaired to determinant one by diagonal units that cancel across n_tau.
+    tie-break, used by the witness-independence harness), so every
+    multiplier f is integral, and each diagonal entry ends as pi^d_k times
+    a unit u_k; the d_k reversed are tau.  A changes only by column swaps
+    and by adding a multiple of one column to another, so det A is -1 to
+    the number of its swaps, exactly.  For SL the ops end with the fix of
+    both witnesses to determinant one: column 0 of A and row 0 of B scaled
+    by sign, which cancels across the diagonal n_tau.
 
     A pivot is inverted only when it divides something: the first time an
     entry below it or to its right is nonzero.  So the last pivot, and
     every pivot whose row and column are already clear (all of them when
-    g = n_tau), costs no field inverse.  A changes only by column swaps and
-    by adding a multiple of one column to another, so det A = +-1 exactly,
-    and the SL fix of ``_k_element`` only ever inverts +-1, a rational that
-    ``FieldElement.inverse`` inverts in closed form.
+    g = n_tau), costs no field inverse.  Only M is computed, no witness.
     """
     spec = g.group
     model = spec.model
     n = spec.n
-    one, zero = model.one(), model.zero()
-
     M = [list(row) for row in g.rows]
-    # invariant: g = A * M * B throughout
-    A = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    B = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    ops = []
+    swaps = 0  # of A's columns, whose parity is the sign of det A
 
     for k in range(n):
-        pos = _pick_pivot(M, k, rng)
-        pi, pj = pos
+        pi, pj = _pick_pivot(M, k, rng)
         if pi != k:
             M[k], M[pi] = M[pi], M[k]
-            for r in range(n):  # A <- A * swap
-                A[r][k], A[r][pi] = A[r][pi], A[r][k]
+            ops.append((_SWAP, 0, k, pi, None))  # A <- A * swap
+            swaps += 1
         if pj != k:
-            for r in range(n):
-                M[r][k], M[r][pj] = M[r][pj], M[r][k]
-            B[k], B[pj] = B[pj], B[k]
+            for row in M:
+                row[k], row[pj] = row[pj], row[k]
+            ops.append((_SWAP, 1, k, pj, None))
         pivot_inv = None
         for i in range(k + 1, n):
             if M[i][k].is_zero():
@@ -379,8 +386,7 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
                 raise InvariantViolated(f"SNF row multiplier {f} is not integral")
             for c in range(k, n):
                 M[i][c] = M[i][c] - f * M[k][c]
-            for r in range(n):
-                A[r][k] = A[r][k] + f * A[r][i]
+            ops.append((_ADD, 0, k, i, f))  # column k of A += f column i
         for j in range(k + 1, n):
             if M[k][j].is_zero():
                 continue
@@ -391,8 +397,7 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
                 raise InvariantViolated(f"SNF column multiplier {f} is not integral")
             for r in range(k, n):
                 M[r][j] = M[r][j] - f * M[r][k]
-            for c in range(n):
-                B[k][c] = B[k][c] + f * B[j][c]
+            ops.append((_ADD, 1, k, j, f))  # row k of B += f row j
 
     # normalize the diagonal to exact pi powers
     ds = []
@@ -401,25 +406,55 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
         if d == float("inf"):
             raise InvariantViolated("singular input slipped through to the SNF diagonal")
         ds.append(int(d))
-        unit = M[k][k] * model.pi_pow(-ds[-1])
-        M[k][k] = model.pi_pow(ds[-1])
-        for c in range(n):
-            B[k][c] = unit * B[k][c]
+        ops.append((_SCALE, 1, k, None, M[k][k] * model.pi_pow(-ds[-1])))
 
     # reverse so the exponents are weakly decreasing (dominant)
-    perm = list(range(n))[::-1]
-    ds = ds[::-1]
-    A = [[A[r][perm[c]] for c in range(n)] for r in range(n)]
-    B = [B[perm[r]] for r in range(n)]
+    for k in range(n // 2):
+        ops += [(_SWAP, 0, k, n - 1 - k, None), (_SWAP, 1, k, n - 1 - k, None)]
+    sign = -1 if (swaps + n // 2) % 2 else 1
+    if spec.family == SL and sign < 0:
+        # column 0 of A times det(A)^-1 = sign, row 0 of B times det(A)
+        minus_one = model.from_int(-1)
+        ops += [(_SCALE, 0, 0, None, minus_one), (_SCALE, 1, 0, None, minus_one)]
+    return CartanDatum(tuple(ds[::-1])), ops, sign
 
-    tau = CartanDatum(tuple(ds))
-    a_det = _cofactor_det(A, zero)
-    a = _k_element(spec, A, a_det)
-    if spec.family == SL:
-        # a had column 0 scaled by det(a)^-1; det(a) det(b) = 1, and scaling
-        # row 0 of b by det(a) cancels it across the diagonal n_tau
-        B[0] = [a_det * x for x in B[0]]
-    return CartanFactorization(a, tau, GroupElement(spec, B))
+
+def _replay(ops, n: int, one, zero, add, mul, scalar):
+    """The rows of (A^T, B) that ``ops`` of ``_eliminate`` make of two n x n
+    identity matrices, in the ring whose one, zero, sum and product are
+    ``one``, ``zero``, ``add`` and ``mul``; ``scalar`` carries each f and
+    unit of ops into that ring, once."""
+    W = [[[one if i == j else zero for j in range(n)] for i in range(n)] for _ in range(2)]
+    for kind, w, i, j, x in ops:
+        rows = W[w]
+        if kind == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == _ADD:
+            f = scalar(x)
+            rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], rows[j])]
+        else:
+            u = scalar(x)
+            rows[i] = [mul(u, a) for a in rows[i]]
+    return W
+
+
+def cartan(g: GroupElement, rng=None) -> CartanFactorization:
+    """Smith-normal-form factorization over the valuation ring: the
+    operations of ``_eliminate`` replayed on exact identity matrices.
+
+    All transforms are unimodular, so the witnesses land in K; for SL both
+    are repaired to determinant one by the sign fix of ``_eliminate``.  For
+    GL, det a = sign is known exactly and no determinant is taken; for SL,
+    GroupElement checks det a = det b = 1.
+    """
+    spec = g.group
+    model = spec.model
+    tau, ops, sign = _eliminate(g, rng)
+    a_t, b = _replay(ops, spec.n, model.one(), model.zero(), operator.add, operator.mul,
+                     lambda x: x)
+    a_rows = tuple(zip(*a_t))
+    a = GroupElement(spec, a_rows, _det=model.from_int(sign) if spec.family == GL else None)
+    return CartanFactorization(a, tau, GroupElement(spec, b))
 
 
 def cartan_type(g: GroupElement) -> CartanDatum:

@@ -195,6 +195,19 @@ def mul_table_by_products(algebra):
     return [[idx[a @ b] for b in q] for a in q]
 
 
+def classify_by_witnesses(algebra, g, rng=None):
+    """The label of K_m g K_m from cartan's exact witnesses a, b (``rng``
+    randomizes its pivot tie-breaks): a and b^-1 reduced entry by entry to
+    residue matrices mod pi^m and found among the algebra's classes.
+    Reference oracle for classify, which replays the elimination on codes
+    and forms no witness."""
+    fac = cartan(g, rng=rng)
+    index = {mat: i for i, mat in enumerate(algebra.residue_classes)}
+    x = index[reduce_group(fac.a, algebra.m)]
+    y = index[reduce_group(fac.b.inverse(), algebra.m)]
+    return algebra.canonical_label(fac.tau, x, y)
+
+
 def dc_equal_kernel_sweep(g, h, m, budget=DEFAULT_BUDGET):
     """Literal bounded-kernel search: exists k in K_m/K_(m+2|tau|) with
     h^-1 k g in K_m.  Reference oracle for dc_equal."""

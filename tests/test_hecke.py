@@ -13,7 +13,6 @@ from heckelab.errors import (
     InvariantViolated,
     MixedRings,
     NegativeValuation,
-    NotInK,
 )
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_change
 from heckelab.localfield import FieldModel
@@ -31,6 +30,7 @@ from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
 from heckelab.sampling import random_in_k, random_windowed
 from oracles import (
     canonical_by_orbits,
+    classify_by_witnesses,
     dc_equal_kernel_sweep,
     gamma_by_exact_witnesses,
     gamma_by_sweep,
@@ -381,15 +381,94 @@ def test_classify_reads_witnesses_by_code(spec, m, rng, monkeypatch):
 
 
 def test_witness_outside_the_classes_is_typed():
-    # a matrix whose code names no class of K/K_m raises NotInK: a non-unit
-    # determinant, or for SL a unit determinant that is not 1 mod pi^m; an
-    # entry outside o raises NegativeValuation
-    with pytest.raises(NotInK):
-        HeckeAlgebra(GL2_Q2, 1)._class_of(GL2_Q2.parse_matrix([[2, 0], [0, 1]]))
-    with pytest.raises(NotInK):
-        HeckeAlgebra(GroupSpec("SL", 2, Q3), 1)._class_of(GL2_Q3.parse_matrix([[2, 0], [0, 1]]))
+    # operations whose replayed witness code names no class of K/K_m raise
+    # InvariantViolated: a non-unit determinant, or for SL a unit
+    # determinant that is not 1 mod pi^m; a multiplier outside o raises
+    # NegativeValuation
+    with pytest.raises(InvariantViolated, match="no class"):
+        HeckeAlgebra(GL2_Q2, 1)._witness_classes(
+            [(matgrp_module._SCALE, 1, 0, None, Q2.from_int(2))])
+    with pytest.raises(InvariantViolated, match="no class"):
+        HeckeAlgebra(GroupSpec("SL", 2, Q3), 1)._witness_classes(
+            [(matgrp_module._SCALE, 1, 0, None, Q3.from_int(2))])
     with pytest.raises(NegativeValuation):
-        HeckeAlgebra(GL2_Q2, 1)._class_of(GL2_Q2.parse_matrix([["1/2", 0], [0, 2]]))
+        HeckeAlgebra(GL2_Q2, 1)._witness_classes(
+            [(matgrp_module._ADD, 1, 0, 1, Q2.parse("1/2"))])
+
+
+# the configurations of the replay property test: (spec, m, window)
+REPLAY_CONFIGS = [
+    pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 5)), 1, 2, id="SL2/Q_2(2^(1/5)) m=1"),
+    pytest.param(SL2_F2, 1, 2, id="SL2/F_2((t)) m=1"),
+    pytest.param(GL2_Q2, 1, 2, id="GL2/Q_2 m=1"),
+    pytest.param(GL2_Q3, 1, 2, id="GL2/Q_3 m=1"),
+    pytest.param(SL3_Q2, 1, 1, id="SL3/Q_2 m=1"),
+    pytest.param(GroupSpec("GL", 3, Q2), 1, 1, id="GL3/Q_2 m=1"),
+    pytest.param(SL2_Q2, 2, 2, id="SL2/Q_2 m=2"),
+    pytest.param(GL2_Q2, 0, 2, id="GL2/Q_2 m=0"),
+]
+
+
+@pytest.mark.parametrize("spec, m, window", REPLAY_CONFIGS)
+def test_classify_is_the_witness_label(spec, m, window):
+    # classify replays the elimination on codes; it returns the very label
+    # object that cartan's exact witnesses, reduced entry by entry, name,
+    # and so does cartan under random pivot tie-breaks (other witnesses)
+    alg = HeckeAlgebra(spec, m)
+    rng, ties = random.Random(2025), random.Random(7)
+    for _ in range(50):
+        g = random_windowed(spec, rng, window)
+        label = alg.classify(g)
+        assert label is classify_by_witnesses(alg, g)
+        assert label is classify_by_witnesses(alg, g, rng=ties)
+
+
+@pytest.mark.parametrize("spec, m", [(SL2_Q2, 1), (SL3_Q2, 1), (SL2_F2, 2)],
+                         ids=["SL2/Q_2 m=1", "SL3/Q_2 m=1", "SL2/F_2((t)) m=2"])
+def test_classify_forms_no_group_element(spec, m, rng, monkeypatch):
+    # on a warm algebra classify builds no GroupElement and takes no
+    # cofactor determinant: the witnesses exist only as codes
+    alg = HeckeAlgebra(spec, m)
+    els = [random_windowed(spec, rng, 1) for _ in range(10)]
+    expected = [classify_by_witnesses(alg, g) for g in els]
+    counts = {"built": 0, "det": 0}
+    element_init, cofactor_det = GroupElement.__init__, matgrp_module._cofactor_det
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        element_init(self, *args, **kwargs)
+
+    def counted_det(*args):
+        counts["det"] += 1
+        return cofactor_det(*args)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted_init)
+    monkeypatch.setattr(matgrp_module, "_cofactor_det", counted_det)
+    labels = [alg.classify(g) for g in els]
+    monkeypatch.undo()
+    assert counts == {"built": 0, "det": 0}
+    assert labels == expected
+
+
+def test_classify_replay_with_a_wrong_multiplier_fails_the_oracle(sl2_m1, monkeypatch):
+    # non-tautology: one replayed multiplier off by one changes the classes
+    # the replay names, and the oracle comparison catches it
+    rng = random.Random(31)
+    els = [random_windowed(SL2_Q2, rng, 1) for _ in range(20)]
+    expected = [classify_by_witnesses(sl2_m1, g) for g in els]
+    eliminate = hecke._eliminate
+
+    def perturbed(g, rng=None):
+        tau, ops, sign = eliminate(g, rng)
+        add = [s for s, op in enumerate(ops) if op[0] == matgrp_module._ADD]
+        if add:
+            kind, w, i, j, f = ops[add[0]]
+            ops[add[0]] = (kind, w, i, j, f + 1)
+        return tau, ops, sign
+
+    assert [sl2_m1.classify(g) for g in els] == expected
+    monkeypatch.setattr(hecke, "_eliminate", perturbed)
+    assert [sl2_m1.classify(g) for g in els] != expected
 
 
 def test_orbit_table_tau_zero(sl2_m1):

@@ -7,10 +7,12 @@ import pytest
 
 from heckelab import localfield
 from heckelab.errors import (
+    HeckelabError,
     IncompatiblePair,
     InvariantViolated,
     MixedRings,
     NegativeValuation,
+    ParseError,
     PrecisionExceeded,
     Singular,
 )
@@ -464,7 +466,7 @@ def test_incompatible_pairs_rejected():
 # ---------------------------------------------------------------- serialization
 
 
-@pytest.mark.parametrize("model", all_models()[:6], ids=str)
+@pytest.mark.parametrize("model", all_models(), ids=str)
 def test_element_string_roundtrip(model, rng):
     for _ in range(100):
         x = random_element(model, rng)
@@ -478,6 +480,33 @@ def test_parse_specific_forms():
     e = FieldModel.equal(2)
     t = e.uniformizer()
     assert e.parse("(1 + t)/(1 + t + t^2)") == (e.one() + t) / (e.one() + t + t * t)
+
+
+def test_gf_coefficients_print_and_parse_as_codes():
+    # over F_q((t)) with f > 1 a coefficient prints as its GF(q) code and
+    # parses back as that code: 3 is x + 1 in F_4, not the integer 3 = 1
+    f4 = FieldModel.equal(2, 2)
+    x = FieldElement(f4, ((0, 3), (1,)))
+    assert str(x) == "3*t"
+    assert f4.parse("3*t") == x != f4.parse("t")
+    assert f4.parse("-3*t") == -x
+    for text in ("4*t", "1/3*t", "-4"):
+        with pytest.raises(ParseError, match="code"):
+            f4.parse(text)
+    # an f = 1 coefficient is still a fraction read mod p
+    f3 = FieldModel.equal(3)
+    assert f3.parse("1/2*t") == f3.parse("2*t") == f3.from_int(2) * f3.uniformizer()
+    assert str(f3.parse("4 + 5*t")) == "1 + 2*t"
+
+
+def test_fraction_without_image_is_typed():
+    # 1/2 has no image in F_2((t)): mixing them is a typed error
+    with pytest.raises(MixedRings, match="no image") as info:
+        FieldModel.equal(2).one() + Fraction(1, 2)
+    assert isinstance(info.value, HeckelabError)
+    with pytest.raises(MixedRings):
+        FieldModel.equal(3).from_fraction(Fraction(1, 6))
+    assert FieldModel.equal(3).from_fraction(Fraction(1, 2)) == FieldModel.equal(3).from_int(2)
 
 
 def test_residue_string_has_precision_suffix():
