@@ -31,7 +31,6 @@ from .matgrp import (
     cartan_type,
     dominant_window,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
-    lift_group,
     zero_tau,
     _check_budget,
     _check_budget_power,
@@ -224,14 +223,7 @@ class HeckeAlgebra:
         self.spec = spec
         self.m = m
         self.budget = budget
-        self._q = None
-        self._code_index = None
-        self._q_lift = None
-        self._closure = None
-        self._steps = None
-        self._words = None
-        self._e = None
-        self._q_inv = None
+        self._group = None
         self._orbit_tables = {}
         self._canonical = {}
         self._gamma_shapes = {}
@@ -246,72 +238,26 @@ class HeckeAlgebra:
     # -- residue classes K/K_m --------------------------------------------------
 
     @property
+    def group(self):
+        """K/K_m, a ``matgrp.ClassGroup`` built on first use: labels and every
+        table of the algebra index its classes."""
+        if self._group is None:
+            self._group = _congruence_classes(self.spec, 0, self.m, self.budget)
+        return self._group
+
+    @property
     def residue_classes(self):
-        """The classes of K/K_m in ``sort_key`` order, as the closure that
-        built them (``matgrp.ClassClosure``) lists them: labels and every
-        table of the algebra index this list.  ``_code_index`` maps a
-        class's code back to it, the one way in for a class from outside
-        (``_witness_classes``), and ``_words[i]`` lists the moves whose
-        product is q[i]."""
-        if self._q is None:
-            closure = _congruence_classes(self.spec, 0, self.m, self.budget)
-            self._closure, self._words = closure, closure.words
-            self._code_index = {code: i for i, code in enumerate(closure.codes)}
-            self._e = self._words.index(())
-            self._q = closure.matrices
-        return self._q
+        """The classes of K/K_m in ``sort_key`` order, the list labels hold."""
+        return self.group.matrices
 
-    def _move_table(self):
-        """steps[s][i] = q[i] s: the closure's table, its |K/K_m| |S|
-        entries charged as when the closure recorded them."""
-        if self._steps is None:
-            _check_budget(len(self.residue_classes) * len(self._closure.moves), self.budget)
-            self._steps = self._closure.table
-        return self._steps
-
-    def _indices(self, label: DoubleCosetLabel):
+    def indices(self, label: DoubleCosetLabel):
         """The class indices (x, y) of a label, which must index this
         algebra's classes: its own list, or an equal one (another algebra
         of the same group and level), else MixedRings."""
-        if label.classes is not self.residue_classes and label.classes != self._q:
+        classes = self.residue_classes
+        if label.classes is not classes and label.classes != classes:
             raise MixedRings(f"label {label} indexes the classes of another K/K_m")
         return label.x, label.y
-
-    def class_lift(self, i: int) -> GroupElement:
-        if self._q_lift is None:
-            self._q_lift = [None] * len(self.residue_classes)
-        if self._q_lift[i] is None:
-            self._q_lift[i] = lift_group(self.residue_classes[i], self.spec)
-        return self._q_lift[i]
-
-    def _mul(self, a: int, b: int) -> int:
-        """The index of q[a] q[b]: b's word s_1 .. s_k walked from a along
-        the move table, a s_1 .. s_k, k table reads.  Nothing per pair of
-        classes is stored."""
-        steps = self._steps or self._move_table()
-        for s in self._words[b]:
-            a = steps[s][a]
-        return a
-
-    def _unit_index(self) -> int:
-        """Index of the identity class of K/K_m, the one with the empty word."""
-        self.residue_classes
-        return self._e
-
-    def _inv_index(self):
-        """inv[a] is the index of q[a]^-1: for q[a] = s_1 .. s_k, the word
-        s_k^-1 .. s_1^-1 walked from the identity (the moves are closed
-        under inverses)."""
-        if self._q_inv is None:
-            e, steps, inverse = self._unit_index(), self._move_table(), self._closure.inverse
-            out = []
-            for word in self._words:
-                x = e
-                for s in reversed(word):
-                    x = steps[inverse[s]][x]
-                out.append(x)
-            self._q_inv = out
-        return self._q_inv
 
     # -- left cosets ---------------------------------------------------------------
 
@@ -498,7 +444,7 @@ class HeckeAlgebra:
         Two passes over Q (``_coset_minima``) give x0[x] = min(x Gamma_1)
         with s' = via[x], and min(z K_2) for every z, kept as slot[z], its
         position in the row of x0; tcol[x] = t_s'^-1 is the class whose
-        word, walked from y, gives y t_s (``_mul``).  That is O(|Q| +
+        word, walked from y, gives y t_s (``ClassGroup.mul``).  That is O(|Q| +
         |labels|) per tau, nothing per pair; the |Q|^2 / |Gamma| labels
         are charged to the budget before they are built.  Either pass
         fails unless the translates of its subgroup partition Q, and the
@@ -508,7 +454,7 @@ class HeckeAlgebra:
         q = self.residue_classes
         size = len(q)
         gamma_idx = self._gamma(tau)
-        inv, e = self._inv_index(), self._unit_index()
+        inv, e = self.group.inverses, self.group.e
         fibre = {}  # s -> t_s, the least t with (s, t) in Gamma
         for s, t in gamma_idx:
             fibre.setdefault(s, t)
@@ -540,12 +486,12 @@ class HeckeAlgebra:
         the subgroup of K/K_m listed by ``sub``: one pass in index order,
         in which the first index met of each coset x H is its least.  Raises
         unless the cosets met partition K/K_m, |H| indices each."""
-        size = len(self.residue_classes)
+        size, mul = len(self.residue_classes), self.group.mul
         least, via = [None] * size, [None] * size
         for x in range(size):
             if least[x] is not None:
                 continue
-            coset = [self._mul(x, s) for s in sub]
+            coset = [mul(x, s) for s in sub]
             if x not in coset or any(least[z] is not None for z in coset):
                 raise InvariantViolated(
                     f"orbit-stabilizer mismatch at tau={tau}: the cosets of a "
@@ -598,8 +544,8 @@ class HeckeAlgebra:
                       for i in range(n) for j in range(n))  # (sx, sy) at entry i n + j
         if shape in self._gamma_shapes:
             return self._gamma_shapes[shape]
-        ring = self.residue_classes[0].ring
-        tables, cidx, codes = self._closure.tables, self._code_index, self._closure.codes
+        ring, group = self.residue_classes[0].ring, self.group
+        tables, cidx, codes = group.tables, group.index, group.codes
         mul, q = tables.mul, self.spec.model.q
         pi, pi_pows = tables.index[ring.uniformizer().coords], [tables.index[ring.one().coords]]
         for _ in range(top):
@@ -649,47 +595,49 @@ class HeckeAlgebra:
     def _witness_classes(self, ops):
         """The class indices ([a], [b]^-1) of the witnesses that ``ops`` of
         ``matgrp._eliminate`` make: their codes replayed in the ring tables
-        of o/pi^m and read in ``_code_index``, and [b]^-1 read off
-        ``_inv_index``.  A code that is no class, which the integral ops of
-        an elimination cannot give, raises InvariantViolated."""
-        ring = self.residue_classes[0].ring
-        tables = self._closure.tables
+        of o/pi^m and read in the group's code ``index``, and [b]^-1 read
+        off its ``inverses``.  A code that is no class, which the integral
+        ops of an elimination cannot give, raises InvariantViolated."""
+        ring, group = self.residue_classes[0].ring, self.group
+        tables = group.tables
         index, add, mul = tables.index, tables.add, tables.mul
         a_t, b = _replay(
             ops, self.spec.n, index[ring.one().coords], 0,
             lambda x, y: add[x][y], lambda x, y: mul[x][y],
             lambda x: index[ring.reduce(x).coords],
         )
-        xi = self._code_index.get(tuple(x for col in zip(*a_t) for x in col))
-        bi = self._code_index.get(tuple(x for row in b for x in row))
+        xi = group.index.get(tuple(x for col in zip(*a_t) for x in col))
+        bi = group.index.get(tuple(x for row in b for x in row))
         if xi is None or bi is None:
             raise InvariantViolated(f"a replayed Cartan witness is no class of K/K_{self.m}")
-        return xi, self._inv_index()[bi]
+        return xi, group.inverses[bi]
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
         q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y).
         With x0 = min(x Gamma_1) and t_s as in ``_build_orbit_table``, it
         is (x0, min(y t_s K_2)): three list reads and one product
-        (``_mul``).  It is the orbit table's own label object, so its hash
-        and string are computed once however often it is asked for."""
+        (``ClassGroup.mul``).  It is the orbit table's own label object, so
+        its hash and string are computed once however often it is asked
+        for."""
         if tau not in self._canonical:
             self.orbit_table(tau)
         x0, tcol, slot, rows = self._canonical[tau]
-        return rows[x0[xi]][slot[self._mul(yi, tcol[xi])]]
+        return rows[x0[xi]][slot[self.group.mul(yi, tcol[xi])]]
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""
         if label not in self._rep_cache:
-            x, y = self._indices(label)
+            x, y = self.indices(label)
             n_tau = self.spec.n_of_tau(label.tau)
-            self._rep_cache[label] = self.class_lift(x) @ n_tau @ self.class_lift(y).inverse()
+            lift = self.group.lift
+            self._rep_cache[label] = lift(x) @ n_tau @ lift(y).inverse()
         return self._rep_cache[label]
 
     def label_of_tau(self, tau: CartanDatum) -> DoubleCosetLabel:
         """The label of K_m n_tau K_m, read off the orbit table: n_tau =
         1 n_tau 1^-1, so no Cartan factorization is needed."""
-        e = self._unit_index()
+        e = self.group.e
         return self.canonical_label(tau, e, e)
 
     def labels_in_window(self, bound: int):
@@ -767,13 +715,14 @@ class HeckeAlgebra:
         canonicalized in the orbit table of tau.  Translation is a
         bijection on labels, so the constants carry over unchanged:
         relabeling is index arithmetic, products of classes of K/K_m
-        walked along the move table (``_mul``), with no field operation.
+        walked along the move table (``ClassGroup.mul``), with no field
+        operation.
         """
         key = (l1, l2)
         if key in self._sc_cache:
             return self._sc_cache[key]
-        (x1, y1), (x2, y2), mul = self._indices(l1), self._indices(l2), self._mul
-        k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul(self._inv_index()[y1], x2)]
+        (x1, y1), (x2, y2), mul = self.indices(l1), self.indices(l2), self.group.mul
+        k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul(self.group.inverses[y1], x2)]
         left, right = mul(x1, s), mul(y2, t2_inv)
         out = {}
         for tau, xi, yi, c in self._bracket(l1.tau, k0, l2.tau):
@@ -798,12 +747,12 @@ class HeckeAlgebra:
         """
         key = (tau1, tau2)
         if key not in self._double_coset_cache:
-            mul, inv = self._mul, self._inv_index()
+            group = self.group
+            mul, inv, e = group.mul, group.inverses, group.e
             self.orbit_table(tau1)
             self.orbit_table(tau2)
             left = self._generating_pairs(self._gamma(tau1), 1)
             right = [(s, inv[t]) for s, t in self._generating_pairs(self._gamma(tau2), 0)]
-            e = self._unit_index()
             table = [None] * len(inv)
             for k0 in range(len(inv)):
                 if table[k0] is not None:
@@ -832,7 +781,7 @@ class HeckeAlgebra:
         first = {}
         for pair in pairs:
             first.setdefault(pair[side], pair)
-        return [first[g] for g in _subgroup_generators(first, self._mul, self._unit_index())]
+        return [first[g] for g in _subgroup_generators(first, self.group.mul, self.group.e)]
 
     def _bracket(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
         """t_(n_tau1) * t_(k0) * t_(n_tau2) as (tau, x index, y index, c)
@@ -870,7 +819,7 @@ class HeckeAlgebra:
         """
         # the coset systems of tau1 and tau2 are charged before anything is classified
         deg1 = self._degree(tau1)
-        g_k0 = self.spec.n_of_tau(tau1) @ self.class_lift(k0)
+        g_k0 = self.spec.n_of_tau(tau1) @ self.group.lift(k0)
         tally = {}
         for u in self._ntau_cosets(tau2):
             lab = self.classify(g_k0 @ u)
@@ -947,7 +896,7 @@ class HeckeAlgebra:
         for tau in self.generator_cocharacters(bound):
             lab = self.label_of_tau(tau)
             seen[lab] = self.t_of_label(lab, ring)
-        zero, e = zero_tau(self.spec.n), self._unit_index()
+        zero, e = zero_tau(self.spec.n), self.group.e
         for i in range(len(self.residue_classes)):
             lab = self.canonical_label(zero, i, e)
             if lab not in seen:

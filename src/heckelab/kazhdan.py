@@ -141,40 +141,16 @@ class TransportContext:
     # -- labels and Hecke elements -----------------------------------------------------
 
     def _class_map(self):
-        """lam[i] = index on side 2 of lambda_m(q[i]), for the classes q of
-        K/K_m, checked to be a group isomorphism onto the classes of side
-        2: a bijection with lam(e) = e' and lam(x s) = lam(x) lam(s) for
-        every class x and every move s of side 1's closure
-        (``matgrp.ClassClosure``), |K/K_m| |S| checks.  lambda_m is applied
-        once to each of the q^m elements of o/pi^m; a class's code maps
-        entry by entry through that and is read in side 2's code index.
-
-        Those imply lam(x y) = lam(x) lam(y) for all classes x, y.  The
-        moves generate K/K_m, so y = s_1 .. s_k (its word); induct on k.
-        At k = 0, lam(x e) = lam(x) = lam(x) e' = lam(x) lam(e).  For y =
-        y' s, lam(x y' s) = lam(x y') lam(s) = lam(x) lam(y') lam(s) =
-        lam(x) lam(y' s): the outer steps are the check at (x y', s) and at
-        (y', s), the middle one the induction hypothesis at y'.
-        """
+        """lam[i] = index on side 2 of lambda_m(q[i]) for the classes q of
+        K/K_m, each code mapped entry by entry through lambda_m on o/pi^m;
+        checked to be an isomorphism by ``ClassGroup.check_isomorphism``."""
         if self._lam is None:
-            A, A2 = self.algebra, self.algebra2
-            e, e2 = A._unit_index(), A2._unit_index()  # both closures built
-            index2, idx2 = A2._closure.tables.index, A2._code_index
-            ring_map = [index2[self.pair.apply(r).coords] for r in A._closure.tables.elements]
-            lam = [idx2.get(tuple(map(ring_map.__getitem__, code))) for code in A._closure.codes]
-            if len(lam) != len(idx2) or set(lam) != set(idx2.values()):
-                raise InvariantViolated("lambda_m is not a bijection of the classes of K/K_m")
-            if lam[e] != e2:
-                raise InvariantViolated(
-                    "lambda_m is not multiplicative on K/K_m: it moves the identity class"
-                )
-            for s, row in enumerate(A._move_table()):
-                lam_s = lam[row[e]]  # the class of the move itself, e s = s
-                for x, xs in enumerate(row):
-                    if lam[xs] != A2._mul(lam[x], lam_s):
-                        raise InvariantViolated(
-                            f"lambda_m is not multiplicative on K/K_m at class {x}, move {s}"
-                        )
+            group, group2 = self.algebra.group, self.algebra2.group
+            index2 = group2.tables.index
+            ring_map = [index2[self.pair.apply(r).coords] for r in group.tables.elements]
+            lam = [group2.index.get(tuple(map(ring_map.__getitem__, code)))
+                   for code in group.codes]
+            group.check_isomorphism(lam, group2, "lambda_m")
             self._lam = lam
         return self._lam
 
@@ -207,7 +183,7 @@ class TransportContext:
         factorization, classification or field inverse runs here.
         """
         lam = self._class_map()
-        x, y = self.algebra._indices(label)
+        x, y = self.algebra.indices(label)
         return self.algebra2.canonical_label(label.tau, lam[x], lam[y])
 
     def transport_hecke(self, f: HeckeElement) -> HeckeElement:
@@ -410,7 +386,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
     for tau in sorted(taus_touched, key=lambda t: t.sort_key()):
         tab = A.orbit_table(tau)
         tab2 = A2.orbit_table(tau)
-        gamma_image = {(lam[s], lam[t]) for s, t in A._gamma(tau)}
+        gamma_image = {(lam[s], lam[t]) for s, t in tab.gamma_index}
         tau_reports.append(
             TauReport(
                 tau=tau.coords,
@@ -418,7 +394,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
                 orbit_count_2=tab2.orbit_count,
                 gamma_size=tab.gamma_size,
                 gamma_size_2=tab2.gamma_size,
-                gamma_mapped=gamma_image == set(A2._gamma(tau)),
+                gamma_mapped=gamma_image == set(tab2.gamma_index),
                 degree=A.degree(tau),
                 degree_2=A2.degree(tau),
             )

@@ -29,7 +29,6 @@ from .localfield import (
     DEFAULT_BUDGET,
     FieldElement,
     FieldModel,
-    ResidueElement,
     ResidueRing,
     mixed_dot,
 )
@@ -552,9 +551,6 @@ class ResidueMatrix:
             rows.append(tuple(row))
         return ResidueMatrix(self.ring, tuple(rows))
 
-    def det(self) -> ResidueElement:
-        return _cofactor_det(self.rows, self.ring.zero())
-
     def map_entries(self, func, target_ring: ResidueRing) -> "ResidueMatrix":
         return ResidueMatrix(target_ring, tuple(tuple(func(x) for x in row) for row in self.rows))
 
@@ -745,44 +741,24 @@ def _apply_move(move, code, add):
     return tuple(out)
 
 
-class ClassClosure(FrozenRecord):
-    """The classes of ``_congruence_classes`` in index arithmetic, over
-    ``tables``, the ``RingTables`` of o/pi^(m+c).
+class ClassGroup(FrozenRecord, fields=("spec", "tables", "codes", "matrices", "moves",
+                                        "move_inverse", "words", "table", "budget")):
+    """The finite group G = K_m/K_(m+c) (K/K_c at m = 0) that
+    ``_congruence_classes`` builds, in index arithmetic over ``tables``, the
+    ``RingTables`` of R = o/pi^(m+c).
 
-    ``codes[x]`` is the code of class x and ``matrices[x]`` its
-    ``ResidueMatrix``, in increasing ``sort_key`` order.  ``moves`` and
-    ``inverse`` are those of ``_class_moves``, and ``words[x]`` is a
-    shortest tuple of moves s_1, .., s_k with x = s_1 .. s_k (the
-    breadth-first parent pointers), so that x y is y's word walked from x
-    along ``table``, table[s][x] = x s (None unless the budget admits it).
-    """
+    Class x has the code codes[x] and the ``ResidueMatrix`` matrices[x], in
+    increasing ``sort_key`` order; ``index`` maps a code back to its class
+    (the one way in from outside) and ``e`` is the identity.  ``moves`` are
+    the right multiplications by the generators S of ``_class_moves``, and
+    move_inverse[s] is the move inverse to s.  words[x] is a shortest tuple
+    s_1, .., s_k with x = s_1 .. s_k (the breadth-first parent pointers), and
+    table[s][x] = x s the move table: the closure records it only when the
+    budget admits its |G| |S| entries, else it is None and the first
+    product, inverse or map check raises BudgetExceeded.  Products, inverses
+    and canonical lifts are read off these; nothing per pair is stored.
 
-    __slots__ = ("tables", "codes", "matrices", "moves", "inverse", "words", "table")
-
-    def __init__(self, tables, codes: list, matrices: list, moves: list, inverse: list,
-                 words: list, table: list | None):
-        _set(self, "tables", tables)
-        _set(self, "codes", codes)
-        _set(self, "matrices", matrices)
-        _set(self, "moves", moves)
-        _set(self, "inverse", inverse)
-        _set(self, "words", words)
-        _set(self, "table", table)
-
-
-def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassClosure:
-    """The classes of G(o/pi^(m+c)) that are 1 mod pi^m (det = 1 for SL),
-    by breadth-first closure from the identity under the moves of
-    ``_class_moves``, sorted once at the end.
-
-    They are in bijection with K_m/K_(m+c).  Reduction K_m -> G(o/pi^(m+c))
-    is a group homomorphism with kernel K_(m+c), and its image lies in the
-    classes that are 1 mod pi^m.  The image is all of them: ``lift_group``
-    sends such a class r to an element of K that reduces to r, and that
-    element is 1 mod pi^m, so it lies in K_m.  At m = 0 the classes are
-    all of G(o/pi^c), that is K/K_c.
-
-    The moves generate this group, G say, in R = o/pi^(m+c), P = pi^m R:
+    The moves generate G, with P = pi^m R:
     - m = 0: R is local with maximal ideal pi R.  For g in GL_n(R) some
       entry of column 1 is a unit (else det g would lie in pi R); adding
       that row to row 1 if need be makes g_11 a unit, and row and column
@@ -802,9 +778,107 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
       v) = h_i(u) h_i(v), so generators of the groups P and 1 + P (R^* at
       m = 0) suffice.
     Breadth-first right products with the moves from the identity reach
-    every product of moves, so the closure is G.  It must have the closed-
-    form size of ``_class_count``, else InvariantViolated: a move missing
-    from S shows as a short closure.
+    every product of moves, so the closure is G, and y's word walked from x
+    is x y.  The moves are closed under inverses, so x^-1 is x's word
+    reversed, each move inverted, walked from e.
+    """
+
+    __slots__ = ("spec", "tables", "codes", "matrices", "moves", "move_inverse", "words",
+                 "table", "budget", "index", "e", "_inverses", "_lifts")
+
+    def __init__(self, spec: GroupSpec, tables, codes: list, matrices: list, moves: list,
+                 move_inverse: list, words: list, table: list | None, budget: int):
+        _set(self, "spec", spec)
+        _set(self, "tables", tables)
+        _set(self, "codes", codes)
+        _set(self, "matrices", matrices)
+        _set(self, "moves", moves)
+        _set(self, "move_inverse", move_inverse)
+        _set(self, "words", words)
+        _set(self, "table", table)
+        _set(self, "budget", budget)
+        _set(self, "index", {code: x for x, code in enumerate(codes)})
+        _set(self, "e", words.index(()))
+        _set(self, "_inverses", None)
+        _set(self, "_lifts", {})
+
+    def _steps(self):
+        """The move table; BudgetExceeded when the closure did not record it."""
+        if self.table is None:
+            _check_budget(len(self.codes) * len(self.moves), self.budget)
+        return self.table
+
+    def mul(self, a: int, b: int) -> int:
+        """The class a b: b's word s_1 .. s_k walked from a along the move
+        table, a s_1 .. s_k, k table reads."""
+        steps = self.table or self._steps()
+        for s in self.words[b]:
+            a = steps[s][a]
+        return a
+
+    @property
+    def inverses(self) -> list:
+        """inverses[x] is the class x^-1: for x = s_1 .. s_k, the word
+        s_k^-1 .. s_1^-1 walked from the identity; formed once."""
+        if self._inverses is None:
+            steps, move_inverse, out = self._steps(), self.move_inverse, []
+            for word in self.words:
+                x = self.e
+                for s in reversed(word):
+                    x = steps[move_inverse[s]][x]
+                out.append(x)
+            _set(self, "_inverses", out)
+        return self._inverses
+
+    def lift(self, x: int) -> GroupElement:
+        """The canonical lift of class x into K (``lift_group``), formed once."""
+        if x not in self._lifts:
+            self._lifts[x] = lift_group(self.matrices[x], self.spec)
+        return self._lifts[x]
+
+    def check_isomorphism(self, lam: list, other: "ClassGroup", name: str):
+        """Raise InvariantViolated unless the class map x -> lam[x] (``name``
+        in the message) is a group isomorphism onto ``other``: a bijection
+        onto its classes with lam(e) = e' and lam(x s) = lam(x) lam(s) for
+        every class x and every move s, |G| |S| checks.
+
+        Those imply lam(x y) = lam(x) lam(y) for all classes x, y.  The
+        moves generate G, so y = s_1 .. s_k (its word); induct on k.  At k
+        = 0, lam(x e) = lam(x) = lam(x) e' = lam(x) lam(e).  For y = y' s,
+        lam(x y' s) = lam(x y') lam(s) = lam(x) lam(y') lam(s) = lam(x)
+        lam(y' s): the outer steps are the check at (x y', s) and at (y',
+        s), the middle one the induction hypothesis at y'.
+        """
+        size = len(other.codes)
+        if len(lam) != size or set(lam) != set(range(size)):
+            raise InvariantViolated(f"{name} is not a bijection of the classes of K/K_m")
+        if lam[self.e] != other.e:
+            raise InvariantViolated(
+                f"{name} is not multiplicative on K/K_m: it moves the identity class"
+            )
+        for s, row in enumerate(self._steps()):
+            lam_s = lam[row[self.e]]  # the class of the move itself, e s = s
+            for x, xs in enumerate(row):
+                if lam[xs] != other.mul(lam[x], lam_s):
+                    raise InvariantViolated(
+                        f"{name} is not multiplicative on K/K_m at class {x}, move {s}"
+                    )
+
+
+def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassGroup:
+    """The ``ClassGroup`` of the classes of G(o/pi^(m+c)) that are 1 mod
+    pi^m (det = 1 for SL), by breadth-first closure from the identity under
+    the moves of ``_class_moves``, sorted once at the end.
+
+    They are in bijection with K_m/K_(m+c).  Reduction K_m -> G(o/pi^(m+c))
+    is a group homomorphism with kernel K_(m+c), and its image lies in the
+    classes that are 1 mod pi^m.  The image is all of them: ``lift_group``
+    sends such a class r to an element of K that reduces to r, and that
+    element is 1 mod pi^m, so it lies in K_m.  At m = 0 the classes are
+    all of G(o/pi^c), that is K/K_c.  The moves generate it (the proof is
+    in ``ClassGroup``), and the closure must have the closed-form size of
+    ``_class_count``, else InvariantViolated: a move missing from S shows
+    as a short closure.
 
     The budget is charged q^(c n^2), a bound on the classes taken by
     exponent, before the ring is built, and then the |o/pi^(m+c)|^2
@@ -813,13 +887,11 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     every m >= 1, yet m = 9 needs the 1024^2 tables of o/pi^10 and exceeds
     the default budget while m = 4 passes.  (For m >= c, K_m/K_(m+c) is
     abelian, additive in M_n(o/pi^c), and would need no such ring.)  The
-    closure keeps O(|G|) codes,
-    words and matrices (which share one tuple per distinct row), and the
-    |G| |S| move-table entries it meets only when the budget admits them.
-    Indices are ordered as the coords of their elements, and ``sort_key``
-    is the row-major tuple of entry coords, so sorting codes is sorting by
-    ``sort_key``.  At m + c = 0 the ring is the zero ring, whose one
-    element is 1: no move, and one class, K/K_0 = 1.
+    matrices share one tuple per distinct row.  Indices are ordered as the
+    coords of their elements, and ``sort_key`` is the row-major tuple of
+    entry coords, so sorting codes is sorting by ``sort_key``.  At m + c =
+    0 the ring is the zero ring, whose one element is 1: no move, and one
+    class, K/K_0 = 1.
     """
     n = spec.n
     _check_budget_power(spec.model.q, c * n * n, budget)
@@ -851,7 +923,8 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
     rank = {x: r for r, x in enumerate(ranked)}
     entry, offsets = tables.elements.__getitem__, range(0, n * n, n)
     rows = {k: tuple(map(entry, k)) for k in {x[r:r + n] for x in codes for r in offsets}}
-    return ClassClosure(
+    return ClassGroup(
+        spec,
         tables,
         [codes[x] for x in ranked],
         [ResidueMatrix(ring, tuple(rows[codes[x][r:r + n]] for r in offsets)) for x in ranked],
@@ -859,6 +932,7 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassCl
         inverse,
         [words[x] for x in ranked],
         None if table is None else [[rank[row[x]] for x in ranked] for row in table],
+        budget,
     )
 
 

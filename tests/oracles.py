@@ -15,6 +15,7 @@ from heckelab.matgrp import (
     GroupElement,
     GroupSpec,
     ResidueMatrix,
+    _cofactor_det,
     cartan,
     iter_kernel,
     reduce_group,
@@ -136,6 +137,12 @@ def random_integral_by_fractions(model, rng, depth=3):
     return FieldElement(model, tuple(coords))
 
 
+def residue_det(r: ResidueMatrix):
+    """The determinant of a residue matrix, by cofactor expansion of its
+    entries in the residue ring."""
+    return _cofactor_det(r.rows, r.ring.zero())
+
+
 def residue_matrices_by_object_sweep(spec, m):
     """Invertible matrices over o/pi^m (det = 1 for SL) from a sweep of
     ResidueMatrix objects and their determinants, sorted by sort_key.
@@ -147,7 +154,7 @@ def residue_matrices_by_object_sweep(spec, m):
     out = []
     for flat in itertools.product(list(ring.elements()), repeat=n * n):
         mat = ResidueMatrix(ring, (flat[i * n:(i + 1) * n] for i in range(n)))
-        d = mat.det()
+        d = residue_det(mat)
         if d == one if spec.family == "SL" else d.is_unit():
             out.append(mat)
     return sorted(out, key=lambda mat: mat.sort_key())
@@ -189,7 +196,7 @@ def code_det(rows, tables) -> int:
 
 def mul_table_by_products(algebra):
     """Cayley table of K/K_m with every entry a residue-matrix product.
-    Reference oracle for HeckeAlgebra._mul and _inv_index."""
+    Reference oracle for ClassGroup.mul and ClassGroup.inverses."""
     q = algebra.residue_classes
     idx = {mat: i for i, mat in enumerate(q)}
     return [[idx[a @ b] for b in q] for a in q]
@@ -249,9 +256,9 @@ def gamma_by_sweep(spec, tau, m, budget=DEFAULT_BUDGET):
     out = []
     q = algebra.residue_classes
     for i, xm in enumerate(q):
-        x = algebra.class_lift(i)
+        x = algebra.group.lift(i)
         for j in range(len(q)):
-            g = x @ n_tau @ algebra.class_lift(j).inverse()
+            g = x @ n_tau @ algebra.group.lift(j).inverse()
             if any((a @ g).in_km(m) for a in alpha_inv):
                 out.append((xm, q[j]))
     return out

@@ -111,7 +111,7 @@ def test_criterion_2_convolution_lemma():
             prod = A.convolve(A.t(SL2_Q2.n_of_tau(t1)), A.t(SL2_Q2.n_of_tau(t2)))
             if prod.terms != {A.label_of_tau(t1 + t2): 1}:
                 ok = False
-    ks = [A.class_lift(i) for i in range(len(A.residue_classes))]
+    ks = [A.group.lift(i) for i in range(len(A.residue_classes))]
     for tau in taus:
         n_tau = SL2_Q2.n_of_tau(tau)
         t_n = A.t(n_tau)

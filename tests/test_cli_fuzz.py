@@ -24,13 +24,11 @@ JUNK = st.one_of(
     st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2), st.just({}),
     st.integers(-3, 5), st.integers(-3, 5).map(str),
 )
-FIELDS = [
-    {"kind": "mixed", "p": 2, "e": 1}, {"kind": "mixed", "p": 2, "e": 5},
-    {"kind": "mixed", "p": 3}, {"kind": "equal", "p": 2}, {"kind": "equal", "p": 3},
-    {"kind": "equal", "p": 2, "f": 2},
-]
-# the flagship pair Q_2(2^(1/5)) ~ F_2((t)) is 5-close
-PARTNER = {1: {"kind": "equal", "p": 2}, 3: {"kind": "mixed", "p": 2, "e": 5}}
+# Q_2(2^(1/e)) draws its e from 1 to 6; Q_2(2^(1/e)) ~ F_2((t)) is e-close
+# (the flagship pair at e = 5), so each of the two is the other's partner
+Q2E, F2 = {"kind": "mixed", "p": 2}, {"kind": "equal", "p": 2}
+FIELDS = [Q2E, {"kind": "mixed", "p": 3}, F2, {"kind": "equal", "p": 3},
+          {"kind": "equal", "p": 2, "f": 2}]
 GROUPS = [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)]
 # level, window, closeness and the field's e and f: mostly small, at times up
 # to 10^9, which the budget must refuse before anything of that size is built
@@ -69,14 +67,17 @@ def invocations(draw):
     --out and --csv are relative; the test joins them to a temporary
     directory, where the config text is written as cfg.json."""
     config = draw(CONFIG)
-    fi = draw(st.integers(0, len(FIELDS) - 1))
-    config["field"] = FIELDS[fi]
+    q2e = dict(Q2E, e=draw(st.integers(1, 6)))
+    field = draw(st.sampled_from(FIELDS))
+    field = q2e if field is Q2E else field
+    config["field"] = field
     if draw(st.booleans()):
         # e (mixed) or f (equal) up to 10^9, charged before the field is built
-        size_key = "e" if FIELDS[fi]["kind"] == "mixed" else "f"
-        config["field"] = dict(FIELDS[fi], **{size_key: draw(SIZE)})
+        size_key = "e" if field["kind"] == "mixed" else "f"
+        config["field"] = dict(field, **{size_key: draw(SIZE)})
     if draw(st.booleans()):
-        config["field2"] = draw(st.sampled_from([FIELDS[fi], PARTNER.get(fi, FIELDS[fi])]))
+        partner = F2 if field is q2e else q2e if field is F2 else field
+        config["field2"] = draw(st.sampled_from([field, partner]))
         config["closeness"] = draw(SIZE)
     family, n = draw(st.sampled_from(GROUPS))
     config["group"] = {"family": family, "n": n}
@@ -102,7 +103,7 @@ def invocations(draw):
             junk = st.sampled_from(["x", "1e3", "", os.path.join("missing", "file")])
             argv += [flag, draw(junk if bad(draw) else good)]
 
-    entry = ENTRIES[FIELDS[fi]["kind"]]
+    entry = ENTRIES[field["kind"]]
     if bad(draw):
         matrix = draw(st.one_of(
             rows(n, BAD_ENTRY), st.integers(1, 3).flatmap(lambda k: rows(k, entry)), JUNK,

@@ -355,7 +355,7 @@ def test_classify_reads_witnesses_by_code(spec, m, rng, monkeypatch):
     for g in els:
         fac = cartan(g)
         xi = idx[matgrp_module.reduce_group(fac.a, m)]
-        yi = alg._inv_index()[idx[matgrp_module.reduce_group(fac.b, m)]]
+        yi = alg.group.inverses[idx[matgrp_module.reduce_group(fac.b, m)]]
         expected.append(alg.canonical_label(fac.tau, xi, yi))
     counts = {"built": 0, "hashed": 0}
     matrix_init, matrix_hash = ResidueMatrix.__init__, ResidueMatrix.__hash__
@@ -565,8 +565,7 @@ def test_gamma_looks_up_each_pair_once(spec, m, bound):
 
     for tau in dominant_window(spec.family, spec.n, bound):
         alg = HeckeAlgebra(spec, m)
-        alg.residue_classes
-        alg._code_index = Counting(alg._code_index)
+        object.__setattr__(alg.group, "index", Counting(alg.group.index))  # past the frozen slot
         Counting.lookups = 0
         gamma = alg._gamma(tau)
         assert Counting.lookups == len(gamma) > 0, tau
@@ -602,7 +601,7 @@ def test_classify_gamma_orbit_equivalence(sl2_m1, rng):
 def test_orbit_stabilizer_guard(monkeypatch):
     # a stabilizing pair outside Gamma_tau breaks |X_tau| |Gamma_tau| = |K/K_m|^2
     alg = HeckeAlgebra(SL2_Q2, 1)
-    tau, e = CartanDatum((1, -1)), alg._unit_index()
+    tau, e = CartanDatum((1, -1)), alg.group.e
     gamma = alg._gamma(tau)
     x = next(i for i in range(len(alg.residue_classes)) if (i, e) not in gamma)
     monkeypatch.setattr(alg, "_gamma", lambda t: sorted(gamma + [(x, e)]))
@@ -627,9 +626,64 @@ def test_mul_index_matches_products(spec, m):
     alg = HeckeAlgebra(spec, m)
     table = mul_table_by_products(alg)
     pairs = itertools.product(range(len(table)), repeat=2)
-    assert all(alg._mul(x, y) == table[x][y] for x, y in pairs)
-    e = alg._unit_index()
-    assert alg._inv_index() == [row.index(e) for row in table]
+    group = alg.group
+    assert all(group.mul(x, y) == table[x][y] for x, y in pairs)
+    assert group.inverses == [row.index(group.e) for row in table]
+
+
+def _transposed(code, n: int):
+    """The code of the transpose of the n x n matrix with code ``code``."""
+    return tuple(code[j * n + i] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("spec, m, bound", [
+    pytest.param(SL2_Q2, 1, 2, id="SL2/Q_2 m=1 B=2"),
+    pytest.param(SL2_F2, 1, 2, id="SL2/F_2((t)) m=1 B=2"),
+    pytest.param(SL2_Q2, 2, 1, id="SL2/Q_2 m=2 B=1"),
+])
+def test_transpose_is_an_anti_involution_of_the_constants(spec, m, bound):
+    # g -> g^T reverses products and fixes K_m and every n_tau, so it sends
+    # K_m x n_tau y^-1 K_m to K_m y^-T n_tau x^T K_m: with sigma[c] the class
+    # of c^-T, an automorphism of K/K_m checked as lambda_m is, the label l =
+    # (tau, x, y) goes to l^T = (tau, sigma[y], sigma[x]), and t_l -> t_(l^T)
+    # reverses convolution: c(l1, l2; x) = c(l2^T, l1^T; x^T) on every window
+    # pair, most of which do not commute
+    alg = HeckeAlgebra(spec, m)
+    group = alg.group
+    sigma = [group.inverses[group.index[_transposed(code, spec.n)]] for code in group.codes]
+    group.check_isomorphism(sigma, group, "the inverse transpose")
+
+    def transpose(label):
+        return alg.canonical_label(label.tau, sigma[label.y], sigma[label.x])
+
+    basis = alg.labels_in_window(bound)
+    assert all(transpose(transpose(l)) == l for l in basis)
+    noncommuting = 0
+    for l1 in basis:
+        for l2 in basis:
+            constants = alg.structure_constants(l1, l2)
+            transposed = {transpose(x): c for x, c in constants.items()}
+            assert transposed == alg.structure_constants(transpose(l2), transpose(l1)), (l1, l2)
+            noncommuting += constants != alg.structure_constants(l2, l1)
+    assert noncommuting > 0
+
+
+def test_transpose_without_inverse_is_not_multiplicative():
+    # c -> c^T reverses products, an anti-automorphism of the non-abelian
+    # K/K_m: the isomorphism check refuses it
+    for spec, m in ((SL2_Q2, 1), (SL2_F2, 1), (SL2_Q2, 2)):
+        group = HeckeAlgebra(spec, m).group
+        transposed = [group.index[_transposed(code, spec.n)] for code in group.codes]
+        with pytest.raises(InvariantViolated, match="transpose is not multiplicative on K/K_m at"):
+            group.check_isomorphism(transposed, group, "the transpose")
+
+
+def test_class_map_that_is_no_bijection_is_refused():
+    # every class sent to the identity, and a map one class short
+    group = HeckeAlgebra(SL2_Q2, 1).group
+    for lam in ([group.e] * len(group.codes), list(range(len(group.codes) - 1))):
+        with pytest.raises(InvariantViolated, match="not a bijection"):
+            group.check_isomorphism(lam, group, "lam")
 
 
 @pytest.mark.parametrize("spec, m", MUL_TABLE_CELLS)
@@ -656,10 +710,10 @@ def test_mul_index_matmul_count(spec, m, monkeypatch):
     monkeypatch.setattr(matgrp_module, "_class_moves", counted)
     monkeypatch.setattr(matgrp_module, "_cofactor_det", refuse)
     monkeypatch.setattr(ResidueMatrix, "__matmul__", refuse)
-    monkeypatch.setattr(ResidueMatrix, "det", refuse)
+    assert not hasattr(ResidueMatrix, "det")
     alg = HeckeAlgebra(spec, m)
     size = len(alg.residue_classes)
-    moves = len(alg._move_table())
+    moves = len(alg.group.table)
     assert applied[0] == size * moves
     assert (applied[0] > 0) == (size > 1)
     assert not hasattr(matgrp_module, "code_product") and not hasattr(matgrp_module, "code_det")
@@ -798,9 +852,9 @@ def test_tables_form_no_residue_matrix_product_or_det(spec, m, monkeypatch):
         raise AssertionError("a ResidueMatrix product or determinant was formed")
 
     monkeypatch.setattr(ResidueMatrix, "__matmul__", refuse)
-    monkeypatch.setattr(ResidueMatrix, "det", refuse)
+    monkeypatch.setattr(matgrp_module, "_cofactor_det", refuse)
     alg = HeckeAlgebra(spec, m)
-    alg._inv_index()
+    alg.group.inverses
     for tau in dominant_window(spec.family, spec.n, 1):
         assert alg.orbit_table(tau).orbit_count > 0
 
@@ -866,7 +920,7 @@ def test_budget_charges_move_table_and_labels():
     assert len(alg.residue_classes) == 48
     with pytest.raises(BudgetExceeded):
         alg.orbit_table(zero_tau(2))
-    assert len(HeckeAlgebra(GL2_Q3, 1, budget=240)._move_table()) == 5
+    assert len(HeckeAlgebra(GL2_Q3, 1, budget=240).group.table) == 5
 
 
 def test_orbit_table_charges_its_labels(monkeypatch):
@@ -1015,7 +1069,7 @@ def test_structure_constants_match_tally_sampled(spec, m):
     one = ResidueMatrix.identity(labels[0].pair[0].ring, spec.n)
     # the middle class k = y1^-1 x2 is what the translation carries into the
     # bracket, and the fold replaces it by the least class k0 of its double coset
-    q, inv = alg.residue_classes, alg._inv_index()
+    q, inv = alg.residue_classes, alg.group.inverses
     idx = {mat: i for i, mat in enumerate(q)}
     middles = [(l1, l2, q[inv[l1.y]] @ l2.pair[0]) for l1, l2 in pairs]
     assert any(k != one for _, _, k in middles)
@@ -1037,7 +1091,7 @@ def test_double_cosets_fold_the_bracket(spec, m):
     mul = mul_table_by_products(alg)
     idx = {mat: i for i, mat in enumerate(alg.residue_classes)}
     size = len(mul)
-    inv = [row.index(alg._unit_index()) for row in mul]
+    inv = [row.index(alg.group.e) for row in mul]
 
     def gamma(tau):
         return {(idx[x], idx[y]) for x, y in alg.orbit_table(tau).gamma}

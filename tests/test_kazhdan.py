@@ -25,7 +25,7 @@ from heckelab.kazhdan import (
 from heckelab.localfield import ClosePair, FieldElement, FieldModel
 from heckelab.matgrp import (
     CartanDatum,
-    ClassClosure,
+    ClassGroup,
     GroupElement,
     GroupSpec,
     ResidueMatrix,
@@ -183,14 +183,14 @@ def test_transport_label_follows_class_order(monkeypatch, m):
     congruence_classes = hecke._congruence_classes
 
     def reversed_on_side_2(spec, level, c, budget):
-        closure = congruence_classes(spec, level, c, budget)
+        group = congruence_classes(spec, level, c, budget)
         if spec.model != F_EQ:
-            return closure
-        last = len(closure.codes) - 1  # class x is class last - x of the reversed list
-        return ClassClosure(
-            closure.tables, closure.codes[::-1], closure.matrices[::-1], closure.moves,
-            closure.inverse, closure.words[::-1],
-            [[last - xs for xs in reversed(row)] for row in closure.table],
+            return group
+        last = len(group.codes) - 1  # class x is class last - x of the reversed list
+        return ClassGroup(
+            spec, group.tables, group.codes[::-1], group.matrices[::-1], group.moves,
+            group.move_inverse, group.words[::-1],
+            [[last - xs for xs in reversed(row)] for row in group.table], budget,
         )
 
     monkeypatch.setattr(hecke, "_congruence_classes", reversed_on_side_2)
@@ -245,18 +245,17 @@ def test_label_of_the_other_side_is_a_typed_error(flagship_ctx):
     assert flagship_ctx.transport_label(twin) is other
 
 
-def test_transport_label_rejects_non_multiplicative_class_map(monkeypatch):
+def test_transport_label_rejects_non_multiplicative_class_map():
     # a class map that swaps the identity class with another one is a
     # bijection but not a homomorphism of K/K_m: side 2's code index with
     # the codes of its identity and of its first other class swapped
     ctx = _close_ctx("SL", 5, 1, 1)
-    side2 = ctx.algebra2
-    one = side2._unit_index()  # builds the closure
-    codes = side2._closure.codes
+    group2 = ctx.algebra2.group
+    one, codes = group2.e, group2.codes
     other = next(x for x in range(len(codes)) if x != one)
-    swapped = dict(side2._code_index)
+    swapped = dict(group2.index)
     swapped[codes[one]], swapped[codes[other]] = other, one
-    monkeypatch.setattr(side2, "_code_index", swapped)
+    object.__setattr__(group2, "index", swapped)  # past the frozen slot
     with pytest.raises(InvariantViolated, match="multiplicative"):
         ctx.transport_label(ctx.algebra.labels_in_window(1)[0])
 
@@ -273,7 +272,7 @@ def test_transport_hecke_unit(flagship_ctx):
 def test_transport_hecke_carries_coefficients(flagship_ctx):
     A = flagship_ctx.algebra
     lab_n = A.label_of_tau(CartanDatum((1, -1)))
-    lab_k = A.classify(A.class_lift(2))
+    lab_k = A.classify(A.group.lift(2))
     f = HeckeElement(ZZ, {lab_n: 2, lab_k: 5})
     f2 = flagship_ctx.transport_hecke(f)
     assert sorted(f2.terms.values()) == [2, 5]
@@ -483,7 +482,7 @@ def test_warm_csv_reads_labels_by_index(monkeypatch):
 
     monkeypatch.setattr(ResidueMatrix, "__hash__", counted_hash)
     for alg in (ctx.algebra, ctx.algebra2):
-        monkeypatch.setattr(alg, "_code_index", Counting(alg._code_index))
+        object.__setattr__(alg.group, "index", Counting(alg.group.index))  # past the frozen slot
     text = kazhdan.structure_constants_csv(ctx)
     monkeypatch.undo()
     assert counts == {"hash": 0, "code_index": 0}

@@ -13,7 +13,7 @@ from heckelab.cli import RunConfig
 from heckelab.hecke import OrbitTable
 from heckelab.kazhdan import TauReport, VerificationReport, WindowedModule
 from heckelab.localfield import ClosePair, FieldModel, RingTables
-from heckelab.matgrp import CartanDatum, CartanFactorization, ClassClosure, GroupSpec
+from heckelab.matgrp import CartanDatum, CartanFactorization, ClassGroup, GroupSpec
 from heckelab.rings import QQ, ZZ, IntegerRing, IntegersMod, PrimeField, RationalField
 
 M = FieldModel.mixed(2, 5)
@@ -83,12 +83,14 @@ CASES = [
     _case(CartanFactorization, dict(a=SWAP, tau=TAU, b=ONE),
           "CartanFactorization(a=[0, 1; 1, 0], tau=CartanDatum(coords=(1, -1)), b=[1, 0; 0, 1])",
           ("a", "tau", "b")),
-    _case(ClassClosure,
-          dict(tables=None, codes=[(1,)], matrices=["I"], moves=[], inverse=[0], words=[()],
-               table=None),
-          "ClassClosure(tables=None, codes=[(1,)], matrices=['I'], moves=[], inverse=[0], "
-          "words=[()], table=None)",
-          ("tables", "codes", "matrices", "moves", "inverse", "words", "table")),
+    _case(ClassGroup,
+          dict(spec=SPEC, tables=None, codes=[(1,)], matrices=["I"], moves=[], move_inverse=[0],
+               words=[()], table=None, budget=10),
+          f"ClassGroup(spec=GroupSpec(family='GL', n=2, model={M_REPR}), tables=None, "
+          "codes=[(1,)], matrices=['I'], moves=[], move_inverse=[0], words=[()], table=None, "
+          "budget=10)",
+          ("spec", "tables", "codes", "matrices", "moves", "move_inverse", "words", "table",
+           "budget")),
     _case(IntegerRing, {}, "IntegerRing()", ()),
     _case(RationalField, dict(localized_at=3), "RationalField(localized_at=3)",
           ("localized_at",), defaults=({}, "RationalField(localized_at=None)")),
