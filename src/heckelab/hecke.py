@@ -3,11 +3,12 @@
 Double cosets K_m g K_m are classified by a label (tau, [x], [y]) meaning
 g lies in K_m x n_tau y^-1 K_m, with the residue pair ([x], [y]) canonical
 (minimal) in its orbit under the stabilizer Gamma_tau of K_m n_tau K_m
-inside (K/K_m)^2.  A label holds [x] and [y] as indices into the
-algebra's classes of K/K_m, which are in ``sort_key`` order, so the
-least pair is the least index pair; residue matrices are formed only to
-print or serialize a label.  Convolution uses the normalization mu(K_m)
-= 1, under which all structure constants are non-negative integers
+inside (K/K_m)^2.  A label holds [x] and [y] as classes of the algebra's
+K/K_m, a ``matgrp.ClassGroup`` reached only through its methods; they are
+in ``sort_key`` order, so the least pair is the least index pair.  Residue
+matrices are read only to print, serialize or lift.  Convolution uses the
+normalization mu(K_m) = 1, under which all structure constants are
+non-negative integers
 
     t_g * t_h = sum_x c_x t_x,   c_x = #{i : alpha_i^-1 x in K_m h K_m},
 
@@ -28,7 +29,6 @@ from .matgrp import (
     GroupElement,
     GroupSpec,
     cartan,
-    cartan_type,
     dominant_window,
     kernel_count,  # not called here; the benchmark tracer patches hecke.kernel_count
     zero_tau,
@@ -36,7 +36,6 @@ from .matgrp import (
     _check_budget_power,
     _congruence_classes,
     _eliminate,
-    _replay,
     _subgroup_generators,
 )
 from .record import FrozenRecord, _set
@@ -46,44 +45,43 @@ from .rings import ZZ
 class DoubleCosetLabel:
     """Canonical identifier of a double coset K_m g K_m.
 
-    ``x`` and ``y`` index ``classes``, the classes of K/K_m of the algebra
-    that made the label (``HeckeAlgebra.residue_classes``); the labelled
-    coset is that of x~ n_tau y~^-1 for the canonical lifts x~, y~ of
-    classes[x], classes[y].  ``pair`` forms the two residue matrices, as
-    the string and ``serialize`` do.  Labels sort by (tau, x, y), the
-    order of their matrices' ``sort_key``: the classes are in that order.
-    Labels sharing a class list compare by index, others by matrix, so
-    equal labels of two algebras over one ring are equal, hash alike and
-    print alike.  The hash and the string are computed once, on first use,
-    so a CSV formats each label once.
+    ``x`` and ``y`` are classes of ``group``, the K/K_m of the algebra that
+    made the label (``HeckeAlgebra.group``); the labelled coset is that of
+    x~ n_tau y~^-1 for the canonical lifts x~, y~ of the classes.  ``pair``
+    reads the two residue matrices, as the string and ``serialize`` do.
+    Labels sort by (tau, x, y), the order of their matrices' ``sort_key``:
+    the classes are in that order.  Labels compare and hash by (tau, x, y)
+    and the group's ``key`` (spec, m, c), which fixes the class order: equal
+    labels of two algebras of one group and level are equal, hash alike and
+    print alike, and no residue matrix is compared.  The hash and the
+    string are computed once, on first use, so a CSV formats each label
+    once.
     """
 
-    __slots__ = ("tau", "x", "y", "classes", "_hash", "_str")
+    __slots__ = ("tau", "x", "y", "group", "_hash", "_str")
 
-    def __init__(self, tau: CartanDatum, x: int, y: int, classes):
+    def __init__(self, tau: CartanDatum, x: int, y: int, group):
         self.tau = tau
         self.x = x
         self.y = y
-        self.classes = classes
+        self.group = group
         self._hash = self._str = None
 
     @property
     def pair(self):
-        return (self.classes[self.x], self.classes[self.y])
+        return (self.group.matrices[self.x], self.group.matrices[self.y])
 
     def sort_key(self):
         return (self.tau.coords, self.x, self.y)
 
     def __eq__(self, other):
-        if not isinstance(other, DoubleCosetLabel) or other.tau != self.tau:
-            return False
-        if other.classes is self.classes:
-            return other.x == self.x and other.y == self.y
-        return other.pair == self.pair
+        return (isinstance(other, DoubleCosetLabel) and other.x == self.x and other.y == self.y
+                and other.tau == self.tau
+                and (other.group is self.group or other.group.key == self.group.key))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.tau.coords, self.pair))
+            self._hash = hash((self.tau.coords, self.x, self.y, self.group.key))
         return self._hash
 
     def __str__(self):
@@ -105,22 +103,37 @@ class DoubleCosetLabel:
 class OrbitTable(FrozenRecord, fields=("tau", "labels", "gamma_index")):
     """The orbit/stabilizer data of K_m n_tau K_m under (K/K_m)^2.
 
-    ``gamma_index`` holds the stabilizing pairs as index pairs into ``classes``
-    (``gamma`` forms them as residue-matrix pairs), ``labels`` one canonical
-    label per orbit; the counting identity |X_tau| |Gamma_tau| = |K/K_m|^2 holds.
+    ``gamma_index`` holds the stabilizing pairs as class pairs of ``group``
+    (``gamma`` reads them as residue-matrix pairs), ``labels`` one
+    canonical label per orbit; the counting identity |X_tau| |Gamma_tau| =
+    |K/K_m|^2 holds.  ``x0``, ``tcol``, ``slot`` and ``rows`` are the
+    canonical map that ``label`` reads (``HeckeAlgebra._build_orbit_table``
+    builds it): O(|K/K_m| + |labels|), nothing per pair.
     """
 
-    __slots__ = ("tau", "labels", "gamma_index", "classes")
+    __slots__ = ("tau", "labels", "gamma_index", "group", "x0", "tcol", "slot", "rows")
 
-    def __init__(self, tau: CartanDatum, labels: tuple, gamma_index: tuple, classes: list):
+    def __init__(self, tau: CartanDatum, labels: tuple, gamma_index: tuple, group,
+                 x0: list, tcol: list, slot: list, rows: list):
         _set(self, "tau", tau)
         _set(self, "labels", labels)
         _set(self, "gamma_index", gamma_index)
-        _set(self, "classes", classes)
+        _set(self, "group", group)
+        _set(self, "x0", x0)
+        _set(self, "tcol", tcol)
+        _set(self, "slot", slot)
+        _set(self, "rows", rows)
+
+    def label(self, xi: int, yi: int) -> DoubleCosetLabel:
+        """The label of the Gamma_tau orbit of the classes (xi, yi): with
+        x0 = min(x Gamma_1) and t_s as in ``HeckeAlgebra._build_orbit_table``,
+        (x0, min(y t_s K_2)), three list reads and one product
+        (``ClassGroup.mul``).  It is the table's own label object."""
+        return self.rows[self.x0[xi]][self.slot[self.group.mul(yi, self.tcol[xi])]]
 
     @property
     def gamma(self) -> tuple:
-        return tuple((self.classes[s], self.classes[t]) for s, t in self.gamma_index)
+        return tuple((self.group.matrices[s], self.group.matrices[t]) for s, t in self.gamma_index)
 
     @property
     def orbit_count(self) -> int:
@@ -225,7 +238,6 @@ class HeckeAlgebra:
         self.budget = budget
         self._group = None
         self._orbit_tables = {}
-        self._canonical = {}
         self._gamma_shapes = {}
         self._double_coset_cache = {}
         self._ntau_cosets_cache = {}
@@ -247,15 +259,15 @@ class HeckeAlgebra:
 
     @property
     def residue_classes(self):
-        """The classes of K/K_m in ``sort_key`` order, the list labels hold."""
+        """The classes of K/K_m as residue matrices, in ``sort_key`` order."""
         return self.group.matrices
 
     def indices(self, label: DoubleCosetLabel):
         """The class indices (x, y) of a label, which must index this
-        algebra's classes: its own list, or an equal one (another algebra
-        of the same group and level), else MixedRings."""
-        classes = self.residue_classes
-        if label.classes is not classes and label.classes != classes:
+        algebra's K/K_m: its own group, or one of the same ``key`` (another
+        algebra of the same group and level), else MixedRings."""
+        group = self.group
+        if label.group is not group and label.group.key != group.key:
             raise MixedRings(f"label {label} indexes the classes of another K/K_m")
         return label.x, label.y
 
@@ -346,11 +358,12 @@ class HeckeAlgebra:
         normal form: alpha = pi^(a_n) h with h upper triangular, h_ii =
         pi^(c_i), 0 <= c_i <= a_1 - a_n, sum c_i = sum (a_i - a_n), and h_ij
         (i < j) over the lifts of o/pi^(c_i), kept when alpha has Cartan
-        type tau.  Either way det alpha = det n_tau exactly, so SL needs no
-        determinant fix.  The budget is charged the number of candidates
-        before any of them is built (``_coset_shapes``), and the system
-        built must have the closed-form size of ``degree``: an enumerated
-        count is audited against the formula, else InvariantViolated.
+        type tau, which ``matgrp._eliminate`` reads off with no witness.
+        Either way det alpha = det n_tau exactly, so SL needs no determinant
+        fix.  The budget is charged the number of candidates before any of
+        them is built (``_coset_shapes``), and the system built must have
+        the closed-form size of ``degree``: an enumerated count is audited
+        against the formula, else InvariantViolated.
         """
         if tau in self._ntau_cosets_cache:
             return self._ntau_cosets_cache[tau]
@@ -358,7 +371,7 @@ class HeckeAlgebra:
         out = []
         for diag, entries in self._coset_shapes(tau):
             for alpha in self._triangular(diag, entries, det):
-                if self.m == 0 and cartan_type(alpha) != tau:
+                if self.m == 0 and _eliminate(alpha)[0] != tau:
                     continue
                 out.append(alpha)
         if len(out) != self._degree(tau):
@@ -417,9 +430,9 @@ class HeckeAlgebra:
         return self._orbit_tables[tau]
 
     def _build_orbit_table(self, tau: CartanDatum):
-        """The orbit table of tau, and its canonical map: the lists x0,
+        """The orbit table of tau with its canonical map: the lists x0,
         tcol and slot over K/K_m and the label rows, from which
-        ``canonical_label`` reads the label of any pair (q[xi], q[yi]).
+        ``OrbitTable.label`` reads the label of any pair of classes.
 
         Gamma = Gamma_tau acts on Q^2, Q = K/K_m, by (x, y)(s, t) = (x s,
         y t), and an orbit's label is its least pair of indices (indices
@@ -451,10 +464,10 @@ class HeckeAlgebra:
         counts must give |Gamma_1| |K_2| = |Gamma|, which a Gamma that is
         not a subgroup breaks (orbit-stabilizer).
         """
-        q = self.residue_classes
-        size = len(q)
+        group = self.group
+        size = len(self.residue_classes)
         gamma_idx = self._gamma(tau)
-        inv, e = self.group.inverses, self.group.e
+        inv, e = group.inverses, group.e
         fibre = {}  # s -> t_s, the least t with (s, t) in Gamma
         for s, t in gamma_idx:
             fibre.setdefault(s, t)
@@ -475,11 +488,10 @@ class HeckeAlgebra:
         labels = []
         for x in range(size):
             if x0[x] == x:
-                rows[x] = [DoubleCosetLabel(tau, x, y, q) for y in ys]
+                rows[x] = [DoubleCosetLabel(tau, x, y, group) for y in ys]
                 labels.extend(rows[x])
-        table = OrbitTable(tau, tuple(labels), tuple(gamma_idx), q)
-        self._orbit_tables[tau] = table
-        self._canonical[tau] = (x0, tcol, slot, rows)
+        self._orbit_tables[tau] = OrbitTable(tau, tuple(labels), tuple(gamma_idx), group,
+                                             x0, tcol, slot, rows)
 
     def _coset_minima(self, tau: CartanDatum, sub):
         """least[z] = min(z H) and via[z] = s with z = least[z] s, for H
@@ -527,47 +539,21 @@ class HeckeAlgebra:
         So Gamma_tau = {([x(u)], [y(u)]) : u in M_n(o/pi^m), y(u) a class},
         x(u)_ij = pi^sx u_ij, y(u)_ij = pi^sy u_ij, sx = min(max(d, 0), top),
         sy = min(max(-d, 0), top), top = min(a_1 - a_n, m) (pi^m = 0 in
-        o/pi^m).  One pass over the classes y finds it: where sy = 0, u_ij =
-        y_ij and x_ij = pi^sx y_ij; where sy > 0, sx = 0 and x_ij = u_ij runs
-        over the q^sy preimages of y_ij under pi^sy, or none (no u gives y).
-        So each u with y(u) a class is met once, at y(u).  x(u) is a class:
-        lifting u as in 1. gives x' = n_tau y' n_tau^-1, det x' = det y',
-        and x', y' reduce to x(u), y(u).  Pairs are distinct (each u_ij is
-        x_ij or y_ij), so |Gamma_tau| <= q^(m n^2), as ``__init__`` charged,
-        and each x is looked up once.  At m = 0 (o/pi^0 = 0) Gamma_tau =
-        {(1, 1)}.  The list, which callers must not change, depends on tau
-        only through its (sx, sy): each such shape is built once.
+        o/pi^m), which ``ClassGroup.power_pairs`` lists in one pass over the
+        classes.  x(u) is a class: lifting u as in 1. gives x' = n_tau y'
+        n_tau^-1, det x' = det y', and x', y' reduce to x(u), y(u).  The
+        pairs are distinct, so |Gamma_tau| <= q^(m n^2), as ``__init__``
+        charged.  At m = 0 (o/pi^0 = 0) Gamma_tau = {(1, 1)}.  The list,
+        which callers must not change, depends on tau only through its (sx,
+        sy): each such shape is built once.
         """
         n, a = self.spec.n, tau.coords
         top = min(tau.spread, self.m)
         shape = tuple((min(max(a[i] - a[j], 0), top), min(max(a[j] - a[i], 0), top))
                       for i in range(n) for j in range(n))  # (sx, sy) at entry i n + j
-        if shape in self._gamma_shapes:
-            return self._gamma_shapes[shape]
-        ring, group = self.residue_classes[0].ring, self.group
-        tables, cidx, codes = group.tables, group.index, group.codes
-        mul, q = tables.mul, self.spec.model.q
-        pi, pi_pows = tables.index[ring.uniformizer().coords], [tables.index[ring.one().coords]]
-        for _ in range(top):
-            pi_pows.append(mul[pi_pows[-1]][pi])
-        preimages = [[[] for _ in tables.elements] for _ in pi_pows]  # [s][v]: u with pi^s u = v
-        for s, p in enumerate(pi_pows):
-            for u, v in enumerate(mul[p]):
-                preimages[s][v].append(u)
-        # picks[k][t] maps y_ij to x_ij = pi^sx u at entry k, u its t-th
-        # preimage under pi^sy: one pick per entry is one u for each y kept
-        picks, ys = [], range(len(codes))
-        for k, (sx, sy) in enumerate(shape):
-            row, pre = mul[pi_pows[sx]], preimages[sy]
-            picks.append([[row[us[t]] if us else None for us in pre] for t in range(q**sy)])
-            if sy:  # keep the y whose y_ij lies in the image of pi^sy
-                ys = [yi for yi in ys if pre[codes[yi][k]]]
-        columns = list(zip(*map(codes.__getitem__, ys)))  # columns[k][r] = codes[ys[r]][k]
-        out = []
-        for chosen in itertools.product(*picks):
-            xs = zip(*[map(pick.__getitem__, col) for pick, col in zip(chosen, columns)])
-            out.extend(zip(map(cidx.__getitem__, xs), ys))
-        return self._gamma_shapes.setdefault(shape, sorted(out))
+        if shape not in self._gamma_shapes:
+            self._gamma_shapes[shape] = self.group.power_pairs(shape)
+        return self._gamma_shapes[shape]
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b as ``cartan``
@@ -582,48 +568,27 @@ class HeckeAlgebra:
         is a ring homomorphism, so it carries each entry to the same
         polynomial in the residues of the f and u, which is what the replay
         of the same operations on the add and mul tables of o/pi^m
-        evaluates (``_witness_classes``).  So the replayed codes are [a]
-        and [b], and the label is canonical_label(tau, [a], [b]^-1): the
-        identical object (the orbit table's own) that cartan's witnesses
-        name, not merely an equal one.  No GroupElement, determinant or
-        reduction of a witness entry is formed; each f and u is reduced
-        once."""
+        evaluates (``ClassGroup.witness_classes``).  So the replayed codes
+        are [a] and [b], and the label is canonical_label(tau, [a],
+        [b]^-1): the identical object (the orbit table's own) that cartan's
+        witnesses name, not merely an equal one.  No GroupElement,
+        determinant or reduction of a witness entry is formed; each f and u
+        is reduced once."""
         tau, ops, _ = _eliminate(g)
-        xi, yi = self._witness_classes(ops)
+        xi, yi = self.group.witness_classes(ops)
         return self.canonical_label(tau, xi, yi)
-
-    def _witness_classes(self, ops):
-        """The class indices ([a], [b]^-1) of the witnesses that ``ops`` of
-        ``matgrp._eliminate`` make: their codes replayed in the ring tables
-        of o/pi^m and read in the group's code ``index``, and [b]^-1 read
-        off its ``inverses``.  A code that is no class, which the integral
-        ops of an elimination cannot give, raises InvariantViolated."""
-        ring, group = self.residue_classes[0].ring, self.group
-        tables = group.tables
-        index, add, mul = tables.index, tables.add, tables.mul
-        a_t, b = _replay(
-            ops, self.spec.n, index[ring.one().coords], 0,
-            lambda x, y: add[x][y], lambda x, y: mul[x][y],
-            lambda x: index[ring.reduce(x).coords],
-        )
-        xi = group.index.get(tuple(x for col in zip(*a_t) for x in col))
-        bi = group.index.get(tuple(x for row in b for x in row))
-        if xi is None or bi is None:
-            raise InvariantViolated(f"a replayed Cartan witness is no class of K/K_{self.m}")
-        return xi, group.inverses[bi]
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of K_m x n_tau y^-1 K_m for the classes x = q[xi], y =
         q[yi] of K/K_m: the canonical pair of the Gamma_tau orbit of (x, y).
         With x0 = min(x Gamma_1) and t_s as in ``_build_orbit_table``, it
-        is (x0, min(y t_s K_2)): three list reads and one product
-        (``ClassGroup.mul``).  It is the orbit table's own label object, so
-        its hash and string are computed once however often it is asked
+        is (x0, min(y t_s K_2)), which the orbit table of tau reads
+        (``OrbitTable.label``).  It is the orbit table's own label object,
+        so its hash and string are computed once however often it is asked
         for."""
-        if tau not in self._canonical:
+        if tau not in self._orbit_tables:
             self.orbit_table(tau)
-        x0, tcol, slot, rows = self._canonical[tau]
-        return rows[x0[xi]][slot[self.group.mul(yi, tcol[xi])]]
+        return self._orbit_tables[tau].label(xi, yi)
 
     def representative(self, label: DoubleCosetLabel) -> GroupElement:
         """The canonical element x~ n_tau y~^-1 of a label."""

@@ -36,7 +36,6 @@ from .matgrp import (
     CartanDatum,
     GroupElement,
     GroupSpec,
-    ResidueMatrix,
     cartan,
     lift_group,
     reduce_group,
@@ -112,17 +111,12 @@ class TransportContext:
 
     # -- elements -------------------------------------------------------------------
 
-    def map_residue_matrix(self, r: ResidueMatrix, inverse=False) -> ResidueMatrix:
-        """Entrywise lambda on a residue matrix (at the matrix's precision)."""
-        dst = self.pair.model_f if inverse else self.pair.model_f2
-        ring = dst.residue_ring(r.ring.N)
-        f = self.pair.apply_inverse if inverse else self.pair.apply
-        return r.map_entries(f, ring)
-
     def transport_witness(self, w: GroupElement) -> GroupElement:
-        """lift' . lambda_N . reduce_N on an element of K."""
+        """lift' . lambda_N . reduce_N on an element of K, lambda_N applied
+        entry by entry (``ctx.inverse()`` is the way back)."""
         r = reduce_group(w, self.N)
-        return lift_group(self.map_residue_matrix(r), self.spec2)
+        ring = self.pair.model_f2.residue_ring(self.N)
+        return lift_group(r.map_entries(self.pair.apply, ring), self.spec2)
 
     def transport_element(self, g: GroupElement, rng=None) -> GroupElement:
         """Transport along witnesses: a n_tau b -> a' n'_tau b'.
@@ -141,17 +135,12 @@ class TransportContext:
     # -- labels and Hecke elements -----------------------------------------------------
 
     def _class_map(self):
-        """lam[i] = index on side 2 of lambda_m(q[i]) for the classes q of
-        K/K_m, each code mapped entry by entry through lambda_m on o/pi^m;
-        checked to be an isomorphism by ``ClassGroup.check_isomorphism``."""
+        """lam[i] = the class on side 2 of lambda_m of class i of K/K_m,
+        lambda_m on o/pi^m applied entry by entry and checked to be an
+        isomorphism (``ClassGroup.class_map``)."""
         if self._lam is None:
-            group, group2 = self.algebra.group, self.algebra2.group
-            index2 = group2.tables.index
-            ring_map = [index2[self.pair.apply(r).coords] for r in group.tables.elements]
-            lam = [group2.index.get(tuple(map(ring_map.__getitem__, code)))
-                   for code in group.codes]
-            group.check_isomorphism(lam, group2, "lambda_m")
-            self._lam = lam
+            self._lam = self.algebra.group.class_map(self.algebra2.group, self.pair.apply,
+                                                     "lambda_m")
         return self._lam
 
     def transport_label(self, label: DoubleCosetLabel) -> DoubleCosetLabel:

@@ -1185,10 +1185,6 @@ class ClosePair(FrozenRecord):
         _set(self, "model_f2", model_f2)
         _set(self, "N", N)
 
-    @property
-    def identity(self) -> bool:
-        return self.model_f == self.model_f2
-
     def inverse(self) -> "ClosePair":
         return ClosePair(self.model_f2, self.model_f, self.N)
 

@@ -2,10 +2,10 @@
 
 Provides the hyperspecial maximal compact K = G(o) and its congruence
 filtration K_m, the Cartan factorization g = a * n_tau * b computed by
-Smith normal form over the valuation ring (and the type tau alone from the
-valuations of minors), the diagonal cocharacter section tau -> n_tau =
-diag(pi^a_1, ..., pi^a_n), and exact enumeration of the finite quotients
-K/K_m and K_m/K_(m+c).
+Smith normal form over the valuation ring, the diagonal cocharacter
+section tau -> n_tau = diag(pi^a_1, ..., pi^a_n), and the finite quotients
+K/K_m and K_m/K_(m+c) as ``ClassGroup``, the one owner of their codes,
+ring tables and moves, which other modules reach only through its methods.
 """
 
 from __future__ import annotations
@@ -456,39 +456,6 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     return CartanFactorization(a, tau, GroupElement(spec, b))
 
 
-def cartan_type(g: GroupElement) -> CartanDatum:
-    """The tau of g in K n_tau K, from the valuations of minors alone.
-
-    Let d_k(g) be the least valuation of a k x k minor of g, d_0 = 0, so
-    d_n = v(det g).  Then a_n + ... + a_(n-k+1) = d_k(g).
-
-    Proof.  By Cauchy-Binet a k x k minor of h g (or g h) is a sum of
-    products of a k x k minor of h and one of g.  For h in M_n(o) the
-    minors of h are integral, so d_k(h g) >= d_k(g) and d_k(g h) >=
-    d_k(g); applied to k1^-1 and k2^-1 as well this gives d_k(k1 g k2) =
-    d_k(g) for k1, k2 in K.  Hence d_k(g) = d_k(n_tau).  A k x k minor of
-    the diagonal n_tau is nonzero only on equal row and column sets S,
-    where it is pi^(sum of a_i over S), and the least such sum takes the k
-    smallest a_i.  Nothing here asks g to be integral.  (Equivalently: for
-    integral g the d_k are the determinantal divisors of its Smith normal
-    form over o, and pi^c g scales every k x k minor by pi^(kc) and adds c
-    to every a_i, which carries the formula to all of GL_n(F).)  So
-    a_(n-k+1) = d_k - d_(k-1), with no witness and no field inverse.
-    """
-    n = g.group.n
-    zero = g.group.model.zero()
-    rows = g.rows
-    d = [0]
-    for k in range(1, n):
-        d.append(min(
-            _cofactor_det([[rows[i][j] for j in cols] for i in rs], zero).val()
-            for rs in itertools.combinations(range(n), k)
-            for cols in itertools.combinations(range(n), k)
-        ))
-    d.append(g.det().val())
-    return CartanDatum(tuple(int(d[n - i] - d[n - i - 1]) for i in range(n)))
-
-
 def _pick_pivot(M, k, rng):
     n = len(M)
     best = None
@@ -741,22 +708,26 @@ def _apply_move(move, code, add):
     return tuple(out)
 
 
-class ClassGroup(FrozenRecord, fields=("spec", "tables", "codes", "matrices", "moves",
-                                        "move_inverse", "words", "table", "budget")):
+class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "matrices",
+                                        "moves", "move_inverse", "words", "table", "budget")):
     """The finite group G = K_m/K_(m+c) (K/K_c at m = 0) that
     ``_congruence_classes`` builds, in index arithmetic over ``tables``, the
-    ``RingTables`` of R = o/pi^(m+c).
+    ``RingTables`` of R = o/pi^(m+c), ``ring``.
 
     Class x has the code codes[x] and the ``ResidueMatrix`` matrices[x], in
     increasing ``sort_key`` order; ``index`` maps a code back to its class
-    (the one way in from outside) and ``e`` is the identity.  ``moves`` are
-    the right multiplications by the generators S of ``_class_moves``, and
+    (the one way in from outside) and ``e`` is the identity.  ``key`` is
+    (spec, m, c), which determines the group and its class order (the
+    closure is sorted, and the budget changes no class): two groups of one
+    key number their classes alike.  ``moves`` are the right
+    multiplications by the generators S of ``_class_moves``, and
     move_inverse[s] is the move inverse to s.  words[x] is a shortest tuple
-    s_1, .., s_k with x = s_1 .. s_k (the breadth-first parent pointers), and
-    table[s][x] = x s the move table: the closure records it only when the
-    budget admits its |G| |S| entries, else it is None and the first
-    product, inverse or map check raises BudgetExceeded.  Products, inverses
-    and canonical lifts are read off these; nothing per pair is stored.
+    s_1, .., s_k with x = s_1 .. s_k (the breadth-first parent pointers),
+    and table[s][x] = x s the move table: the closure records it only when
+    the budget admits its |G| |S| entries, else it is None and the first
+    product, inverse or map check raises BudgetExceeded.  Products,
+    inverses and canonical lifts are read off these; nothing per pair is
+    stored.
 
     The moves generate G, with P = pi^m R:
     - m = 0: R is local with maximal ideal pi R.  For g in GL_n(R) some
@@ -783,12 +754,14 @@ class ClassGroup(FrozenRecord, fields=("spec", "tables", "codes", "matrices", "m
     reversed, each move inverted, walked from e.
     """
 
-    __slots__ = ("spec", "tables", "codes", "matrices", "moves", "move_inverse", "words",
-                 "table", "budget", "index", "e", "_inverses", "_lifts")
+    __slots__ = ("spec", "m", "c", "tables", "codes", "matrices", "moves", "move_inverse",
+                 "words", "table", "budget", "key", "ring", "index", "e", "_inverses", "_lifts")
 
-    def __init__(self, spec: GroupSpec, tables, codes: list, matrices: list, moves: list,
-                 move_inverse: list, words: list, table: list | None, budget: int):
+    def __init__(self, spec: GroupSpec, m: int, c: int, tables, codes: list, matrices: list,
+                 moves: list, move_inverse: list, words: list, table: list | None, budget: int):
         _set(self, "spec", spec)
+        _set(self, "m", m)
+        _set(self, "c", c)
         _set(self, "tables", tables)
         _set(self, "codes", codes)
         _set(self, "matrices", matrices)
@@ -797,6 +770,8 @@ class ClassGroup(FrozenRecord, fields=("spec", "tables", "codes", "matrices", "m
         _set(self, "words", words)
         _set(self, "table", table)
         _set(self, "budget", budget)
+        _set(self, "key", (spec, m, c))
+        _set(self, "ring", spec.model.residue_ring(m + c))
         _set(self, "index", {code: x for x, code in enumerate(codes)})
         _set(self, "e", words.index(()))
         _set(self, "_inverses", None)
@@ -835,6 +810,75 @@ class ClassGroup(FrozenRecord, fields=("spec", "tables", "codes", "matrices", "m
         if x not in self._lifts:
             self._lifts[x] = lift_group(self.matrices[x], self.spec)
         return self._lifts[x]
+
+    def witness_classes(self, ops) -> tuple:
+        """The classes ([a], [b]^-1) of the witnesses a, b of g = a n_tau b
+        that ``ops`` of ``_eliminate`` make: their codes replayed
+        (``_replay``) in the ring tables of R, each f and unit of ops reduced
+        into R once, read in ``index``, and [b]^-1 read off ``inverses``.  A
+        code that is no class, which the integral ops of an elimination
+        cannot give at m = 0, raises InvariantViolated."""
+        tables, ring = self.tables, self.ring
+        index, add, mul = tables.index, tables.add, tables.mul
+        a_t, b = _replay(
+            ops, self.spec.n, index[ring.one().coords], 0,
+            lambda x, y: add[x][y], lambda x, y: mul[x][y],
+            lambda x: index[ring.reduce(x).coords],
+        )
+        xi = self.index.get(tuple(x for col in zip(*a_t) for x in col))
+        bi = self.index.get(tuple(x for row in b for x in row))
+        if xi is None or bi is None:
+            raise InvariantViolated(
+                f"a replayed Cartan witness is no class of K_{self.m}/K_{self.m + self.c}")
+        return xi, self.inverses[bi]
+
+    def power_pairs(self, shape) -> list:
+        """The sorted index pairs (x(u), y(u)) over the matrices u in M_n(R)
+        with y(u) a class, where x(u)_ij = pi^sx u_ij and y(u)_ij = pi^sy
+        u_ij for (sx, sy) = shape[i n + j], one of sx, sy zero at each
+        entry.  That x(u) is then a class too is the caller's proof (for
+        Gamma_tau, ``HeckeAlgebra._gamma``).
+
+        One pass over the classes y finds them: where sy = 0, u_ij = y_ij
+        and x_ij = pi^sx y_ij; where sy > 0, sx = 0 and x_ij = u_ij runs
+        over the q^sy preimages of y_ij under pi^sy, or none (no u gives y).
+        So each u with y(u) a class is met once, at y(u).  Pairs are
+        distinct (each u_ij is x_ij or y_ij), and each x is looked up in
+        ``index`` once."""
+        tables, ring, codes = self.tables, self.ring, self.codes
+        mul, q = tables.mul, self.spec.model.q
+        pi, pi_pows = tables.index[ring.uniformizer().coords], [tables.index[ring.one().coords]]
+        for _ in range(max(max(s) for s in shape)):
+            pi_pows.append(mul[pi_pows[-1]][pi])
+        preimages = [[[] for _ in tables.elements] for _ in pi_pows]  # [s][v]: u with pi^s u = v
+        for s, p in enumerate(pi_pows):
+            for u, v in enumerate(mul[p]):
+                preimages[s][v].append(u)
+        # picks[k][t] maps y_ij to x_ij = pi^sx u at entry k, u its t-th
+        # preimage under pi^sy: one pick per entry is one u for each y kept
+        picks, ys = [], range(len(codes))
+        for k, (sx, sy) in enumerate(shape):
+            row, pre = mul[pi_pows[sx]], preimages[sy]
+            picks.append([[row[us[t]] if us else None for us in pre] for t in range(q**sy)])
+            if sy:  # keep the y whose y_ij lies in the image of pi^sy
+                ys = [yi for yi in ys if pre[codes[yi][k]]]
+        columns = list(zip(*map(codes.__getitem__, ys)))  # columns[k][r] = codes[ys[r]][k]
+        out = []
+        for chosen in itertools.product(*picks):
+            xs = zip(*[map(pick.__getitem__, col) for pick, col in zip(chosen, columns)])
+            out.extend(zip(map(self.index.__getitem__, xs), ys))
+        return sorted(out)
+
+    def class_map(self, other: "ClassGroup", ring_map, name: str) -> list:
+        """lam[x] = the class of ``other`` whose code is that of x mapped
+        entry by entry through ``ring_map``, a map of the elements of R to
+        those of the ring of ``other`` (lambda_m of a close pair), checked
+        by ``check_isomorphism`` (``name`` in its message)."""
+        index2 = other.tables.index
+        images = [index2[ring_map(r).coords] for r in self.tables.elements]
+        lam = [other.index.get(tuple(map(images.__getitem__, code))) for code in self.codes]
+        self.check_isomorphism(lam, other, name)
+        return lam
 
     def check_isomorphism(self, lam: list, other: "ClassGroup", name: str):
         """Raise InvariantViolated unless the class map x -> lam[x] (``name``
@@ -925,6 +969,8 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassGr
     rows = {k: tuple(map(entry, k)) for k in {x[r:r + n] for x in codes for r in offsets}}
     return ClassGroup(
         spec,
+        m,
+        c,
         tables,
         [codes[x] for x in ranked],
         [ResidueMatrix(ring, tuple(rows[codes[x][r:r + n]] for r in offsets)) for x in ranked],

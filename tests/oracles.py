@@ -12,6 +12,7 @@ from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra
 from heckelab.localfield import FieldElement
 from heckelab.matgrp import (
     DEFAULT_BUDGET,
+    CartanDatum,
     GroupElement,
     GroupSpec,
     ResidueMatrix,
@@ -141,6 +142,41 @@ def residue_det(r: ResidueMatrix):
     """The determinant of a residue matrix, by cofactor expansion of its
     entries in the residue ring."""
     return _cofactor_det(r.rows, r.ring.zero())
+
+
+def cartan_type(g: GroupElement) -> CartanDatum:
+    """The tau of g in K n_tau K, from the valuations of minors alone.
+
+    Let d_k(g) be the least valuation of a k x k minor of g, d_0 = 0, so
+    d_n = v(det g).  Then a_n + ... + a_(n-k+1) = d_k(g).
+
+    Proof.  By Cauchy-Binet a k x k minor of h g (or g h) is a sum of
+    products of a k x k minor of h and one of g.  For h in M_n(o) the
+    minors of h are integral, so d_k(h g) >= d_k(g) and d_k(g h) >=
+    d_k(g); applied to k1^-1 and k2^-1 as well this gives d_k(k1 g k2) =
+    d_k(g) for k1, k2 in K.  Hence d_k(g) = d_k(n_tau).  A k x k minor of
+    the diagonal n_tau is nonzero only on equal row and column sets S,
+    where it is pi^(sum of a_i over S), and the least such sum takes the k
+    smallest a_i.  Nothing here asks g to be integral.  (Equivalently: for
+    integral g the d_k are the determinantal divisors of its Smith normal
+    form over o, and pi^c g scales every k x k minor by pi^(kc) and adds c
+    to every a_i, which carries the formula to all of GL_n(F).)  So
+    a_(n-k+1) = d_k - d_(k-1), with no witness and no field inverse.
+    Reference oracle for the tau of cartan and of _eliminate, by a route
+    that shares no elimination with them.
+    """
+    n = g.group.n
+    zero = g.group.model.zero()
+    rows = g.rows
+    d = [0]
+    for k in range(1, n):
+        d.append(min(
+            _cofactor_det([[rows[i][j] for j in cols] for i in rs], zero).val()
+            for rs in itertools.combinations(range(n), k)
+            for cols in itertools.combinations(range(n), k)
+        ))
+    d.append(g.det().val())
+    return CartanDatum(tuple(int(d[n - i] - d[n - i - 1]) for i in range(n)))
 
 
 def residue_matrices_by_object_sweep(spec, m):
@@ -326,7 +362,7 @@ def canonical_by_orbits(algebra, taus):
         labels = out[tau] = {}
         for xi, yi in itertools.product(range(len(q)), repeat=2):
             if (xi, yi) not in labels:
-                label = DoubleCosetLabel(tau, xi, yi, q)
+                label = DoubleCosetLabel(tau, xi, yi, algebra.group)
                 for s, t in gamma:
                     labels[(mul[xi][s], mul[yi][t])] = label
     return out

@@ -18,6 +18,7 @@ from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra, HeckeElement, base_ch
 from heckelab.localfield import FieldModel
 from heckelab.matgrp import (
     CartanDatum,
+    ClassGroup,
     GroupElement,
     GroupSpec,
     ResidueMatrix,
@@ -69,6 +70,13 @@ def gl2_m1():
 @pytest.fixture(scope="module")
 def gl2_q3_m1():
     return HeckeAlgebra(GL2_Q3, 1)
+
+
+def _with_matrices(group, matrices):
+    """``group`` with its classes held as the residue matrices ``matrices``:
+    the same codes, moves, words and key."""
+    return ClassGroup(group.spec, group.m, group.c, group.tables, group.codes, matrices,
+                      group.moves, group.move_inverse, group.words, group.table, group.budget)
 
 
 # ---------------------------------------------------------------- dc_equal
@@ -386,13 +394,13 @@ def test_witness_outside_the_classes_is_typed():
     # determinant that is not 1 mod pi^m; a multiplier outside o raises
     # NegativeValuation
     with pytest.raises(InvariantViolated, match="no class"):
-        HeckeAlgebra(GL2_Q2, 1)._witness_classes(
+        HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
             [(matgrp_module._SCALE, 1, 0, None, Q2.from_int(2))])
     with pytest.raises(InvariantViolated, match="no class"):
-        HeckeAlgebra(GroupSpec("SL", 2, Q3), 1)._witness_classes(
+        HeckeAlgebra(GroupSpec("SL", 2, Q3), 1).group.witness_classes(
             [(matgrp_module._SCALE, 1, 0, None, Q3.from_int(2))])
     with pytest.raises(NegativeValuation):
-        HeckeAlgebra(GL2_Q2, 1)._witness_classes(
+        HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
             [(matgrp_module._ADD, 1, 0, 1, Q2.parse("1/2"))])
 
 
@@ -789,11 +797,12 @@ def test_labels_format_each_class_and_residue_once(monkeypatch):
         return ResidueMatrix(ring, [[localfield.ResidueElement(ring, x.coords) for x in row]
                                     for row in c.rows])
 
-    fresh_classes = {}
+    fresh_groups = {}
     for label, text in formatted:
-        if id(label.classes) not in fresh_classes:
-            fresh_classes[id(label.classes)] = [fresh(c) for c in label.classes]
-        rebuilt = DoubleCosetLabel(label.tau, label.x, label.y, fresh_classes[id(label.classes)])
+        if id(label.group) not in fresh_groups:
+            fresh_groups[id(label.group)] = _with_matrices(
+                label.group, [fresh(c) for c in label.group.matrices])
+        rebuilt = DoubleCosetLabel(label.tau, label.x, label.y, fresh_groups[id(label.group)])
         assert str(rebuilt) == text
 
 
@@ -841,8 +850,9 @@ def test_orbit_tables_hold_nothing_per_pair():
             for item in obj:
                 yield from lengths(item)
 
-    assert len(alg._canonical) == len(dominant_window("SL", 3, 1))
-    assert max(lengths(list(alg._canonical.values()))) < pairs
+    canonical = [(t.x0, t.tcol, t.slot, t.rows) for t in alg._orbit_tables.values()]
+    assert len(canonical) == len(dominant_window("SL", 3, 1))
+    assert max(lengths(canonical)) < pairs
 
 
 @pytest.mark.parametrize("spec, m", [c for c in MUL_TABLE_CELLS if c.values[1] >= 1])
@@ -879,7 +889,8 @@ def test_classify_inverts_no_residue_matrix(spec, monkeypatch):
 
 
 def test_spherical_cosets_run_no_cartan(monkeypatch):
-    # the m = 0 Hermite-normal-form filter reads tau off minors
+    # the m = 0 Hermite-normal-form filter reads tau off the elimination
+    # (matgrp._eliminate), with no witness replayed: cartan never runs
     def refuse(*args, **kwargs):
         raise AssertionError("the coset filter ran a Cartan factorization")
 
@@ -1235,14 +1246,61 @@ def test_generator_factorization_identity(sl2_m1, rng):
         assert lhs == rhs
 
 
+def test_twin_label_is_read_by_group_key(monkeypatch):
+    # a label of a second algebra of the same group and level is accepted
+    # and equal through its indices and the (spec, m, c) of its group: no
+    # residue matrix is compared or hashed, however many classes there are
+    alg, twin_alg = HeckeAlgebra(SL2_Q2, 1), HeckeAlgebra(SL2_Q2, 1)
+    own, twins = alg.labels_in_window(1), twin_alg.labels_in_window(1)
+    expected = {l.sort_key(): alg.structure_constants(l, l) for l in own}
+    counts = {"eq": 0, "hash": 0}
+    matrix_eq, matrix_hash = ResidueMatrix.__eq__, ResidueMatrix.__hash__
+
+    def counted_eq(self, other):
+        counts["eq"] += 1
+        return matrix_eq(self, other)
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return matrix_hash(self)
+
+    monkeypatch.setattr(ResidueMatrix, "__eq__", counted_eq)
+    monkeypatch.setattr(ResidueMatrix, "__hash__", counted_hash)
+    assert twins[0].group is not own[0].group
+    assert [alg.indices(t) for t in twins] == [(l.x, l.y) for l in own]
+    assert twins == own and set(twins) == set(own)
+    assert all(hash(t) == hash(l) for t, l in zip(twins, own))
+    assert all(alg.structure_constants(t, t) == expected[t.sort_key()] for t in twins)
+    monkeypatch.undo()
+    assert counts == {"eq": 0, "hash": 0}
+
+
+def test_label_of_another_group_is_refused(sl2_m1, gl2_m1):
+    # GL_2(F_2) = SL_2(F_2), so at m = 1 the two algebras over Q_2 list the
+    # same classes; an SL2 label is still no GL2 label: refused with a
+    # typed error, and equal to no GL2 label of the same indices
+    assert sl2_m1.residue_classes == gl2_m1.residue_classes
+    sl_labels, gl_labels = sl2_m1.labels_in_window(1), set(gl2_m1.labels_in_window(1))
+    label = sl_labels[0]
+    assert any(l.sort_key() == label.sort_key() for l in gl_labels)
+    with pytest.raises(MixedRings, match="classes of another"):
+        gl2_m1.indices(label)
+    with pytest.raises(MixedRings, match="classes of another"):
+        gl2_m1.representative(label)
+    with pytest.raises(MixedRings, match="classes of another"):
+        gl2_m1.structure_constants(label, gl2_m1.label_of_tau(zero_tau(2)))
+    assert not any(l in gl_labels for l in sl_labels)
+
+
 def test_labels_in_window(sl2_m1):
     labels = sl2_m1.labels_in_window(1)
     assert len(labels) == 6 + 9
     assert len(set(labels)) == 15
     assert labels == sorted(labels, key=lambda l: l.sort_key())
-    # separately built equal labels, from fresh matrices, whose hash and
-    # string are not cached yet: the same hash, string and set
-    fresh = [ResidueMatrix(r.ring, r.rows) for r in sl2_m1.residue_classes]
+    # separately built equal labels, over a group of fresh matrices, whose
+    # hash and string are not cached yet: the same hash, string and set
+    fresh = _with_matrices(sl2_m1.group,
+                           [ResidueMatrix(r.ring, r.rows) for r in sl2_m1.residue_classes])
     rebuilt = [DoubleCosetLabel(CartanDatum(l.tau.coords), l.x, l.y, fresh) for l in labels]
     for old, new in zip(labels, rebuilt):
         assert new is not old and new == old

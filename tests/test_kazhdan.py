@@ -188,8 +188,8 @@ def test_transport_label_follows_class_order(monkeypatch, m):
             return group
         last = len(group.codes) - 1  # class x is class last - x of the reversed list
         return ClassGroup(
-            spec, group.tables, group.codes[::-1], group.matrices[::-1], group.moves,
-            group.move_inverse, group.words[::-1],
+            spec, group.m, group.c, group.tables, group.codes[::-1], group.matrices[::-1],
+            group.moves, group.move_inverse, group.words[::-1],
             [[last - xs for xs in reversed(row)] for row in group.table], budget,
         )
 
@@ -241,7 +241,7 @@ def test_label_of_the_other_side_is_a_typed_error(flagship_ctx):
     with pytest.raises(MixedRings, match="classes of another"):
         flagship_ctx.transport_label(other)
     twin = HeckeAlgebra(SL2_F, 1).labels_in_window(1)[3]
-    assert twin.classes is not label.classes and twin == label
+    assert twin.group is not label.group and twin == label
     assert flagship_ctx.transport_label(twin) is other
 
 

@@ -25,7 +25,6 @@ from heckelab.matgrp import (
     GroupSpec,
     ResidueMatrix,
     cartan,
-    cartan_type,
     dominant_window,
     enumerate_residue,
     iter_kernel,
@@ -34,7 +33,7 @@ from heckelab.matgrp import (
     reduce_group,
 )
 from heckelab.sampling import random_in_k, random_windowed
-from oracles import code_det, code_product, residue_det
+from oracles import cartan_type, code_det, code_product, residue_det
 from samples import random_in_km
 
 

@@ -71,6 +71,26 @@ def test_library_generates_no_code():
     assert found == []
 
 
+def test_hecke_and_kazhdan_reach_class_groups_by_method():
+    # the codes, ring tables, moves and words of K/K_m and the Cartan replay
+    # of its witnesses belong to matgrp.ClassGroup: hecke and kazhdan name
+    # none of them, and import neither _replay nor the elimination's op kinds
+    owned = {"tables", "codes", "index", "words", "table", "moves", "move_inverse"}
+    replay = {"_replay", "_SWAP", "_ADD", "_SCALE"}
+    found = []
+    for path, node in _library_nodes():
+        if path.name not in ("hecke.py", "kazhdan.py"):
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in owned:
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{path.name}:{node.lineno} import {alias.name}"
+                      for alias in node.names if alias.name in replay]
+        elif isinstance(node, ast.Name) and node.id in replay:
+            found.append(f"{path.name}:{node.lineno} {node.id}")
+    assert found == []
+
+
 # Defined in src/heckelab but referenced nowhere else in it, each with the
 # reason it stays: API (in heckelab.__all__, which needs no entry, or
 # README), a CLI entry point, or a name that benchmark/tracer.py or
@@ -82,6 +102,7 @@ UNREFERENCED_ALLOWED = {
     "transport_hecke": "README API: transport of Hecke elements",
     "transport_module": "README API: transport of windowed modules",
     "in_km": "benchmark/tracer.py patches GroupElement.in_km",
+    "apply_inverse": "benchmark/tracer.py patches ClosePair.apply_inverse",
     "iter_kernel": "benchmark/tracer.py patches matgrp.iter_kernel",
 }
 

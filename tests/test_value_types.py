@@ -41,7 +41,9 @@ CASES = [
           "level=1, window=1, ring=IntegerRing(), budget=1000000, seed=7)",
           ("field", "field2", "closeness", "family", "n", "level", "window", "ring", "budget",
            "seed"), frozen=False),
-    _case(OrbitTable, dict(tau=TAU, labels=("x", "y"), gamma_index=((0, 0),), classes=["c"]),
+    _case(OrbitTable,
+          dict(tau=TAU, labels=("x", "y"), gamma_index=((0, 0),), group="G", x0=[0], tcol=[0],
+               slot=[0, 1], rows=[("x", "y")]),
           "OrbitTable(tau=CartanDatum(coords=(1, -1)), labels=('x', 'y'), "
           "gamma_index=((0, 0),))",
           ("tau", "labels", "gamma_index")),
@@ -84,13 +86,13 @@ CASES = [
           "CartanFactorization(a=[0, 1; 1, 0], tau=CartanDatum(coords=(1, -1)), b=[1, 0; 0, 1])",
           ("a", "tau", "b")),
     _case(ClassGroup,
-          dict(spec=SPEC, tables=None, codes=[(1,)], matrices=["I"], moves=[], move_inverse=[0],
-               words=[()], table=None, budget=10),
-          f"ClassGroup(spec=GroupSpec(family='GL', n=2, model={M_REPR}), tables=None, "
-          "codes=[(1,)], matrices=['I'], moves=[], move_inverse=[0], words=[()], table=None, "
-          "budget=10)",
-          ("spec", "tables", "codes", "matrices", "moves", "move_inverse", "words", "table",
-           "budget")),
+          dict(spec=SPEC, m=0, c=1, tables=None, codes=[(1,)], matrices=["I"], moves=[],
+               move_inverse=[0], words=[()], table=None, budget=10),
+          f"ClassGroup(spec=GroupSpec(family='GL', n=2, model={M_REPR}), m=0, c=1, "
+          "tables=None, codes=[(1,)], matrices=['I'], moves=[], move_inverse=[0], words=[()], "
+          "table=None, budget=10)",
+          ("spec", "m", "c", "tables", "codes", "matrices", "moves", "move_inverse", "words",
+           "table", "budget")),
     _case(IntegerRing, {}, "IntegerRing()", ()),
     _case(RationalField, dict(localized_at=3), "RationalField(localized_at=3)",
           ("localized_at",), defaults=({}, "RationalField(localized_at=None)")),
@@ -145,10 +147,11 @@ def test_hash_and_mutability(cls, kwargs, text, compare, frozen, defaults):
 
 
 def test_fields_outside_equality():
-    # classes, matrices and modulus are kept but neither compared nor hashed
-    table = OrbitTable(TAU, ("x",), ((0, 0),), ["c"])
-    assert table == OrbitTable(TAU, ("x",), ((0, 0),), ["d"])
-    assert hash(table) == hash(OrbitTable(TAU, ("x",), ((0, 0),), []))
+    # the group and canonical map, matrices and modulus are kept but neither
+    # compared nor hashed
+    table = OrbitTable(TAU, ("x",), ((0, 0),), "G", [0], [0], [0], [("x",)])
+    assert table == OrbitTable(TAU, ("x",), ((0, 0),), "H", [1], [1], [1], [])
+    assert hash(table) == hash(OrbitTable(TAU, ("x",), ((0, 0),), None, [], [], [], []))
     module = WindowedModule(QQ, 1, ("g",), {"g": [[1]]})
     assert module == WindowedModule(QQ, 1, ("g",), {"g": [[5]]})
     assert IntegersMod(3, 2).modulus == 9 and "modulus" not in repr(IntegersMod(3, 2))
