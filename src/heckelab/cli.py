@@ -30,7 +30,7 @@ from .matgrp import (
 )
 from .record import Record
 from .rings import ZZ, PrimeField, parse_ring
-from .sampling import random_in_k, random_windowed
+from .sampling import random_in_k, random_integral, random_windowed
 
 _KINDS = {
     "mixed": MIXED,
@@ -459,8 +459,8 @@ def _suite_field(cfg: RunConfig, rng, failures) -> dict:
         ringN = cfg.field.residue_ring(pair.N)
         ok_hom = True
         for _ in range(100):
-            a = ringN.reduce(_random_residue_lift(cfg.field, rng, pair.N))
-            b = ringN.reduce(_random_residue_lift(cfg.field, rng, pair.N))
+            a = ringN.reduce(random_integral(cfg.field, rng, depth=pair.N))
+            b = ringN.reduce(random_integral(cfg.field, rng, depth=pair.N))
             if pair.apply(a + b) != pair.apply(a) + pair.apply(b):
                 ok_hom = False
             if pair.apply(a * b) != pair.apply(a) * pair.apply(b):
@@ -469,12 +469,6 @@ def _suite_field(cfg: RunConfig, rng, failures) -> dict:
         uni = pair.apply(ringN.uniformizer()) == cfg.field2.residue_ring(pair.N).uniformizer()
         _check(checks, failures, "lambda maps uniformizer to uniformizer", uni)
     return {"checks": checks}
-
-
-def _random_residue_lift(model, rng, N):
-    from .sampling import random_integral
-
-    return random_integral(model, rng, depth=N)
 
 
 def _suite_hecke(cfg: RunConfig, rng, failures, algebra: HeckeAlgebra = None) -> dict:

@@ -222,9 +222,11 @@ class HeckeAlgebra:
     """All level-m Hecke operations for one group spec, with caching.
 
     The heavy objects (residue classes, orbit tables, left-coset systems of
-    the n_tau, structure constants of label pairs and the bracket products
-    they are translated from) are computed once and reused; every public
-    operation is otherwise pure.
+    the n_tau, double-coset tables and the bracket products that structure
+    constants are translated from) are computed once and reused.  Nothing is
+    kept per pair of labels: the structure constants of a pair are
+    translated afresh on every call.  Every public operation is otherwise
+    pure.
     """
 
     def __init__(self, spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
@@ -243,7 +245,6 @@ class HeckeAlgebra:
         self._ntau_cosets_cache = {}
         self._degrees = {}
         self._rep_cache = {}
-        self._sc_cache = {}
         self._bracket_cache = {}
         self._warned_rings = set()
 
@@ -681,20 +682,15 @@ class HeckeAlgebra:
         bijection on labels, so the constants carry over unchanged:
         relabeling is index arithmetic, products of classes of K/K_m
         walked along the move table (``ClassGroup.mul``), with no field
-        operation.
+        operation.  Nothing is kept per pair: each call translates the
+        cached bracket again and returns a fresh dict, in no set order
+        (writers sort by label).
         """
-        key = (l1, l2)
-        if key in self._sc_cache:
-            return self._sc_cache[key]
         (x1, y1), (x2, y2), mul = self.indices(l1), self.indices(l2), self.group.mul
         k0, s, t2_inv = self._double_coset(l1.tau, l2.tau)[mul(self.group.inverses[y1], x2)]
         left, right = mul(x1, s), mul(y2, t2_inv)
-        out = {}
-        for tau, xi, yi, c in self._bracket(l1.tau, k0, l2.tau):
-            out[self.canonical_label(tau, mul(left, xi), mul(right, yi))] = c
-        out = dict(sorted(out.items(), key=lambda kv: kv[0].sort_key()))
-        self._sc_cache[key] = out
-        return out
+        return {self.canonical_label(z.tau, mul(left, z.x), mul(right, z.y)): c
+                for z, c in self._bracket(l1.tau, k0, l2.tau).items()}
 
     def _double_coset(self, tau1: CartanDatum, tau2: CartanDatum):
         """table[k] = (k0, s, t'^-1) with k = t k0 s', (s, t) in Gamma_tau1,
@@ -749,14 +745,13 @@ class HeckeAlgebra:
         return [first[g] for g in _subgroup_generators(first, self.group.mul, self.group.e)]
 
     def _bracket(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
-        """t_(n_tau1) * t_(k0) * t_(n_tau2) as (tau, x index, y index, c)
-        terms, for k0 the least index of its double coset in
-        ``_double_coset(tau1, tau2)``: one coset product per double coset."""
+        """t_(n_tau1) * t_(k0) * t_(n_tau2) as the label -> c dict of
+        ``_product``, which callers must not change, for k0 the least index
+        of its double coset in ``_double_coset(tau1, tau2)``: one coset
+        product per double coset."""
         key = (tau1, k0, tau2)
         if key not in self._bracket_cache:
-            self._bracket_cache[key] = [
-                (lab.tau, lab.x, lab.y, c) for lab, c in self._product(tau1, k0, tau2).items()
-            ]
+            self._bracket_cache[key] = self._product(tau1, k0, tau2)
         return self._bracket_cache[key]
 
     def _product(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
@@ -873,7 +868,7 @@ def structure_constants_csv(algebra: HeckeAlgebra, bound: int) -> str:
     """All windowed structure constants as CSV (g-label, h-label, x-label, c)."""
     lines = ["g,h,x,c"]
     basis = algebra.labels_in_window(bound)
-    _check_budget(len(basis) ** 2, algebra.budget)  # one cached constant set per pair
+    _check_budget(len(basis) ** 2, algebra.budget)  # the pairs swept; none is kept
     for l1 in basis:
         for l2 in basis:
             sc = algebra.structure_constants(l1, l2)

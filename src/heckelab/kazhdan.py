@@ -363,7 +363,7 @@ def verify_algebra_map(ctx: TransportContext) -> VerificationReport:
     A, A2 = ctx.algebra, ctx.algebra2
 
     basis = A.labels_in_window(B)
-    _check_budget(len(basis) ** 2, ctx.budget)  # one cached constant set per pair
+    _check_budget(len(basis) ** 2, ctx.budget)  # the pairs compared; none is kept
     transported = {l: ctx.transport_label(l) for l in basis}
     labels_injective = len(set(transported.values())) == len(basis)
 

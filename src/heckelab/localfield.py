@@ -1127,9 +1127,6 @@ class ResidueElement:
     def lift(self) -> FieldElement:
         return self.ring.lift(self)
 
-    def sort_key(self):
-        return self.coords
-
     def __eq__(self, other):
         return (
             isinstance(other, ResidueElement)

@@ -491,13 +491,6 @@ class ResidueMatrix:
         self.rows = tuple(tuple(row) for row in rows)
         self._hash = self._str = None
 
-    @staticmethod
-    def identity(ring: ResidueRing, n: int) -> "ResidueMatrix":
-        one, zero = ring.one(), ring.zero()
-        return ResidueMatrix(
-            ring, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
-
     @property
     def n(self) -> int:
         return len(self.rows)

@@ -179,13 +179,19 @@ def cartan_type(g: GroupElement) -> CartanDatum:
     return CartanDatum(tuple(int(d[n - i] - d[n - i - 1]) for i in range(n)))
 
 
+def residue_identity(ring, n: int) -> ResidueMatrix:
+    """The n x n identity matrix over the residue ring ``ring``."""
+    one, zero = ring.one(), ring.zero()
+    return ResidueMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
 def residue_matrices_by_object_sweep(spec, m):
     """Invertible matrices over o/pi^m (det = 1 for SL) from a sweep of
     ResidueMatrix objects and their determinants, sorted by sort_key.
     Reference oracle for enumerate_residue_matrices."""
     ring = spec.model.residue_ring(m)
     if m == 0:
-        return [ResidueMatrix.identity(ring, spec.n)]
+        return [residue_identity(ring, spec.n)]
     n, one = spec.n, ring.one()
     out = []
     for flat in itertools.product(list(ring.elements()), repeat=n * n):

@@ -1,7 +1,9 @@
 import collections
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -37,6 +39,7 @@ from oracles import (
     gamma_by_sweep,
     left_cosets_kernel_sweep,
     mul_table_by_products,
+    residue_identity,
     residue_matrices_by_object_sweep,
     structure_constants_by_membership,
     structure_constants_by_tally,
@@ -1041,6 +1044,36 @@ def test_structure_constants_positive_and_conserving(sl2_m1, rng):
             sl2_m1.degree(l1) * sl2_m1.degree(l2)
 
 
+def test_structure_constants_are_a_fresh_dict(sl2_m1):
+    # a caller that clears the returned dict changes no later answer
+    labels = sl2_m1.labels_in_window(1)
+    l1, l2 = labels[-1], labels[-2]
+    first = sl2_m1.structure_constants(l1, l2)
+    expected = dict(first)
+    first.clear()
+    assert sl2_m1.structure_constants(l1, l2) == expected != {}
+
+
+def test_structure_constant_sweep_keeps_nothing_per_pair():
+    # the first sweep of the 14,400 window pairs of SL2/Q_2 at m = 2 builds
+    # brackets, double-coset and orbit tables, tens of KB, and keeps nothing
+    # per pair: a dict kept per pair would hold megabytes
+    alg = HeckeAlgebra(SL2_Q2, 2)
+    basis = alg.labels_in_window(1)
+    assert len(basis) ** 2 == 14400
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for l1 in basis:
+            for l2 in basis:
+                alg.structure_constants(l1, l2)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, retained
+
+
 @pytest.mark.parametrize(
     "spec, m",
     [(SL2_Q2, 1), (SL2_F2, 1), (GL2_Q2, 0)],
@@ -1077,7 +1110,7 @@ def test_structure_constants_match_tally_sampled(spec, m):
     alg = HeckeAlgebra(spec, m)
     labels = alg.labels_in_window(1)
     pairs = random.Random(20261018).sample([(a, b) for a in labels for b in labels], 30)
-    one = ResidueMatrix.identity(labels[0].pair[0].ring, spec.n)
+    one = residue_identity(labels[0].pair[0].ring, spec.n)
     # the middle class k = y1^-1 x2 is what the translation carries into the
     # bracket, and the fold replaces it by the least class k0 of its double coset
     q, inv = alg.residue_classes, alg.group.inverses

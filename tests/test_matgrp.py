@@ -33,7 +33,7 @@ from heckelab.matgrp import (
     reduce_group,
 )
 from heckelab.sampling import random_in_k, random_windowed
-from oracles import cartan_type, code_det, code_product, residue_det
+from oracles import cartan_type, code_det, code_product, residue_det, residue_identity
 from samples import random_in_km
 
 
@@ -303,7 +303,7 @@ def test_det_and_inverse_agree_on_field_and_residues(model):
                 g_inv = g.inverse()
                 r = reduce_group(g, N)
                 assert residue_det(r) == g.det().residue(N)
-                assert r @ reduce_group(g_inv, N) == ResidueMatrix.identity(r.ring, n)
+                assert r @ reduce_group(g_inv, N) == residue_identity(r.ring, n)
                 assert g @ g_inv == spec.identity()
 
 
@@ -358,14 +358,14 @@ def test_typed_guards_under_optimize():
         "from heckelab.kazhdan import WindowedModule\n"
         "from heckelab.localfield import FieldElement, FieldModel, ResidueElement,"
         " _vp_int, bareiss_solve\n"
-        "from heckelab.matgrp import GroupSpec, ResidueMatrix\n"
+        "from heckelab.matgrp import GroupSpec, reduce_group\n"
         "from heckelab.rings import QQ\n"
         "Q2 = FieldModel.mixed(2, 1)\n"
         "cases = [\n"
         "    (MixedRings, lambda: GroupSpec('GL', 2, Q2).identity()"
         " @ GroupSpec('SL', 2, Q2).identity()),\n"
-        "    (MixedRings, lambda: ResidueMatrix.identity(Q2.residue_ring(1), 2)"
-        " @ ResidueMatrix.identity(Q2.residue_ring(2), 2)),\n"
+        "    (MixedRings, lambda: reduce_group(GroupSpec('GL', 2, Q2).identity(), 1)"
+        " @ reduce_group(GroupSpec('GL', 2, Q2).identity(), 2)),\n"
         "    (ParseError, lambda: FieldElement(FieldModel.mixed(2, 2), (1,))),\n"
         "    (ParseError, lambda: ResidueElement(Q2.residue_ring(1), (1, 0))),\n"
         "    (ParseError, lambda: WindowedModule(QQ, 2, ('a',), {'a': [[1]]})),\n"
@@ -543,7 +543,7 @@ def test_kernel_budget_charges_the_ring_tables_of_level_m_plus_c():
 def test_reduce_group_identity():
     spec = GroupSpec("SL", 2, FieldModel.mixed(2, 2))
     r = reduce_group(spec.identity(), 2)
-    assert r == ResidueMatrix.identity(spec.model.residue_ring(2), 2)
+    assert r == residue_identity(spec.model.residue_ring(2), 2)
 
 
 def test_reduce_group_requires_k():
