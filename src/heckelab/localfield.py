@@ -421,8 +421,25 @@ class FieldElement:
     the joint gcd is 1 and the pair is canonical (one gcd per operation
     instead of one per coordinate keeps Fraction overhead off the hot
     paths).  Equal model: ``num`` and ``den`` are a reduced fraction of
-    low-first coefficient tuples over GF(q), den monic.  ``data`` is the pair (num, den), formed on demand;
-    equality compares the slots and the hash is hash((model, data)).
+    low-first coefficient tuples over GF(q), den monic.  ``data`` is the
+    pair (num, den), formed on demand; equality compares the slots and the
+    hash is hash((model, data)).
+
+    Equal-model products cancel across (Knuth, TAOCP vol. 2, 4.5.1): for
+    reduced n1/d1 and n2/d2 with d1, d2 monic, let g1 = gcd(n1, d2) and
+    g2 = gcd(n2, d1), both monic, and n1 = g1 a1, d2 = g1 b2, n2 = g2 a2,
+    d1 = g2 b1.  Then (a1 a2)/(b1 b2) is the product, reduced and monic:
+
+    * gcd(a1 a2, b1 b2) = 1.  An irreducible h dividing a1 a2 divides a1 or
+      a2, say a1 (the other case is the same with the indices swapped).
+      a1 | n1 and b1 | d1 with gcd(n1, d1) = 1, so h does not divide b1;
+      gcd(a1, b2) = 1 because g1 took every common factor of n1 and d2, so
+      h does not divide b2.  Being irreducible, h does not divide b1 b2.
+    * b1 b2 is monic: b1 = d1 / g2 and b2 = d2 / g1 are quotients of monic
+      polynomials by monic ones.
+
+    The two gcds run on the factors, which are smaller than the product
+    whose gcd the sum still takes (``_ratfun_reduce``).
     """
 
     __slots__ = ("model", "num", "den")
@@ -527,12 +544,18 @@ class FieldElement:
         k = m.gf
         if d1 == (1,) and d2 == (1,):
             return FieldElement(m, (poly_mul(k, n1, n2), (1,)), _canonical=True)
-        return FieldElement(m, (poly_mul(k, n1, n2), poly_mul(k, d1, d2)))
+        if not n1 or not n2:
+            return FieldElement(m, ((), (1,)), _canonical=True)
+        n1, d2 = _cancel(k, n1, d2)
+        n2, d1 = _cancel(k, n2, d1)
+        return FieldElement(m, (poly_mul(k, n1, n2), poly_mul(k, d1, d2)), _canonical=True)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """The exact inverse.  Equal model: swap numerator and denominator.
+        """The exact inverse.  Equal model: swap numerator and denominator,
+        and scale both by the inverse of the new denominator's leading
+        coefficient; the pair stays coprime, so no gcd is taken.
 
         Mixed model: a rational n/d (every coordinate but the first zero;
         this covers every element of Q_p at e = 1, the determinants +-1 and
@@ -563,7 +586,7 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero")
         num, den = self.num, self.den
         if m.kind == EQUAL:
-            return FieldElement(m, (den, num))
+            return FieldElement(m, _monic(m.gf, den, num), _canonical=True)
         if not any(num[1:]):
             n = num[0]
             return FieldElement(
@@ -729,14 +752,26 @@ def _ratfun_reduce(k: GF, num, den):
         return (), (1,)
     if den == (1,):
         return num, den
-    g = poly_gcd(k, num, den)
+    return _monic(k, *_cancel(k, num, den))
+
+
+def _cancel(k: GF, a, b):
+    """(a / g, b / g) for g = gcd(a, b), which is monic: a monic b stays
+    monic."""
+    g = poly_gcd(k, a, b)
     if len(g) > 1:
-        num = poly_divmod(k, num, g)[0]
-        den = poly_divmod(k, den, g)[0]
-    lead_inv = k.inv(den[-1])
-    num = tuple(k.mul(c, lead_inv) for c in num)
-    den = tuple(k.mul(c, lead_inv) for c in den)
-    return num, den
+        return poly_divmod(k, a, g)[0], poly_divmod(k, b, g)[0]
+    return a, b
+
+
+def _monic(k: GF, num, den):
+    """(num, den) scaled by the inverse of den's leading coefficient, so
+    that den is monic; unchanged when it already is."""
+    lead = den[-1]
+    if lead == 1:
+        return num, den
+    lead_inv = k.inv(lead)
+    return tuple(k.mul(c, lead_inv) for c in num), tuple(k.mul(c, lead_inv) for c in den)
 
 
 def bareiss_solve(M, B):

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .localfield import (
     DEFAULT_BUDGET,
+    INF,
     FieldElement,
     FieldModel,
     ResidueRing,
@@ -356,16 +357,29 @@ def _eliminate(g: GroupElement, rng=None):
     entry below it or to its right is nonzero.  So the last pivot, and
     every pivot whose row and column are already clear (all of them when
     g = n_tau), costs no field inverse.  Only M is computed, no witness.
+
+    No entry whose value is already known is formed.  The row step that
+    clears M[i][k] writes zero there, since M[i][k] - f M[k][k] = 0 by the
+    choice of f, and updates only columns k+1..n-1.  When the column step
+    runs, column k below the pivot is already zero, so clearing M[k][j]
+    changes no entry but M[k][j] itself, which becomes zero: only f and its
+    op are formed.  No entry of row or column k is read again, and the
+    pivot M[k][k] is never written after it is chosen, so its valuation
+    d_k is the one ``_pick_pivot`` returned.  ``tests/oracles.py``
+    keeps the elimination that forms every entry, and the tests check that
+    both give the same (tau, ops, sign).
     """
     spec = g.group
     model = spec.model
     n = spec.n
+    zero = model.zero()
     M = [list(row) for row in g.rows]
     ops = []
+    ds = []
     swaps = 0  # of A's columns, whose parity is the sign of det A
 
     for k in range(n):
-        pi, pj = _pick_pivot(M, k, rng)
+        pi, pj, d = _pick_pivot(M, k, rng)
         if pi != k:
             M[k], M[pi] = M[pi], M[k]
             ops.append((_SWAP, 0, k, pi, None))  # A <- A * swap
@@ -374,38 +388,38 @@ def _eliminate(g: GroupElement, rng=None):
             for row in M:
                 row[k], row[pj] = row[pj], row[k]
             ops.append((_SWAP, 1, k, pj, None))
+        ds.append(d)
+        pivot_row = M[k]
         pivot_inv = None
         for i in range(k + 1, n):
-            if M[i][k].is_zero():
+            row = M[i]
+            if row[k].is_zero():
                 continue
             if pivot_inv is None:
-                pivot_inv = M[k][k].inverse()
-            f = M[i][k] * pivot_inv  # integral: pivot has minimal valuation
+                pivot_inv = pivot_row[k].inverse()
+            f = row[k] * pivot_inv  # integral: pivot has minimal valuation
             if not f.is_integral():
                 raise InvariantViolated(f"SNF row multiplier {f} is not integral")
-            for c in range(k, n):
-                M[i][c] = M[i][c] - f * M[k][c]
+            for c in range(k + 1, n):
+                row[c] = row[c] - f * pivot_row[c]
+            row[k] = zero
             ops.append((_ADD, 0, k, i, f))  # column k of A += f column i
         for j in range(k + 1, n):
-            if M[k][j].is_zero():
+            if pivot_row[j].is_zero():
                 continue
             if pivot_inv is None:
-                pivot_inv = M[k][k].inverse()
-            f = M[k][j] * pivot_inv
+                pivot_inv = pivot_row[k].inverse()
+            f = pivot_row[j] * pivot_inv
             if not f.is_integral():
                 raise InvariantViolated(f"SNF column multiplier {f} is not integral")
-            for r in range(k, n):
-                M[r][j] = M[r][j] - f * M[r][k]
+            pivot_row[j] = zero
             ops.append((_ADD, 1, k, j, f))  # row k of B += f row j
 
     # normalize the diagonal to exact pi powers
-    ds = []
-    for k in range(n):
-        d = M[k][k].val()
-        if d == float("inf"):
+    for k, d in enumerate(ds):
+        if d == INF:
             raise InvariantViolated("singular input slipped through to the SNF diagonal")
-        ds.append(int(d))
-        ops.append((_SCALE, 1, k, None, M[k][k] * model.pi_pow(-ds[-1])))
+        ops.append((_SCALE, 1, k, None, M[k][k] * model.pi_pow(-d)))
 
     # reverse so the exponents are weakly decreasing (dominant)
     for k in range(n // 2):
@@ -457,6 +471,8 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
 
 
 def _pick_pivot(M, k, rng):
+    """The position (i, j) of the pivot in the trailing submatrix from row
+    and column k on, and its valuation."""
     n = len(M)
     best = None
     candidates = []
@@ -468,11 +484,11 @@ def _pick_pivot(M, k, rng):
                 candidates = [(i, j)]
             elif v == best:
                 candidates.append((i, j))
-    if best is None or best == float("inf"):
+    if best is None or best == INF:
         raise InvariantViolated("zero submatrix in SNF")
     if rng is not None and len(candidates) > 1:
-        return candidates[rng.randrange(len(candidates))]
-    return candidates[0]
+        return candidates[rng.randrange(len(candidates))] + (best,)
+    return candidates[0] + (best,)
 
 
 # ---------------------------------------------------------------------------

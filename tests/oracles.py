@@ -9,9 +9,13 @@ from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra
-from heckelab.localfield import FieldElement
+from heckelab.localfield import FieldElement, poly_divmod, poly_gcd, poly_mul
 from heckelab.matgrp import (
+    _ADD,
+    _SCALE,
+    _SWAP,
     DEFAULT_BUDGET,
+    SL,
     CartanDatum,
     GroupElement,
     GroupSpec,
@@ -136,6 +140,113 @@ def random_integral_by_fractions(model, rng, depth=3):
             den = rng.choice([d for d in range(2, 2 * p + 2) if d % p != 0])
         coords.append(Fraction(num, den))
     return FieldElement(model, tuple(coords))
+
+
+def ratfun_product_by_gcd(model, x, y):
+    """The product of two equal-model fractions x = (n1, d1) and y = (n2,
+    d2), neither reduced nor monic in general (denominators nonzero), as
+    one fraction (n1 n2)/(d1 d2) reduced by one gcd and scaled to a monic
+    denominator.  Reference oracle for the cross-cancelled
+    FieldElement.__mul__ and for FieldElement.inverse (x = (den, num),
+    y = (1, 1))."""
+    k = model.gf
+    num, den = poly_mul(k, x[0], y[0]), poly_mul(k, x[1], y[1])
+    if not num:
+        return FieldElement(model, ((), (1,)), _canonical=True)
+    g = poly_gcd(k, num, den)
+    if len(g) > 1:
+        num, den = poly_divmod(k, num, g)[0], poly_divmod(k, den, g)[0]
+    lead_inv = k.inv(den[-1])
+    num = tuple(k.mul(c, lead_inv) for c in num)
+    den = tuple(k.mul(c, lead_inv) for c in den)
+    return FieldElement(model, (num, den), _canonical=True)
+
+
+def _pick_pivot_full(M, k, rng):
+    n = len(M)
+    best = None
+    candidates = []
+    for i in range(k, n):
+        for j in range(k, n):
+            v = M[i][j].val()
+            if best is None or v < best:
+                best = v
+                candidates = [(i, j)]
+            elif v == best:
+                candidates.append((i, j))
+    if best is None or best == float("inf"):
+        raise InvariantViolated("zero submatrix in SNF")
+    if rng is not None and len(candidates) > 1:
+        return candidates[rng.randrange(len(candidates))]
+    return candidates[0]
+
+
+def eliminate_full_update(g: GroupElement, rng=None, trailing_row_update=True):
+    """The Smith-normal-form elimination of g that forms every entry it
+    updates: the row step subtracts f times the pivot row from column k on
+    (so M[i][k] is computed, and is zero), the column step subtracts f
+    times column k from every row from k on (column k below the pivot is
+    zero there), and the diagonal is normalized by the valuation of the
+    final M[k][k].  Reference oracle for matgrp._eliminate, whose
+    (tau, ops, sign) it must give.  ``trailing_row_update=False`` drops the
+    row step's update of columns k+1..n-1, a broken double that the tests
+    check the oracle tells apart."""
+    spec = g.group
+    model = spec.model
+    n = spec.n
+    M = [list(row) for row in g.rows]
+    ops = []
+    swaps = 0
+
+    for k in range(n):
+        pi, pj = _pick_pivot_full(M, k, rng)
+        if pi != k:
+            M[k], M[pi] = M[pi], M[k]
+            ops.append((_SWAP, 0, k, pi, None))
+            swaps += 1
+        if pj != k:
+            for row in M:
+                row[k], row[pj] = row[pj], row[k]
+            ops.append((_SWAP, 1, k, pj, None))
+        pivot_inv = None
+        for i in range(k + 1, n):
+            if M[i][k].is_zero():
+                continue
+            if pivot_inv is None:
+                pivot_inv = M[k][k].inverse()
+            f = M[i][k] * pivot_inv
+            if not f.is_integral():
+                raise InvariantViolated(f"SNF row multiplier {f} is not integral")
+            for c in range(k, n if trailing_row_update else k + 1):
+                M[i][c] = M[i][c] - f * M[k][c]
+            ops.append((_ADD, 0, k, i, f))
+        for j in range(k + 1, n):
+            if M[k][j].is_zero():
+                continue
+            if pivot_inv is None:
+                pivot_inv = M[k][k].inverse()
+            f = M[k][j] * pivot_inv
+            if not f.is_integral():
+                raise InvariantViolated(f"SNF column multiplier {f} is not integral")
+            for r in range(k, n):
+                M[r][j] = M[r][j] - f * M[r][k]
+            ops.append((_ADD, 1, k, j, f))
+
+    ds = []
+    for k in range(n):
+        d = M[k][k].val()
+        if d == float("inf"):
+            raise InvariantViolated("singular input slipped through to the SNF diagonal")
+        ds.append(int(d))
+        ops.append((_SCALE, 1, k, None, M[k][k] * model.pi_pow(-ds[-1])))
+
+    for k in range(n // 2):
+        ops += [(_SWAP, 0, k, n - 1 - k, None), (_SWAP, 1, k, n - 1 - k, None)]
+    sign = -1 if (swaps + n // 2) % 2 else 1
+    if spec.family == SL and sign < 0:
+        minus_one = model.from_int(-1)
+        ops += [(_SCALE, 0, 0, None, minus_one), (_SCALE, 1, 0, None, minus_one)]
+    return CartanDatum(tuple(ds[::-1])), ops, sign
 
 
 def residue_det(r: ResidueMatrix):

@@ -1,9 +1,11 @@
 """Property tests of exact field arithmetic, drawn by hypothesis.
 
 The field axioms that the Hecke algebra rests on, the valuation as a
-homomorphism with the ultrametric inequality, and lambda_N of the flagship
+homomorphism with the ultrametric inequality, the canonical form of
+equal-characteristic products and inverses, and lambda_N of the flagship
 pair Q_2(2^(1/5)) ~ F_2((t)) as a ring isomorphism of o/pi^5.  The fields
-are the mixed Q_2(2^(1/5)) and Q_3 and the equal F_2((t)) and F_4((t)).
+are the mixed Q_2(2^(1/5)) and Q_3 and the equal F_2((t)), F_3((t)) and
+F_4((t)).
 Examples are derandomized, so the suite draws the same ones every run.
 """
 
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.localfield import ClosePair, FieldElement, FieldModel, ResidueElement
+from heckelab.localfield import ClosePair, FieldElement, FieldModel, ResidueElement, poly_gcd
+from oracles import ratfun_product_by_gcd
 
 MODELS = {
     "Q_2(2^(1/5))": FieldModel.mixed(2, 5),
@@ -72,6 +75,48 @@ def test_valuation_is_multiplicative_and_ultrametric(model, data):
     assert (x + y).val() >= min(x.val(), y.val())
     if x.val() != y.val():
         assert (x + y).val() == min(x.val(), y.val())
+
+
+EQUAL_MODELS = {
+    "F_2((t))": FieldModel.equal(2),
+    "F_3((t))": FieldModel.equal(3),
+    "F_4((t))": FieldModel.equal(2, 2),
+}
+
+
+def _is_canonical(x: FieldElement) -> bool:
+    return poly_gcd(x.model.gf, x.num, x.den) == (1,) and x.den[-1] == 1
+
+
+@pytest.mark.parametrize("model", EQUAL_MODELS.values(), ids=EQUAL_MODELS.keys())
+@PROPERTY
+@given(data=st.data())
+def test_equal_products_and_inverses_are_canonical(model, data):
+    # the cross-cancelled product and the gcd-free inverse give the reduced
+    # fraction with a monic denominator that one gcd of the full product
+    # gives
+    x, y = (data.draw(elements(model)) for _ in range(2))
+    xy = x * y
+    assert _is_canonical(xy)
+    assert xy == ratfun_product_by_gcd(model, x.data, y.data)
+    if not x.is_zero():
+        inv = x.inverse()
+        assert _is_canonical(inv)
+        assert inv == ratfun_product_by_gcd(model, (x.den, x.num), ((1,), (1,)))
+
+
+def test_equal_cross_cancellation_cases():
+    # t/(1+t) * (1+t)/t: both cross gcds, t and 1+t, are nontrivial
+    f2 = FieldModel.equal(2)
+    x = FieldElement(f2, ((0, 1), (1, 1)))
+    assert (x * x.inverse()).data == ((1,), (1,))
+    assert (x * FieldElement(f2, ((1, 1), (0, 1)))) == f2.one()
+    # over F_3 the inverse of 2t + 1 has a leading coefficient to scale away:
+    # (2t + 1)^-1 = 2 / (t + 2)
+    f3 = FieldModel.equal(3)
+    inv = FieldElement(f3, ((1, 2), (1,))).inverse()
+    assert inv.data == ((2,), (2, 1))
+    assert inv * FieldElement(f3, ((1, 2), (1,))) == f3.one()
 
 
 FLAGSHIP = ClosePair(FieldModel.mixed(2, 5), FieldModel.equal(2), 5)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from heckelab.matgrp import (
     GroupElement,
     GroupSpec,
     ResidueMatrix,
+    _eliminate,
     cartan,
     dominant_window,
     enumerate_residue,
@@ -33,7 +35,14 @@ from heckelab.matgrp import (
     reduce_group,
 )
 from heckelab.sampling import random_in_k, random_windowed
-from oracles import cartan_type, code_det, code_product, residue_det, residue_identity
+from oracles import (
+    cartan_type,
+    code_det,
+    code_product,
+    eliminate_full_update,
+    residue_det,
+    residue_identity,
+)
 from samples import random_in_km
 
 
@@ -225,6 +234,83 @@ def test_cartan_inverts_only_pivots_it_divides_by(monkeypatch, rng):
         assert cartan(g).product() == g
         counts.append(calls[0])
     assert max(counts) == 1
+
+
+ELIMINATION_MODELS = {
+    "Q_2": FieldModel.mixed(2),
+    "Q_3": FieldModel.mixed(3),
+    "Q_2(2^(1/5))": FieldModel.mixed(2, 5),
+    "F_2((t))": FieldModel.equal(2),
+    "F_3((t))": FieldModel.equal(3),
+}
+
+
+def _same_elimination(got, want) -> bool:
+    """Equal tau and sign, and equal ops: kinds, witnesses and indices, and
+    multipliers and units as field elements."""
+    (tau, ops, sign), (tau_w, ops_w, sign_w) = got, want
+    return (tau == tau_w and sign == sign_w and len(ops) == len(ops_w)
+            and all(op[:4] == op_w[:4] and op[4] == op_w[4] for op, op_w in zip(ops, ops_w)))
+
+
+@pytest.mark.parametrize("family, n", [("SL", 2), ("GL", 2), ("SL", 3), ("GL", 3)])
+@pytest.mark.parametrize("model", ELIMINATION_MODELS.values(), ids=ELIMINATION_MODELS.keys())
+def test_eliminate_matches_full_update_oracle(family, n, model, rng):
+    # the elimination that leaves known entries unformed gives the same
+    # (tau, ops, sign) as the one that forms every entry: on n_tau, on
+    # sampled elements, and on the rng tie-break path with equal seeds
+    spec = GroupSpec(family, n, model)
+    inputs = [spec.n_of_tau(tau) for tau in dominant_window(family, n, 1)]
+    samples = [random_windowed(spec, rng, bound=2) for _ in range(6)]
+    tie_broken = 0
+    for seed, g in enumerate(inputs + samples):
+        plain = _eliminate(g)
+        assert _same_elimination(plain, eliminate_full_update(g))
+        drawn = _eliminate(g, random.Random(seed))
+        assert _same_elimination(drawn, eliminate_full_update(g, random.Random(seed)))
+        tie_broken += not _same_elimination(drawn, plain)
+    assert tie_broken  # some rng draw picked another pivot than the first
+    # non-tautology: dropping the row step's update of the trailing columns
+    # changes the result on some sample
+    assert not all(
+        _same_elimination(eliminate_full_update(g, trailing_row_update=False),
+                          eliminate_full_update(g))
+        for g in samples
+    )
+
+
+def _count_products(monkeypatch):
+    """Count FieldElement.__mul__ calls (``__rmul__`` is the same method)."""
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    return calls
+
+
+def test_eliminate_forms_no_known_entry(monkeypatch):
+    # SL2 over Q_2(2^(1/5)) with four nonzero entries: one row multiplier
+    # and its one trailing update, one column multiplier and two diagonal
+    # units, 5 products where forming every entry took 8; SL3/Q_2 with
+    # nine nonzero entries, tau = (2,-1,-1): 14 where it took 25
+    model = FieldModel.mixed(2, 5)
+    one, pi = model.one(), model.pi_pow
+    g = GroupElement(GroupSpec("SL", 2, model), [[one, pi(1)], [pi(-2), one + pi(-1)]])
+    q2 = FieldModel.mixed(2)
+    h = GroupElement(GroupSpec("SL", 3, q2), [
+        [q2.from_fraction(Fraction(x)) for x in row]
+        for row in [[4, 12, 20], [8, "49/2", 43], [12, 38, "145/2"]]
+    ])
+    calls = _count_products(monkeypatch)
+    assert _eliminate(g)[0] == CartanDatum((2, -2))
+    assert calls[0] == 5
+    calls[0] = 0
+    assert _eliminate(h)[0] == CartanDatum((2, -1, -1))
+    assert calls[0] == 14
 
 
 def test_cartan_uniqueness_of_tau(rng):
