@@ -574,7 +574,25 @@ class HeckeAlgebra:
         [b]^-1): the identical object (the orbit table's own) that cartan's
         witnesses name, not merely an equal one.  No GroupElement,
         determinant or reduction of a witness entry is formed; each f and u
-        is reduced once."""
+        is reduced once.
+
+        An element of pi^a K runs no elimination.  With a = min v(g_ij),
+        k = pi^-a g is integral, and it lies in K iff det k is a unit, that
+        is iff v(det g) = n a (det g is cached on g; for SL it is 1, so a =
+        0).  Then g = k n_tau 1 with tau = (a, .., a), and the label is
+        canonical_label(tau, [k], e), [k] read by ``ClassGroup.scaled_class``.
+        It is the one cartan's witnesses name.  n_tau = pi^a is central, so
+        (x, y) lies in Gamma_tau iff x y^-1 lies in K_m, i.e. iff [x] = [y]:
+        Gamma_tau is the diagonal.  If g = A n_tau B with A, B in K, then A
+        B = k, so ([A], [B]^-1) = ([k] [B]^-1, e [B]^-1) lies in the orbit
+        of ([k], e), and the orbit table returns the same label object.  (As
+        K_m is normal in K and n_tau central, K_m g K_m is the one coset g
+        K_m, which [k] names.)"""
+        n = self.spec.n
+        a = min(x.val() for x in g.entries)
+        if g.det().val() == n * a:
+            group = self.group
+            return self.canonical_label(CartanDatum((a,) * n), group.scaled_class(g, a), group.e)
         tau, ops, _ = _eliminate(g)
         xi, yi = self.group.witness_classes(ops)
         return self.canonical_label(tau, xi, yi)

@@ -5,8 +5,9 @@ bijection of the classes of K/K_m on the two sides, and the label
 t_(x n_tau y^-1) goes to t_(x' n'_tau y'^-1) with [x'] = lambda_m [x],
 [y'] = lambda_m [y], canonicalized in the other side's orbit table; this
 needs N >= m.  Elements move by re-factorization: g = a n_tau b with
-witnesses in K, the witnesses cross through lambda_N at the working
-precision, and the image is a' n'_tau b'; this needs N >= m + 2|tau|.
+witnesses in K, formed only mod pi^N (by replaying the elimination on
+residues), cross through lambda_N at the working precision, and the image
+is a' n'_tau b'; this needs N >= m + 2|tau|.
 The verification harness certifies exact equality of all windowed
 structure constants, the label bijection, and the compatibility of
 stabilizers under the residue isomorphism.  Windowed modules transport by
@@ -36,9 +37,9 @@ from .matgrp import (
     CartanDatum,
     GroupElement,
     GroupSpec,
-    cartan,
+    cartan,  # not called here; the benchmark tracer patches kazhdan.cartan
     lift_group,
-    reduce_group,
+    residue_witnesses,
     _check_budget,
     _check_budget_power,
 )
@@ -111,26 +112,29 @@ class TransportContext:
 
     # -- elements -------------------------------------------------------------------
 
-    def transport_witness(self, w: GroupElement) -> GroupElement:
-        """lift' . lambda_N . reduce_N on an element of K, lambda_N applied
-        entry by entry (``ctx.inverse()`` is the way back)."""
-        r = reduce_group(w, self.N)
-        ring = self.pair.model_f2.residue_ring(self.N)
-        return lift_group(r.map_entries(self.pair.apply, ring), self.spec2)
-
     def transport_element(self, g: GroupElement, rng=None) -> GroupElement:
-        """Transport along witnesses: a n_tau b -> a' n'_tau b'.
+        """Transport along witnesses: a n_tau b -> a' n'_tau b', with a' =
+        lift'(lambda_N (a mod pi^N)) and b' likewise (``ctx.inverse()`` is
+        the way back).
+
+        No exact witness is formed: ``matgrp.residue_witnesses`` replays the
+        elimination of g on residues of o/pi^N, and reduction o -> o/pi^N is
+        a ring homomorphism, so the replay gives a mod pi^N and b mod pi^N
+        for the witnesses a, b that ``cartan(g, rng)`` builds (proof in the
+        ``residue_witnesses`` docstring).  lambda_N applies entry by entry,
+        and the lift is ``lift_group``: the image is the one that the exact
+        witnesses give.
 
         The double-coset label of the image does not depend on the witness
         choice; that independence is a verified property of the harness,
         not an assumption of this function.  ``rng`` randomizes the SNF
         pivot tie-breaks, deliberately varying the witnesses.
         """
-        fac = cartan(g, rng=rng)
-        self._require_transportable(fac.tau)
-        a2 = self.transport_witness(fac.a)
-        b2 = self.transport_witness(fac.b)
-        return a2 @ self.spec2.n_of_tau(fac.tau) @ b2
+        tau, a, b = residue_witnesses(g, self.N, rng)
+        self._require_transportable(tau)
+        ring2 = self.pair.model_f2.residue_ring(self.N)
+        a2, b2 = (lift_group(w.map_entries(self.pair.apply, ring2), self.spec2) for w in (a, b))
+        return a2 @ self.spec2.n_of_tau(tau) @ b2
 
     # -- labels and Hecke elements -----------------------------------------------------
 

@@ -158,48 +158,51 @@ def dominant_window(family: str, n: int, bound: int, budget: int = DEFAULT_BUDGE
 class GroupElement:
     """An invertible n x n matrix over the field model; immutable.
 
-    For the SL family the determinant is required to be exactly 1; the
-    element then keeps the model's shared one as its determinant.
+    The entries are kept as one row-major tuple, ``entries``, and ``rows``
+    forms the n row tuples on demand: one tuple where n + 1 were kept, so
+    a 2 x 2 element spends 72 bytes on tuples where it spent 168
+    (``sys.getsizeof``, 64-bit CPython), and every element that a cache or
+    a caller keeps is that much smaller.  For the SL family the determinant is required to be exactly
+    1; the element then keeps the model's shared one as its determinant.
     """
 
-    __slots__ = ("group", "rows", "_det")
+    __slots__ = ("group", "entries", "_det")
 
     def __init__(self, group: GroupSpec, rows, _det=None):
         self.group = group
-        self.rows = tuple(tuple(row) for row in rows)
-        if len(self.rows) != group.n or any(len(r) != group.n for r in self.rows):
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != group.n or any(len(r) != group.n for r in rows):
             raise ParseError(f"{group.family}_{group.n} needs a {group.n} x {group.n} matrix")
-        self._det = _det
-        d = self.det()
+        self.entries = sum(rows, ())
+        d = _cofactor_det(rows, group.model.zero()) if _det is None else _det
         if d.is_zero():
             raise Singular("matrix has determinant zero")
         if group.family == SL:
             one = group.model.one()
             if d != one:
                 raise Singular(f"SL element must have determinant 1, got {d}")
-            self._det = one  # the shared one, not a copy per element
+            d = one  # the shared one, not a copy per element
+        self._det = d
+
+    @property
+    def rows(self) -> tuple:
+        n, entries = self.group.n, self.entries
+        return tuple(entries[i:i + n] for i in range(0, n * n, n))
 
     def det(self) -> FieldElement:
-        if self._det is None:
-            self._det = _cofactor_det(self.rows, self.group.model.zero())
         return self._det
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
             raise MixedRings(f"{self.group.family}_{self.group.n}({self.group.model}) times "
                              f"{other.group.family}_{other.group.n}({other.group.model})")
-        n = self.group.n
-        rows = tuple(
-            tuple(
-                _dot(self.rows[i], tuple(other.rows[k][j] for k in range(n)))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return GroupElement(self.group, rows, _det=self.det() * other.det())
+        n, a, b = self.group.n, self.entries, other.entries
+        cols = [b[j::n] for j in range(n)]
+        rows = tuple(tuple(_dot(a[i:i + n], col) for col in cols) for i in range(0, n * n, n))
+        return GroupElement(self.group, rows, _det=self._det * other._det)
 
     def inverse(self) -> "GroupElement":
-        det_inv = self.det().inverse()
+        det_inv = self._det.inverse()
         inv_rows = _cofactor_inverse(self.rows, det_inv, self.group.model.zero())
         return GroupElement(self.group, inv_rows, _det=det_inv)
 
@@ -207,9 +210,9 @@ class GroupElement:
 
     def in_k(self) -> bool:
         """Membership in K = G(o): integral entries, unit determinant."""
-        if not all(x.is_integral() for row in self.rows for x in row):
+        if not all(x.is_integral() for x in self.entries):
             return False
-        return self.det().is_unit()
+        return self._det.is_unit()
 
     def in_km(self, m: int) -> bool:
         """Membership in K_m = Ker(G(o) -> G(o/pi^m)); K_0 = K."""
@@ -217,23 +220,22 @@ class GroupElement:
             return self.in_k()
         if not self.in_k():
             return False
-        one = self.group.model.one()
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                delta = x - one if i == j else x
-                if delta.val() < m:
-                    return False
+        one, step = self.group.model.one(), self.group.n + 1
+        for k, x in enumerate(self.entries):
+            delta = x - one if k % step == 0 else x  # the diagonal is every (n + 1)-th entry
+            if delta.val() < m:
+                return False
         return True
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
             and other.group == self.group
-            and other.rows == self.rows
+            and other.entries == self.entries
         )
 
     def __hash__(self):
-        return hash((self.group, self.rows))
+        return hash((self.group, self.entries))
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.rows) + "]"
@@ -468,6 +470,27 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     a_rows = tuple(zip(*a_t))
     a = GroupElement(spec, a_rows, _det=model.from_int(sign) if spec.family == GL else None)
     return CartanFactorization(a, tau, GroupElement(spec, b))
+
+
+def residue_witnesses(g: GroupElement, N: int, rng=None):
+    """(tau, a mod pi^N, b mod pi^N) for the witnesses a, b of g = a n_tau b
+    that ``cartan(g, rng)`` builds, with no exact witness formed: the
+    operations of ``_eliminate`` replayed (``_replay``) on residues of
+    o/pi^N, each f and unit of ops reduced once (``ResidueRing.reduce``).
+
+    Proof.  ``cartan`` replays the same operations on exact identity
+    matrices, so each entry of a and b is a polynomial with integer
+    coefficients in the f and units of ops (the SL fix scales by sign =
+    +-1), all of them integral.  Reduction o -> o/pi^N is a ring
+    homomorphism, so it carries each entry to the same polynomial in the
+    residues of the f and units, which is what the replay in o/pi^N
+    evaluates.  So the two residue matrices are reduce_group(a, N) and
+    reduce_group(b, N), entry for entry."""
+    ring = g.group.model.residue_ring(N)
+    tau, ops, _ = _eliminate(g, rng)
+    a_t, b = _replay(ops, g.group.n, ring.one(), ring.zero(), operator.add, operator.mul,
+                     ring.reduce)
+    return tau, ResidueMatrix(ring, tuple(zip(*a_t))), ResidueMatrix(ring, b)
 
 
 def _pick_pivot(M, k, rng):
@@ -840,6 +863,26 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
             raise InvariantViolated(
                 f"a replayed Cartan witness is no class of K_{self.m}/K_{self.m + self.c}")
         return xi, self.inverses[bi]
+
+    def scaled_class(self, g: GroupElement, a: int) -> int:
+        """The class of k = pi^-a g, for g in pi^a K_m: each entry of k
+        reduced into R once and read in ``index``.
+
+        Reduction K_m -> G(o/pi^(m+c)) is a group homomorphism with kernel
+        K_(m+c) whose image is the classes (``_congruence_classes``), so the
+        class of k in K_m/K_(m+c) is the one whose code is k's entries
+        reduced.  A g outside pi^a K_m gives a code that is no class, which
+        raises InvariantViolated (or an entry outside o, NegativeValuation)."""
+        tables, ring = self.tables, self.ring
+        index, entries = tables.index, g.entries
+        if a:
+            scale = self.spec.model.pi_pow(-a)
+            entries = [x * scale for x in entries]
+        x = self.index.get(tuple(index[ring.reduce(y).coords] for y in entries))
+        if x is None:
+            raise InvariantViolated(
+                f"pi^{-a} g is no class of K_{self.m}/K_{self.m + self.c}")
+        return x
 
     def power_pairs(self, shape) -> list:
         """The sorted index pairs (x(u), y(u)) over the matrices u in M_n(R)

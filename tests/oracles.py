@@ -23,6 +23,7 @@ from heckelab.matgrp import (
     _cofactor_det,
     cartan,
     iter_kernel,
+    lift_group,
     reduce_group,
 )
 
@@ -483,6 +484,18 @@ def canonical_by_orbits(algebra, taus):
                 for s, t in gamma:
                     labels[(mul[xi][s], mul[yi][t])] = label
     return out
+
+
+def transport_element_by_witnesses(ctx, g, rng=None):
+    """lift' . lambda_N . reduce_N of cartan's exact witnesses a, b of g =
+    a n_tau b (``rng`` randomizes its pivot tie-breaks), times n'_tau on
+    side 2.  Reference oracle for TransportContext.transport_element, which
+    replays the elimination on residues and forms no exact witness."""
+    fac = cartan(g, rng=rng)
+    ring2 = ctx.pair.model_f2.residue_ring(ctx.N)
+    a2, b2 = (lift_group(reduce_group(w, ctx.N).map_entries(ctx.pair.apply, ring2), ctx.spec2)
+              for w in (fac.a, fac.b))
+    return a2 @ ctx.spec2.n_of_tau(fac.tau) @ b2
 
 
 def transport_label_by_witnesses(ctx, label):

@@ -434,6 +434,65 @@ def test_classify_is_the_witness_label(spec, m, window):
         assert label is classify_by_witnesses(alg, g, rng=ties)
 
 
+def _scaled_k_elements(spec, rng, count=24):
+    """Elements of pi^a K: random_in_k draws, and for GL also pi^a k with a
+    in -2..2 (every one of the five for each k)."""
+    ks = [random_in_k(spec, rng) for _ in range(count)]
+    if spec.family != "GL":
+        return ks
+    scalars = [spec.n_of_tau(CartanDatum((a,) * spec.n)) for a in range(-2, 3)]
+    return ks + [k @ s for k in ks[: count // 4] for s in scalars]
+
+
+@pytest.mark.parametrize("spec, m, window", REPLAY_CONFIGS + [
+    pytest.param(GroupSpec("SL", 2, FieldModel.equal(2, 2)), 1, 1, id="SL2/F_4((t)) m=1"),
+])
+def test_classify_of_scaled_k_is_the_witness_label(spec, m, window, monkeypatch):
+    # an element of pi^a K runs no elimination: with hecke._eliminate
+    # refused, classify still returns the very label object that cartan's
+    # exact witnesses name
+    alg = HeckeAlgebra(spec, m)
+    els = _scaled_k_elements(spec, random.Random(2031))
+    expected = [classify_by_witnesses(alg, g) for g in els]
+    assert all(label.tau.spread == 0 for label in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify eliminated an element of pi^a K")
+
+    monkeypatch.setattr(hecke, "_eliminate", refuse)
+    labels = [alg.classify(g) for g in els]
+    assert all(label is want for label, want in zip(labels, expected))
+
+
+def test_classify_of_scaled_k_reading_the_inverse_fails_the_witness_oracle(sl2_m1,
+                                                                           monkeypatch):
+    # non-tautology: a double of scaled_class that reads the class of g^-1
+    # in place of g's names other labels, and the oracle comparison sees it
+    els = _scaled_k_elements(SL2_Q2, random.Random(2032))
+    expected = [classify_by_witnesses(sl2_m1, g) for g in els]
+    assert [sl2_m1.classify(g) for g in els] == expected
+    scaled_class = ClassGroup.scaled_class
+
+    def of_inverse(self, g, a):
+        return scaled_class(self, g.inverse(), -a)
+
+    monkeypatch.setattr(ClassGroup, "scaled_class", of_inverse)
+    assert [sl2_m1.classify(g) for g in els] != expected
+
+
+def test_scaled_class_outside_scaled_k_is_typed():
+    # g = pi k read at the wrong power: at 0 the code has a determinant that
+    # is no unit (no class, InvariantViolated), at 2 an entry lies
+    # outside o (NegativeValuation)
+    group = HeckeAlgebra(GL2_Q2, 1).group
+    g = random_in_k(GL2_Q2, random.Random(5)) @ GL2_Q2.n_of_tau(CartanDatum((1, 1)))
+    assert group.scaled_class(g, 1) in range(len(group.codes))
+    with pytest.raises(InvariantViolated, match="no class"):
+        group.scaled_class(g, 0)
+    with pytest.raises(NegativeValuation):
+        group.scaled_class(g, 2)
+
+
 @pytest.mark.parametrize("spec, m", [(SL2_Q2, 1), (SL3_Q2, 1), (SL2_F2, 2)],
                          ids=["SL2/Q_2 m=1", "SL3/Q_2 m=1", "SL2/F_2((t)) m=2"])
 def test_classify_forms_no_group_element(spec, m, rng, monkeypatch):
@@ -464,8 +523,9 @@ def test_classify_forms_no_group_element(spec, m, rng, monkeypatch):
 def test_classify_replay_with_a_wrong_multiplier_fails_the_oracle(sl2_m1, monkeypatch):
     # non-tautology: one replayed multiplier off by one changes the classes
     # the replay names, and the oracle comparison catches it
+    # every element has tau = (1, -1): an element of K runs no elimination
     rng = random.Random(31)
-    els = [random_windowed(SL2_Q2, rng, 1) for _ in range(20)]
+    els = [random_windowed(SL2_Q2, rng, 1, tau=CartanDatum((1, -1))) for _ in range(20)]
     expected = [classify_by_witnesses(sl2_m1, g) for g in els]
     eliminate = hecke._eliminate
 
@@ -647,18 +707,23 @@ def _transposed(code, n: int):
     return tuple(code[j * n + i] for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("spec, m, bound", [
-    pytest.param(SL2_Q2, 1, 2, id="SL2/Q_2 m=1 B=2"),
-    pytest.param(SL2_F2, 1, 2, id="SL2/F_2((t)) m=1 B=2"),
-    pytest.param(SL2_Q2, 2, 1, id="SL2/Q_2 m=2 B=1"),
+@pytest.mark.parametrize("spec, m, bound, sampled", [
+    pytest.param(SL2_Q2, 1, 2, None, id="SL2/Q_2 m=1 B=2"),
+    pytest.param(SL2_F2, 1, 2, None, id="SL2/F_2((t)) m=1 B=2"),
+    pytest.param(SL2_Q2, 2, 1, None, id="SL2/Q_2 m=2 B=1"),
+    pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 5)), 1, 1, None,
+                 id="SL2/Q_2(2^(1/5)) m=1 B=1"),
+    pytest.param(SL3_Q2, 1, 1, 1000, id="SL3/Q_2 m=1 B=1 sampled"),
 ])
-def test_transpose_is_an_anti_involution_of_the_constants(spec, m, bound):
+def test_transpose_is_an_anti_involution_of_the_constants(spec, m, bound, sampled):
     # g -> g^T reverses products and fixes K_m and every n_tau, so it sends
     # K_m x n_tau y^-1 K_m to K_m y^-T n_tau x^T K_m: with sigma[c] the class
     # of c^-T, an automorphism of K/K_m checked as lambda_m is, the label l =
     # (tau, x, y) goes to l^T = (tau, sigma[y], sigma[x]), and t_l -> t_(l^T)
     # reverses convolution: c(l1, l2; x) = c(l2^T, l1^T; x^T) on every window
-    # pair, most of which do not commute
+    # pair (or ``sampled`` seeded ones), most of which do not commute.  The
+    # tau = 0 brackets classify elements of K with no elimination, so this
+    # checks that path by an identity that shares none of its code
     alg = HeckeAlgebra(spec, m)
     group = alg.group
     sigma = [group.inverses[group.index[_transposed(code, spec.n)]] for code in group.codes]
@@ -669,13 +734,17 @@ def test_transpose_is_an_anti_involution_of_the_constants(spec, m, bound):
 
     basis = alg.labels_in_window(bound)
     assert all(transpose(transpose(l)) == l for l in basis)
+    pairs = itertools.product(basis, repeat=2)
+    if sampled is not None:  # seeded pair indices, with no list of all pairs
+        size = len(basis)
+        pairs = [(basis[k // size], basis[k % size])
+                 for k in random.Random(2033).sample(range(size * size), sampled)]
     noncommuting = 0
-    for l1 in basis:
-        for l2 in basis:
-            constants = alg.structure_constants(l1, l2)
-            transposed = {transpose(x): c for x, c in constants.items()}
-            assert transposed == alg.structure_constants(transpose(l2), transpose(l1)), (l1, l2)
-            noncommuting += constants != alg.structure_constants(l2, l1)
+    for l1, l2 in pairs:
+        constants = alg.structure_constants(l1, l2)
+        transposed = {transpose(x): c for x, c in constants.items()}
+        assert transposed == alg.structure_constants(transpose(l2), transpose(l1)), (l1, l2)
+        noncommuting += constants != alg.structure_constants(l2, l1)
     assert noncommuting > 0
 
 

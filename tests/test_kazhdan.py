@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import json
 import pathlib
+import random
 import time
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from heckelab.errors import (
     MixedRings,
     SingularBasis,
 )
-from heckelab import hecke, kazhdan
+from heckelab import hecke, kazhdan, matgrp
 from heckelab.hecke import HeckeAlgebra, HeckeElement
 from heckelab.kazhdan import (
     TransportContext,
@@ -34,7 +36,11 @@ from heckelab.matgrp import (
 )
 from heckelab.rings import ZZ, RationalField
 from heckelab.sampling import random_windowed
-from oracles import dc_equal_kernel_sweep, transport_label_by_witnesses
+from oracles import (
+    dc_equal_kernel_sweep,
+    transport_element_by_witnesses,
+    transport_label_by_witnesses,
+)
 from samples import random_hecke, random_in_km, random_windowed_module
 
 E3 = FieldModel.equal(3)
@@ -143,6 +149,71 @@ def test_transport_witness_independence(flagship_ctx, rng):
         g = random_in_km(SL2_F, rng, 1) @ rep @ random_in_km(SL2_F, rng, 1)
         g2 = flagship_ctx.transport_element(g)
         assert flagship_ctx.algebra2.classify(g2) == target
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_transport_element_is_the_witness_route(window):
+    # transport_element replays the elimination on residues of o/pi^N; its
+    # image equals the one cartan's exact witnesses give, with and without
+    # random pivot tie-breaks (other witnesses, replayed alike)
+    ctx = TransportContext(ClosePair(F_MIX, F_EQ, 5), SL2_F, SL2_F2, m=1, N=5, window=window)
+    rng = random.Random(2040 + window)
+    for _ in range(30):
+        g = random_windowed(SL2_F, rng, window)
+        assert ctx.transport_element(g) == transport_element_by_witnesses(ctx, g)
+        seed = rng.randrange(1 << 30)
+        assert (ctx.transport_element(g, rng=random.Random(seed))
+                == transport_element_by_witnesses(ctx, g, rng=random.Random(seed)))
+
+
+def test_transport_element_is_the_witness_route_on_gl2():
+    ctx = _close_ctx("GL", 5, 1, 2)
+    rng = random.Random(2042)
+    for _ in range(30):
+        g = random_windowed(ctx.spec, rng, 2)
+        assert ctx.transport_element(g) == transport_element_by_witnesses(ctx, g)
+
+
+def test_transport_element_forms_no_side_1_witness(flagship_ctx, monkeypatch):
+    # no GroupElement of side 1 is built: the witnesses exist only as
+    # residues of o/pi^N until they are lifted on side 2
+    rng = random.Random(2043)
+    els = [random_windowed(SL2_F, rng, 2) for _ in range(10)]
+    expected = [transport_element_by_witnesses(flagship_ctx, g) for g in els]
+    built = collections.Counter()
+    element_init = GroupElement.__init__
+
+    def counted_init(self, group, *args, **kwargs):
+        built[group] += 1
+        element_init(self, group, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted_init)
+    images = [flagship_ctx.transport_element(g) for g in els]
+    monkeypatch.undo()
+    assert built[SL2_F] == 0 and built[SL2_F2] > 0
+    assert images == expected
+
+
+def test_transport_element_with_a_wrong_witness_multiplier_fails_the_oracle(flagship_ctx,
+                                                                           monkeypatch):
+    # non-tautology: one replayed residue multiplier off by one changes the
+    # transported element, and the oracle comparison catches it
+    rng = random.Random(2044)
+    els = [random_windowed(SL2_F, rng, 2, tau=CartanDatum((1, -1))) for _ in range(10)]
+    expected = [transport_element_by_witnesses(flagship_ctx, g) for g in els]
+    eliminate = matgrp._eliminate
+
+    def perturbed(g, rng=None):
+        tau, ops, sign = eliminate(g, rng)
+        add = [s for s, op in enumerate(ops) if op[0] == matgrp._ADD]
+        if add:
+            kind, w, i, j, f = ops[add[0]]
+            ops[add[0]] = (kind, w, i, j, f + 1)
+        return tau, ops, sign
+
+    assert [flagship_ctx.transport_element(g) for g in els] == expected
+    monkeypatch.setattr(matgrp, "_eliminate", perturbed)
+    assert [flagship_ctx.transport_element(g) for g in els] != expected
 
 
 # ---------------------------------------------------------------- labels

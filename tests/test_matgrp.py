@@ -404,6 +404,30 @@ def test_sl_element_keeps_the_shared_one(model, rng):
         assert x._det is model.one()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_element_keeps_one_entry_tuple(n, rng):
+    # an element keeps its entries as one row-major tuple: rows reads them
+    # back as row tuples, and products, equality and hashing read the flat
+    # tuple; K_m membership finds the diagonal as every (n + 1)-th entry,
+    # so a unit moved onto any one entry of the identity leaves K_1
+    model = FieldModel.mixed(3, 1)
+    spec = GroupSpec("GL", n, model)
+    g = random_in_km(spec, rng, 1)
+    rows = tuple(g.entries[i:i + n] for i in range(0, n * n, n))
+    assert len(g.entries) == n * n and g.rows == rows
+    h = GroupElement(spec, rows)
+    assert h == g and hash(h) == hash(g)
+    expected = tuple(tuple(sum((rows[i][k] * rows[k][j] for k in range(n)), model.zero())
+                           for j in range(n)) for i in range(n))
+    assert (g @ g).rows == expected
+    one, zero = model.one(), model.zero()
+    for i, j in itertools.product(range(n), repeat=2):
+        moved = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        moved[i][j] = model.from_int(2) if i == j else one
+        x = GroupElement(spec, moved)
+        assert x.in_km(0) and not x.in_km(1)
+
+
 def test_singular_matrix_rejected():
     spec = GroupSpec("GL", 2, FieldModel.mixed(2, 1))
     with pytest.raises(Singular):
