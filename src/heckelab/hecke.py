@@ -36,7 +36,6 @@ from .matgrp import (
     _check_budget_power,
     _congruence_classes,
     _eliminate,
-    _subgroup_generators,
 )
 from .record import FrozenRecord, _set
 from .rings import ZZ
@@ -686,9 +685,9 @@ class HeckeAlgebra:
         claim.  So the bracket is needed only for one k0 in each double
         coset P2 k P1 of K/K_m, P2 = {t : (s, t) in Gamma_tau1} and P1 =
         {s' : (s', t') in Gamma_tau2} (both are subgroups, as Gamma_tau
-        is); ``_double_coset`` gives k0 and the partners s, t'^-1, and
-        ``_bracket`` computes the bracket of k0 once, from deg(tau2)
-        classifications, and caches it.
+        is); ``_double_coset`` reads k0 and partners s, t'^-1 (any pair
+        as above will do) off the orbit table of tau2, and ``_bracket``
+        computes the bracket of k0 once, from deg(tau2) classifications.
 
         Every term c t_z of the k0 bracket, z = (tau, [x], [y]), becomes c
         t_(x1 s z t' y2^-1), and
@@ -713,60 +712,59 @@ class HeckeAlgebra:
     def _double_coset(self, tau1: CartanDatum, tau2: CartanDatum):
         """table[k] = (k0, s, t'^-1) with k = t k0 s', (s, t) in Gamma_tau1,
         (s', t') in Gamma_tau2 and k0 the least index of P2 k P1 (see
-        ``structure_constants``).
+        ``structure_constants``), read off the orbit table of tau2, whose x0
+        and tcol (``_build_orbit_table``, Gamma_1 = P1) are the right cosets
+        k P1: k = x0[k] s'_k with (s'_k, t'_k) in Gamma_tau2, tcol[k] =
+        t'_k^-1 and x0[k] = min(k P1) <= k.
 
-        One sweep over K/K_m: the least index not yet reached starts a new
-        double coset, which is closed under left steps by generators t_a
-        of P2 and right steps by generators s'_a of P1.  A left step t_a k
-        = (t_a t) k0 s' has the partner (s_a s, t_a t); a right step k s'_a
-        = t k0 (s' s'_a) has (s' s'_a, t' t'_a), so t'^-1 becomes t'_a^-1
-        t'^-1.  Each index is reached once, so double cosets partition
-        K/K_m, and every index below k0 was reached from a smaller start,
-        so k0 is least in its own.
+        Pair each t of P2 with the first s of a pair (s, t) of Gamma_tau1.
+        In index order, each right-coset minimum r0 (x0[r0] = r0) not yet
+        reached starts a double coset with k0 = r0, and for each t the right
+        coset x0[z] of z = t r0, if not yet reached, records (r0, s, t'_z).
+        Then table[k] = (k0, s, tcol[k] t'_z) for what x0[k] recorded.
+
+        1. k0 is least.  P2 r0 P1 is the union of the t r0 P1, so the first
+           minimum r0 met in a double coset reaches all its right cosets,
+           and each k in it has k >= x0[k] >= r0, x0[k] being a minimum of
+           the same double coset, met no earlier.
+        2. The partners are valid: k = x0[z] s'_k and z = x0[z] s'_z give k
+           = t k0 s' with (s', t') = (s'_z, t'_z)^-1 (s'_k, t'_k) in the
+           group Gamma_tau2, so t'^-1 = tcol[k] t'_z.
+        3. The lemma of ``structure_constants`` holds for any valid
+           partners, so which ones the table holds changes no constant.
+        4. It costs a pass over Gamma_tau1 and D |P2| + |K/K_m| products
+           for D double cosets; D |P2| <= |K/K_m|, as each holds P2 k0.
+           (e, e) in Gamma_tau1 lets t = e reach r0 itself: the build
+           raises if it is missing or a right coset is left unreached.
         """
         key = (tau1, tau2)
         if key not in self._double_coset_cache:
-            group = self.group
-            mul, inv, e = group.mul, group.inverses, group.e
-            self.orbit_table(tau1)
-            self.orbit_table(tau2)
-            left = self._generating_pairs(self._gamma(tau1), 1)
-            right = [(s, inv[t]) for s, t in self._generating_pairs(self._gamma(tau2), 0)]
-            table = [None] * len(inv)
-            for k0 in range(len(inv)):
-                if table[k0] is not None:
-                    continue
-                table[k0] = (k0, e, e)
-                reached = [k0]
-                for k in reached:
-                    _, s, t_inv = table[k]
-                    for s_a, t_a in left:
-                        c = mul(t_a, k)
-                        if table[c] is None:
-                            table[c] = (k0, mul(s_a, s), t_inv)
-                            reached.append(c)
-                    for s_a, t_a_inv in right:
-                        c = mul(k, s_a)
-                        if table[c] is None:
-                            table[c] = (k0, s, mul(t_a_inv, t_inv))
-                            reached.append(c)
-            self._double_coset_cache[key] = table
+            group, orbits, gamma1 = self.group, self.orbit_table(tau2), self._gamma(tau1)
+            mul, inv, e, x0, tcol = group.mul, group.inverses, group.e, orbits.x0, orbits.tcol
+            partner = {}
+            for s, t in gamma1:
+                partner.setdefault(t, s)
+            start = [None] * len(x0)  # at each right-coset minimum: (k0, s, t'_z)
+            for r0, least in enumerate(x0):
+                if least == r0 and start[r0] is None:
+                    for t, s in partner.items():
+                        z = mul(t, r0)
+                        if start[x0[z]] is None:
+                            start[x0[z]] = (r0, s, inv[tcol[z]])
+            rows = [start[least] for least in x0]
+            if (e, e) not in gamma1 or None in rows:
+                raise InvariantViolated(f"double cosets of tau={tau1}, tau={tau2}: Gamma_tau1 "
+                                        "lacks (e, e) or a right coset of P1 is unreached")
+            self._double_coset_cache[key] = [(k0, s, mul(tcol[k], t_z))
+                                             for k, (k0, s, t_z) in enumerate(rows)]
         return self._double_coset_cache[key]
-
-    def _generating_pairs(self, pairs, side: int):
-        """Pairs of ``pairs`` whose ``side`` components generate the
-        projection of the group ``pairs`` to that side: the first pair met
-        with each component that ``matgrp._subgroup_generators`` keeps."""
-        first = {}
-        for pair in pairs:
-            first.setdefault(pair[side], pair)
-        return [first[g] for g in _subgroup_generators(first, self.group.mul, self.group.e)]
 
     def _bracket(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):
         """t_(n_tau1) * t_(k0) * t_(n_tau2) as the label -> c dict of
         ``_product``, which callers must not change, for k0 the least index
-        of its double coset in ``_double_coset(tau1, tau2)``: one coset
-        product per double coset."""
+        of its double coset P2 k0 P1, as ``_double_coset(tau1, tau2)``
+        reads it off the orbit table of tau2: one coset product per double
+        coset, cached."""
         key = (tau1, k0, tau2)
         if key not in self._bracket_cache:
             self._bracket_cache[key] = self._product(tau1, k0, tau2)

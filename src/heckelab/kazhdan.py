@@ -449,7 +449,8 @@ def _serialize_constants(constants) -> list:
 
 
 def structure_constants_csv(ctx: TransportContext) -> str:
-    """Matched windowed structure constants as CSV text."""
+    """Matched windowed structure constants as CSV text.  A side-2 term that
+    no side-1 term transports to gets a row with an empty x and c = 0."""
     A = ctx.algebra
     lines = ["g,h,x,c,x_transported,c_transported"]
     basis = A.labels_in_window(ctx.window)
@@ -460,9 +461,9 @@ def structure_constants_csv(ctx: TransportContext) -> str:
             sc2 = ctx.algebra2.structure_constants(
                 ctx.transport_label(l1), ctx.transport_label(l2)
             )
-            for lab, c in sorted(sc.items(), key=lambda kv: kv[0].sort_key()):
-                lab2 = ctx.transport_label(lab)
-                lines.append(
-                    f'"{l1}","{l2}","{lab}",{c},"{lab2}",{sc2.get(lab2, 0)}'
-                )
+            rows = [(lab, c, ctx.transport_label(lab))
+                    for lab, c in sorted(sc.items(), key=lambda kv: kv[0].sort_key())]
+            extra = sorted(sc2.keys() - {lab2 for _, _, lab2 in rows}, key=lambda l: l.sort_key())
+            for lab, c, lab2 in rows + [("", 0, lab2) for lab2 in extra]:
+                lines.append(f'"{l1}","{l2}","{lab}",{c},"{lab2}",{sc2.get(lab2, 0)}')
     return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from heckelab.matgrp import (
     GroupSpec,
     ResidueMatrix,
     _cofactor_det,
+    _subgroup_generators,
     cartan,
     iter_kernel,
     lift_group,
@@ -555,3 +556,46 @@ def structure_constants_by_membership(algebra, l1, l2):
             raise InvariantViolated(f"support label {lab} of {l1} * {l2} has count 0")
         out[lab] = count
     return out
+
+
+def double_coset_by_generators(alg, tau1, tau2):
+    """table[k] = (k0, s, t'^-1) with k = t k0 s', (s, t) in Gamma_tau1,
+    (s', t') in Gamma_tau2 and k0 the least index of P2 k P1, by a
+    breadth-first sweep: the least index not yet reached starts a double
+    coset, closed under left steps by generators t_a of P2 and right steps
+    by generators s'_a of P1 (each the first pair of Gamma met with a
+    component that ``matgrp._subgroup_generators`` keeps).  A left step t_a
+    k = (t_a t) k0 s' has the partner (s_a s, t_a t); a right step k s'_a =
+    t k0 (s' s'_a) has (s' s'_a, t' t'_a), so t'^-1 becomes t'_a^-1 t'^-1.
+    Reference oracle for ``HeckeAlgebra._double_coset``, which reads the
+    orbit table of tau2 instead."""
+    group = alg.group
+    mul, inv, e = group.mul, group.inverses, group.e
+
+    def generating_pairs(pairs, side):
+        first = {}
+        for pair in pairs:
+            first.setdefault(pair[side], pair)
+        return [first[g] for g in _subgroup_generators(first, mul, e)]
+
+    left = generating_pairs(alg._gamma(tau1), 1)
+    right = [(s, inv[t]) for s, t in generating_pairs(alg._gamma(tau2), 0)]
+    table = [None] * len(inv)
+    for k0 in range(len(inv)):
+        if table[k0] is not None:
+            continue
+        table[k0] = (k0, e, e)
+        reached = [k0]
+        for k in reached:
+            _, s, t_inv = table[k]
+            for s_a, t_a in left:
+                c = mul(t_a, k)
+                if table[c] is None:
+                    table[c] = (k0, mul(s_a, s), t_inv)
+                    reached.append(c)
+            for s_a, t_a_inv in right:
+                c = mul(k, s_a)
+                if table[c] is None:
+                    table[c] = (k0, s, mul(t_a_inv, t_inv))
+                    reached.append(c)
+    return table

@@ -6,6 +6,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab import hecke, localfield
 from heckelab import matgrp as matgrp_module
@@ -35,6 +37,7 @@ from oracles import (
     canonical_by_orbits,
     classify_by_witnesses,
     dc_equal_kernel_sweep,
+    double_coset_by_generators,
     gamma_by_exact_witnesses,
     gamma_by_sweep,
     left_cosets_kernel_sweep,
@@ -53,6 +56,7 @@ GL2_Q2 = GroupSpec("GL", 2, Q2)
 GL2_Q3 = GroupSpec("GL", 2, Q3)
 SL2_F2 = GroupSpec("SL", 2, FieldModel.equal(2))
 SL3_Q2 = GroupSpec("SL", 3, Q2)
+GL3_Q2 = GroupSpec("GL", 3, Q2)
 
 
 @pytest.fixture(scope="module")
@@ -714,6 +718,8 @@ def _transposed(code, n: int):
     pytest.param(GroupSpec("SL", 2, FieldModel.mixed(2, 5)), 1, 1, None,
                  id="SL2/Q_2(2^(1/5)) m=1 B=1"),
     pytest.param(SL3_Q2, 1, 1, 1000, id="SL3/Q_2 m=1 B=1 sampled"),
+    pytest.param(GL2_Q3, 1, 1, 5000, id="GL2/Q_3 m=1 B=1 sampled"),
+    pytest.param(GL3_Q2, 1, 1, 2000, id="GL3/Q_2 m=1 B=1 sampled"),
 ])
 def test_transpose_is_an_anti_involution_of_the_constants(spec, m, bound, sampled):
     # g -> g^T reverses products and fixes K_m and every n_tau, so it sends
@@ -1234,6 +1240,111 @@ def test_double_cosets_fold_the_bracket(spec, m):
                 covered.extend(coset)
             # the double cosets partition K/K_m
             assert sorted(covered) == list(range(size))
+
+
+def test_fold_test_rejects_partners_that_are_all_the_identity(monkeypatch):
+    # non-tautology: a table that pairs every t of P2 with s = e, whatever
+    # Gamma_tau1 pairs it with, must fail the fold test
+    table = HeckeAlgebra._double_coset
+
+    def unpaired(self, tau1, tau2):
+        e = self.group.e
+        return [(k0, e, t2_inv) for k0, _, t2_inv in table(self, tau1, tau2)]
+
+    monkeypatch.setattr(HeckeAlgebra, "_double_coset", unpaired)
+    with pytest.raises(AssertionError):
+        test_double_cosets_fold_the_bracket(SL2_Q2, 1)
+
+
+@pytest.mark.parametrize("spec, m, bound", [
+    pytest.param(SL2_Q2, 1, 1, id="SL2/Q_2 m=1"),
+    pytest.param(SL2_Q2, 2, 1, id="SL2/Q_2 m=2"),
+    pytest.param(GL2_Q3, 1, 1, id="GL2/Q_3 m=1"),
+    pytest.param(SL3_Q2, 1, 1, id="SL3/Q_2 m=1"),
+    pytest.param(GL3_Q2, 1, 1, id="GL3/Q_2 m=1"),
+    pytest.param(GL2_Q2, 0, 2, id="GL2/Q_2 m=0 B=2"),
+])
+def test_double_coset_table_matches_generator_sweep(spec, m, bound, monkeypatch):
+    # the table read off the orbit table of tau2 picks the same k0 as the
+    # breadth-first sweep over generators on every window tau pair, and the
+    # constants translated through either table are equal as dicts on every
+    # window pair (3,000 seeded ones where there are more)
+    alg, oracle = HeckeAlgebra(spec, m), HeckeAlgebra(spec, m)
+    tables = {}
+    for key in itertools.product(dominant_window(spec.family, spec.n, bound), repeat=2):
+        tables[key] = double_coset_by_generators(oracle, *key)
+        assert [row[0] for row in alg._double_coset(*key)] == [row[0] for row in tables[key]]
+    # the k0 agree, so the oracle side reads the same brackets: only the
+    # partners it translates them with differ
+    monkeypatch.setattr(oracle, "_double_coset", lambda tau1, tau2: tables[tau1, tau2])
+    monkeypatch.setattr(oracle, "_bracket", alg._bracket)
+    basis = alg.labels_in_window(bound)
+    size = len(basis)
+    picks = range(size * size)
+    if len(picks) > 3000:  # seeded pair indices, with no list of all pairs
+        picks = random.Random(2034).sample(picks, 3000)
+    for l1, l2 in ((basis[k // size], basis[k % size]) for k in picks):
+        assert alg.structure_constants(l1, l2) == oracle.structure_constants(l1, l2), (l1, l2)
+
+
+@pytest.mark.parametrize("drop", ["(e, e)", "every (s, e)"])
+def test_double_coset_guard_needs_the_identity_pair(drop, monkeypatch):
+    # a Gamma_tau1 without the identity pair is no group: the table build
+    # refuses it with a typed error, not a TypeError on an unreached coset
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    tau1, tau2, e = CartanDatum((1, -1)), CartanDatum((1, -1)), alg.group.e
+    alg.orbit_table(tau2)
+    gamma = alg._gamma
+    kept = (lambda s, t: (s, t) != (e, e)) if drop == "(e, e)" else (lambda s, t: t != e)
+    monkeypatch.setattr(alg, "_gamma", lambda tau: [
+        (s, t) for s, t in gamma(tau) if kept(s, t)] if tau == tau1 else gamma(tau))
+    with pytest.raises(InvariantViolated, match="lacks"):
+        alg._double_coset(tau1, tau2)
+
+
+# (L1) and (L2) of the product lemmas, on random dominant pairs at m = 1, 2
+LEMMA_ALGEBRAS = {}
+LEMMA_CELLS = [(SL2_Q2, 1, 2), (SL2_Q2, 2, 2), (GL2_Q2, 1, 2), (GL2_Q3, 1, 1), (GL2_Q2, 2, 1),
+               (SL2_F2, 2, 2), (SL3_Q2, 1, 1)]
+
+
+@st.composite
+def dominant_pairs(draw):
+    """An algebra of LEMMA_CELLS with two taus of its window."""
+    spec, m, bound = draw(st.sampled_from(LEMMA_CELLS))
+    if (spec, m) not in LEMMA_ALGEBRAS:
+        LEMMA_ALGEBRAS[spec, m] = HeckeAlgebra(spec, m)
+    taus = dominant_window(spec.family, spec.n, bound)
+    return LEMMA_ALGEBRAS[spec, m], draw(st.sampled_from(taus)), draw(st.sampled_from(taus))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dominant_pairs())
+def test_dominant_products_are_one_double_coset(case):
+    # (L1) theta_l * theta_mu = theta_(l+mu) at m >= 1: the product of the
+    # K_m n_tau K_m is one double coset, with constant 1
+    alg, tau1, tau2 = case
+    top = CartanDatum(tuple(a + b for a, b in zip(tau1.coords, tau2.coords)))
+    product = alg.structure_constants(alg.label_of_tau(tau1), alg.label_of_tau(tau2))
+    assert product == {alg.label_of_tau(top): 1}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dominant_pairs())
+def test_only_the_identity_double_coset_reaches_the_top(case):
+    # (L2) a term of cocharacter tau1 + tau2 occurs in the bracket of k0
+    # only for the k0 of the identity class, and there it is the single term
+    alg, tau1, tau2 = case
+    top = tuple(a + b for a, b in zip(tau1.coords, tau2.coords))
+    table = alg._double_coset(tau1, tau2)
+    identity = table[alg.group.e][0]
+    for k0 in sorted({row[0] for row in table}):
+        bracket = alg._bracket(tau1, k0, tau2)
+        reaching = [c for z, c in bracket.items() if z.tau.coords == top]
+        if k0 == identity:
+            assert len(bracket) == 1 and reaching == [1], (tau1, tau2, bracket)
+        else:
+            assert not reaching, (tau1, tau2, k0, bracket)
 
 
 def test_negative_level_is_invalid_config():

@@ -560,6 +560,29 @@ def test_warm_csv_reads_labels_by_index(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_csv_shows_a_term_only_side_2_has(monkeypatch):
+    # a side-2 bracket with one extra term: every pair that translates it
+    # gets a row for that term, with an empty side-1 label and constant 0,
+    # as the report's counterexamples show it; unperturbed there is none
+    ctx = TransportContext(ClosePair(F_MIX, F_EQ, 5), SL2_F, SL2_F2, m=1, N=5, window=1)
+    assert ',"",0,"' not in kazhdan.structure_constants_csv(ctx)
+    alg2, zero = ctx.algebra2, zero_tau(2)
+    extra = alg2.orbit_table(CartanDatum((1, -1))).labels[0]
+    bracket = HeckeAlgebra._bracket
+
+    def perturbed(self, tau1, k0, tau2):
+        out = bracket(self, tau1, k0, tau2)
+        return {**out, extra: 1} if self is alg2 and tau1 == tau2 == zero else out
+
+    monkeypatch.setattr(HeckeAlgebra, "_bracket", perturbed)
+    unit = ctx.algebra.label_of_tau(zero)
+    unit2 = ctx.transport_label(unit)
+    (only_2,) = alg2.structure_constants(unit2, unit2).keys() - {unit2}
+    text = kazhdan.structure_constants_csv(ctx)
+    assert f'"{unit}","{unit}","",0,"{only_2}",1\n' in text
+    assert verify_algebra_map(ctx).counterexamples
+
+
 def test_verify_computes_one_product_per_bracket(monkeypatch):
     # t_(l1) * t_(l2) is a translate of t_(n_tau1) * t_k * t_(n_tau2), and
     # that of the least k0 in P2 k P1: one double coset each for the tau
