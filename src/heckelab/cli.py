@@ -441,13 +441,12 @@ def _suite_field(cfg: RunConfig, rng, failures) -> dict:
         ok_mul = ok_ultra = True
         for _ in range(200):
             x, y = random_element(model, rng), random_element(model, rng)
+            vx, vy = x.val(), y.val()
             if not x.is_zero() and not y.is_zero():
-                if (x * y).val() != x.val() + y.val():
+                if (x * y).val() != vx + vy:
                     ok_mul = False
-            s = x + y
-            if s.val() < min(x.val(), y.val()):
-                ok_ultra = False
-            if x.val() != y.val() and s.val() != min(x.val(), y.val()):
+            vs, low = (x + y).val(), min(vx, vy)
+            if vs < low or (vx != vy and vs != low):
                 ok_ultra = False
         _check(checks, failures, f"valuation multiplicative [{model}]", ok_mul)
         _check(checks, failures, f"ultrametric inequality [{model}]", ok_ultra)

@@ -411,7 +411,7 @@ class HeckeAlgebra:
         the canonical lifts of o/pi^N; all other entries are zero."""
         model, n = self.spec.model, self.spec.n
         pools = [
-            [model.pi_pow(s) * w.lift() for w in model.residue_ring(N).elements()]
+            [w.lift().shift(s) for w in model.residue_ring(N).elements()]
             for _, _, s, N in entries
         ]
         zero = model.zero()

@@ -274,21 +274,27 @@ def poly_mul(k: GF, a, b, N=None):
     return poly_trim(out)
 
 def poly_divmod(k: GF, a, b):
+    """(q, r) with a = q b + r and deg r < deg b, for b with a nonzero top
+    coefficient.  Each step pops the top coefficient c of the remainder;
+    when c != 0 it subtracts (c / lead b) t^s b, whose top term is c t^top
+    and so cancels the popped one exactly: only the lower, nonzero
+    coefficients of b are multiplied.  A zero remainder is popped to below
+    len(b) like any other, so the loop needs no test of it."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     quot = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = k.inv(b[-1])
-    while len(a) >= len(b) and poly_trim(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coeff = k.mul(a[-1], inv_lead)
-        quot[shift] = coeff
-        for i, c in enumerate(b):
-            a[shift + i] = k.sub(a[shift + i], k.mul(coeff, c))
-        a.pop()
+    top = len(b) - 1
+    inv_lead, lower = k.inv(b[top]), [(i, c) for i, c in enumerate(b[:top]) if c]
+    add, mul = k.add, k.mul
+    while len(a) > top:
+        c = a.pop()
+        if c:
+            shift = len(a) - top
+            coeff = quot[shift] = mul(c, inv_lead)
+            minus = k.neg(coeff)
+            for i, x in lower:
+                a[shift + i] = add(a[shift + i], mul(minus, x))
     return poly_trim(quot), poly_trim(a)
 
 
@@ -619,6 +625,45 @@ class FieldElement:
             base = base * base
             n >>= 1
         return out
+
+    def shift(self, k: int) -> "FieldElement":
+        """x pi^k, with the data of x * model.pi_pow(k) and no product of
+        two elements formed.  The data of an element is canonical and
+        unique (see the class docstring), so it is enough that each route
+        below gives canonical data of the value x pi^k.
+
+        Mixed model: write k = a e + r with 0 <= r < e, so pi^k = p^a pi^r.
+        Coordinate i of x times pi^r lands at pi^(i+r) for i + r < e and,
+        by pi^e = p, at p pi^(i+r-e) otherwise: the e numerators rotate up
+        by r, and the r that wrap around are multiplied by p.  p^a then
+        scales the numerators (a >= 0) or the denominator (a < 0), and one
+        normalization gives the canonical data.
+
+        Equal model: x = num/den is reduced, so gcd(num t^k, den) =
+        gcd(t^k, den) = t^j with j = min(k, ord_0 den) for k >= 0, and
+        dividing both by t^j leaves the fraction reduced; den / t^j keeps
+        den's leading coefficient, so it stays monic.  For k < 0 the same
+        holds with the roles swapped: j = min(-k, ord_0 num) and the
+        denominator gains t^(-k-j).  Only powers of t are cancelled, so no
+        gcd is taken."""
+        if not k:
+            return self
+        m = self.model
+        num, den = self.num, self.den
+        if m.kind == MIXED:
+            e, p = m.e, m.p
+            a, r = divmod(k, e)
+            up, down = p ** max(a, 0), p ** max(-a, 0)
+            wrap = up * p
+            nums = tuple(wrap * x for x in num[e - r:]) + tuple(up * x for x in num[:e - r])
+            return FieldElement(m, _mixed_normalize(nums, den * down), _canonical=True)
+        if not num:
+            return self
+        if k > 0:
+            j = min(k, poly_ord0(den))
+            return FieldElement(m, ((0,) * (k - j) + num, den[j:]), _canonical=True)
+        j = min(-k, poly_ord0(num))
+        return FieldElement(m, (num[j:], (0,) * (-k - j) + den), _canonical=True)
 
     # -- valuation and predicates ---------------------------------------------
 

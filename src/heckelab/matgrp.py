@@ -78,7 +78,9 @@ class GroupSpec(FrozenRecord):
         return GroupElement(self, conv)
 
     def n_of_tau(self, tau: "CartanDatum") -> "GroupElement":
-        """The cocharacter section: diag(pi^a_1, ..., pi^a_n)."""
+        """The cocharacter section: diag(pi^a_1, ..., pi^a_n), with its
+        determinant pi^(a_1 + .. + a_n) given, so none is computed (for SL
+        the coordinates sum to 0, and it is the model's one)."""
         if len(tau.coords) != self.n:
             raise ValueError(f"cocharacter length {len(tau.coords)} != n = {self.n}")
         if self.family == SL and sum(tau.coords) != 0:
@@ -91,7 +93,7 @@ class GroupSpec(FrozenRecord):
             )
             for i in range(self.n)
         )
-        return GroupElement(self, rows)
+        return GroupElement(self, rows, _det=self.model.pi_pow(sum(tau.coords)))
 
 
 class CartanDatum(FrozenRecord):
@@ -193,12 +195,26 @@ class GroupElement:
         return self._det
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
+        """The product, its determinant the product of the two.  When a
+        factor is diagonal, D = diag(d_1, .., d_n), the sum sum_k a_ik
+        b_kj has one term that can be nonzero: (A D)_ij = a_ij d_j and (D
+        B)_ij = d_i b_ij.  So the other factor's columns (D on the right)
+        or rows (D on the left) are scaled, n^2 field products and no sum.
+        The data of a field element is canonical (``FieldElement``), so
+        the entries are the ones the full sums give."""
         if other.group != self.group:
             raise MixedRings(f"{self.group.family}_{self.group.n}({self.group.model}) times "
                              f"{other.group.family}_{other.group.n}({other.group.model})")
         n, a, b = self.group.n, self.entries, other.entries
-        cols = [b[j::n] for j in range(n)]
-        rows = tuple(tuple(_dot(a[i:i + n], col) for col in cols) for i in range(0, n * n, n))
+        starts = range(0, n * n, n)
+        if _is_diagonal(b, n):
+            d = b[::n + 1]
+            rows = tuple(tuple(x * y for x, y in zip(a[i:i + n], d)) for i in starts)
+        elif _is_diagonal(a, n):
+            rows = tuple(tuple(x * y for y in b[i:i + n]) for x, i in zip(a[::n + 1], starts))
+        else:
+            cols = [b[j::n] for j in range(n)]
+            rows = tuple(tuple(_dot(a[i:i + n], col) for col in cols) for i in starts)
         return GroupElement(self.group, rows, _det=self._det * other._det)
 
     def inverse(self) -> "GroupElement":
@@ -244,6 +260,13 @@ class GroupElement:
 
     def serialize(self):
         return [[str(x) for x in row] for row in self.rows]
+
+
+def _is_diagonal(entries, n: int) -> bool:
+    """Whether every entry off the diagonal of the row-major ``entries``
+    of an n x n matrix is zero; the diagonal is every (n + 1)-th entry."""
+    step = n + 1
+    return all(x.is_zero() for k, x in enumerate(entries) if k % step)
 
 
 def _dot(row, col):
@@ -369,7 +392,9 @@ def _eliminate(g: GroupElement, rng=None):
     pivot M[k][k] is never written after it is chosen, so its valuation
     d_k is the one ``_pick_pivot`` returned.  ``tests/oracles.py``
     keeps the elimination that forms every entry, and the tests check that
-    both give the same (tau, ops, sign).
+    both give the same (tau, ops, sign).  Each diagonal unit M[k][k]
+    pi^-d_k is formed by ``FieldElement.shift``, whose data are those of
+    the product by pi_pow(-d_k): the ops are the same objects in value.
     """
     spec = g.group
     model = spec.model
@@ -421,7 +446,7 @@ def _eliminate(g: GroupElement, rng=None):
     for k, d in enumerate(ds):
         if d == INF:
             raise InvariantViolated("singular input slipped through to the SNF diagonal")
-        ops.append((_SCALE, 1, k, None, M[k][k] * model.pi_pow(-d)))
+        ops.append((_SCALE, 1, k, None, M[k][k].shift(-d)))
 
     # reverse so the exponents are weakly decreasing (dominant)
     for k in range(n // 2):
@@ -866,7 +891,8 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
 
     def scaled_class(self, g: GroupElement, a: int) -> int:
         """The class of k = pi^-a g, for g in pi^a K_m: each entry of k
-        reduced into R once and read in ``index``.
+        (formed by ``FieldElement.shift``, no field product) reduced into
+        R once and read in ``index``.
 
         Reduction K_m -> G(o/pi^(m+c)) is a group homomorphism with kernel
         K_(m+c) whose image is the classes (``_congruence_classes``), so the
@@ -876,8 +902,7 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
         tables, ring = self.tables, self.ring
         index, entries = tables.index, g.entries
         if a:
-            scale = self.spec.model.pi_pow(-a)
-            entries = [x * scale for x in entries]
+            entries = [x.shift(-a) for x in entries]
         x = self.index.get(tuple(index[ring.reduce(y).coords] for y in entries))
         if x is None:
             raise InvariantViolated(

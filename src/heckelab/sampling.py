@@ -47,10 +47,12 @@ def random_integral(model: FieldModel, rng, depth: int = 3) -> FieldElement:
 
 
 def random_element(model: FieldModel, rng, depth: int = 3) -> FieldElement:
-    """A random field element, possibly of negative valuation."""
+    """A random field element, possibly of negative valuation: x pi^k for
+    x from ``random_integral`` and k in [-depth, depth], by
+    ``FieldElement.shift``, whose data are those of x * pi_pow(k), so each
+    seed draws the elements the product drew."""
     x = random_integral(model, rng, depth)
-    shift = rng.randrange(-depth, depth + 1)
-    return x * model.pi_pow(shift)
+    return x.shift(rng.randrange(-depth, depth + 1))
 
 
 def random_in_k(spec: GroupSpec, rng, depth: int = 2) -> GroupElement:

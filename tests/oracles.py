@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
 from heckelab.hecke import DoubleCosetLabel, HeckeAlgebra
-from heckelab.localfield import FieldElement, poly_divmod, poly_gcd, poly_mul
+from heckelab.localfield import FieldElement, poly_divmod, poly_gcd, poly_mul, poly_trim
 from heckelab.matgrp import (
     _ADD,
     _SCALE,
@@ -101,6 +101,29 @@ def gf_product_by_digits(k, a, b):
                 prod[i + j] = (prod[i + j] + x * y) % p
     rem = _polymod_intcoeffs(tuple(prod), k.modulus, p)
     return k._encode(rem + (0,) * (f - len(rem)))
+
+
+def poly_divmod_by_trim(k, a, b):
+    """(q, r) with a = q b + r and deg r < deg b over k = GF(q), by the
+    long division that tests the whole remainder for zero (a trimmed copy)
+    on every step and subtracts every coefficient of b, zeros and the top
+    one included.  Reference oracle for localfield.poly_divmod."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = k.inv(b[-1])
+    while len(a) >= len(b) and poly_trim(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        coeff = k.mul(a[-1], inv_lead)
+        quot[shift] = coeff
+        for i, c in enumerate(b):
+            a[shift + i] = k.sub(a[shift + i], k.mul(coeff, c))
+        a.pop()
+    return poly_trim(quot), poly_trim(a)
 
 
 def irreducible_by_trial_division(p, f):
@@ -249,6 +272,20 @@ def eliminate_full_update(g: GroupElement, rng=None, trailing_row_update=True):
         minus_one = model.from_int(-1)
         ops += [(_SCALE, 0, 0, None, minus_one), (_SCALE, 1, 0, None, minus_one)]
     return CartanDatum(tuple(ds[::-1])), ops, sign
+
+
+def matmul_by_dots(x: GroupElement, y: GroupElement) -> GroupElement:
+    """x y by the n^3 definition: entry (i, j) the field sum of x_ik y_kj
+    over every k, zero terms included, and the determinant left to
+    GroupElement's cofactor expansion.  Reference oracle for the scaled
+    rows and columns of GroupElement.__matmul__ with a diagonal factor."""
+    n = x.group.n
+    rows = [[x.rows[i][0] * y.rows[0][j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(1, n):
+                rows[i][j] = rows[i][j] + x.rows[i][k] * y.rows[k][j]
+    return GroupElement(x.group, rows)
 
 
 def residue_det(r: ResidueMatrix):

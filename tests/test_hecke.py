@@ -1347,6 +1347,50 @@ def test_only_the_identity_double_coset_reaches_the_top(case):
             assert not reaching, (tau1, tau2, k0, bracket)
 
 
+# The Cartan round trip as a property: g = k1 n_tau k2 for k1, k2 drawn in
+# K and tau in the window (B = 2 at n = 2, B = 1 at n = 3).  F_4((t)) at
+# n = 3 classifies at m = 0, where the label is that of n_tau: at m = 1 its
+# K/K_1 has 181,440 classes for GL (its move table is over the default
+# budget) and 60,480 for SL (5.5 s to build and classify two elements).
+ROUND_TRIP_FIELDS = {
+    "Q_2": FieldModel.mixed(2), "Q_3": FieldModel.mixed(3), "Q_2(2^(1/5))": FieldModel.mixed(2, 5),
+    "F_2((t))": FieldModel.equal(2), "F_4((t))": FieldModel.equal(2, 2),
+}
+ROUND_TRIP_CELLS = {
+    f"{family}{n}/{name}": (GroupSpec(family, n, model), 0 if n == 3 and model.q == 4 else 1)
+    for family in ("GL", "SL") for n in (2, 3) for name, model in ROUND_TRIP_FIELDS.items()
+}
+ROUND_TRIP_ALGEBRAS = {}
+
+
+@pytest.mark.parametrize("spec, m", ROUND_TRIP_CELLS.values(), ids=ROUND_TRIP_CELLS.keys())
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cartan_round_trip_property(spec, m, data):
+    # cartan(g) multiplies back to g with tau dominant and equal to the tau
+    # g was built from, both witnesses lie in K, and classify(g) is the one
+    # label of t(k1) * t(n_tau) * t(k2) (K_m is normal in K, so K_m k1 K_m
+    # n_tau K_m k2 K_m = K_m g K_m)
+    if (spec, m) not in ROUND_TRIP_ALGEBRAS:
+        ROUND_TRIP_ALGEBRAS[spec, m] = HeckeAlgebra(spec, m)
+    alg = ROUND_TRIP_ALGEBRAS[spec, m]
+    tau = data.draw(st.sampled_from(dominant_window(spec.family, spec.n, 2 if spec.n == 2 else 1)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    k1, k2 = random_in_k(spec, rng), random_in_k(spec, rng)
+    n_tau = spec.n_of_tau(tau)
+    g = k1 @ n_tau @ k2
+    fac = cartan(g)
+    assert fac.product() == g
+    coords = fac.tau.coords
+    assert all(x >= y for x, y in zip(coords, coords[1:])) and fac.tau == tau
+    assert fac.a.in_k() and fac.b.in_k()
+    if m:
+        product = alg.convolve(alg.convolve(alg.t(k1), alg.t(n_tau)), alg.t(k2))
+    else:  # K_0 = K, so t(k1) = t(k2) = 1 and the product is t(n_tau)
+        product = alg.t_of_label(alg.label_of_tau(tau))
+    assert product == alg.t_of_label(alg.classify(g))
+
+
 def test_negative_level_is_invalid_config():
     with pytest.raises(InvalidConfig):
         HeckeAlgebra(SL2_Q2, -1)

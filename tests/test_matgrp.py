@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 import heckelab
-from heckelab import localfield
+from heckelab import localfield, matgrp
 from heckelab.errors import (
     BudgetExceeded,
     InvariantViolated,
+    MixedRings,
     NonUnitDet,
     NotDominant,
     NotInK,
@@ -34,12 +36,13 @@ from heckelab.matgrp import (
     lift_group,
     reduce_group,
 )
-from heckelab.sampling import random_in_k, random_windowed
+from heckelab.sampling import random_element, random_in_k, random_tau, random_windowed
 from oracles import (
     cartan_type,
     code_det,
     code_product,
     eliminate_full_update,
+    matmul_by_dots,
     residue_det,
     residue_identity,
 )
@@ -279,24 +282,26 @@ def test_eliminate_matches_full_update_oracle(family, n, model, rng):
     )
 
 
-def _count_products(monkeypatch):
-    """Count FieldElement.__mul__ calls (``__rmul__`` is the same method)."""
+def _count_calls(monkeypatch, name):
+    """Count calls of the FieldElement method ``name`` (``__rmul__`` is the
+    same method as ``__mul__``)."""
     calls = [0]
-    mul = FieldElement.__mul__
+    method = getattr(FieldElement, name)
 
-    def counted(self, other):
+    def counted(self, *args):
         calls[0] += 1
-        return mul(self, other)
+        return method(self, *args)
 
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, name, counted)
     return calls
 
 
 def test_eliminate_forms_no_known_entry(monkeypatch):
     # SL2 over Q_2(2^(1/5)) with four nonzero entries: one row multiplier
-    # and its one trailing update, one column multiplier and two diagonal
-    # units, 5 products where forming every entry took 8; SL3/Q_2 with
-    # nine nonzero entries, tau = (2,-1,-1): 14 where it took 25
+    # and its one trailing update and one column multiplier, 3 products,
+    # and two diagonal units, one shift each, where forming every entry
+    # took 8 products; SL3/Q_2 with nine nonzero entries, tau = (2,-1,-1):
+    # 11 products and 3 shifts where it took 25 products
     model = FieldModel.mixed(2, 5)
     one, pi = model.one(), model.pi_pow
     g = GroupElement(GroupSpec("SL", 2, model), [[one, pi(1)], [pi(-2), one + pi(-1)]])
@@ -305,12 +310,13 @@ def test_eliminate_forms_no_known_entry(monkeypatch):
         [q2.from_fraction(Fraction(x)) for x in row]
         for row in [[4, 12, 20], [8, "49/2", 43], [12, 38, "145/2"]]
     ])
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "__mul__")
+    shifts = _count_calls(monkeypatch, "shift")
     assert _eliminate(g)[0] == CartanDatum((2, -2))
-    assert calls[0] == 5
-    calls[0] = 0
+    assert (calls[0], shifts[0]) == (3, 2)
+    calls[0] = shifts[0] = 0
     assert _eliminate(h)[0] == CartanDatum((2, -1, -1))
-    assert calls[0] == 14
+    assert (calls[0], shifts[0]) == (11, 3)
 
 
 def test_cartan_uniqueness_of_tau(rng):
@@ -426,6 +432,81 @@ def test_element_keeps_one_entry_tuple(n, rng):
         moved[i][j] = model.from_int(2) if i == j else one
         x = GroupElement(spec, moved)
         assert x.in_km(0) and not x.in_km(1)
+
+
+FAST_PATH_FIELDS = {
+    "Q_2": FieldModel.mixed(2), "Q_3": FieldModel.mixed(3), "Q_2(2^(1/5))": FieldModel.mixed(2, 5),
+    "F_2((t))": FieldModel.equal(2), "F_4((t))": FieldModel.equal(2, 2),
+}
+FAST_PATH_SPECS = {
+    f"{family}{n}/{name}": GroupSpec(family, n, model)
+    for family, n in [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)]
+    for name, model in FAST_PATH_FIELDS.items()
+}
+
+
+def _diagonal(spec, entries):
+    zero, n = spec.model.zero(), spec.n
+    return GroupElement(spec, [[entries[i] if i == j else zero for j in range(n)]
+                               for i in range(n)])
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_SPECS.values(), ids=FAST_PATH_SPECS.keys())
+def test_matmul_with_a_diagonal_factor_matches_dots(spec, rng, monkeypatch):
+    # with a diagonal factor on either side, @ scales columns or rows and
+    # runs no inner product (_dot), and its entries and determinant are
+    # those of the n^3 product; the diagonals are n_tau and one of
+    # non-monomial entries, diag(u_1, .., u_n) for GL and diag(u, .., u^-1)
+    # (the last entry the inverse of the others' product) for SL, which
+    # keeps the model's shared one as its determinant
+    model, n = spec.model, spec.n
+    cases = []
+    for _ in range(4):
+        units = [random_element(model, rng) for _ in range(n)]
+        units = [u if not u.is_zero() else model.one() for u in units]
+        if spec.family == "SL":
+            units[-1] = math.prod(units[:-1], start=model.one()).inverse()
+        diagonals = [spec.n_of_tau(random_tau(spec, rng, 3)), _diagonal(spec, units)]
+        others = [random_windowed(spec, rng, bound=2), random_in_k(spec, rng), diagonals[1]]
+        cases += [(x, y) for d in diagonals for g in others for x, y in ((d, g), (g, d))]
+    expected = [matmul_by_dots(x, y) for x, y in cases]
+
+    def general_kernel(row, col):
+        raise AssertionError("a product with a diagonal factor ran the general kernel")
+
+    monkeypatch.setattr(matgrp, "_dot", general_kernel)
+    for (x, y), z in zip(cases, expected):
+        product = x @ y
+        assert product.entries == z.entries and product.det() == z.det(), (x, y)
+        if spec.family == "SL":
+            assert product.det() is model.one()
+
+
+def test_matmul_with_a_diagonal_factor_refuses_another_group():
+    q2, q3 = FieldModel.mixed(2), FieldModel.mixed(3)
+    d = GroupSpec("GL", 2, q2).n_of_tau(CartanDatum((1, 0)))
+    others = [GroupSpec("GL", 2, q3).n_of_tau(CartanDatum((1, 0))),
+              GroupSpec("SL", 2, q2).n_of_tau(CartanDatum((1, -1))),
+              GroupSpec("GL", 2, FieldModel.equal(2)).identity()]
+    for other in others:
+        with pytest.raises(MixedRings):
+            d @ other
+        with pytest.raises(MixedRings):
+            other @ d
+
+
+def test_n_of_tau_determinant_is_given():
+    # n_tau carries det pi^(a_1 + .. + a_n), the cofactor determinant's
+    # value, without computing one; an SL diagonal of another determinant
+    # is still refused
+    model = FieldModel.mixed(2, 5)
+    spec = GroupSpec("GL", 3, model)
+    for coords in [(3, 1, -2), (0, 0, 0), (-1, -1, -4)]:
+        n_tau = spec.n_of_tau(CartanDatum(coords))
+        assert n_tau.det() == model.pi_pow(sum(coords)) == _cofactor_det(n_tau.rows, model.zero())
+    assert GroupSpec("SL", 3, model).n_of_tau(CartanDatum((2, 0, -2))).det() is model.one()
+    with pytest.raises(Singular):
+        _diagonal(GroupSpec("SL", 2, model), [model.pi_pow(1), model.one()])
 
 
 def test_singular_matrix_rejected():
