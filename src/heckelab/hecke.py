@@ -35,7 +35,8 @@ from .matgrp import (
     _check_budget,
     _check_budget_power,
     _congruence_classes,
-    _eliminate,
+    content,
+    truncated_elimination,
 )
 from .record import FrozenRecord, _set
 from .rings import ZZ
@@ -358,7 +359,8 @@ class HeckeAlgebra:
         normal form: alpha = pi^(a_n) h with h upper triangular, h_ii =
         pi^(c_i), 0 <= c_i <= a_1 - a_n, sum c_i = sum (a_i - a_n), and h_ij
         (i < j) over the lifts of o/pi^(c_i), kept when alpha has Cartan
-        type tau, which ``matgrp._eliminate`` reads off with no witness.
+        type tau, which ``matgrp.truncated_elimination`` at P = 1 reads off
+        with no witness (its pivot valuations are the exact ones).
         Either way det alpha = det n_tau exactly, so SL needs no determinant
         fix.  The budget is charged the number of candidates before any of
         them is built (``_coset_shapes``), and the system built must have
@@ -371,7 +373,7 @@ class HeckeAlgebra:
         out = []
         for diag, entries in self._coset_shapes(tau):
             for alpha in self._triangular(diag, entries, det):
-                if self.m == 0 and _eliminate(alpha)[0] != tau:
+                if self.m == 0 and truncated_elimination(alpha, *content(alpha), 1)[0] != tau:
                     continue
                 out.append(alpha)
         if len(out) != self._degree(tau):
@@ -560,40 +562,42 @@ class HeckeAlgebra:
         factors it, that of the classes ([a], [b]^-1).  K_m g K_m = K_m h
         K_m iff classify(g) == classify(h): each double coset has one label.
 
-        No witness is formed.  ``cartan`` builds a and b by replaying the
-        operations of ``matgrp._eliminate`` on exact identity matrices, so
-        each of their entries is a polynomial with integer coefficients in
-        the multipliers f and units u of the elimination (the SL fix scales
-        by sign = +-1), and each f and u is integral.  Reduction o -> o/pi^m
-        is a ring homomorphism, so it carries each entry to the same
-        polynomial in the residues of the f and u, which is what the replay
-        of the same operations on the add and mul tables of o/pi^m
-        evaluates (``ClassGroup.witness_classes``).  So the replayed codes
-        are [a] and [b], and the label is canonical_label(tau, [a],
-        [b]^-1): the identical object (the orbit table's own) that cartan's
-        witnesses name, not merely an equal one.  No GroupElement,
-        determinant or reduction of a witness entry is formed; each f and u
-        is reduced once.
+        No witness is formed, and no exact elimination runs.  Let (a,
+        delta) = ``content(g)``.  For delta > 0, ``truncated_elimination``
+        eliminates pi^-a g mod pi^(P + delta) with P = max(m, 1): its tau
+        is cartan's, and its multipliers f and units u are congruent mod
+        pi^P, so mod pi^m, to those that ``cartan`` replays on exact
+        identity matrices; an exact op with no twin there has f = 0 mod
+        pi^P (proof in its docstring).  Each entry of a and b is a
+        polynomial with integer coefficients in those f and u (the SL fix
+        scales by sign = +-1), and reduction o -> o/pi^m is a ring
+        homomorphism, so it carries each entry to the same polynomial in
+        the residues of the f and u, which is what the replay of the ops
+        on the add and mul tables of o/pi^m evaluates
+        (``ClassGroup.witness_classes``).  So the replayed codes are [a]
+        and [b], and the label is canonical_label(tau, [a], [b]^-1): the
+        identical object (the orbit table's own) that cartan's witnesses
+        name, not merely an equal one.  No GroupElement, determinant,
+        field product or field inverse is formed.
 
-        An element of pi^a K runs no elimination.  With a = min v(g_ij),
-        k = pi^-a g is integral, and it lies in K iff det k is a unit, that
-        is iff v(det g) = n a (det g is cached on g; for SL it is 1, so a =
-        0).  Then g = k n_tau 1 with tau = (a, .., a), and the label is
-        canonical_label(tau, [k], e), [k] read by ``ClassGroup.scaled_class``.
-        It is the one cartan's witnesses name.  n_tau = pi^a is central, so
-        (x, y) lies in Gamma_tau iff x y^-1 lies in K_m, i.e. iff [x] = [y]:
-        Gamma_tau is the diagonal.  If g = A n_tau B with A, B in K, then A
-        B = k, so ([A], [B]^-1) = ([k] [B]^-1, e [B]^-1) lies in the orbit
-        of ([k], e), and the orbit table returns the same label object.  (As
-        K_m is normal in K and n_tau central, K_m g K_m is the one coset g
-        K_m, which [k] names.)"""
-        n = self.spec.n
-        a = min(x.val() for x in g.entries)
-        if g.det().val() == n * a:
-            group = self.group
-            return self.canonical_label(CartanDatum((a,) * n), group.scaled_class(g, a), group.e)
-        tau, ops, _ = _eliminate(g)
-        xi, yi = self.group.witness_classes(ops)
+        For delta = 0, g lies in pi^a K and runs no elimination: k = pi^-a
+        g is integral with det k a unit (for SL, a = 0).  Then g = k n_tau
+        1 with tau = (a, .., a), and the label is canonical_label(tau,
+        [k], e), [k] read by ``ClassGroup.scaled_class``.  It is the one
+        cartan's witnesses name.  n_tau = pi^a is central, so (x, y) lies
+        in Gamma_tau iff x y^-1 lies in K_m, i.e. iff [x] = [y]: Gamma_tau
+        is the diagonal.  If g = A n_tau B with A, B in K, then A B = k, so
+        ([A], [B]^-1) = ([k] [B]^-1, e [B]^-1) lies in the orbit of ([k],
+        e), and the orbit table returns the same label object.  (As K_m is
+        normal in K and n_tau central, K_m g K_m is the one coset g K_m,
+        which [k] names.)"""
+        a, delta = content(g)
+        group = self.group
+        if not delta:
+            return self.canonical_label(CartanDatum((a,) * self.spec.n),
+                                        group.scaled_class(g, a), group.e)
+        tau, ops, _, ring = truncated_elimination(g, a, delta, max(self.m, 1))
+        xi, yi = group.witness_classes(ops, ring)
         return self.canonical_label(tau, xi, yi)
 
     def canonical_label(self, tau: CartanDatum, xi: int, yi: int) -> DoubleCosetLabel:

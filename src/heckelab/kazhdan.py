@@ -5,8 +5,9 @@ bijection of the classes of K/K_m on the two sides, and the label
 t_(x n_tau y^-1) goes to t_(x' n'_tau y'^-1) with [x'] = lambda_m [x],
 [y'] = lambda_m [y], canonicalized in the other side's orbit table; this
 needs N >= m.  Elements move by re-factorization: g = a n_tau b with
-witnesses in K, formed only mod pi^N (by replaying the elimination on
-residues), cross through lambda_N at the working precision, and the image
+witnesses in K, formed only mod pi^N (by replaying an elimination run mod
+a power of pi on residues), cross through lambda_N at the working
+precision, and the image
 is a' n'_tau b'; this needs N >= m + 2|tau|.
 The verification harness certifies exact equality of all windowed
 structure constants, the label bijection, and the compatibility of
@@ -117,13 +118,15 @@ class TransportContext:
         lift'(lambda_N (a mod pi^N)) and b' likewise (``ctx.inverse()`` is
         the way back).
 
-        No exact witness is formed: ``matgrp.residue_witnesses`` replays the
-        elimination of g on residues of o/pi^N, and reduction o -> o/pi^N is
-        a ring homomorphism, so the replay gives a mod pi^N and b mod pi^N
-        for the witnesses a, b that ``cartan(g, rng)`` builds (proof in the
-        ``residue_witnesses`` docstring).  lambda_N applies entry by entry,
-        and the lift is ``lift_group``: the image is the one that the exact
-        witnesses give.
+        No exact witness is formed and no exact elimination runs:
+        ``matgrp.residue_witnesses`` eliminates pi^-a g mod pi^(N + delta)
+        (``matgrp.truncated_elimination``), whose multipliers and units
+        are cartan's mod pi^N, and replays the ops on residues of o/pi^N;
+        reduction o -> o/pi^N is a ring homomorphism, so the replay gives a
+        mod pi^N and b mod pi^N for the witnesses a, b that ``cartan(g,
+        rng)`` builds (proof in the ``residue_witnesses`` docstring).
+        lambda_N applies entry by entry, and the lift is ``lift_group``:
+        the image is the one that the exact witnesses give.
 
         The double-coset label of the image does not depend on the witness
         choice; that independence is a verified property of the harness,

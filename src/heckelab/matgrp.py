@@ -28,10 +28,20 @@ from .errors import (
 from .localfield import (
     DEFAULT_BUDGET,
     INF,
+    MIXED,
     FieldElement,
     FieldModel,
+    ResidueElement,
     ResidueRing,
+    _mixed_product,
+    _series_inverse,
+    _vp_int,
     mixed_dot,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_ord0,
+    poly_trim,
 )
 from .record import FrozenRecord, _set
 
@@ -324,7 +334,7 @@ def _k_element(spec: GroupSpec, rows, det) -> GroupElement:
     element of ``spec``.
 
     For SL column 0 is scaled by det^-1 (a Cartan witness, of det +-1,
-    takes its fix from ``_eliminate`` instead): the result has determinant
+    takes its fix from ``_smith`` instead): the result has determinant
     exactly one, which GroupElement checks again, and when det = 1 mod pi^N
     its residue mod pi^N is that of ``rows``, because det^-1 = 1 mod pi^N.
     """
@@ -359,14 +369,170 @@ class CartanFactorization(FrozenRecord):
 # An elimination's operation acts on the rows of W[0] = A^T (a column of A
 # is a row of A^T) or W[1] = B, as a tuple (kind, w, i, j, x): _SWAP swaps
 # rows i and j of W[w], _ADD adds x times row j to row i, _SCALE multiplies
-# row i by x (j unused).
+# row i by x (j unused).  x lies in the ring the elimination ran over.
 _SWAP, _ADD, _SCALE = range(3)
 
 
-def _eliminate(g: GroupElement, rng=None):
-    """The Smith-normal-form elimination of g over the valuation ring, as
-    (tau, ops, sign): ops carry two identity matrices to the witnesses A^T
-    and B of g = A n_tau B (``_replay``), and sign = det A = +-1.
+# The rings ``_smith`` eliminates over.  Each gives ``val`` (INF at zero),
+# ``is_zero``, ``sub``, ``mul``, ``zero`` and ``minus_one``;
+# ``divider(pivot, d)``, for a pivot of valuation d, returns x -> x / pivot
+# for x of valuation >= d; ``unit(pivot, d)`` is pivot pi^-d; and
+# ``residue(x, ring)`` is the coords of x in the ``ResidueRing`` ``ring``.
+
+
+class _Field:
+    """The valuation ring o inside F, on exact field elements: the ring of
+    ``cartan``'s elimination.  The arithmetic is the elements' own, looked
+    up at each call; a quotient inverts the pivot once and checks that it
+    is integral."""
+
+    __slots__ = ("zero", "minus_one")
+    val = operator.methodcaller("val")
+    is_zero = operator.methodcaller("is_zero")
+    sub = operator.sub
+    mul = operator.mul
+
+    def __init__(self, model: FieldModel):
+        self.zero = model.zero()
+        self.minus_one = model.from_int(-1)
+
+    @staticmethod
+    def divider(pivot, d):
+        inv = pivot.inverse()
+
+        def divide(x):
+            f = x * inv
+            if not f.is_integral():
+                raise InvariantViolated(f"SNF multiplier {f} is not integral")
+            return f
+
+        return divide
+
+    @staticmethod
+    def unit(pivot, d):
+        return pivot.shift(-d)
+
+    @staticmethod
+    def residue(x, ring):
+        return ring.reduce(x).coords
+
+
+class _MixedTruncation:
+    """o/pi^N of Q_p(pi), pi^e = p, on coordinate tuples: x = sum c_i pi^i
+    with c_i an integer in [0, p^cap_i), the coords of ``ResidueRing``;
+    products are folded by pi^e = p (``_mixed_product``).
+
+    For v(x) >= d, x pi^-d is a rotation of the coordinates.  Write d = s e
+    + r, 0 <= r < e.  Then e v_p(c_i) + i >= d, so p^s divides every c_i
+    and p^(s+1) every c_i with i < r (a representative in [0, p^cap_i) of
+    a multiple of p^j is one, or is 0): x pi^-r moves c_i to i - r for i >=
+    r and c_i / p to i - r + e for i < r (pi^(i-r) = pi^(i-r+e) / p), and
+    then every coordinate is divided by p^s.  A unit u is inverted from x =
+    c_0^-1 mod p^cap_0: u x - 1 = (c_0 x - 1) + (u - c_0) x, the first term
+    0 mod p^cap_0, that is mod pi^N, and x a unit, so v(u x - 1) >= v(u -
+    c_0).  Newton steps x <- x (2 - u x) follow, each of which squares u x
+    - 1, until that bound reaches N."""
+
+    __slots__ = ("N", "e", "p", "moduli", "zero", "minus_one", "_ring")
+
+    def __init__(self, ring: ResidueRing):
+        model = ring.model
+        self.N, self.e, self.p, self.moduli, self._ring = ring.N, model.e, model.p, ring.moduli, ring
+        self.zero = (0,) * model.e
+        self.minus_one = (-1 % ring.moduli[0],) + self.zero[1:]
+
+    def reduce(self, x: FieldElement) -> tuple:
+        return self._ring.reduce(x).coords
+
+    @staticmethod
+    def residue(x, ring):
+        return tuple(c % mod for c, mod in zip(x, ring.moduli))
+
+    @staticmethod
+    def is_zero(x):
+        return not any(x)
+
+    def val(self, x):
+        e, p, best = self.e, self.p, INF
+        for i, c in enumerate(x):
+            if c:
+                v = e * _vp_int(c, p) + i
+                if v < best:
+                    best = v
+        return best
+
+    def sub(self, x, y):
+        return tuple((a - b) % mod for a, b, mod in zip(x, y, self.moduli))
+
+    def mul(self, x, y):
+        return tuple(c % mod for c, mod in zip(_mixed_product(x, y, self.e, self.p), self.moduli))
+
+    def unit(self, x, d):
+        s, r = divmod(d, self.e)
+        p = self.p
+        if r:
+            x = x[r:] + tuple(c // p for c in x[:r])
+        if s:
+            ps = p**s
+            x = tuple(c // ps for c in x)
+        return x
+
+    def divider(self, pivot, d):
+        u, mul, unit = self.unit(pivot, d), self.mul, self.unit
+        inv, two = (pow(u[0], -1, self.moduli[0]),) + self.zero[1:], (2,) + self.zero[1:]
+        reached = self.val((0,) + u[1:])
+        while reached < self.N:
+            inv = mul(inv, self.sub(two, mul(u, inv)))
+            reached *= 2
+        return lambda x: mul(unit(x, d), inv)
+
+
+class _EqualTruncation:
+    """o/pi^N of F_q((t)) on coordinate tuples: a polynomial over GF(q) of
+    degree below N, low-first with no top zeros (``poly_trim``); products
+    are truncated at t^N.  For v(x) >= d, x t^-d drops the d low
+    coordinates, and a unit is inverted as a power series
+    (``_series_inverse``)."""
+
+    __slots__ = ("N", "k", "zero", "minus_one", "_ring")
+    val = staticmethod(poly_ord0)
+    is_zero = operator.not_
+
+    def __init__(self, ring: ResidueRing):
+        self.N, self.k, self._ring = ring.N, ring.model.gf, ring
+        self.zero = ()
+        self.minus_one = (self.k.neg(1),)
+
+    def reduce(self, x: FieldElement) -> tuple:
+        return poly_trim(self._ring.reduce(x).coords)
+
+    @staticmethod
+    def residue(x, ring):
+        x = x[:ring.N]
+        return x + (0,) * (ring.N - len(x))
+
+    def sub(self, x, y):
+        return poly_add(self.k, x, poly_neg(self.k, y))
+
+    def mul(self, x, y):
+        return poly_mul(self.k, x, y, self.N)
+
+    @staticmethod
+    def unit(x, d):
+        return x[d:]
+
+    def divider(self, pivot, d):
+        inv, mul = _series_inverse(self.k, pivot[d:], self.N), self.mul
+        return lambda x: mul(x[d:], inv)
+
+
+def _smith(spec: GroupSpec, M, ring, rng):
+    """The Smith-normal-form elimination of the n x n matrix M (a list of
+    row lists, changed in place) over ``ring``, as (ds, ops, sign): ds the
+    pivot valuations in the order eliminated, ops carrying two identity
+    matrices to the witnesses A^T and B of M = A diag(pi^ds reversed) B
+    (``_replay``), and sign = det A = +-1.  The one loop of ``_eliminate``
+    and ``truncated_elimination``.
 
     Pivots on a minimal-valuation entry of the trailing submatrix
     (lexicographically smallest position on ties; ``rng`` randomizes the
@@ -381,7 +547,7 @@ def _eliminate(g: GroupElement, rng=None):
     A pivot is inverted only when it divides something: the first time an
     entry below it or to its right is nonzero.  So the last pivot, and
     every pivot whose row and column are already clear (all of them when
-    g = n_tau), costs no field inverse.  Only M is computed, no witness.
+    g = n_tau), costs no inverse.  Only M is computed, no witness.
 
     No entry whose value is already known is formed.  The row step that
     clears M[i][k] writes zero there, since M[i][k] - f M[k][k] = 0 by the
@@ -390,23 +556,18 @@ def _eliminate(g: GroupElement, rng=None):
     changes no entry but M[k][j] itself, which becomes zero: only f and its
     op are formed.  No entry of row or column k is read again, and the
     pivot M[k][k] is never written after it is chosen, so its valuation
-    d_k is the one ``_pick_pivot`` returned.  ``tests/oracles.py``
-    keeps the elimination that forms every entry, and the tests check that
-    both give the same (tau, ops, sign).  Each diagonal unit M[k][k]
-    pi^-d_k is formed by ``FieldElement.shift``, whose data are those of
-    the product by pi_pow(-d_k): the ops are the same objects in value.
+    d_k is the one ``_pick_pivot`` returned.  ``tests/oracles.py`` keeps
+    the elimination that forms every entry, and the tests check that both
+    give the same (tau, ops, sign).
     """
-    spec = g.group
-    model = spec.model
     n = spec.n
-    zero = model.zero()
-    M = [list(row) for row in g.rows]
+    val, is_zero, sub, mul, zero = ring.val, ring.is_zero, ring.sub, ring.mul, ring.zero
     ops = []
     ds = []
     swaps = 0  # of A's columns, whose parity is the sign of det A
 
     for k in range(n):
-        pi, pj, d = _pick_pivot(M, k, rng)
+        pi, pj, d = _pick_pivot(M, k, rng, val)
         if pi != k:
             M[k], M[pi] = M[pi], M[k]
             ops.append((_SWAP, 0, k, pi, None))  # A <- A * swap
@@ -417,36 +578,30 @@ def _eliminate(g: GroupElement, rng=None):
             ops.append((_SWAP, 1, k, pj, None))
         ds.append(d)
         pivot_row = M[k]
-        pivot_inv = None
+        divide = None
         for i in range(k + 1, n):
             row = M[i]
-            if row[k].is_zero():
+            if is_zero(row[k]):
                 continue
-            if pivot_inv is None:
-                pivot_inv = pivot_row[k].inverse()
-            f = row[k] * pivot_inv  # integral: pivot has minimal valuation
-            if not f.is_integral():
-                raise InvariantViolated(f"SNF row multiplier {f} is not integral")
+            if divide is None:
+                divide = ring.divider(pivot_row[k], d)
+            f = divide(row[k])  # integral: the pivot has minimal valuation
             for c in range(k + 1, n):
-                row[c] = row[c] - f * pivot_row[c]
+                row[c] = sub(row[c], mul(f, pivot_row[c]))
             row[k] = zero
             ops.append((_ADD, 0, k, i, f))  # column k of A += f column i
         for j in range(k + 1, n):
-            if pivot_row[j].is_zero():
+            if is_zero(pivot_row[j]):
                 continue
-            if pivot_inv is None:
-                pivot_inv = pivot_row[k].inverse()
-            f = pivot_row[j] * pivot_inv
-            if not f.is_integral():
-                raise InvariantViolated(f"SNF column multiplier {f} is not integral")
+            if divide is None:
+                divide = ring.divider(pivot_row[k], d)
+            f = divide(pivot_row[j])
             pivot_row[j] = zero
             ops.append((_ADD, 1, k, j, f))  # row k of B += f row j
 
     # normalize the diagonal to exact pi powers
     for k, d in enumerate(ds):
-        if d == INF:
-            raise InvariantViolated("singular input slipped through to the SNF diagonal")
-        ops.append((_SCALE, 1, k, None, M[k][k].shift(-d)))
+        ops.append((_SCALE, 1, k, None, ring.unit(M[k][k], d)))
 
     # reverse so the exponents are weakly decreasing (dominant)
     for k in range(n // 2):
@@ -454,13 +609,81 @@ def _eliminate(g: GroupElement, rng=None):
     sign = -1 if (swaps + n // 2) % 2 else 1
     if spec.family == SL and sign < 0:
         # column 0 of A times det(A)^-1 = sign, row 0 of B times det(A)
-        minus_one = model.from_int(-1)
+        minus_one = ring.minus_one
         ops += [(_SCALE, 0, 0, None, minus_one), (_SCALE, 1, 0, None, minus_one)]
+    return ds, ops, sign
+
+
+def _eliminate(g: GroupElement, rng=None):
+    """The Smith-normal-form elimination of g over o, on exact field
+    elements (``_smith``), as (tau, ops, sign): ops carry two identity
+    matrices to the witnesses A^T and B of g = A n_tau B.  Each diagonal
+    unit M[k][k] pi^-d_k is formed by ``FieldElement.shift``, whose data
+    are those of the product by pi_pow(-d_k).  Only ``cartan`` needs ops in
+    o; every other caller reads them mod a power of pi
+    (``truncated_elimination``)."""
+    ds, ops, sign = _smith(g.group, [list(row) for row in g.rows], _Field(g.group.model), rng)
     return CartanDatum(tuple(ds[::-1])), ops, sign
 
 
+def content(g: GroupElement) -> tuple:
+    """(a, delta) with a = min v(g_ij), the least valuation of an entry, and
+    delta = v(det g) - n a >= 0, that of det(pi^-a g) (det g is cached on
+    g; for SL it is 1).  pi^-a g is integral, and lies in K iff delta = 0."""
+    a = min(x.val() for x in g.entries)
+    return a, g.det().val() - g.group.n * a
+
+
+def truncated_elimination(g: GroupElement, a: int, delta: int, P: int, rng=None):
+    """The elimination of g that ``_eliminate(g, rng)`` runs, read mod pi^P
+    (P >= 1): (tau, ops, sign, ring), ops over ring = o/pi^M, M = P +
+    delta, for (a, delta) = ``content(g)``.  It eliminates k = pi^-a g,
+    each entry (``FieldElement.shift``) reduced into o/pi^M once, and runs
+    no field product or inverse.
+
+    Claim: the pivots and tau are the exact elimination's, with ``rng``
+    after the same tie-break draws, and each multiplier and unit of ops is
+    congruent mod pi^P to the exact one in its place.  Proof:
+    - k has the pivot positions, multipliers and units of g: every entry's
+      valuation drops by a, which cancels in each quotient x / pivot, and
+      its tau is g's minus (a, .., a).
+    - The exact pivot valuations d_k of k are >= 0 (k is integral) and sum
+      to v(det k) = delta, so each d_k <= delta < M.
+    - By induction on the steps, the trailing entries are known mod pi^M.
+      An entry of valuation below M reads exactly and one of valuation M
+      or more reads as zero, so the least valuation d_k is read exactly,
+      at the same positions: the same candidates and the same draw.
+    - A multiplier f = (x pi^-d) (pivot pi^-d)^-1, v(x) >= d = d_k, is
+      known mod pi^(M - d), and M - d >= M - delta = P; so is the unit
+      pivot pi^-d.
+    - An update y - f z, v(z) >= d (the pivot is least), is known mod pi^M:
+      the error of f times z, and that of z times f, lie in pi^M.
+    An exact op whose entry is 0 mod pi^M has no twin here; its f = 0 mod
+    pi^P.  The swaps are the same, so is sign.  The entries of the
+    witnesses that ``_replay`` makes of ops are integer polynomials in the
+    multipliers and units (the SL fix scales by sign = +-1), so mod pi^P
+    they are those of ``cartan(g, rng)``'s witnesses.  Pivot valuations
+    that do not sum to delta, or a zero pivot, raise InvariantViolated: an
+    M too small shows so.
+
+    The proof needs only M >= P + max d_k = P + a_1 - a_n; delta bounds
+    that before any pivot is known, and equals it at n = 2, where the first
+    pivot of k has valuation 0.
+    """
+    spec = g.group
+    ring = spec.model.residue_ring(P + delta)
+    ring = _MixedTruncation(ring) if spec.model.kind == MIXED else _EqualTruncation(ring)
+    reduce = ring.reduce
+    M = [[reduce(x.shift(-a)) for x in row] for row in g.rows]
+    ds, ops, sign = _smith(spec, M, ring, rng)
+    if sum(ds) != delta:
+        raise InvariantViolated(f"pivot valuations {ds} of a truncated elimination do not "
+                                f"sum to v(det) = {delta}")
+    return CartanDatum(tuple(d + a for d in reversed(ds))), ops, sign, ring
+
+
 def _replay(ops, n: int, one, zero, add, mul, scalar):
-    """The rows of (A^T, B) that ``ops`` of ``_eliminate`` make of two n x n
+    """The rows of (A^T, B) that ``ops`` of ``_smith`` make of two n x n
     identity matrices, in the ring whose one, zero, sum and product are
     ``one``, ``zero``, ``add`` and ``mul``; ``scalar`` carries each f and
     unit of ops into that ring, once."""
@@ -483,7 +706,7 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
     operations of ``_eliminate`` replayed on exact identity matrices.
 
     All transforms are unimodular, so the witnesses land in K; for SL both
-    are repaired to determinant one by the sign fix of ``_eliminate``.  For
+    are repaired to determinant one by the sign fix of ``_smith``.  For
     GL, det a = sign is known exactly and no determinant is taken; for SL,
     GroupElement checks det a = det b = 1.
     """
@@ -500,33 +723,37 @@ def cartan(g: GroupElement, rng=None) -> CartanFactorization:
 def residue_witnesses(g: GroupElement, N: int, rng=None):
     """(tau, a mod pi^N, b mod pi^N) for the witnesses a, b of g = a n_tau b
     that ``cartan(g, rng)`` builds, with no exact witness formed: the
-    operations of ``_eliminate`` replayed (``_replay``) on residues of
-    o/pi^N, each f and unit of ops reduced once (``ResidueRing.reduce``).
+    operations of ``truncated_elimination`` at P = N replayed
+    (``_replay``) on residues of o/pi^N, each f and unit of ops projected
+    into o/pi^N once.
 
-    Proof.  ``cartan`` replays the same operations on exact identity
+    Proof.  ``cartan`` replays the exact operations on exact identity
     matrices, so each entry of a and b is a polynomial with integer
     coefficients in the f and units of ops (the SL fix scales by sign =
     +-1), all of them integral.  Reduction o -> o/pi^N is a ring
     homomorphism, so it carries each entry to the same polynomial in the
-    residues of the f and units, which is what the replay in o/pi^N
-    evaluates.  So the two residue matrices are reduce_group(a, N) and
-    reduce_group(b, N), entry for entry."""
+    residues of the f and units, and those are the projections of the
+    truncated ones (``truncated_elimination``: congruent mod pi^N, and an
+    exact op with no truncated twin acts as the identity mod pi^N).  So
+    the two residue matrices are reduce_group(a, N) and reduce_group(b,
+    N), entry for entry."""
     ring = g.group.model.residue_ring(N)
-    tau, ops, _ = _eliminate(g, rng)
+    tau, ops, _, source = truncated_elimination(g, *content(g), N, rng)
+    project = source.residue
     a_t, b = _replay(ops, g.group.n, ring.one(), ring.zero(), operator.add, operator.mul,
-                     ring.reduce)
+                     lambda x: ResidueElement(ring, project(x, ring)))
     return tau, ResidueMatrix(ring, tuple(zip(*a_t))), ResidueMatrix(ring, b)
 
 
-def _pick_pivot(M, k, rng):
+def _pick_pivot(M, k, rng, val):
     """The position (i, j) of the pivot in the trailing submatrix from row
-    and column k on, and its valuation."""
+    and column k on, and its valuation (``val``)."""
     n = len(M)
     best = None
     candidates = []
     for i in range(k, n):
         for j in range(k, n):
-            v = M[i][j].val()
+            v = val(M[i][j])
             if best is None or v < best:
                 best = v
                 candidates = [(i, j)]
@@ -868,19 +1095,21 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
             self._lifts[x] = lift_group(self.matrices[x], self.spec)
         return self._lifts[x]
 
-    def witness_classes(self, ops) -> tuple:
+    def witness_classes(self, ops, source) -> tuple:
         """The classes ([a], [b]^-1) of the witnesses a, b of g = a n_tau b
-        that ``ops`` of ``_eliminate`` make: their codes replayed
-        (``_replay``) in the ring tables of R, each f and unit of ops reduced
-        into R once, read in ``index``, and [b]^-1 read off ``inverses``.  A
-        code that is no class, which the integral ops of an elimination
-        cannot give at m = 0, raises InvariantViolated."""
+        that ``ops`` of an elimination make, their f and units in the ring
+        ``source`` (o/pi^M of ``truncated_elimination``, M >= m + c, or o
+        itself): their codes replayed (``_replay``) in the ring tables of
+        R, each f and unit carried into R once (``source.residue``), read
+        in ``index``, and [b]^-1 read off ``inverses``.  A code that is no
+        class, which the integral ops of an elimination cannot give at m =
+        0, raises InvariantViolated."""
         tables, ring = self.tables, self.ring
-        index, add, mul = tables.index, tables.add, tables.mul
+        index, add, mul, residue = tables.index, tables.add, tables.mul, source.residue
         a_t, b = _replay(
             ops, self.spec.n, index[ring.one().coords], 0,
             lambda x, y: add[x][y], lambda x, y: mul[x][y],
-            lambda x: index[ring.reduce(x).coords],
+            lambda x: index[residue(x, ring)],
         )
         xi = self.index.get(tuple(x for col in zip(*a_t) for x in col))
         bi = self.index.get(tuple(x for row in b for x in row))

@@ -5,6 +5,7 @@ path with the fast route it checks.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from heckelab.errors import InvariantViolated, Singular
@@ -21,6 +22,9 @@ from heckelab.matgrp import (
     GroupSpec,
     ResidueMatrix,
     _cofactor_det,
+    _eliminate,
+    _Field,
+    _replay,
     _subgroup_generators,
     cartan,
     iter_kernel,
@@ -405,6 +409,35 @@ def classify_by_witnesses(algebra, g, rng=None):
     x = index[reduce_group(fac.a, algebra.m)]
     y = index[reduce_group(fac.b.inverse(), algebra.m)]
     return algebra.canonical_label(fac.tau, x, y)
+
+
+def exact_witness_classes(algebra, g, rng=None):
+    """The classes ([a], [b]^-1) of the witnesses of g by the exact
+    elimination (``_eliminate``, ``rng`` randomizing its tie-breaks), its
+    ops replayed on the codes of o/pi^m with each f and unit reduced from
+    o: the route classify took before it eliminated mod a power of pi."""
+    tau, ops, _ = _eliminate(g, rng)
+    return tau, algebra.group.witness_classes(ops, _Field(g.group.model))
+
+
+def classify_by_exact_elimination(algebra, g):
+    """The label of K_m g K_m from ``exact_witness_classes``.  Reference
+    oracle for classify, which eliminates pi^-a g mod pi^(max(m, 1) +
+    delta) and must return the identical label object."""
+    tau, (x, y) = exact_witness_classes(algebra, g)
+    return algebra.canonical_label(tau, x, y)
+
+
+def residue_witnesses_by_exact_elimination(g, N, rng=None):
+    """(tau, a mod pi^N, b mod pi^N) from the exact elimination of g, its
+    ops replayed on residues of o/pi^N with each f and unit reduced from o.
+    Reference oracle for matgrp.residue_witnesses, which eliminates mod
+    pi^(N + delta)."""
+    ring = g.group.model.residue_ring(N)
+    tau, ops, _ = _eliminate(g, rng)
+    a_t, b = _replay(ops, g.group.n, ring.one(), ring.zero(), operator.add, operator.mul,
+                     ring.reduce)
+    return tau, ResidueMatrix(ring, tuple(zip(*a_t))), ResidueMatrix(ring, b)
 
 
 def dc_equal_kernel_sweep(g, h, m, budget=DEFAULT_BUDGET):

@@ -35,6 +35,7 @@ from heckelab.rings import ZZ, IntegersMod, PrimeField, QQ
 from heckelab.sampling import random_in_k, random_windowed
 from oracles import (
     canonical_by_orbits,
+    classify_by_exact_elimination,
     classify_by_witnesses,
     dc_equal_kernel_sweep,
     double_coset_by_generators,
@@ -42,6 +43,7 @@ from oracles import (
     gamma_by_sweep,
     left_cosets_kernel_sweep,
     mul_table_by_products,
+    exact_witness_classes,
     residue_identity,
     residue_matrices_by_object_sweep,
     structure_constants_by_membership,
@@ -399,16 +401,22 @@ def test_witness_outside_the_classes_is_typed():
     # operations whose replayed witness code names no class of K/K_m raise
     # InvariantViolated: a non-unit determinant, or for SL a unit
     # determinant that is not 1 mod pi^m; a multiplier outside o raises
-    # NegativeValuation
+    # NegativeValuation; the ops' scalars lie in o (exact field elements)
+    # or, as classify makes them, in o/pi^M (coordinate tuples)
+    exact_q2, exact_q3 = matgrp_module._Field(Q2), matgrp_module._Field(Q3)
     with pytest.raises(InvariantViolated, match="no class"):
         HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
-            [(matgrp_module._SCALE, 1, 0, None, Q2.from_int(2))])
+            [(matgrp_module._SCALE, 1, 0, None, Q2.from_int(2))], exact_q2)
     with pytest.raises(InvariantViolated, match="no class"):
         HeckeAlgebra(GroupSpec("SL", 2, Q3), 1).group.witness_classes(
-            [(matgrp_module._SCALE, 1, 0, None, Q3.from_int(2))])
+            [(matgrp_module._SCALE, 1, 0, None, Q3.from_int(2))], exact_q3)
     with pytest.raises(NegativeValuation):
         HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
-            [(matgrp_module._ADD, 1, 0, 1, Q2.parse("1/2"))])
+            [(matgrp_module._ADD, 1, 0, 1, Q2.parse("1/2"))], exact_q2)
+    truncated = matgrp_module._MixedTruncation(Q2.residue_ring(3))
+    with pytest.raises(InvariantViolated, match="no class"):
+        HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
+            [(matgrp_module._SCALE, 1, 0, None, (2,))], truncated)
 
 
 # the configurations of the replay property test: (spec, m, window)
@@ -452,9 +460,9 @@ def _scaled_k_elements(spec, rng, count=24):
     pytest.param(GroupSpec("SL", 2, FieldModel.equal(2, 2)), 1, 1, id="SL2/F_4((t)) m=1"),
 ])
 def test_classify_of_scaled_k_is_the_witness_label(spec, m, window, monkeypatch):
-    # an element of pi^a K runs no elimination: with hecke._eliminate
-    # refused, classify still returns the very label object that cartan's
-    # exact witnesses name
+    # an element of pi^a K runs no elimination: with
+    # hecke.truncated_elimination refused, classify still returns the very
+    # label object that cartan's exact witnesses name
     alg = HeckeAlgebra(spec, m)
     els = _scaled_k_elements(spec, random.Random(2031))
     expected = [classify_by_witnesses(alg, g) for g in els]
@@ -463,7 +471,7 @@ def test_classify_of_scaled_k_is_the_witness_label(spec, m, window, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("classify eliminated an element of pi^a K")
 
-    monkeypatch.setattr(hecke, "_eliminate", refuse)
+    monkeypatch.setattr(hecke, "truncated_elimination", refuse)
     labels = [alg.classify(g) for g in els]
     assert all(label is want for label, want in zip(labels, expected))
 
@@ -525,25 +533,152 @@ def test_classify_forms_no_group_element(spec, m, rng, monkeypatch):
 
 
 def test_classify_replay_with_a_wrong_multiplier_fails_the_oracle(sl2_m1, monkeypatch):
-    # non-tautology: one replayed multiplier off by one changes the classes
-    # the replay names, and the oracle comparison catches it
+    # non-tautology: one multiplier of the truncated elimination off by one
+    # (its coordinate at pi^0, in o/pi^M) changes the classes the replay
+    # names, and the oracle comparison catches it
     # every element has tau = (1, -1): an element of K runs no elimination
     rng = random.Random(31)
     els = [random_windowed(SL2_Q2, rng, 1, tau=CartanDatum((1, -1))) for _ in range(20)]
     expected = [classify_by_witnesses(sl2_m1, g) for g in els]
-    eliminate = hecke._eliminate
+    truncated = hecke.truncated_elimination
 
-    def perturbed(g, rng=None):
-        tau, ops, sign = eliminate(g, rng)
+    def perturbed(g, a, delta, P, rng=None):
+        tau, ops, sign, ring = truncated(g, a, delta, P, rng)
         add = [s for s, op in enumerate(ops) if op[0] == matgrp_module._ADD]
         if add:
             kind, w, i, j, f = ops[add[0]]
-            ops[add[0]] = (kind, w, i, j, f + 1)
-        return tau, ops, sign
+            ops[add[0]] = (kind, w, i, j, (f[0] + 1,) + f[1:])
+        return tau, ops, sign, ring
 
     assert [sl2_m1.classify(g) for g in els] == expected
-    monkeypatch.setattr(hecke, "_eliminate", perturbed)
+    monkeypatch.setattr(hecke, "truncated_elimination", perturbed)
     assert [sl2_m1.classify(g) for g in els] != expected
+
+
+# classify's truncated elimination against the exact one: (spec, m, window)
+TRUNCATION_CONFIGS = {
+    "SL2/Q_2(2^(1/5)) m=1": (GroupSpec("SL", 2, FieldModel.mixed(2, 5)), 1, 2),
+    "SL2/F_2((t)) m=1": (SL2_F2, 1, 2),
+    "SL2/F_4((t)) m=1": (GroupSpec("SL", 2, FieldModel.equal(2, 2)), 1, 1),
+    "SL2/Q_2 m=2": (SL2_Q2, 2, 2),
+    "GL2/Q_2 m=2": (GL2_Q2, 2, 1),
+    "SL2/Q_3 m=1 B=3": (GroupSpec("SL", 2, Q3), 1, 3),
+    "GL2/Q_2 m=1": (GL2_Q2, 1, 2),
+    "GL2/Q_3 m=1": (GL2_Q3, 1, 2),
+    "GL2/F_3((t)) m=1": (GroupSpec("GL", 2, FieldModel.equal(3)), 1, 2),
+    "GL2/Q_2 m=0": (GL2_Q2, 0, 2),
+    "SL3/Q_2 m=1": (SL3_Q2, 1, 1),
+    "GL3/Q_2 m=1": (GL3_Q2, 1, 1),
+}
+TRUNCATION_ALGEBRAS = {}
+
+
+def _truncation_algebra(spec, m):
+    if (spec, m) not in TRUNCATION_ALGEBRAS:
+        TRUNCATION_ALGEBRAS[spec, m] = HeckeAlgebra(spec, m)
+    return TRUNCATION_ALGEBRAS[spec, m]
+
+
+def _assert_truncation_is_exact(alg, g, seed):
+    # the identical label object, and with equal seeded tie-breaks the
+    # same tau and witness classes as the exact elimination
+    assert alg.classify(g) is classify_by_exact_elimination(alg, g)
+    a, delta = matgrp_module.content(g)
+    if delta:
+        tau, ops, _, ring = matgrp_module.truncated_elimination(
+            g, a, delta, max(alg.m, 1), random.Random(seed))
+        assert ((tau, alg.group.witness_classes(ops, ring))
+                == exact_witness_classes(alg, g, random.Random(seed)))
+
+
+@pytest.mark.parametrize("spec, m, window", TRUNCATION_CONFIGS.values(),
+                         ids=TRUNCATION_CONFIGS.keys())
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_truncated_classify_is_the_exact_label(spec, m, window, data):
+    # g = k1 n_tau k2, for GL also times a central pi^a
+    alg = _truncation_algebra(spec, m)
+    tau = data.draw(st.sampled_from(dominant_window(spec.family, spec.n, window)))
+    seed = data.draw(st.integers(0, 2**32))
+    rng = random.Random(seed)
+    g = random_in_k(spec, rng) @ spec.n_of_tau(tau) @ random_in_k(spec, rng)
+    if spec.family == "GL":
+        g = g @ spec.n_of_tau(CartanDatum((data.draw(st.integers(-2, 2)),) * spec.n))
+    _assert_truncation_is_exact(alg, g, seed)
+
+
+@pytest.mark.parametrize("spec, tau", [(SL3_Q2, (1, 0, -1)), (GL3_Q2, (1, 1, -1))],
+                         ids=["SL3/Q_2", "GL3/Q_2"])
+def test_truncated_classify_with_delta_above_the_spread(spec, tau):
+    # at n = 3, M = P + delta exceeds P + a_1 - a_n: delta = 3 and 4 > 2
+    alg = _truncation_algebra(spec, 1)
+    rng = random.Random(2036)
+    for seed in range(12):
+        g = random_windowed(spec, rng, 1, tau=CartanDatum(tau))
+        a, delta = matgrp_module.content(g)
+        assert delta > CartanDatum(tau).spread
+        _assert_truncation_is_exact(alg, g, seed)
+
+
+def test_truncated_classify_one_digit_short_fails(monkeypatch):
+    # non-tautology: eliminating mod pi^(M - 1) reads the last pivot as zero
+    # or names other classes, on every element drawn with delta = a_1 - a_n
+    # (all of them at n = 2, where the first pivot has valuation 0; at n =
+    # 3 delta may exceed a_1 - a_n, which is all the pivots need)
+    cases = [(GroupSpec("SL", 2, FieldModel.mixed(2, 5)), None), (GL2_Q3, None),
+             (GL3_Q2, CartanDatum((1, 0, 0)))]
+    truncated = hecke.truncated_elimination
+
+    def short(g, a, delta, P, rng=None):
+        return truncated(g, a, delta, P - 1, rng)
+
+    for spec, tau in cases:
+        alg = _truncation_algebra(spec, 1)
+        rng = random.Random(2037)
+        els = [g for g in (random_windowed(spec, rng, 2, tau=tau) for _ in range(30))
+               if matgrp_module.content(g)[1]]
+        expected = [classify_by_exact_elimination(alg, g) for g in els]
+        assert els and [alg.classify(g) for g in els] == expected
+        monkeypatch.setattr(hecke, "truncated_elimination", short)
+        for g, want in zip(els, expected):
+            try:
+                assert alg.classify(g) != want
+            except InvariantViolated:
+                pass
+        monkeypatch.undo()
+
+
+def _count_field_products(monkeypatch):
+    """Count the FieldElement products and inverses made while patched."""
+    counts = collections.Counter()
+    for name, methods in (("mul", ("__mul__", "__rmul__")), ("inverse", ("inverse",))):
+        original = getattr(localfield.FieldElement, methods[0])
+
+        def counted(self, *args, name=name, original=original):
+            counts[name] += 1
+            return original(self, *args)
+
+        for method in methods:
+            monkeypatch.setattr(localfield.FieldElement, method, counted)
+    return counts
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("SL", 2, FieldModel.mixed(2, 5)), SL2_F2,
+                                  GL3_Q2], ids=["SL2/Q_2(2^(1/5))", "SL2/F_2((t))", "GL3/Q_2"])
+def test_truncated_routes_form_no_field_product(spec, monkeypatch):
+    # classify of a non-central element on a warm algebra, and
+    # residue_witnesses mod pi^5: no field product and no field inverse,
+    # only shifts, valuations and reductions
+    alg = _truncation_algebra(spec, 1)
+    rng = random.Random(2038)
+    els = [random_windowed(spec, rng, 2 if spec.n == 2 else 1) for _ in range(24)]
+    els = [g for g in els if matgrp_module.content(g)[1]]
+    expected = [(alg.classify(g), matgrp_module.residue_witnesses(g, 5)) for g in els]
+    counts = _count_field_products(monkeypatch)
+    got = [(alg.classify(g), matgrp_module.residue_witnesses(g, 5)) for g in els]
+    monkeypatch.undo()
+    assert els and dict(counts) == {}
+    assert got == expected
 
 
 def test_orbit_table_tau_zero(sl2_m1):
@@ -968,7 +1103,8 @@ def test_classify_inverts_no_residue_matrix(spec, monkeypatch):
 
 def test_spherical_cosets_run_no_cartan(monkeypatch):
     # the m = 0 Hermite-normal-form filter reads tau off the elimination
-    # (matgrp._eliminate), with no witness replayed: cartan never runs
+    # (matgrp.truncated_elimination), with no witness replayed: cartan
+    # never runs
     def refuse(*args, **kwargs):
         raise AssertionError("the coset filter ran a Cartan factorization")
 

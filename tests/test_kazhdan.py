@@ -38,6 +38,7 @@ from heckelab.rings import ZZ, RationalField
 from heckelab.sampling import random_windowed
 from oracles import (
     dc_equal_kernel_sweep,
+    residue_witnesses_by_exact_elimination,
     transport_element_by_witnesses,
     transport_label_by_witnesses,
 )
@@ -196,24 +197,75 @@ def test_transport_element_forms_no_side_1_witness(flagship_ctx, monkeypatch):
 
 def test_transport_element_with_a_wrong_witness_multiplier_fails_the_oracle(flagship_ctx,
                                                                            monkeypatch):
-    # non-tautology: one replayed residue multiplier off by one changes the
-    # transported element, and the oracle comparison catches it
+    # non-tautology: one multiplier of the truncated elimination off by one
+    # (its coordinate at pi^0, in o/pi^M) changes the transported element,
+    # and the oracle comparison catches it
     rng = random.Random(2044)
     els = [random_windowed(SL2_F, rng, 2, tau=CartanDatum((1, -1))) for _ in range(10)]
     expected = [transport_element_by_witnesses(flagship_ctx, g) for g in els]
-    eliminate = matgrp._eliminate
+    truncated = matgrp.truncated_elimination
 
-    def perturbed(g, rng=None):
-        tau, ops, sign = eliminate(g, rng)
+    def perturbed(g, a, delta, P, rng=None):
+        tau, ops, sign, ring = truncated(g, a, delta, P, rng)
         add = [s for s, op in enumerate(ops) if op[0] == matgrp._ADD]
         if add:
             kind, w, i, j, f = ops[add[0]]
-            ops[add[0]] = (kind, w, i, j, f + 1)
-        return tau, ops, sign
+            ops[add[0]] = (kind, w, i, j, (f[0] + 1,) + f[1:])
+        return tau, ops, sign, ring
 
     assert [flagship_ctx.transport_element(g) for g in els] == expected
-    monkeypatch.setattr(matgrp, "_eliminate", perturbed)
+    monkeypatch.setattr(matgrp, "truncated_elimination", perturbed)
     assert [flagship_ctx.transport_element(g) for g in els] != expected
+
+
+# close pairs for the truncated residue witnesses: (family, n, side-1
+# model, side-2 model, N, window of the drawn tau)
+TRUNCATION_PAIRS = {
+    "SL2 Q_2(2^(1/5)) ~ F_2((t)) N=5": ("SL", 2, F_MIX, F_EQ, 5, 2),
+    "GL2 Q_2(2^(1/4)) ~ F_2((t)) N=4": ("GL", 2, FieldModel.mixed(2, 4), F_EQ, 4, 2),
+    "SL3 Q_2(2^(1/3)) ~ F_2((t)) N=3": ("SL", 3, FieldModel.mixed(2, 3), F_EQ, 3, 1),
+    "GL2 F_3((t)) ~ F_3((t)) N=3": ("GL", 2, E3, E3, 3, 1),
+}
+
+
+@pytest.mark.parametrize("family, n, model, model2, N, window", TRUNCATION_PAIRS.values(),
+                         ids=TRUNCATION_PAIRS.keys())
+def test_truncated_residue_witnesses_are_the_exact_ones(family, n, model, model2, N, window):
+    # residue_witnesses eliminates mod pi^(N + delta): on both sides of a
+    # close pair its tau and residue matrices are those of the exact
+    # elimination, with and without equal seeded tie-breaks
+    rng = random.Random(2045)
+    for side in (model, model2):
+        spec = GroupSpec(family, n, side)
+        for _ in range(12):
+            g = random_windowed(spec, rng, window)
+            assert matgrp.residue_witnesses(g, N) == residue_witnesses_by_exact_elimination(g, N)
+            seed = rng.randrange(1 << 30)
+            assert (matgrp.residue_witnesses(g, N, random.Random(seed))
+                    == residue_witnesses_by_exact_elimination(g, N, random.Random(seed)))
+
+
+def test_truncated_residue_witnesses_one_digit_short_fail(monkeypatch):
+    # non-tautology: eliminating mod pi^(M - 1) leaves a digit of the
+    # witnesses mod pi^N unknown, and some of them then differ (10 of
+    # these 20)
+    rng = random.Random(2046)
+    els = [random_windowed(SL2_F, rng, 2) for _ in range(20)]
+    expected = [residue_witnesses_by_exact_elimination(g, 5) for g in els]
+    assert [matgrp.residue_witnesses(g, 5) for g in els] == expected
+    truncated = matgrp.truncated_elimination
+
+    def short(g, a, delta, P, rng=None):
+        return truncated(g, a, delta, P - 1, rng)
+
+    monkeypatch.setattr(matgrp, "truncated_elimination", short)
+    differ = 0
+    for g, want in zip(els, expected):
+        try:
+            differ += matgrp.residue_witnesses(g, 5) != want
+        except InvariantViolated:
+            differ += 1
+    assert differ
 
 
 # ---------------------------------------------------------------- labels

@@ -91,6 +91,24 @@ def test_hecke_and_kazhdan_reach_class_groups_by_method():
     assert found == []
 
 
+def test_hecke_and_kazhdan_run_no_exact_elimination():
+    # only cartan eliminates over o: classify, the m = 0 coset filter and
+    # transport_element eliminate mod a power of pi, so hecke and kazhdan
+    # neither import nor name matgrp._eliminate
+    found = []
+    for path, node in _library_nodes():
+        if path.name not in ("hecke.py", "kazhdan.py"):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{path.name}:{node.lineno} import {alias.name}"
+                      for alias in node.names if alias.name == "_eliminate"]
+        elif isinstance(node, ast.Name) and node.id == "_eliminate":
+            found.append(f"{path.name}:{node.lineno} {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr == "_eliminate":
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
+
+
 # Defined in src/heckelab but referenced nowhere else in it, each with the
 # reason it stays: API (in heckelab.__all__, which needs no entry, or
 # README), a CLI entry point, or a name that benchmark/tracer.py or
