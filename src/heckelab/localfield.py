@@ -311,13 +311,12 @@ def poly_gcd(k: GF, a, b):
 
 
 def poly_ord0(a):
-    """Order of vanishing at t = 0; INF for the zero polynomial."""
-    if not a:
-        return INF
-    i = 0
-    while a[i] == 0:
-        i += 1
-    return i
+    """Order of vanishing at t = 0; INF for the zero polynomial, whether
+    trimmed to () or padded with zeros."""
+    for i, c in enumerate(a):
+        if c:
+            return i
+    return INF
 
 
 # ---------------------------------------------------------------------------
@@ -975,11 +974,25 @@ def _split_terms(text: str):
 
 
 class ResidueRing:
-    """The finite ring o/pi^N of a field model, N >= 0.
+    """The finite ring o/pi^N of a field model, N >= 0, and the one owner
+    of its arithmetic.  N = 0 gives the zero ring (used for the spherical
+    level).
 
-    Mixed model: coordinates are integer classes, the pi^i coefficient
-    living modulo p^ceil((N-i)/e).  Equal model: a polynomial of degree < N
-    over F_q.  N = 0 gives the zero ring (used for the spherical level).
+    An element is its canonical coords (``ResidueElement.coords``).  Mixed
+    model: the e integer classes of 1, pi, .., pi^(e-1), the pi^i one in
+    [0, p^cap_i), cap_i = ceil((N - i)/e) (a coordinate of modulus 1 for
+    i >= N).  Equal model: the N low-first coefficients over F_q of a
+    polynomial of degree < N, top zeros included.
+
+    The coordinate kernels are bound at construction, one set per model
+    (``_mixed_kernels``, ``_equal_kernels``), and act on such coords:
+    ``add``, ``sub``, ``neg`` and ``mul``; ``val`` (INF at zero);
+    ``unit(x, d)``, x pi^-d for v(x) >= d; ``divider(pivot, d)``, for a
+    pivot of valuation d, x -> x / pivot for v(x) >= d; and ``residue(x,
+    ring)``, x projected into the o/pi^N' ``ring`` of the same model, N' <=
+    N.  The two quotients are known mod pi^(N - d).  With ``is_zero``,
+    ``cleared`` (the coords of 0) and ``minus_one`` (those of -1) they
+    make this ring one that ``matgrp._smith`` eliminates over.
     """
 
     def __init__(self, model: FieldModel, N: int):
@@ -990,21 +1003,25 @@ class ResidueRing:
         self._tables = None
         self._names = {}  # coords -> the element's string, formed once
         if model.kind == MIXED:
-            self.caps = tuple(
-                max(0, -((- (N - i)) // model.e)) for i in range(model.e)
-            )
-            self.moduli = tuple(model.p**k for k in self.caps)
+            self.moduli = tuple(model.p ** max(0, -(-(N - i) // model.e)) for i in range(model.e))
+            kernels = _mixed_kernels(model.e, model.p, N, self.moduli)
         else:
-            self.caps = (N,)
             self.moduli = (model.q,) * N
-        self.size = 1
-        for mod in self.moduli:
-            self.size *= mod
+            kernels = _equal_kernels(model.gf, N)
+        (self.add, self.sub, self.neg, self.mul, self.val, self.unit, self.divider,
+         self.residue) = kernels
+        self.size = math.prod(self.moduli)
+        self.cleared = (0,) * self._width()
+        self.minus_one = self.neg(self.one().coords)
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return not any(x)
 
     # -- constructors ----------------------------------------------------------
 
     def zero(self) -> "ResidueElement":
-        return ResidueElement(self, (0,) * self._width())
+        return ResidueElement(self, self.cleared)
 
     def one(self) -> "ResidueElement":
         coords = [0] * self._width()
@@ -1072,10 +1089,8 @@ class ResidueRing:
             return ResidueElement(self, tuple(coords))
         num, den = x.num, x.den
         if den == (1,):  # every canonical lift: no series inverse, no product
-            series = num[: self.N]
-        else:
-            series = poly_mul(m.gf, num, _series_inverse(m.gf, den, self.N), self.N)
-        return ResidueElement(self, tuple(series) + (0,) * (self.N - len(series)))
+            return ResidueElement(self, num[:self.N] + (0,) * (self.N - len(num)))
+        return ResidueElement(self, self.mul(num, _series_inverse(m.gf, den, self.N)))
 
     def lift(self, r: "ResidueElement") -> FieldElement:
         """Canonical lift: least non-negative coordinate representatives."""
@@ -1118,6 +1133,105 @@ def residue_ring(model: FieldModel, N: int) -> ResidueRing:
     return ResidueRing(model, N)
 
 
+def _mixed_kernels(e: int, p: int, N: int, moduli: tuple):
+    """The coordinate kernels of o/pi^N for Q_p(pi), pi^e = p, that
+    ``ResidueRing`` binds: x = sum c_i pi^i with c_i in [0, moduli[i]),
+    moduli[i] = p^cap_i.  Sums are coordinate-wise and products are folded
+    by pi^e = p (``_mixed_product``), each coordinate reduced mod its
+    modulus.
+
+    For v(x) >= d, x pi^-d is a rotation of the coordinates.  Write d = s e
+    + r, 0 <= r < e.  Then e v_p(c_i) + i >= d, so p^s divides every c_i
+    and p^(s+1) every c_i with i < r (a representative in [0, p^cap_i) of
+    a multiple of p^j is one, or is 0): x pi^-r moves c_i to i - r for i >=
+    r and c_i / p to i - r + e for i < r (pi^(i-r) = pi^(i-r+e) / p), and
+    then every coordinate is divided by p^s.  Each lands in the range of
+    its new place, as cap_(i-r) >= cap_i and cap_(i-r+e) >= cap_i - 1.
+    A unit u is inverted from x = c_0^-1 mod p^cap_0: u x - 1 = (c_0 x -
+    1) + (u - c_0) x, the first term 0 mod p^cap_0, that is mod pi^N, and x
+    a unit, so v(u x - 1) >= v(u - c_0).  Newton steps x <- x (2 - u x)
+    follow, each of which squares u x - 1, until that bound reaches N."""
+    zero = (0,) * e
+    two = (2,) + zero[1:]
+
+    def add(x, y):
+        return tuple((a + b) % mod for a, b, mod in zip(x, y, moduli))
+
+    def sub(x, y):
+        return tuple((a - b) % mod for a, b, mod in zip(x, y, moduli))
+
+    def neg(x):
+        return tuple(-a % mod for a, mod in zip(x, moduli))
+
+    def mul(x, y):
+        return tuple(c % mod for c, mod in zip(_mixed_product(x, y, e, p), moduli))
+
+    def val(x):
+        best = INF
+        for i, c in enumerate(x):
+            if c:
+                v = e * _vp_int(c, p) + i
+                if v < best:
+                    best = v
+        return best
+
+    def unit(x, d):
+        s, r = divmod(d, e)
+        if r:
+            x = x[r:] + tuple(c // p for c in x[:r])
+        if s:
+            ps = p**s
+            x = tuple(c // ps for c in x)
+        return x
+
+    def divider(pivot, d):
+        u = unit(pivot, d)
+        inv = (pow(u[0], -1, moduli[0]),) + zero[1:]
+        reached = val((0,) + u[1:])
+        while reached < N:
+            inv = mul(inv, sub(two, mul(u, inv)))
+            reached *= 2
+        return lambda x: mul(unit(x, d), inv)
+
+    def residue(x, ring):
+        return tuple(c % mod for c, mod in zip(x, ring.moduli))
+
+    return add, sub, neg, mul, val, unit, divider, residue
+
+
+def _equal_kernels(k: GF, N: int):
+    """The coordinate kernels of o/pi^N for F_q((t)) that ``ResidueRing``
+    binds: x = sum c_i t^i, i < N, c_i in GF(q).  Sums are coordinate-wise,
+    and products are truncated at t^N (``poly_mul``) and padded back to N
+    coordinates.  For v(x) >= d, x t^-d drops the d low coordinates, and a
+    unit is inverted as a power series (``_series_inverse``)."""
+
+    def add(x, y):
+        return tuple(k.add(a, b) for a, b in zip(x, y))
+
+    def sub(x, y):
+        return tuple(k.sub(a, b) for a, b in zip(x, y))
+
+    def neg(x):
+        return tuple(k.neg(a) for a in x)
+
+    def mul(x, y):
+        out = poly_mul(k, x, y, N)
+        return out + (0,) * (N - len(out))
+
+    def unit(x, d):
+        return x[d:] + (0,) * d
+
+    def divider(pivot, d):
+        inv = _series_inverse(k, pivot[d:], N)
+        return lambda x: mul(x[d:], inv)
+
+    def residue(x, ring):
+        return x[:ring.N]
+
+    return add, sub, neg, mul, poly_ord0, unit, divider, residue
+
+
 def _series_inverse(k: GF, den, N: int):
     """Power-series inverse of den mod t^N; requires den(0) != 0."""
     if not den or den[0] == 0:
@@ -1150,55 +1264,27 @@ class ResidueElement:
 
     def __add__(self, other):
         self._check(other)
-        r = self.ring
-        if r.model.kind == MIXED:
-            return ResidueElement(
-                r,
-                tuple(
-                    (a + b) % mod
-                    for a, b, mod in zip(self.coords, other.coords, r.moduli)
-                ),
-            )
-        k = r.model.gf
-        return ResidueElement(r, tuple(k.add(a, b) for a, b in zip(self.coords, other.coords)))
+        return ResidueElement(self.ring, self.ring.add(self.coords, other.coords))
 
     def __neg__(self):
-        r = self.ring
-        if r.model.kind == MIXED:
-            return ResidueElement(r, tuple((-a) % mod for a, mod in zip(self.coords, r.moduli)))
-        k = r.model.gf
-        return ResidueElement(r, tuple(k.neg(a) for a in self.coords))
+        return ResidueElement(self.ring, self.ring.neg(self.coords))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return ResidueElement(self.ring, self.ring.sub(self.coords, other.coords))
 
     def __mul__(self, other):
         self._check(other)
-        r = self.ring
-        m = r.model
-        if m.kind == MIXED:
-            prod = _mixed_product(self.coords, other.coords, m.e, m.p)
-            return ResidueElement(r, tuple(c % mod for c, mod in zip(prod, r.moduli)))
-        out = poly_mul(m.gf, self.coords, other.coords, r.N)
-        return ResidueElement(r, out + (0,) * (r.N - len(out)))
+        return ResidueElement(self.ring, self.ring.mul(self.coords, other.coords))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def val(self):
         """Valuation as seen at this precision: an int < N, or N meaning
         'congruent to zero mod pi^N'."""
-        r = self.ring
-        if self.is_zero():
-            return r.N
-        m = r.model
-        if m.kind == EQUAL:
-            return poly_ord0(self.coords)
-        best = r.N
-        for i, c in enumerate(self.coords):
-            if c:
-                best = min(best, m.e * _vp_int(c, m.p) + i)
-        return best
+        v = self.ring.val(self.coords)
+        return self.ring.N if v == INF else v
 
     def is_unit(self) -> bool:
         # in the zero ring (N = 0) every element is trivially a unit

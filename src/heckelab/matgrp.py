@@ -28,20 +28,11 @@ from .errors import (
 from .localfield import (
     DEFAULT_BUDGET,
     INF,
-    MIXED,
     FieldElement,
     FieldModel,
     ResidueElement,
     ResidueRing,
-    _mixed_product,
-    _series_inverse,
-    _vp_int,
     mixed_dot,
-    poly_add,
-    poly_mul,
-    poly_neg,
-    poly_ord0,
-    poly_trim,
 )
 from .record import FrozenRecord, _set
 
@@ -373,11 +364,13 @@ class CartanFactorization(FrozenRecord):
 _SWAP, _ADD, _SCALE = range(3)
 
 
-# The rings ``_smith`` eliminates over.  Each gives ``val`` (INF at zero),
-# ``is_zero``, ``sub``, ``mul``, ``zero`` and ``minus_one``;
-# ``divider(pivot, d)``, for a pivot of valuation d, returns x -> x / pivot
-# for x of valuation >= d; ``unit(pivot, d)`` is pivot pi^-d; and
-# ``residue(x, ring)`` is the coords of x in the ``ResidueRing`` ``ring``.
+# The rings ``_smith`` eliminates over: ``_Field`` (o, on exact field
+# elements) and ``localfield.ResidueRing`` (o/pi^M, on coords).  Each gives
+# ``val`` (INF at zero), ``is_zero``, ``sub``, ``mul``, ``cleared`` (the
+# zero written at a cleared entry) and ``minus_one``; ``divider(pivot,
+# d)``, for a pivot of valuation d, returns x -> x / pivot for x of
+# valuation >= d; ``unit(pivot, d)`` is pivot pi^-d; and ``residue(x,
+# ring)`` is the coords of x in the ``ResidueRing`` ``ring``.
 
 
 class _Field:
@@ -386,14 +379,14 @@ class _Field:
     up at each call; a quotient inverts the pivot once and checks that it
     is integral."""
 
-    __slots__ = ("zero", "minus_one")
+    __slots__ = ("cleared", "minus_one")
     val = operator.methodcaller("val")
     is_zero = operator.methodcaller("is_zero")
     sub = operator.sub
     mul = operator.mul
 
     def __init__(self, model: FieldModel):
-        self.zero = model.zero()
+        self.cleared = model.zero()
         self.minus_one = model.from_int(-1)
 
     @staticmethod
@@ -415,115 +408,6 @@ class _Field:
     @staticmethod
     def residue(x, ring):
         return ring.reduce(x).coords
-
-
-class _MixedTruncation:
-    """o/pi^N of Q_p(pi), pi^e = p, on coordinate tuples: x = sum c_i pi^i
-    with c_i an integer in [0, p^cap_i), the coords of ``ResidueRing``;
-    products are folded by pi^e = p (``_mixed_product``).
-
-    For v(x) >= d, x pi^-d is a rotation of the coordinates.  Write d = s e
-    + r, 0 <= r < e.  Then e v_p(c_i) + i >= d, so p^s divides every c_i
-    and p^(s+1) every c_i with i < r (a representative in [0, p^cap_i) of
-    a multiple of p^j is one, or is 0): x pi^-r moves c_i to i - r for i >=
-    r and c_i / p to i - r + e for i < r (pi^(i-r) = pi^(i-r+e) / p), and
-    then every coordinate is divided by p^s.  A unit u is inverted from x =
-    c_0^-1 mod p^cap_0: u x - 1 = (c_0 x - 1) + (u - c_0) x, the first term
-    0 mod p^cap_0, that is mod pi^N, and x a unit, so v(u x - 1) >= v(u -
-    c_0).  Newton steps x <- x (2 - u x) follow, each of which squares u x
-    - 1, until that bound reaches N."""
-
-    __slots__ = ("N", "e", "p", "moduli", "zero", "minus_one", "_ring")
-
-    def __init__(self, ring: ResidueRing):
-        model = ring.model
-        self.N, self.e, self.p, self.moduli, self._ring = ring.N, model.e, model.p, ring.moduli, ring
-        self.zero = (0,) * model.e
-        self.minus_one = (-1 % ring.moduli[0],) + self.zero[1:]
-
-    def reduce(self, x: FieldElement) -> tuple:
-        return self._ring.reduce(x).coords
-
-    @staticmethod
-    def residue(x, ring):
-        return tuple(c % mod for c, mod in zip(x, ring.moduli))
-
-    @staticmethod
-    def is_zero(x):
-        return not any(x)
-
-    def val(self, x):
-        e, p, best = self.e, self.p, INF
-        for i, c in enumerate(x):
-            if c:
-                v = e * _vp_int(c, p) + i
-                if v < best:
-                    best = v
-        return best
-
-    def sub(self, x, y):
-        return tuple((a - b) % mod for a, b, mod in zip(x, y, self.moduli))
-
-    def mul(self, x, y):
-        return tuple(c % mod for c, mod in zip(_mixed_product(x, y, self.e, self.p), self.moduli))
-
-    def unit(self, x, d):
-        s, r = divmod(d, self.e)
-        p = self.p
-        if r:
-            x = x[r:] + tuple(c // p for c in x[:r])
-        if s:
-            ps = p**s
-            x = tuple(c // ps for c in x)
-        return x
-
-    def divider(self, pivot, d):
-        u, mul, unit = self.unit(pivot, d), self.mul, self.unit
-        inv, two = (pow(u[0], -1, self.moduli[0]),) + self.zero[1:], (2,) + self.zero[1:]
-        reached = self.val((0,) + u[1:])
-        while reached < self.N:
-            inv = mul(inv, self.sub(two, mul(u, inv)))
-            reached *= 2
-        return lambda x: mul(unit(x, d), inv)
-
-
-class _EqualTruncation:
-    """o/pi^N of F_q((t)) on coordinate tuples: a polynomial over GF(q) of
-    degree below N, low-first with no top zeros (``poly_trim``); products
-    are truncated at t^N.  For v(x) >= d, x t^-d drops the d low
-    coordinates, and a unit is inverted as a power series
-    (``_series_inverse``)."""
-
-    __slots__ = ("N", "k", "zero", "minus_one", "_ring")
-    val = staticmethod(poly_ord0)
-    is_zero = operator.not_
-
-    def __init__(self, ring: ResidueRing):
-        self.N, self.k, self._ring = ring.N, ring.model.gf, ring
-        self.zero = ()
-        self.minus_one = (self.k.neg(1),)
-
-    def reduce(self, x: FieldElement) -> tuple:
-        return poly_trim(self._ring.reduce(x).coords)
-
-    @staticmethod
-    def residue(x, ring):
-        x = x[:ring.N]
-        return x + (0,) * (ring.N - len(x))
-
-    def sub(self, x, y):
-        return poly_add(self.k, x, poly_neg(self.k, y))
-
-    def mul(self, x, y):
-        return poly_mul(self.k, x, y, self.N)
-
-    @staticmethod
-    def unit(x, d):
-        return x[d:]
-
-    def divider(self, pivot, d):
-        inv, mul = _series_inverse(self.k, pivot[d:], self.N), self.mul
-        return lambda x: mul(x[d:], inv)
 
 
 def _smith(spec: GroupSpec, M, ring, rng):
@@ -561,7 +445,8 @@ def _smith(spec: GroupSpec, M, ring, rng):
     give the same (tau, ops, sign).
     """
     n = spec.n
-    val, is_zero, sub, mul, zero = ring.val, ring.is_zero, ring.sub, ring.mul, ring.zero
+    val, is_zero, sub, mul = ring.val, ring.is_zero, ring.sub, ring.mul
+    cleared = ring.cleared
     ops = []
     ds = []
     swaps = 0  # of A's columns, whose parity is the sign of det A
@@ -588,7 +473,7 @@ def _smith(spec: GroupSpec, M, ring, rng):
             f = divide(row[k])  # integral: the pivot has minimal valuation
             for c in range(k + 1, n):
                 row[c] = sub(row[c], mul(f, pivot_row[c]))
-            row[k] = zero
+            row[k] = cleared
             ops.append((_ADD, 0, k, i, f))  # column k of A += f column i
         for j in range(k + 1, n):
             if is_zero(pivot_row[j]):
@@ -596,7 +481,7 @@ def _smith(spec: GroupSpec, M, ring, rng):
             if divide is None:
                 divide = ring.divider(pivot_row[k], d)
             f = divide(pivot_row[j])
-            pivot_row[j] = zero
+            pivot_row[j] = cleared
             ops.append((_ADD, 1, k, j, f))  # row k of B += f row j
 
     # normalize the diagonal to exact pi powers
@@ -636,10 +521,11 @@ def content(g: GroupElement) -> tuple:
 
 def truncated_elimination(g: GroupElement, a: int, delta: int, P: int, rng=None):
     """The elimination of g that ``_eliminate(g, rng)`` runs, read mod pi^P
-    (P >= 1): (tau, ops, sign, ring), ops over ring = o/pi^M, M = P +
-    delta, for (a, delta) = ``content(g)``.  It eliminates k = pi^-a g,
-    each entry (``FieldElement.shift``) reduced into o/pi^M once, and runs
-    no field product or inverse.
+    (P >= 1): (tau, ops, sign, ring), ops over the ``ResidueRing`` ring =
+    o/pi^M, M = P + delta, for (a, delta) = ``content(g)``.  It eliminates
+    k = pi^-a g, each entry (``FieldElement.shift``) reduced into o/pi^M
+    once, on the ring's coords and kernels, and runs no field product or
+    inverse.
 
     Claim: the pivots and tau are the exact elimination's, with ``rng``
     after the same tie-break draws, and each multiplier and unit of ops is
@@ -672,9 +558,8 @@ def truncated_elimination(g: GroupElement, a: int, delta: int, P: int, rng=None)
     """
     spec = g.group
     ring = spec.model.residue_ring(P + delta)
-    ring = _MixedTruncation(ring) if spec.model.kind == MIXED else _EqualTruncation(ring)
     reduce = ring.reduce
-    M = [[reduce(x.shift(-a)) for x in row] for row in g.rows]
+    M = [[reduce(x.shift(-a)).coords for x in row] for row in g.rows]
     ds, ops, sign = _smith(spec, M, ring, rng)
     if sum(ds) != delta:
         raise InvariantViolated(f"pivot valuations {ds} of a truncated elimination do not "
@@ -736,13 +621,19 @@ def residue_witnesses(g: GroupElement, N: int, rng=None):
     truncated ones (``truncated_elimination``: congruent mod pi^N, and an
     exact op with no truncated twin acts as the identity mod pi^N).  So
     the two residue matrices are reduce_group(a, N) and reduce_group(b,
-    N), entry for entry."""
+    N), entry for entry.  The replay runs on coords, and only the entries
+    of the two results become residues."""
     ring = g.group.model.residue_ring(N)
     tau, ops, _, source = truncated_elimination(g, *content(g), N, rng)
     project = source.residue
-    a_t, b = _replay(ops, g.group.n, ring.one(), ring.zero(), operator.add, operator.mul,
-                     lambda x: ResidueElement(ring, project(x, ring)))
-    return tau, ResidueMatrix(ring, tuple(zip(*a_t))), ResidueMatrix(ring, b)
+    a_t, b = _replay(ops, g.group.n, ring.one().coords, ring.cleared, ring.add, ring.mul,
+                     lambda x: project(x, ring))
+
+    def residues(rows):
+        return ResidueMatrix(ring, tuple(tuple(ResidueElement(ring, x) for x in row)
+                                         for row in rows))
+
+    return tau, residues(zip(*a_t)), residues(b)
 
 
 def _pick_pivot(M, k, rng, val):

@@ -7,7 +7,9 @@ pair Q_2(2^(1/5)) ~ F_2((t)) as a ring isomorphism of o/pi^5.  The fields
 are the mixed Q_2(2^(1/5)) and Q_3 and the equal F_2((t)), F_3((t)) and
 F_4((t)); the product by pi^k (``FieldElement.shift``) is checked against
 the full product on every Q_p(p^(1/e)) with p = 2, 3 and e = 1..6 as well,
-and polynomial division over GF(2), GF(3) and GF(4) against its oracle.
+so are the coordinate kernels of o/pi^N (``ResidueRing``) against reduced
+exact arithmetic, there and on F_2((t)), F_3((t)) and F_4((t)), and
+polynomial division over GF(2), GF(3) and GF(4) against its oracle.
 Examples are derandomized, so the suite draws the same ones every run.
 """
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.localfield import (
+    INF,
     ClosePair,
     FieldElement,
     FieldModel,
@@ -227,6 +230,126 @@ def test_shift_double_without_p_is_rejected(p, e):
     results = [shift_agrees(rotate_without_p, x, k) for k in range(-3 * e, 3 * e + 1)]
     assert not all(results)
     assert results[3 * e]  # k = 0 rotates nothing
+
+
+KERNEL_RINGS = {
+    **{f"Q_{p}({p}^(1/{e})) N={N}": FieldModel.mixed(p, e).residue_ring(N)
+       for p in (2, 3) for e in range(1, 7) for N in sorted({max(1, e - 2), e, e + 3})},
+    **{f"{name} N={N}": model.residue_ring(N)
+       for name, model in EQUAL_MODELS.items() for N in (1, 3, 6)},
+}
+
+
+def integral(model: FieldModel, low: int = 0):
+    """Elements u pi^k of o with k >= low: a mixed u has coordinates over
+    denominators prime to p, an equal u is a ratio of polynomials of
+    degree < 5 over F_q whose denominator does not vanish at t = 0."""
+    if model.kind == "MixedChar":
+        den = st.integers(0, 9).map(lambda j: model.p * j + 1)
+        coord = st.builds(Fraction, st.integers(-40, 40), den)
+        u = st.tuples(*[coord] * model.e).map(lambda data: FieldElement(model, data))
+    else:
+        coeff = st.integers(0, model.q - 1)
+        poly = st.lists(coeff, max_size=5).map(tuple)
+        den = st.tuples(st.integers(1, model.q - 1), poly).map(lambda parts: parts[:1] + parts[1])
+        u = st.tuples(poly, den).map(lambda data: FieldElement(model, data))
+    return st.builds(lambda u, k: u.shift(k), u, st.integers(low, low + 2 * model.e + 2))
+
+
+def unit_agrees(ring, unit, x, d) -> bool:
+    """Whether ``unit`` on the residue of x, v(x) >= d, is x pi^-d mod
+    pi^(N - d)."""
+    lower = ring.model.residue_ring(ring.N - d)
+    return ring.residue(unit(ring.reduce(x).coords, d), lower) == lower.reduce(x.shift(-d)).coords
+
+
+def divider_agrees(ring, divider, pivot, x, d) -> bool:
+    """Whether ``divider`` of the residue of the pivot, v(pivot) = d, takes
+    the residue of x, v(x) >= d, to x / pivot mod pi^(N - d)."""
+    lower = ring.model.residue_ring(ring.N - d)
+    divide = divider(ring.reduce(pivot).coords, d)
+    return ring.residue(divide(ring.reduce(x).coords), lower) == lower.reduce(x / pivot).coords
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS.values(), ids=KERNEL_RINGS.keys())
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ring_kernels_match_exact_arithmetic(ring, data):
+    # each coordinate kernel of o/pi^N on residues is the exact operation
+    # reduced: sums, products and valuations at precision N, and x pi^-d
+    # and x / pivot at precision N - d
+    model = ring.model
+    x, y = data.draw(integral(model)), data.draw(integral(model))
+    rx, ry = ring.reduce(x).coords, ring.reduce(y).coords
+    assert ring.add(rx, ry) == ring.reduce(x + y).coords
+    assert ring.sub(rx, ry) == ring.reduce(x - y).coords
+    assert ring.neg(rx) == ring.reduce(-x).coords
+    assert ring.mul(rx, ry) == ring.reduce(x * y).coords
+    assert ring.val(rx) == (x.val() if x.val() < ring.N else INF)
+    d = data.draw(st.integers(0, ring.N - 1))
+    x = data.draw(integral(model, low=d))
+    w = data.draw(integral(model))
+    pivot = (w if w.val() == 0 else w + 1).shift(d)
+    assert pivot.val() == d
+    assert unit_agrees(ring, ring.unit, x, d)
+    assert divider_agrees(ring, ring.divider, pivot, x, d)
+
+
+def newton_one_step_short(ring):
+    """A broken double of the mixed divider: its Newton loop stops one step
+    before the bound on v(u x - 1) reaches N."""
+    def divider(pivot, d):
+        u, zero = ring.unit(pivot, d), (0,) * ring.model.e
+        inv, two = (pow(u[0], -1, ring.moduli[0]),) + zero[1:], (2,) + zero[1:]
+        reached = ring.val((0,) + u[1:])
+        while 2 * reached < ring.N:
+            inv = ring.mul(inv, ring.sub(two, ring.mul(u, inv)))
+            reached *= 2
+        return lambda x: ring.mul(ring.unit(x, d), inv)
+
+    return divider
+
+
+def unit_without_p(ring):
+    """A broken double of the mixed unit: the coordinates rotate down, but
+    the ones that wrap past pi^0 are not divided by p."""
+    e, p = ring.model.e, ring.model.p
+
+    def unit(x, d):
+        s, r = divmod(d, e)
+        return tuple(c // p**s for c in x[r:] + x[:r])
+
+    return unit
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+@pytest.mark.parametrize("p", (2, 3))
+def test_ring_kernel_double_newton_one_step_short_is_rejected(p, e):
+    # at e = 1 every unit is its coordinate c_0, whose inverse mod p^N
+    # needs no step, so the double is right there; at every e >= 2 the
+    # check above tells it apart on x = pi^d and pivots pi^d (1 + pi^j),
+    # and is right where no step is needed, on pivots pi^d (p - 1)
+    model = FieldModel.mixed(p, e)
+    ring, divider = model.residue_ring(e + 3), newton_one_step_short(model.residue_ring(e + 3))
+    one, pi = model.one(), model.uniformizer()
+    results = [divider_agrees(ring, divider, (one + pi**j).shift(d), one.shift(d), d)
+               for d in range(ring.N) for j in range(1, ring.N - d)]
+    assert not all(results)
+    assert all(divider_agrees(ring, divider, model.from_int(p - 1).shift(d), one.shift(d), d)
+               for d in range(ring.N))
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+@pytest.mark.parametrize("p", (2, 3))
+def test_ring_kernel_double_rotation_without_p_is_rejected(p, e):
+    # at e = 1 nothing wraps, so the double is right there; at every e >= 2
+    # the check above tells it apart, on x = pi^d (1 + pi + .. + pi^(e-1))
+    model = FieldModel.mixed(p, e)
+    ring = model.residue_ring(2 * e + 1)
+    x = FieldElement(model, (1,) * e)
+    results = [unit_agrees(ring, unit_without_p(ring), x.shift(d), d) for d in range(ring.N)]
+    assert not all(results)
+    assert results[0]  # d = 0 rotates nothing
 
 
 FLAGSHIP = ClosePair(FieldModel.mixed(2, 5), FieldModel.equal(2), 5)

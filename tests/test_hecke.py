@@ -402,7 +402,7 @@ def test_witness_outside_the_classes_is_typed():
     # InvariantViolated: a non-unit determinant, or for SL a unit
     # determinant that is not 1 mod pi^m; a multiplier outside o raises
     # NegativeValuation; the ops' scalars lie in o (exact field elements)
-    # or, as classify makes them, in o/pi^M (coordinate tuples)
+    # or, as classify makes them, in o/pi^M (the coords of a ResidueRing)
     exact_q2, exact_q3 = matgrp_module._Field(Q2), matgrp_module._Field(Q3)
     with pytest.raises(InvariantViolated, match="no class"):
         HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
@@ -413,10 +413,9 @@ def test_witness_outside_the_classes_is_typed():
     with pytest.raises(NegativeValuation):
         HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
             [(matgrp_module._ADD, 1, 0, 1, Q2.parse("1/2"))], exact_q2)
-    truncated = matgrp_module._MixedTruncation(Q2.residue_ring(3))
     with pytest.raises(InvariantViolated, match="no class"):
         HeckeAlgebra(GL2_Q2, 1).group.witness_classes(
-            [(matgrp_module._SCALE, 1, 0, None, (2,))], truncated)
+            [(matgrp_module._SCALE, 1, 0, None, (2,))], Q2.residue_ring(3))
 
 
 # the configurations of the replay property test: (spec, m, window)

@@ -28,6 +28,7 @@ from heckelab.localfield import (
     gf,
     mixed_dot,
     poly_mul,
+    poly_ord0,
     poly_trim,
 )
 from heckelab.sampling import random_element, random_integral
@@ -72,6 +73,13 @@ def test_valuation_mixed_min_formula():
 def test_valuation_zero_is_infinite():
     for model in all_models():
         assert model.zero().val() == INF
+
+
+def test_order_at_zero_of_padded_polynomials():
+    # the equal model's residue coords keep their top zeros, so a zero
+    # residue is an all-zero tuple of any length, whose order is INF
+    assert [poly_ord0(a) for a in ((), (0,), (0, 0), (0, 0, 0, 0))] == [INF] * 4
+    assert [poly_ord0(a) for a in ((1,), (0, 2), (0, 0, 1, 0), (3, 0, 0))] == [0, 1, 2, 0]
 
 
 @pytest.mark.parametrize("model", all_models(), ids=str)

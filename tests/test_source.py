@@ -109,6 +109,26 @@ def test_hecke_and_kazhdan_run_no_exact_elimination():
     assert found == []
 
 
+def test_coordinate_kernels_have_one_owner():
+    # o/pi^N arithmetic belongs to localfield.ResidueRing: matgrp, hecke
+    # and kazhdan import none of localfield's coordinate kernels, and
+    # reach them only through a ring's bound kernels
+    kernels = {"_mixed_product", "_series_inverse", "_vp_int"}
+    found = []
+    for path, node in _library_nodes():
+        if path.name not in ("matgrp.py", "hecke.py", "kazhdan.py"):
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("localfield"):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name in kernels or name.startswith("poly_")]
+    assert found == []
+
+
 # Defined in src/heckelab but referenced nowhere else in it, each with the
 # reason it stays: API (in heckelab.__all__, which needs no entry, or
 # README), a CLI entry point, or a name that benchmark/tracer.py or
