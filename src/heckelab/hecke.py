@@ -106,15 +106,16 @@ class OrbitTable(FrozenRecord, fields=("tau", "labels", "gamma_index")):
     ``gamma_index`` holds the stabilizing pairs as class pairs of ``group``
     (``gamma`` reads them as residue-matrix pairs), ``labels`` one
     canonical label per orbit; the counting identity |X_tau| |Gamma_tau| =
-    |K/K_m|^2 holds.  ``x0``, ``tcol``, ``slot`` and ``rows`` are the
+    |K/K_m|^2 holds.  ``x0``, ``tcol``, ``slot`` and ``base`` are the
     canonical map that ``label`` reads (``HeckeAlgebra._build_orbit_table``
-    builds it): O(|K/K_m| + |labels|), nothing per pair.
+    builds it): O(|K/K_m|), nothing per pair, and shared with
+    ``gamma_index`` by the tables of every tau of one shape of Gamma_tau.
     """
 
-    __slots__ = ("tau", "labels", "gamma_index", "group", "x0", "tcol", "slot", "rows")
+    __slots__ = ("tau", "labels", "gamma_index", "group", "x0", "tcol", "slot", "base")
 
     def __init__(self, tau: CartanDatum, labels: tuple, gamma_index: tuple, group,
-                 x0: list, tcol: list, slot: list, rows: list):
+                 x0: list, tcol: list, slot: list, base: list):
         _set(self, "tau", tau)
         _set(self, "labels", labels)
         _set(self, "gamma_index", gamma_index)
@@ -122,14 +123,15 @@ class OrbitTable(FrozenRecord, fields=("tau", "labels", "gamma_index")):
         _set(self, "x0", x0)
         _set(self, "tcol", tcol)
         _set(self, "slot", slot)
-        _set(self, "rows", rows)
+        _set(self, "base", base)
 
     def label(self, xi: int, yi: int) -> DoubleCosetLabel:
         """The label of the Gamma_tau orbit of the classes (xi, yi): with
         x0 = min(x Gamma_1) and t_s as in ``HeckeAlgebra._build_orbit_table``,
-        (x0, min(y t_s K_2)), three list reads and one product
-        (``ClassGroup.mul``).  It is the table's own label object."""
-        return self.rows[self.x0[xi]][self.slot[self.group.mul(yi, self.tcol[xi])]]
+        (x0, min(y t_s K_2)) = labels[base[xi] + slot[y t_s]], four list
+        reads and one product (``ClassGroup.mul``).  It is the table's own
+        label object."""
+        return self.labels[self.base[xi] + self.slot[self.group.mul(yi, self.tcol[xi])]]
 
     @property
     def gamma(self) -> tuple:
@@ -223,7 +225,8 @@ class HeckeAlgebra:
 
     The heavy objects (residue classes, orbit tables, left-coset systems of
     the n_tau, double-coset tables and the bracket products that structure
-    constants are translated from) are computed once and reused.  Nothing is
+    constants are translated from) are computed once and reused, the orbit
+    maps and double-coset tables once per shape of Gamma_tau.  Nothing is
     kept per pair of labels: the structure constants of a pair are
     translated afresh on every call.  Every public operation is otherwise
     pure.
@@ -241,7 +244,9 @@ class HeckeAlgebra:
         self._group = None
         self._orbit_tables = {}
         self._gamma_shapes = {}
+        self._canonical_maps = {}
         self._double_coset_cache = {}
+        self._double_coset_tables = {}
         self._ntau_cosets_cache = {}
         self._degrees = {}
         self._rep_cache = {}
@@ -432,9 +437,9 @@ class HeckeAlgebra:
         return self._orbit_tables[tau]
 
     def _build_orbit_table(self, tau: CartanDatum):
-        """The orbit table of tau with its canonical map: the lists x0,
-        tcol and slot over K/K_m and the label rows, from which
-        ``OrbitTable.label`` reads the label of any pair of classes.
+        """The orbit table of tau: the canonical map of its shape, the lists
+        x0, tcol, slot and base over K/K_m, from which ``OrbitTable.label``
+        reads the label of any pair of classes, and the labels of tau.
 
         Gamma = Gamma_tau acts on Q^2, Q = K/K_m, by (x, y)(s, t) = (x s,
         y t), and an orbit's label is its least pair of indices (indices
@@ -458,42 +463,50 @@ class HeckeAlgebra:
 
         Two passes over Q (``_coset_minima``) give x0[x] = min(x Gamma_1)
         with s' = via[x], and min(z K_2) for every z, kept as slot[z], its
-        position in the row of x0; tcol[x] = t_s'^-1 is the class whose
-        word, walked from y, gives y t_s (``ClassGroup.mul``).  That is O(|Q| +
-        |labels|) per tau, nothing per pair; the |Q|^2 / |Gamma| labels
-        are charged to the budget before they are built.  Either pass
-        fails unless the translates of its subgroup partition Q, and the
-        counts must give |Gamma_1| |K_2| = |Gamma|, which a Gamma that is
-        not a subgroup breaks (orbit-stabilizer).
+        position in the row of x0; base[x] is where the row of x0[x]
+        starts in the labels, and tcol[x] = t_s'^-1 is the class whose
+        word, walked from y, gives y t_s (``ClassGroup.mul``).  That is
+        O(|Q|), nothing per pair.  Either pass fails unless the translates
+        of its subgroup partition Q, and the counts must give |Gamma_1|
+        |K_2| = |Gamma|, which a Gamma that is not a subgroup breaks
+        (orbit-stabilizer).
+
+        Only ``_gamma(tau)`` reads tau: the map is computed from its list
+        and Q alone (tau is otherwise only in the error messages), and the
+        list depends on tau only through ``_shape(tau)``.  So the map is
+        built once per shape and shared, with Gamma as one tuple, by the
+        tables of its taus; per tau only the |Q|^2 / |Gamma| labels are
+        built, charged to the budget before they are.
         """
         group = self.group
         size = len(self.residue_classes)
-        gamma_idx = self._gamma(tau)
-        inv, e = group.inverses, group.e
-        fibre = {}  # s -> t_s, the least t with (s, t) in Gamma
-        for s, t in gamma_idx:
-            fibre.setdefault(s, t)
-        k2 = [t for s, t in gamma_idx if s == e]
-        if len(fibre) * len(k2) != len(gamma_idx):
-            raise InvariantViolated(
-                f"orbit-stabilizer mismatch at tau={tau}: "
-                f"|Gamma_1| |K_2| = {len(fibre)} * {len(k2)} != |Gamma| = {len(gamma_idx)}"
-            )
-        _check_budget(size * size // len(gamma_idx), self.budget)
-        x0, via = self._coset_minima(tau, list(fibre))
-        y0 = self._coset_minima(tau, k2)[0]
-        ys = [y for y in range(size) if y0[y] == y]
-        position = {y: j for j, y in enumerate(ys)}
-        slot = [position[y] for y in y0]
-        tcol = [inv[fibre[s]] for s in via]  # x = x0 s: (x, y) ~ (x0, y t_s^-1)
-        rows = [None] * size
-        labels = []
-        for x in range(size):
-            if x0[x] == x:
-                rows[x] = [DoubleCosetLabel(tau, x, y, group) for y in ys]
-                labels.extend(rows[x])
-        self._orbit_tables[tau] = OrbitTable(tau, tuple(labels), tuple(gamma_idx), group,
-                                             x0, tcol, slot, rows)
+        shape = self._shape(tau)
+        if shape not in self._canonical_maps:
+            gamma_idx = self._gamma(tau)
+            inv, e = group.inverses, group.e
+            fibre = {}  # s -> t_s, the least t with (s, t) in Gamma
+            for s, t in gamma_idx:
+                fibre.setdefault(s, t)
+            k2 = [t for s, t in gamma_idx if s == e]
+            if len(fibre) * len(k2) != len(gamma_idx):
+                raise InvariantViolated(
+                    f"orbit-stabilizer mismatch at tau={tau}: "
+                    f"|Gamma_1| |K_2| = {len(fibre)} * {len(k2)} != |Gamma| = {len(gamma_idx)}"
+                )
+            x0, via = self._coset_minima(tau, list(fibre))
+            y0 = self._coset_minima(tau, k2)[0]
+            ys = [y for y in range(size) if y0[y] == y]
+            position = {y: j for j, y in enumerate(ys)}
+            slot = [position[y] for y in y0]
+            tcol = [inv[fibre[s]] for s in via]  # x = x0 s: (x, y) ~ (x0, y t_s^-1)
+            xs = [x for x in range(size) if x0[x] == x]
+            start = {x: i * len(ys) for i, x in enumerate(xs)}  # base: where x0's row starts
+            self._canonical_maps[shape] = (xs, ys, tuple(gamma_idx), x0, tcol, slot,
+                                           [start[x] for x in x0])
+        xs, ys, gamma_index, *canonical = self._canonical_maps[shape]
+        _check_budget(size * size // len(gamma_index), self.budget)
+        labels = tuple(DoubleCosetLabel(tau, x, y, group) for x in xs for y in ys)
+        self._orbit_tables[tau] = OrbitTable(tau, labels, gamma_index, group, *canonical)
 
     def _coset_minima(self, tau: CartanDatum, sub):
         """least[z] = min(z H) and via[z] = s with z = least[z] s, for H
@@ -547,15 +560,20 @@ class HeckeAlgebra:
         pairs are distinct, so |Gamma_tau| <= q^(m n^2), as ``__init__``
         charged.  At m = 0 (o/pi^0 = 0) Gamma_tau = {(1, 1)}.  The list,
         which callers must not change, depends on tau only through its (sx,
-        sy): each such shape is built once.
+        sy), ``_shape``: each shape is built once.
         """
-        n, a = self.spec.n, tau.coords
-        top = min(tau.spread, self.m)
-        shape = tuple((min(max(a[i] - a[j], 0), top), min(max(a[j] - a[i], 0), top))
-                      for i in range(n) for j in range(n))  # (sx, sy) at entry i n + j
+        shape = self._shape(tau)
         if shape not in self._gamma_shapes:
             self._gamma_shapes[shape] = self.group.power_pairs(shape)
         return self._gamma_shapes[shape]
+
+    def _shape(self, tau: CartanDatum) -> tuple:
+        """The (sx, sy) of ``_gamma`` at each entry i n + j: all that
+        Gamma_tau, and every table built from it, reads of tau."""
+        n, a = self.spec.n, tau.coords
+        top = min(tau.spread, self.m)
+        return tuple((min(max(a[i] - a[j], 0), top), min(max(a[j] - a[i], 0), top))
+                     for i in range(n) for j in range(n))
 
     def classify(self, g: GroupElement) -> DoubleCosetLabel:
         """The canonical label of K_m g K_m: for g = a n_tau b as ``cartan``
@@ -740,27 +758,36 @@ class HeckeAlgebra:
            for D double cosets; D |P2| <= |K/K_m|, as each holds P2 k0.
            (e, e) in Gamma_tau1 lets t = e reach r0 itself: the build
            raises if it is missing or a right coset is left unreached.
+        5. Only ``_gamma(tau1)`` reads tau1 (the partners and the guard),
+           and only the x0 and tcol of its orbit table read tau2, through
+           ``_gamma(tau2)`` alone (``_build_orbit_table``); both are
+           otherwise only in the error message.  So the table depends on
+           the pair of ``_shape``s alone and is built once per pair; the
+           (tau1, tau2) dict points at it, and a warm lookup computes no shape.
         """
         key = (tau1, tau2)
         if key not in self._double_coset_cache:
-            group, orbits, gamma1 = self.group, self.orbit_table(tau2), self._gamma(tau1)
-            mul, inv, e, x0, tcol = group.mul, group.inverses, group.e, orbits.x0, orbits.tcol
-            partner = {}
-            for s, t in gamma1:
-                partner.setdefault(t, s)
-            start = [None] * len(x0)  # at each right-coset minimum: (k0, s, t'_z)
-            for r0, least in enumerate(x0):
-                if least == r0 and start[r0] is None:
-                    for t, s in partner.items():
-                        z = mul(t, r0)
-                        if start[x0[z]] is None:
-                            start[x0[z]] = (r0, s, inv[tcol[z]])
-            rows = [start[least] for least in x0]
-            if (e, e) not in gamma1 or None in rows:
-                raise InvariantViolated(f"double cosets of tau={tau1}, tau={tau2}: Gamma_tau1 "
-                                        "lacks (e, e) or a right coset of P1 is unreached")
-            self._double_coset_cache[key] = [(k0, s, mul(tcol[k], t_z))
-                                             for k, (k0, s, t_z) in enumerate(rows)]
+            shapes = (self._shape(tau1), self._shape(tau2))
+            if shapes not in self._double_coset_tables:
+                group, orbits, gamma1 = self.group, self.orbit_table(tau2), self._gamma(tau1)
+                mul, inv, e, x0, tcol = group.mul, group.inverses, group.e, orbits.x0, orbits.tcol
+                partner = {}
+                for s, t in gamma1:
+                    partner.setdefault(t, s)
+                start = [None] * len(x0)  # at each right-coset minimum: (k0, s, t'_z)
+                for r0, least in enumerate(x0):
+                    if least == r0 and start[r0] is None:
+                        for t, s in partner.items():
+                            z = mul(t, r0)
+                            if start[x0[z]] is None:
+                                start[x0[z]] = (r0, s, inv[tcol[z]])
+                rows = [start[least] for least in x0]
+                if (e, e) not in gamma1 or None in rows:
+                    raise InvariantViolated(f"double cosets of tau={tau1}, tau={tau2}: Gamma_tau1 "
+                                            "lacks (e, e) or a right coset of P1 is unreached")
+                self._double_coset_tables[shapes] = [(k0, s, mul(tcol[k], t_z))
+                                                     for k, (k0, s, t_z) in enumerate(rows)]
+            self._double_coset_cache[key] = self._double_coset_tables[shapes]
         return self._double_coset_cache[key]
 
     def _bracket(self, tau1: CartanDatum, k0: int, tau2: CartanDatum):

@@ -1062,7 +1062,7 @@ def test_orbit_tables_hold_nothing_per_pair():
             for item in obj:
                 yield from lengths(item)
 
-    canonical = [(t.x0, t.tcol, t.slot, t.rows) for t in alg._orbit_tables.values()]
+    canonical = [(t.x0, t.tcol, t.slot, t.base) for t in alg._orbit_tables.values()]
     assert len(canonical) == len(dominant_window("SL", 3, 1))
     assert max(lengths(canonical)) < pairs
 
@@ -1435,6 +1435,83 @@ def test_double_coset_guard_needs_the_identity_pair(drop, monkeypatch):
         (s, t) for s, t in gamma(tau) if kept(s, t)] if tau == tau1 else gamma(tau))
     with pytest.raises(InvariantViolated, match="lacks"):
         alg._double_coset(tau1, tau2)
+
+
+@pytest.mark.parametrize("spec, m, taus, shapes", [
+    pytest.param(SL2_Q2, 1, [CartanDatum((k, -k)) for k in (1, 2, 3)], 1, id="SL2/Q_2 m=1"),
+    pytest.param(GL2_Q2, 2, dominant_window("GL", 2, 2), 3, id="GL2/Q_2 m=2 B=2"),
+])
+def test_taus_of_one_shape_share_one_map_and_table(spec, m, taus, shapes):
+    # the canonical map and the double-coset table read tau only through
+    # the shape of Gamma_tau: taus of one shape share the identical map
+    # objects, tau pairs of one shape pair the identical table, and the
+    # labels stay each tau's own
+    alg = HeckeAlgebra(spec, m)
+    maps, tables = {}, {}
+    for tau in taus:
+        table = alg.orbit_table(tau)
+        shared = (table.gamma_index, table.x0, table.tcol, table.slot, table.base)
+        first = maps.setdefault(alg._shape(tau), shared)
+        assert all(a is b for a, b in zip(shared, first)), tau
+        assert all(label.tau == tau for label in table.labels)
+    assert len(maps) == shapes
+    for tau1, tau2 in itertools.product(taus, repeat=2):
+        table = alg._double_coset(tau1, tau2)
+        assert tables.setdefault((alg._shape(tau1), alg._shape(tau2)), table) is table
+    assert len(tables) == shapes * shapes
+    assert len({id(t) for t in alg._double_coset_cache.values()}) == shapes * shapes
+
+
+def test_shared_double_coset_tables_match_the_per_pair_oracle():
+    # GL2/Q_2 at m = 2, B = 2: 225 tau pairs read 9 shared tables, and the
+    # k0 column of each equals that of the sweep built for its own (tau1,
+    # tau2); the constants of 500 seeded pairs equal the untranslated tally
+    alg, oracle = HeckeAlgebra(GL2_Q2, 2), HeckeAlgebra(GL2_Q2, 2)
+    taus = dominant_window("GL", 2, 2)
+    for key in itertools.product(taus, repeat=2):
+        expected = [row[0] for row in double_coset_by_generators(oracle, *key)]
+        assert [row[0] for row in alg._double_coset(*key)] == expected, key
+    assert len(alg._double_coset_cache) == 225 and len(alg._double_coset_tables) == 9
+    basis = alg.labels_in_window(2)
+    rng = random.Random(2037)
+    for _ in range(500):
+        l1, l2 = rng.choice(basis), rng.choice(basis)
+        assert alg.structure_constants(l1, l2) == structure_constants_by_tally(alg, l1, l2)
+
+
+def test_warm_structure_constants_compute_no_shape(monkeypatch):
+    # a warm lookup is one dict hit keyed by (tau1, tau2): a second sweep of
+    # every window pair computes no shape, where the first computed some
+    alg = HeckeAlgebra(SL2_Q2, 1)
+    calls, shape = [0], alg._shape
+
+    def counted(tau):
+        calls[0] += 1
+        return shape(tau)
+
+    monkeypatch.setattr(alg, "_shape", counted)
+    basis = alg.labels_in_window(3)
+    first = [alg.structure_constants(l1, l2) for l1 in basis for l2 in basis]
+    assert calls[0] > 0
+    calls[0] = 0
+    assert [alg.structure_constants(l1, l2) for l1 in basis for l2 in basis] == first
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("m, bound", [(1, 3), (2, 2)], ids=["SL2/Q_2 m=1 B=3", "SL2/Q_2 m=2 B=2"])
+def test_shape_tables_give_equal_constants_in_either_sweep_order(m, bound):
+    # which tau of a shape builds the shared map and table first changes no
+    # constant: one fresh algebra sweeps the window forward, another builds
+    # its orbit tables and sweeps the pairs backward
+    forward, backward = HeckeAlgebra(SL2_Q2, m), HeckeAlgebra(SL2_Q2, m)
+    for tau in reversed(dominant_window("SL", 2, bound)):
+        backward.orbit_table(tau)
+    basis, basis_b = forward.labels_in_window(bound), backward.labels_in_window(bound)
+    assert basis == basis_b
+    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    expected = {(i, j): forward.structure_constants(basis[i], basis[j]) for i, j in pairs}
+    for i, j in reversed(pairs):
+        assert backward.structure_constants(basis_b[i], basis_b[j]) == expected[i, j], (i, j)
 
 
 # (L1) and (L2) of the product lemmas, on random dominant pairs at m = 1, 2

@@ -43,7 +43,7 @@ CASES = [
            "seed"), frozen=False),
     _case(OrbitTable,
           dict(tau=TAU, labels=("x", "y"), gamma_index=((0, 0),), group="G", x0=[0], tcol=[0],
-               slot=[0, 1], rows=[("x", "y")]),
+               slot=[0, 1], base=[0]),
           "OrbitTable(tau=CartanDatum(coords=(1, -1)), labels=('x', 'y'), "
           "gamma_index=((0, 0),))",
           ("tau", "labels", "gamma_index")),
@@ -149,7 +149,7 @@ def test_hash_and_mutability(cls, kwargs, text, compare, frozen, defaults):
 def test_fields_outside_equality():
     # the group and canonical map, matrices and modulus are kept but neither
     # compared nor hashed
-    table = OrbitTable(TAU, ("x",), ((0, 0),), "G", [0], [0], [0], [("x",)])
+    table = OrbitTable(TAU, ("x",), ((0, 0),), "G", [0], [0], [0], [0])
     assert table == OrbitTable(TAU, ("x",), ((0, 0),), "H", [1], [1], [1], [])
     assert hash(table) == hash(OrbitTable(TAU, ("x",), ((0, 0),), None, [], [], [], []))
     module = WindowedModule(QQ, 1, ("g",), {"g": [[1]]})
