@@ -260,7 +260,7 @@ class HeckeAlgebra:
         """K/K_m, a ``matgrp.ClassGroup`` built on first use: labels and every
         table of the algebra index its classes."""
         if self._group is None:
-            self._group = _congruence_classes(self.spec, 0, self.m, self.budget)
+            self._group = _congruence_classes(self.spec, self.m, self.budget)
         return self._group
 
     @property

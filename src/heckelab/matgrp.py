@@ -801,45 +801,39 @@ def _subgroup_generators(members, op, e):
     return gens
 
 
-def _class_count(spec: GroupSpec, m: int, c: int) -> int:
-    """|K_m/K_(m+c)| in closed form: ``kernel_count`` at m >= 1 (and 1 at
-    c = 0); at m = 0 the order of G(o/pi^c), |GL_n(F_q)| q^(n^2 (c - 1))
-    for GL (reduction mod pi is onto, with kernel 1 + pi M_n(o/pi^c)), and
-    for SL that divided by |(o/pi^c)^*| = (q - 1) q^(c - 1), the image of
-    the determinant."""
-    if m >= 1 or c == 0:
-        return kernel_count(spec, m, c)
+def _class_count(spec: GroupSpec, m: int) -> int:
+    """|K/K_m| in closed form, the order of G(o/pi^m) (1 at m = 0):
+    |GL_n(F_q)| q^(n^2 (m - 1)) for GL (reduction mod pi is onto, with
+    kernel 1 + pi M_n(o/pi^m)), and for SL that divided by |(o/pi^m)^*| =
+    (q - 1) q^(m - 1), the image of the determinant."""
+    if m == 0:
+        return 1
     q, n = spec.model.q, spec.n
-    order = q ** (n * n * (c - 1)) * math.prod(q**n - q**i for i in range(n))
-    return order if spec.family == GL else order // ((q - 1) * q ** (c - 1))
+    order = q ** (n * n * (m - 1)) * math.prod(q**n - q**i for i in range(n))
+    return order if spec.family == GL else order // ((q - 1) * q ** (m - 1))
 
 
-def _class_moves(spec: GroupSpec, m: int, ring: ResidueRing, tables):
-    """The moves S that generate the classes of G(R), R = o/pi^(m+c) the
-    ring of ``tables``, that are 1 mod pi^m (see ``_congruence_classes``).
+def _class_moves(spec: GroupSpec, ring: ResidueRing, tables):
+    """The moves S that generate G(R), R = o/pi^m the ring of ``tables``
+    (see ``ClassGroup``).
 
     A move is the right multiplication by one generator, on codes: a pair
     (adds, scales) in which entry a of a code c becomes add[c[a]][row[c[b]]]
     for each (a, b, row) in adds (column j += w column k, row by row) and
-    row[c[a]] for each (a, row) in scales (column j *= u), ``row`` being
-    the row of the mul table of w or u (``_apply_move``).  With P = pi^m R, W generators of the additive group P and U
-    generators of the unit group 1 + P (of R^* at m = 0), both from
+    row[c[a]] for each (a, row) in scales (column 0 *= u), ``row`` being
+    the row of the mul table of w or u (``_apply_move``).  With W
+    generators of the additive group R and U generators of R^*, both from
     ``_subgroup_generators`` and closed under inverses:
     - x_ij(w) = 1 + w e_ij for i != j and w in W: column j += w column i;
-    - GL: diag(1, .., u, .., 1) with u in U, at position 0 alone when m = 0
-      and at every position when m >= 1;
-    - SL, m >= 1: h_i(u) = diag(.., u, u^-1, ..) at positions i, i + 1.
+    - GL: diag(u, 1, .., 1) with u in U.
     Returns the moves and the index of the inverse of each, which is a
     move too: x_ij(w)^-1 = x_ij(-w), and u^-1 is in U.
     """
     n = spec.n
     add, mul, index = tables.add, tables.mul, tables.index
     one = index[ring.one().coords]
-    ideal = [i for i, x in enumerate(tables.elements) if x.val() >= m]
-    if m == 0:
-        unit_group = [i for i in ideal if tables.elements[i].is_unit()]
-    else:
-        unit_group = sorted(add[one][i] for i in ideal)
+    elements = range(len(tables.elements))
+    units = [i for i in elements if tables.elements[i].is_unit()]
 
     def inv(u):
         return mul[u].index(one)
@@ -847,13 +841,11 @@ def _class_moves(spec: GroupSpec, m: int, ring: ResidueRing, tables):
     def closed(gens, inverse):
         return list(dict.fromkeys(gens + [inverse(g) for g in gens]))
 
-    ws = closed(_subgroup_generators(ideal, lambda a, b: add[a][b], 0), tables.neg.__getitem__)
-    us = closed(_subgroup_generators(unit_group, lambda a, b: mul[a][b], one), inv)
+    ws = closed(_subgroup_generators(elements, lambda a, b: add[a][b], 0), tables.neg.__getitem__)
+    us = closed(_subgroup_generators(units, lambda a, b: mul[a][b], one), inv)
     keys = [("x", i, j, w) for i in range(n) for j in range(n) if i != j for w in ws]
     if spec.family == GL:
-        keys += [("d", i, i, u) for i in (range(n) if m else range(1)) for u in us]
-    elif m:
-        keys += [("h", i, i + 1, u) for i in range(n - 1) for u in us]
+        keys += [("d", 0, 0, u) for u in us]
     offsets = range(0, n * n, n)
     moves, inverse = [], []
     position = {key: s for s, key in enumerate(keys)}
@@ -862,10 +854,7 @@ def _class_moves(spec: GroupSpec, m: int, ring: ResidueRing, tables):
             moves.append((tuple((r + j, r + i, mul[v]) for r in offsets), ()))
             inverse.append(position[kind, i, j, tables.neg[v]])
         else:
-            scales = [(r + i, mul[v]) for r in offsets]
-            if kind == "h":
-                scales += [(r + j, mul[inv(v)]) for r in offsets]
-            moves.append(((), tuple(scales)))
+            moves.append(((), tuple((r, mul[v]) for r in offsets)))
             inverse.append(position[kind, i, j, inv(v)])
     return moves, inverse
 
@@ -883,16 +872,16 @@ def _apply_move(move, code, add):
     return tuple(out)
 
 
-class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "matrices",
-                                        "moves", "move_inverse", "words", "table", "budget")):
-    """The finite group G = K_m/K_(m+c) (K/K_c at m = 0) that
-    ``_congruence_classes`` builds, in index arithmetic over ``tables``, the
-    ``RingTables`` of R = o/pi^(m+c), ``ring``.
+class ClassGroup(FrozenRecord, fields=("spec", "m", "tables", "codes", "matrices", "moves",
+                                        "move_inverse", "words", "table", "budget")):
+    """The finite group G = K/K_m = G(o/pi^m) that ``_congruence_classes``
+    builds, in index arithmetic over ``tables``, the ``RingTables`` of R =
+    o/pi^m, ``ring``.
 
     Class x has the code codes[x] and the ``ResidueMatrix`` matrices[x], in
     increasing ``sort_key`` order; ``index`` maps a code back to its class
     (the one way in from outside) and ``e`` is the identity.  ``key`` is
-    (spec, m, c), which determines the group and its class order (the
+    (spec, m), which determines the group and its class order (the
     closure is sorted, and the budget changes no class): two groups of one
     key number their classes alike.  ``moves`` are the right
     multiplications by the generators S of ``_class_moves``, and
@@ -904,39 +893,30 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
     inverses and canonical lifts are read off these; nothing per pair is
     stored.
 
-    The moves generate G, with P = pi^m R:
-    - m = 0: R is local with maximal ideal pi R.  For g in GL_n(R) some
-      entry of column 1 is a unit (else det g would lie in pi R); adding
-      that row to row 1 if need be makes g_11 a unit, and row and column
-      operations with g_11 as pivot clear row and column 1.  By induction
-      (Gaussian elimination) g = e diag(d_1, .., d_n) e' with e, e' in the
-      group E generated by the x_ij(w), w in R, and each diag(.., d, d^-1,
-      ..) lies in E (Whitehead: diag(u, u^-1) = x_12(u) x_21(-u^-1) x_12(u)
-      x_12(-1) x_21(1) x_12(-1)), so g lies in E diag(det g, 1, .., 1).
-      So SL_n(R) = E, and GL_n(R) is generated by E and diag(u, 1, .., 1),
-      u in R^*.
-    - m >= 1 (Iwahori factorization K_m = U-_m T_m U+_m): g = 1 mod P has
-      unit pivots g_kk = 1 mod P and multipliers in P, so elimination gives
-      g = v d u with v lower and u upper unitriangular, entries in P, and
-      d diagonal with entries in 1 + P; v and u are products of x_ij(p),
-      p in P.  For SL, prod d_i = 1 and d = prod_i h_i(d_1 .. d_i).
-    - x_ij(a + b) = x_ij(a) x_ij(b), diag(u v) = diag(u) diag(v) and h_i(u
-      v) = h_i(u) h_i(v), so generators of the groups P and 1 + P (R^* at
-      m = 0) suffice.
+    The moves generate G.  R is local with maximal ideal pi R.  For g in
+    GL_n(R) some entry of column 1 is a unit (else det g would lie in pi
+    R); adding that row to row 1 if need be makes g_11 a unit, and row and
+    column operations with g_11 as pivot clear row and column 1.  By
+    induction (Gaussian elimination) g = e diag(d_1, .., d_n) e' with e, e'
+    in the group E generated by the x_ij(w), w in R, and each diag(.., d,
+    d^-1, ..) lies in E (Whitehead: diag(u, u^-1) = x_12(u) x_21(-u^-1)
+    x_12(u) x_12(-1) x_21(1) x_12(-1)), so g lies in E diag(det g, 1, ..,
+    1).  So SL_n(R) = E, and GL_n(R) is generated by E and diag(u, 1, ..,
+    1), u in R^*.  x_ij(a + b) = x_ij(a) x_ij(b) and diag(u v) = diag(u)
+    diag(v), so generators of the groups R and R^* suffice.
     Breadth-first right products with the moves from the identity reach
     every product of moves, so the closure is G, and y's word walked from x
     is x y.  The moves are closed under inverses, so x^-1 is x's word
     reversed, each move inverted, walked from e.
     """
 
-    __slots__ = ("spec", "m", "c", "tables", "codes", "matrices", "moves", "move_inverse",
-                 "words", "table", "budget", "key", "ring", "index", "e", "_inverses", "_lifts")
+    __slots__ = ("spec", "m", "tables", "codes", "matrices", "moves", "move_inverse", "words",
+                 "table", "budget", "key", "ring", "index", "e", "_inverses", "_lifts")
 
-    def __init__(self, spec: GroupSpec, m: int, c: int, tables, codes: list, matrices: list,
+    def __init__(self, spec: GroupSpec, m: int, tables, codes: list, matrices: list,
                  moves: list, move_inverse: list, words: list, table: list | None, budget: int):
         _set(self, "spec", spec)
         _set(self, "m", m)
-        _set(self, "c", c)
         _set(self, "tables", tables)
         _set(self, "codes", codes)
         _set(self, "matrices", matrices)
@@ -945,8 +925,8 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
         _set(self, "words", words)
         _set(self, "table", table)
         _set(self, "budget", budget)
-        _set(self, "key", (spec, m, c))
-        _set(self, "ring", spec.model.residue_ring(m + c))
+        _set(self, "key", (spec, m))
+        _set(self, "ring", spec.model.residue_ring(m))
         _set(self, "index", {code: x for x, code in enumerate(codes)})
         _set(self, "e", words.index(()))
         _set(self, "_inverses", None)
@@ -989,7 +969,7 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
     def witness_classes(self, ops, source) -> tuple:
         """The classes ([a], [b]^-1) of the witnesses a, b of g = a n_tau b
         that ``ops`` of an elimination make, their f and units in the ring
-        ``source`` (o/pi^M of ``truncated_elimination``, M >= m + c, or o
+        ``source`` (o/pi^M of ``truncated_elimination``, M >= m, or o
         itself): their codes replayed (``_replay``) in the ring tables of
         R, each f and unit carried into R once (``source.residue``), read
         in ``index``, and [b]^-1 read off ``inverses``.  A code that is no
@@ -1006,18 +986,18 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
         bi = self.index.get(tuple(x for row in b for x in row))
         if xi is None or bi is None:
             raise InvariantViolated(
-                f"a replayed Cartan witness is no class of K_{self.m}/K_{self.m + self.c}")
+                f"a replayed Cartan witness is no class of K/K_{self.m}")
         return xi, self.inverses[bi]
 
     def scaled_class(self, g: GroupElement, a: int) -> int:
-        """The class of k = pi^-a g, for g in pi^a K_m: each entry of k
+        """The class of k = pi^-a g, for g in pi^a K: each entry of k
         (formed by ``FieldElement.shift``, no field product) reduced into
         R once and read in ``index``.
 
-        Reduction K_m -> G(o/pi^(m+c)) is a group homomorphism with kernel
-        K_(m+c) whose image is the classes (``_congruence_classes``), so the
-        class of k in K_m/K_(m+c) is the one whose code is k's entries
-        reduced.  A g outside pi^a K_m gives a code that is no class, which
+        Reduction K -> G(o/pi^m) is a group homomorphism with kernel K_m
+        whose image is the classes (``_congruence_classes``), so the class
+        of k in K/K_m is the one whose code is k's entries reduced.  A g
+        outside pi^a K gives a code that is no class, which
         raises InvariantViolated (or an entry outside o, NegativeValuation)."""
         tables, ring = self.tables, self.ring
         index, entries = tables.index, g.entries
@@ -1025,8 +1005,7 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
             entries = [x.shift(-a) for x in entries]
         x = self.index.get(tuple(index[ring.reduce(y).coords] for y in entries))
         if x is None:
-            raise InvariantViolated(
-                f"pi^{-a} g is no class of K_{self.m}/K_{self.m + self.c}")
+            raise InvariantViolated(f"pi^{-a} g is no class of K/K_{self.m}")
         return x
 
     def power_pairs(self, shape) -> list:
@@ -1106,44 +1085,36 @@ class ClassGroup(FrozenRecord, fields=("spec", "m", "c", "tables", "codes", "mat
                     )
 
 
-def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassGroup:
-    """The ``ClassGroup`` of the classes of G(o/pi^(m+c)) that are 1 mod
-    pi^m (det = 1 for SL), by breadth-first closure from the identity under
-    the moves of ``_class_moves``, sorted once at the end.
+def _congruence_classes(spec: GroupSpec, m: int, budget: int) -> ClassGroup:
+    """The ``ClassGroup`` of the classes of G(o/pi^m) (det = 1 for SL), by
+    breadth-first closure from the identity under the moves of
+    ``_class_moves``, sorted once at the end.
 
-    They are in bijection with K_m/K_(m+c).  Reduction K_m -> G(o/pi^(m+c))
-    is a group homomorphism with kernel K_(m+c), and its image lies in the
-    classes that are 1 mod pi^m.  The image is all of them: ``lift_group``
-    sends such a class r to an element of K that reduces to r, and that
-    element is 1 mod pi^m, so it lies in K_m.  At m = 0 the classes are
-    all of G(o/pi^c), that is K/K_c.  The moves generate it (the proof is
-    in ``ClassGroup``), and the closure must have the closed-form size of
-    ``_class_count``, else InvariantViolated: a move missing from S shows
-    as a short closure.
+    They are in bijection with K/K_m: reduction K -> G(o/pi^m) is a group
+    homomorphism with kernel K_m, onto because ``lift_group`` sends each
+    class to an element of K that reduces to it.  The moves generate G(o/
+    pi^m) (the proof is in ``ClassGroup``), and the closure must have the
+    closed-form size of ``_class_count``, else InvariantViolated: a move
+    missing from S shows as a short closure.
 
-    The budget is charged q^(c n^2), a bound on the classes taken by
-    exponent, before the ring is built, and then the |o/pi^(m+c)|^2
-    entries of its tables (``ResidueRing.tables``).  That second charge
-    grows with m, not with the classes: GL2/Q_2 at c = 1 has 16 classes at
-    every m >= 1, yet m = 9 needs the 1024^2 tables of o/pi^10 and exceeds
-    the default budget while m = 4 passes.  (For m >= c, K_m/K_(m+c) is
-    abelian, additive in M_n(o/pi^c), and would need no such ring.)  The
-    matrices share one tuple per distinct row.  Indices are ordered as the
-    coords of their elements, and ``sort_key`` is the row-major tuple of
-    entry coords, so sorting codes is sorting by ``sort_key``.  At m + c =
-    0 the ring is the zero ring, whose one element is 1: no move, and one
-    class, K/K_0 = 1.
+    The budget is charged q^(m n^2), a bound on the classes taken by
+    exponent, before the ring is built, and then the |o/pi^m|^2 entries of
+    its tables (``ResidueRing.tables``).  The matrices share one tuple per
+    distinct row.  Indices are ordered as the coords of their elements,
+    and ``sort_key`` is the row-major tuple of entry coords, so sorting
+    codes is sorting by ``sort_key``.  At m = 0 the ring is the zero ring,
+    whose one element is 1: no move, and one class, K/K_0 = 1.
     """
     n = spec.n
-    _check_budget_power(spec.model.q, c * n * n, budget)
-    order = _class_count(spec, m, c)
-    ring = spec.model.residue_ring(m + c)
+    _check_budget_power(spec.model.q, m * n * n, budget)
+    order = _class_count(spec, m)
+    ring = spec.model.residue_ring(m)
     tables = ring.tables(budget)
-    moves, inverse = _class_moves(spec, m, ring, tables)
+    moves, inverse = _class_moves(spec, ring, tables)
     add, one = tables.add, tables.index[ring.one().coords]
     identity = tuple(one if i == j else 0 for i in range(n) for j in range(n))
-    mismatch = (f"closure of {spec.family}_{n} mod pi^{m + c} at level {m} does not "
-                f"have the closed-form {order} classes")
+    mismatch = (f"closure of {spec.family}_{n} mod pi^{m} does not have the "
+                f"closed-form {order} classes")
     table = [[0] * order for _ in moves] if order * len(moves) <= budget else None
     found, codes, words = {identity: 0}, [identity], [()]
     for x, code in enumerate(codes):  # grows while it is read
@@ -1167,7 +1138,6 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassGr
     return ClassGroup(
         spec,
         m,
-        c,
         tables,
         [codes[x] for x in ranked],
         [ResidueMatrix(ring, tuple(rows[codes[x][r:r + n]] for r in offsets)) for x in ranked],
@@ -1181,8 +1151,8 @@ def _congruence_classes(spec: GroupSpec, m: int, c: int, budget: int) -> ClassGr
 
 def enumerate_residue_matrices(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
     """Invertible matrices over o/pi^m (det = 1 for SL), sorted canonically:
-    the classes of K/K_m of ``_congruence_classes(spec, 0, m, budget)``."""
-    return list(_congruence_classes(spec, 0, m, budget).matrices)
+    the classes of K/K_m of ``_congruence_classes(spec, m, budget)``."""
+    return list(_congruence_classes(spec, m, budget).matrices)
 
 
 def enumerate_residue(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET):
@@ -1198,9 +1168,33 @@ def kernel_count(spec: GroupSpec, m: int, c: int) -> int:
 
 
 def iter_kernel(spec: GroupSpec, m: int, c: int, budget: int = DEFAULT_BUDGET):
-    """Yield exact coset representatives of K_m/K_(m+c), one per class:
-    the canonical lifts of ``_congruence_classes``.  The budget is charged
-    the |o/pi^(m+c)|^2 ring-table entries as well as q^(c n^2), so a deep
-    level m raises BudgetExceeded however few classes there are."""
-    for r in _congruence_classes(spec, m, c, budget).matrices:
+    """Yield exact coset representatives of K_m/K_(m+c) (K/K_c at m = 0),
+    one per class, in ``sort_key`` order, by a sweep that shares no code
+    with the closure of ``_congruence_classes``.
+
+    Reduction K_m -> G(o/pi^(m+c)) has kernel K_(m+c), and its image is
+    the classes 1 + pi^m x, x in M_n(o/pi^c), whose determinant is a unit
+    (one for SL): ``lift_group`` sends each to an element of K that is 1
+    mod pi^m.  The budget is charged the q^(c n^2) candidates before any
+    is formed; each is formed in o/pi^(m+c) with ``ResidueRing``
+    arithmetic, no tables, and the kept ones must number ``kernel_count``
+    (at m = 0, ``_class_count`` of level c), else InvariantViolated."""
+    n = spec.n
+    _check_budget_power(spec.model.q, c * n * n, budget)
+    ring = spec.model.residue_ring(m + c)
+    one, zero = ring.one(), ring.zero()
+    shifted = [ring.reduce(x.lift().shift(m)) for x in spec.model.residue_ring(c).elements()]
+    diagonal = [one + x for x in shifted]
+    kept = []
+    for entries in itertools.product(
+            *(diagonal if k % (n + 1) == 0 else shifted for k in range(n * n))):
+        rows = tuple(entries[r:r + n] for r in range(0, n * n, n))
+        d = _cofactor_det(rows, zero)
+        if (d == one) if spec.family == SL else d.is_unit():
+            kept.append(ResidueMatrix(ring, rows))
+    expected = kernel_count(spec, m, c) if m else _class_count(spec, c)
+    if len(kept) != expected:
+        raise InvariantViolated(f"sweep of K_{m}/K_{m + c} of {spec.family}_{n} kept "
+                                f"{len(kept)} classes, not the closed-form {expected}")
+    for r in sorted(kept, key=ResidueMatrix.sort_key):
         yield lift_group(r, spec)

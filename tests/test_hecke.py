@@ -84,7 +84,7 @@ def gl2_q3_m1():
 def _with_matrices(group, matrices):
     """``group`` with its classes held as the residue matrices ``matrices``:
     the same codes, moves, words and key."""
-    return ClassGroup(group.spec, group.m, group.c, group.tables, group.codes, matrices,
+    return ClassGroup(group.spec, group.m, group.tables, group.codes, matrices,
                       group.moves, group.move_inverse, group.words, group.table, group.budget)
 
 

@@ -305,13 +305,13 @@ def test_transport_label_follows_class_order(monkeypatch, m):
     # permutation, which both routes must follow
     congruence_classes = hecke._congruence_classes
 
-    def reversed_on_side_2(spec, level, c, budget):
-        group = congruence_classes(spec, level, c, budget)
+    def reversed_on_side_2(spec, level, budget):
+        group = congruence_classes(spec, level, budget)
         if spec.model != F_EQ:
             return group
         last = len(group.codes) - 1  # class x is class last - x of the reversed list
         return ClassGroup(
-            spec, group.m, group.c, group.tables, group.codes[::-1], group.matrices[::-1],
+            spec, group.m, group.tables, group.codes[::-1], group.matrices[::-1],
             group.moves, group.move_inverse, group.words[::-1],
             [[last - xs for xs in reversed(row)] for row in group.table], budget,
         )

@@ -703,9 +703,23 @@ def test_kernel_is_a_complete_transversal(spec, m, c):
     assert len({reduce_group(k, m + c) for k in ks}) == len(ks)
 
 
-@pytest.mark.parametrize("spec", KERNEL_SPECS)
-def test_kernel_at_level_zero_is_k_mod_km(spec):
-    assert list(iter_kernel(spec, 0, 1)) == enumerate_residue(spec, 1)
+@pytest.mark.parametrize("spec, c", [
+    pytest.param(spec.values[0], 1, id=spec.id) for spec in KERNEL_SPECS
+] + [
+    pytest.param(GroupSpec(family, n, model), c, id=f"{family}{n}/{name} c={c}")
+    for family, n, name, model, c in (
+        ("GL", 3, "Q_2", FieldModel.mixed(2, 1), 1),
+        ("SL", 3, "Q_2", FieldModel.mixed(2, 1), 1),
+        ("GL", 2, "Q_2", FieldModel.mixed(2, 1), 2),
+        ("SL", 2, "F_3((t))", FieldModel.equal(3), 2),
+        ("GL", 2, "F_4((t))", FieldModel.equal(2, 2), 1),
+        ("SL", 2, "Q_2(2^(1/2))", FieldModel.mixed(2, 2), 2),
+    )
+])
+def test_kernel_at_level_zero_is_k_mod_km(spec, c):
+    # the sweep over M_n(o/pi^c) and the closure of K/K_c share no code:
+    # the same classes, lifted alike, in the same order
+    assert list(iter_kernel(spec, 0, c)) == enumerate_residue(spec, c)
 
 
 def test_budget_guard():
@@ -716,16 +730,39 @@ def test_budget_guard():
         list(iter_kernel(spec, 1, 3, budget=100))
 
 
-def test_kernel_budget_charges_the_ring_tables_of_level_m_plus_c():
-    # K_m/K_(m+c) is built over the tables of o/pi^(m+c), charged
-    # |o/pi^(m+c)|^2 before the closure: at m = 4 that is 32^2 for 16
-    # classes, at m = 9 it is 1024^2 > 10^6 for 16 classes again
+def test_kernel_budget_charges_the_candidates_alone(monkeypatch):
+    # the sweep is charged its q^(c n^2) candidates, whatever the level m:
+    # GL2/Q_2 at (m, c) = (9, 1) gives its 16 classes under the default
+    # budget, and a budget of 15 is refused before any candidate is formed
     spec = GroupSpec("GL", 2, FieldModel.mixed(2, 1))
-    ks = list(iter_kernel(spec, 4, 1))
-    assert len(ks) == 16 == kernel_count(spec, 4, 1)
-    with pytest.raises(BudgetExceeded, match=r"tables of o/pi\^10 \(1024\^2 entries\) "
-                                             r"exceed budget 1000000"):
-        list(iter_kernel(spec, 9, 1))
+    ks = list(iter_kernel(spec, 9, 1))
+    assert len(ks) == 16 == kernel_count(spec, 9, 1)
+    assert all(k.in_km(9) for k in ks)
+    assert len({reduce_group(k, 10) for k in ks}) == 16
+
+    def refuse(*args):
+        raise AssertionError("a candidate was formed")
+
+    monkeypatch.setattr(localfield.ResidueRing, "elements", refuse)
+    monkeypatch.setattr(matgrp, "_cofactor_det", refuse)
+    with pytest.raises(BudgetExceeded, match=r"2\^4 elements exceeds budget 15"):
+        list(iter_kernel(spec, 9, 1, budget=15))
+
+
+def test_kernel_sweep_is_independent_of_the_closure(monkeypatch):
+    # iter_kernel is an oracle for the closure, so it builds no closure and
+    # no ring table; its count check trips when the closed form disagrees
+    def refuse(*args):
+        raise AssertionError("the sweep used the closure or the ring tables")
+
+    monkeypatch.setattr(matgrp, "_congruence_classes", refuse)
+    monkeypatch.setattr(localfield.ResidueRing, "tables", refuse)
+    spec = GroupSpec("SL", 2, FieldModel.mixed(2, 1))
+    ks = list(iter_kernel(spec, 1, 2))
+    assert len(ks) == 64 == kernel_count(spec, 1, 2)
+    monkeypatch.setattr(matgrp, "kernel_count", lambda *args: kernel_count(*args) + 1)
+    with pytest.raises(InvariantViolated, match="not the closed-form 65"):
+        list(iter_kernel(spec, 1, 2))
 
 
 # ---------------------------------------------------------------- reduce / lift

@@ -86,12 +86,12 @@ CASES = [
           "CartanFactorization(a=[0, 1; 1, 0], tau=CartanDatum(coords=(1, -1)), b=[1, 0; 0, 1])",
           ("a", "tau", "b")),
     _case(ClassGroup,
-          dict(spec=SPEC, m=0, c=1, tables=None, codes=[(1,)], matrices=["I"], moves=[],
+          dict(spec=SPEC, m=1, tables=None, codes=[(1,)], matrices=["I"], moves=[],
                move_inverse=[0], words=[()], table=None, budget=10),
-          f"ClassGroup(spec=GroupSpec(family='GL', n=2, model={M_REPR}), m=0, c=1, "
+          f"ClassGroup(spec=GroupSpec(family='GL', n=2, model={M_REPR}), m=1, "
           "tables=None, codes=[(1,)], matrices=['I'], moves=[], move_inverse=[0], words=[()], "
           "table=None, budget=10)",
-          ("spec", "m", "c", "tables", "codes", "matrices", "moves", "move_inverse", "words",
+          ("spec", "m", "tables", "codes", "matrices", "moves", "move_inverse", "words",
            "table", "budget")),
     _case(IntegerRing, {}, "IntegerRing()", ()),
     _case(RationalField, dict(localized_at=3), "RationalField(localized_at=3)",
